@@ -341,6 +341,19 @@ def visible_clusters(scenario: Scenario, user: int,
     return out
 
 
+def _check_selected(scenario: Scenario, selected) -> list[int]:
+    """The selected user indices as ints: nonempty, distinct, in range."""
+    selected = [int(i) for i in selected]
+    if len(selected) == 0:
+        raise ConfigurationError("selected user list must be nonempty")
+    if len(set(selected)) != len(selected):
+        raise ConfigurationError("selected user indices must be distinct")
+    for i in selected:
+        if not 0 <= i < scenario.num_users:
+            raise IndexError(f"user index {i} out of range")
+    return selected
+
+
 def channel_matrix(scenario: Scenario, selected,
                    visibility_floor: float = DEFAULT_VISIBILITY_FLOOR,
                    shared_fading: bool = False,
@@ -353,15 +366,7 @@ def channel_matrix(scenario: Scenario, selected,
     fixed), which is how independent fading realizations of one scenario
     are produced.
     """
-    selected = [int(i) for i in selected]
-    if len(selected) == 0:
-        raise ConfigurationError("selected user list must be nonempty")
-    if len(set(selected)) != len(selected):
-        raise ConfigurationError("selected user indices must be distinct")
-    for i in selected:
-        if not 0 <= i < scenario.num_users:
-            raise IndexError(f"user index {i} out of range")
-
+    selected = _check_selected(scenario, selected)
     cfg = scenario.config
     m = cfg.antenna_count
     h = np.zeros((m, len(selected)), dtype=complex)
@@ -379,6 +384,32 @@ def channel_matrix(scenario: Scenario, selected,
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
     return ChannelMatrix(entries=h, user_ids=tuple(selected))
+
+
+def channel_covariances(scenario: Scenario, selected,
+                        visibility_floor: float = DEFAULT_VISIBILITY_FLOOR) -> np.ndarray:
+    """Exact fading covariances E{h_k h_k^H} of the selected users,
+    shape (K_s, M, M), for the independent re-draws of ``channel_matrix``
+    with a ``gain_rng``.
+
+    Each MPC gain has variance f_kj^2 / N_p, so
+    R_k = sum_j f_kj^2 G_j over the clusters visible to user k, with the
+    cluster's steering Gram G_j = (1/N_p) sum_p a(phi_jp) a(phi_jp)^H.
+    """
+    selected = _check_selected(scenario, selected)
+    cfg = scenario.config
+    alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
+    azimuths = np.stack([cluster_azimuths(scenario, j)
+                         for j in range(scenario.num_clusters)])
+    # steer[j, p, m] = a(phi_jp)[m]
+    steer = np.exp(1j * alpha * np.arange(cfg.antenna_count)
+                   * np.sin(azimuths)[:, :, None])
+    gram = np.einsum("jpm,jpn->jmn", steer, steer.conj()) / cfg.mpcs_per_cluster
+    power = np.zeros((len(selected), scenario.num_clusters))
+    for row, k in enumerate(selected):
+        for j in visible_clusters(scenario, k, visibility_floor):
+            power[row, j] = user_cluster_geometry_factor(scenario, k, j) ** 2
+    return np.einsum("kj,jmn->kmn", power, gram)
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .errors import ConfigurationError, RankDeficiencyError, SelectionError
-from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT, channel_matrix,
-                   generate_scenario)
+from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT, channel_covariances,
+                   channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild
-from .rx import (PilotConfig, PowerConfig, channel_covariance, mmse_estimate,
-                 noise_power, sum_rate, unitary_pilots, zf_weights)
+from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
+                 sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
                          gwc_select, random_select)
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 ALGORITHMS = ("GUS", "GWC", "RANDOM")
 
@@ -65,7 +66,6 @@ class ExperimentConfig:
     crlb: CrlbParams = field(default_factory=CrlbParams)
     fig3_m_values: tuple[int, ...] = (50, 100, 150, 200, 250, 300, 350, 400)
     use_estimation: bool = False
-    covariance_draws: int = 500
 
     def validate(self) -> None:
         self.scenario.validate()
@@ -83,6 +83,10 @@ class ExperimentConfig:
         for ks in self.ks_values:
             if not 1 <= ks <= self.scenario.num_users:
                 raise ConfigurationError(f"K_s={ks} out of range")
+            if ks > self.scenario.antenna_count:
+                raise ConfigurationError(
+                    f"K_s={ks} exceeds antenna_count={self.scenario.antenna_count};"
+                    " zero-forcing needs at least as many antennas as users")
         if any(o < 0 for o in self.omegas):
             raise ConfigurationError("omega values must be nonnegative")
         self.crlb.validate()
@@ -131,25 +135,19 @@ class AggregateStats:
         raise KeyError((algorithm, ks, p_dbm, omega))
 
 
-def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
-                               draws: int) -> np.ndarray:
-    """MMSE-estimate the selected users' channel from one pilot block,
-    with the covariance taken as a sample mean over fading re-draws."""
-    cfg = scenario.config
-    rng = _stream(cfg.rng_seed, _STREAM_FADING, len(selected))
-    samples = [
-        channel_matrix(scenario, selected, gain_rng=rng).entries.reshape(-1, order="F")
-        for _ in range(draws)
-    ]
-    cov = channel_covariance(samples)
+def _estimate_selected_channel(scenario, selected, h_true,
+                               power: PowerConfig) -> np.ndarray:
+    """MMSE-estimate the selected users' channel from one block of
+    orthogonal pilots, using the model's exact per-user covariances."""
+    rng = _stream(scenario.config.rng_seed, _STREAM_FADING, len(selected))
     pilots = math.sqrt(power.per_user) * unitary_pilots(len(selected))
     pilot = PilotConfig(matrix=pilots, noise_variance=power.noise_power)
     m, tau_p = h_true.shape[0], pilots.shape[1]
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, tau_p)) + 1j * rng.standard_normal((m, tau_p)))
     received = h_true @ pilots + noise
-    h_vec = mmse_estimate(received, pilot, cov)
-    return h_vec.reshape(m, len(selected), order="F")
+    return mmse_estimate_per_user(received, pilot,
+                                  channel_covariances(scenario, selected))
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
@@ -193,8 +191,7 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
                             h_s = h_all[:, list(sel)]
                             if config.use_estimation:
                                 h_est = _estimate_selected_channel(
-                                    scen, list(sel), h_s, power,
-                                    config.covariance_draws)
+                                    scen, list(sel), h_s, power)
                             else:
                                 h_est = h_s
                             rate = sum_rate(h_s, zf_weights(h_est), power,
@@ -298,78 +295,73 @@ def write_results_csv(stats: AggregateStats, path) -> None:
     _write_csv(path, RESULT_HEADER, rows)
 
 
+def _to_plain(value):
+    """Dataclasses as nested dicts and tuples as lists, ready for YAML."""
+    if is_dataclass(value):
+        return {f.name: _to_plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_plain(x) for x in value]
+    return value
+
+
+def _from_plain(cls, data, where: str):
+    """Build dataclass ``cls`` from a plain mapping, rejecting unknown keys
+    and values that do not match the field types."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = [str(k) for k in data if k not in hints]
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return cls(**{name: _typed(hints[name], value, f"{where}.{name}")
+                  for name, value in data.items()})
+
+
+def _typed(hint, value, where: str):
+    """``value`` checked against the field type ``hint``; ints are accepted
+    for floats and lists for tuples."""
+    if is_dataclass(hint):
+        return _from_plain(hint, value, where)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(hint, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(f"{where} must have {len(args)} entries, got {value!r}")
+        return tuple(_typed(t, x, f"{where}[{i}]")
+                     for i, (t, x) in enumerate(zip(args, value)))
+    is_bool = isinstance(value, bool)
+    if hint is float and isinstance(value, int) and not is_bool:
+        return float(value)
+    if not isinstance(value, hint) or (is_bool and hint is not bool):
+        raise ConfigurationError(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    scen = config.scenario
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "scenario": {
-            "cell_half_side": scen.cell_half_side,
-            "num_users": scen.num_users,
-            "num_clusters": scen.num_clusters,
-            "mpcs_per_cluster": scen.mpcs_per_cluster,
-            "carrier_freq": scen.carrier_freq,
-            "bs_exclusion_fraction": scen.bs_exclusion_fraction,
-            "vr_radius": scen.vr_radius,
-            "transition_size": scen.transition_size,
-            "bs_height": scen.bs_height,
-            "ms_height": scen.ms_height,
-            "power_decay": scen.power_decay,
-            "cutoff_delay": scen.cutoff_delay,
-            "reference_delay": scen.reference_delay,
-            "antenna_count": scen.antenna_count,
-            "antenna_spacing_fraction": scen.antenna_spacing_fraction,
-            "shadowing_sigma_db": scen.shadowing_sigma_db,
-            "angular_spread_deg": scen.angular_spread_deg,
-            "cluster_height_range": list(scen.cluster_height_range),
-            "rng_seed": scen.rng_seed,
-        },
-        "algorithms": list(config.algorithms),
-        "powers_dbm": list(config.powers_dbm),
-        "ks_values": list(config.ks_values),
-        "omegas": list(config.omegas),
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "mode": config.mode,
-        "gus_variant": config.gus_variant,
-        "bandwidth": config.bandwidth,
-        "temperature": config.temperature,
-        "noise_figure_db": config.noise_figure_db,
-        "crlb": {
-            "num_antennas": config.crlb.num_antennas,
-            "sensors_per_axis": config.crlb.sensors_per_axis,
-            "signal_periods": config.crlb.signal_periods,
-            "pn_length": config.crlb.pn_length,
-            "input_snr": config.crlb.input_snr,
-            "bandwidth": config.crlb.bandwidth,
-            "d_over_lambda": config.crlb.d_over_lambda,
-        },
-        "fig3_m_values": list(config.fig3_m_values),
-        "use_estimation": config.use_estimation,
-        "covariance_draws": config.covariance_draws,
-    }
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **_to_plain(config)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config must be a mapping, got {data!r}")
+    version = data.get("schema_version")
+    if version != CONFIG_SCHEMA_VERSION:
+        why = (" (version 2 removed covariance_draws: estimated CSI now uses the"
+               " exact channel covariance)") if version == 1 else ""
         raise ConfigurationError(
-            f"unsupported config schema_version {data.get('schema_version')!r}"
+            f"unsupported config schema_version {version!r}, expected "
+            f"{CONFIG_SCHEMA_VERSION}{why}"
         )
-    scen_raw = dict(data["scenario"])
-    scen_raw["cluster_height_range"] = tuple(scen_raw["cluster_height_range"])
-    kwargs = {
-        "scenario": ScenarioConfig(**scen_raw),
-        "crlb": CrlbParams(**data.get("crlb", {})),
-    }
-    for name in ("trials", "base_seed", "mode", "gus_variant", "bandwidth",
-                 "temperature", "noise_figure_db", "use_estimation",
-                 "covariance_draws"):
-        if name in data:
-            kwargs[name] = data[name]
-    for name in ("algorithms", "powers_dbm", "ks_values", "omegas",
-                 "fig3_m_values"):
-        if name in data:
-            kwargs[name] = tuple(data[name])
-    return ExperimentConfig(**kwargs)
+    rest = {k: v for k, v in data.items() if k != "schema_version"}
+    return _from_plain(ExperimentConfig, rest, "config")
 
 
 def save_config(config: ExperimentConfig, path) -> None:

@@ -122,6 +122,41 @@ def mmse_estimate(received: np.ndarray, pilot: PilotConfig,
     return covariance @ phi_tilde.conj().T @ sol
 
 
+def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
+                           covariances: np.ndarray) -> np.ndarray:
+    """MMSE estimate (M x K_s) of the channel of users with mutually
+    orthogonal pilots and independent channels of covariances R_k
+    (K_s x M x M).
+
+    Projecting the received block onto pilot phi_k gives
+    z_k = Y phi_k^H / ||phi_k||^2 = h_k + n_k with n_k ~ CN(0, s_k I),
+    s_k = sigma_n^2 / ||phi_k||^2, so h_hat_k = R_k (R_k + s_k I)^{-1} z_k.
+    This equals ``mmse_estimate`` with the block-diagonal covariance.
+    """
+    received = np.asarray(received)
+    m, tau_p = received.shape
+    k_s = pilot.num_users
+    if tau_p != pilot.pilot_length:
+        raise ConfigurationError("received pilot block width must equal pilot_length")
+    if covariances.shape != (k_s, m, m):
+        raise ConfigurationError(f"covariances must be {k_s} x {m} x {m}")
+    gram = pilot.matrix @ pilot.matrix.conj().T
+    energy = gram.diagonal().real
+    if not np.all(energy > 0):
+        raise ConfigurationError("every pilot must have positive energy")
+    if not np.allclose(gram, np.diag(energy), rtol=0.0, atol=1e-9 * energy.max()):
+        raise ConfigurationError("per-user MMSE needs mutually orthogonal pilots")
+    z = (received @ pilot.matrix.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
+    inner = covariances + (pilot.noise_variance / energy)[:, None, None] * np.eye(m)
+    try:
+        sol = np.linalg.solve(inner, z)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(
+            f"MMSE inner matrix is singular (sigma_n^2={pilot.noise_variance}): {exc}"
+        ) from exc
+    return (covariances @ sol)[:, :, 0].T
+
+
 def zf_weights(h: np.ndarray, cond_limit: float = 1e12) -> ZfReceiver:
     """Pseudo-inverse receiver W = (H^H H)^{-1} H^H with a conditioning
     guard; requires M >= K_s and full column rank."""

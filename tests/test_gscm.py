@@ -5,9 +5,11 @@ import pytest
 
 import gusim.gscm as gscm
 from gusim.errors import ConfigurationError, GeometryError
-from gusim.gscm import (ScenarioConfig, channel_matrix, cluster_attenuation,
-                        generate_scenario, load_scenario, mpc_amplitudes,
-                        path_loss_nlos, save_scenario, steering_vector, vr_gain)
+from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
+                        cluster_attenuation, generate_scenario, load_scenario,
+                        mpc_amplitudes, path_loss_nlos, save_scenario,
+                        steering_vector, vr_gain)
+from gusim.rx import channel_covariance
 
 from conftest import make_scenario
 
@@ -238,6 +240,69 @@ class TestChannelMatrix:
         a = channel_matrix(generate_scenario(cfg), [0, 2, 4]).entries
         b = channel_matrix(generate_scenario(cfg), [0, 2, 4]).entries
         np.testing.assert_array_equal(a, b)
+
+
+class TestChannelCovariances:
+    def test_sample_covariance_of_redraws_converges(self):
+        # Oracle: the sample covariance of vec(H) over independent fading
+        # re-draws, cross-user blocks included (those are exactly zero).
+        scen = generate_scenario(ScenarioConfig(
+            num_users=2, num_clusters=1, antenna_count=4, mpcs_per_cluster=3,
+            rng_seed=0))
+        r = channel_covariances(scen, [0, 1])
+        m = r.shape[1]
+        exact = np.zeros((2 * m, 2 * m), dtype=complex)
+        exact[:m, :m], exact[m:, m:] = r
+        rng = np.random.default_rng(0)
+        samples = [channel_matrix(scen, [0, 1], gain_rng=rng).entries
+                   .reshape(-1, order="F") for _ in range(30_000)]
+
+        def rel_err(n):
+            sample = channel_covariance(samples[:n])
+            return np.linalg.norm(sample - exact) / np.linalg.norm(exact)
+
+        assert rel_err(30_000) < 1e-2
+        assert rel_err(30_000) < rel_err(3_000)
+
+    def test_single_path_broadside(self):
+        # one MPC at azimuth 0: R = f^2 * ones, f^2 the expected column power
+        scen = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([150.0, 0.0, 5.0]), np.array([210.0, 0.0]))],
+            mpcs_per_cluster=1, angular_spread_deg=0.0, antenna_count=3)
+        f2 = gscm.user_cluster_geometry_factor(scen, 0, 0) ** 2
+        np.testing.assert_allclose(channel_covariances(scen, [0]),
+                                   f2 * np.ones((1, 3, 3)), rtol=1e-12)
+
+    def test_hermitian_psd_and_ordered_like_selection(self):
+        scen = generate_scenario(ScenarioConfig(num_users=5, num_clusters=3,
+                                                antenna_count=6, rng_seed=2))
+        r = channel_covariances(scen, [3, 1])
+        np.testing.assert_allclose(r, r.conj().transpose(0, 2, 1),
+                                   atol=1e-15 * np.abs(r).max())
+        assert np.all(np.linalg.eigvalsh(r) > -1e-12 * np.abs(r).max())
+        np.testing.assert_array_equal(r[0], channel_covariances(scen, [3])[0])
+
+    def test_invisible_cluster_contributes_nothing(self):
+        scen = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0])),
+                           (np.array([-400.0, 0.0, 20.0]), np.array([-900.0, 0.0]))],
+            antenna_count=4)
+        alone = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
+            antenna_count=4)
+        floor = gscm.vr_gain(1100.0, 50.0, 20.0, WAVELENGTH_2GHZ) * 2
+        np.testing.assert_allclose(
+            channel_covariances(scen, [0], visibility_floor=floor),
+            channel_covariances(alone, [0], visibility_floor=floor), rtol=1e-12)
+
+    def test_selection_checked(self, small_scenario):
+        with pytest.raises(ConfigurationError):
+            channel_covariances(small_scenario, [])
+        with pytest.raises(IndexError):
+            channel_covariances(small_scenario, [1])
 
 
 class TestScenarioSerialization:

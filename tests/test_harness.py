@@ -1,11 +1,15 @@
 import math
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gusim import cli
 from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig
-from gusim.harness import (ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
+from gusim.localization import CrlbParams
+from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
                            figure4_robustness, load_config, run_experiment,
@@ -68,10 +72,24 @@ class TestRunExperiment:
 
     def test_estimation_flag_path(self):
         cfg = tiny_config(trials=1, algorithms=("GUS",), powers_dbm=(30.0,),
-                          use_estimation=True, covariance_draws=30)
+                          use_estimation=True)
         stats = run_experiment(cfg)
         assert stats.cells[0].trials_used == 1
         assert math.isfinite(stats.cells[0].mean)
+
+    def test_estimation_changes_rates_not_selections(self):
+        kwargs = dict(algorithms=("GUS", "RANDOM"), powers_dbm=(10.0, 40.0))
+        perfect = run_experiment(tiny_config(**kwargs)).trial_rows
+        estimated = run_experiment(tiny_config(use_estimation=True, **kwargs)).trial_rows
+        assert [r.selected for r in perfect] == [r.selected for r in estimated]
+        assert all(math.isfinite(r.sum_rate) for r in estimated)
+        assert [r.sum_rate for r in perfect] != [r.sum_rate for r in estimated]
+
+    def test_ks_above_antenna_count_rejected_before_any_trial(self):
+        cfg = tiny_config(scenario=ScenarioConfig(num_users=8, num_clusters=2,
+                                                  antenna_count=4), ks_values=(6,))
+        with pytest.raises(ConfigurationError, match="antenna_count"):
+            cfg.validate()
 
 
 class TestFigureSweeps:
@@ -86,6 +104,13 @@ class TestFigureSweeps:
         header = text1.decode().splitlines()[0]
         assert header == ",".join(RESULT_HEADER)
         assert (tmp_path / "a.csv.manifest.txt").exists()
+
+    def test_estimated_csv_byte_identical(self, tmp_path):
+        cfg = tiny_config(use_estimation=True, algorithms=("GUS", "GWC", "RANDOM"))
+        out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
+        figure2_sweep(cfg, out1)
+        figure2_sweep(cfg, out2)
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_fig2_one_row_per_cell(self, tmp_path):
         cfg = tiny_config()
@@ -135,6 +160,77 @@ class TestConfigFile:
         data["schema_version"] = 42
         with pytest.raises(ConfigurationError):
             config_from_dict(data)
+
+    def test_unknown_keys_rejected(self):
+        data = config_to_dict(tiny_config())
+        with pytest.raises(ConfigurationError, match="unknown key.*colour"):
+            config_from_dict(dict(data, colour="blue"))
+        for block in ("scenario", "crlb"):
+            nested = dict(data, **{block: dict(data[block], colour="blue")})
+            with pytest.raises(ConfigurationError, match=f"config.{block}"):
+                config_from_dict(nested)
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", "5"), ("trials", 2.0), ("trials", True),
+        ("use_estimation", 1), ("mode", 3), ("powers_dbm", 30.0),
+        ("powers_dbm", [30.0, "40"]), ("scenario", [1, 2]),
+    ])
+    def test_wrongly_typed_values_rejected(self, key, value):
+        data = dict(config_to_dict(tiny_config()), **{key: value})
+        with pytest.raises(ConfigurationError, match=f"config.{key}"):
+            config_from_dict(data)
+
+    def test_wrongly_typed_nested_values_rejected(self):
+        data = config_to_dict(tiny_config())
+        for block, key, value in (("scenario", "antenna_count", "8"),
+                                  ("scenario", "cluster_height_range", [5.0]),
+                                  ("scenario", "reference_delay", "soon"),
+                                  ("crlb", "input_snr", None)):
+            bad = dict(data, **{block: dict(data[block], **{key: value})})
+            with pytest.raises(ConfigurationError, match=f"config.{block}.{key}"):
+                config_from_dict(bad)
+
+    def test_ints_accepted_for_floats(self):
+        data = config_to_dict(tiny_config())
+        data["powers_dbm"] = [0, 20]
+        data["scenario"] = dict(data["scenario"], reference_delay=0)
+        cfg = config_from_dict(data)
+        assert cfg.powers_dbm == (0.0, 20.0) and isinstance(cfg.powers_dbm[0], float)
+        assert cfg.scenario.reference_delay == 0.0
+
+    def test_version_1_file_with_covariance_draws_rejected(self, tmp_path):
+        data = dict(config_to_dict(tiny_config()), schema_version=1,
+                    covariance_draws=500)
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ConfigurationError,
+                           match="schema_version 1.*covariance_draws"):
+            load_config(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.integers(1, 10 ** 6),
+        base_seed=st.integers(0, 2 ** 63),
+        powers=st.lists(st.floats(-50, 80, allow_nan=False), min_size=1, max_size=4),
+        omegas=st.lists(st.integers(0, 9), min_size=1, max_size=3),
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3),
+        reference_delay=st.none() | st.floats(0.0, 1e-6),
+        use_estimation=st.booleans(),
+        input_snr=st.floats(1e-3, 1e6),
+    )
+    def test_round_trip_property(self, tmp_path_factory, trials, base_seed, powers,
+                                 omegas, algorithms, reference_delay,
+                                 use_estimation, input_snr):
+        cfg = tiny_config(
+            trials=trials, base_seed=base_seed, powers_dbm=tuple(powers),
+            omegas=tuple(omegas), algorithms=tuple(algorithms),
+            use_estimation=use_estimation,
+            scenario=ScenarioConfig(num_users=8, reference_delay=reference_delay),
+            crlb=CrlbParams(input_snr=input_snr))
+        path = tmp_path_factory.mktemp("rt") / "config.yaml"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+        assert config_hash(load_config(path)) == config_hash(cfg)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config()

@@ -5,8 +5,8 @@ import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
 from gusim.rx import (PilotConfig, PowerConfig, channel_covariance,
-                      ergodic_capacity, mmse_estimate, noise_power, sum_rate,
-                      unitary_pilots, zf_weights)
+                      ergodic_capacity, mmse_estimate, mmse_estimate_per_user,
+                      noise_power, sum_rate, unitary_pilots, zf_weights)
 
 
 def random_channel(rng, m, k):
@@ -115,6 +115,73 @@ class TestMmseEstimate:
         pilot = PilotConfig(matrix=np.zeros((1, 1), dtype=complex), noise_variance=0.0)
         with pytest.raises(RankDeficiencyError):
             mmse_estimate(np.zeros((1, 1)), pilot, np.eye(1, dtype=complex))
+
+
+def random_covariances(rng, k, m, rank):
+    a = random_channel(rng, k * m, rank).reshape(k, m, rank)
+    return a @ a.conj().transpose(0, 2, 1)
+
+
+def block_diagonal(blocks):
+    k, m, _ = blocks.shape
+    out = np.zeros((k * m, k * m), dtype=complex)
+    for i, block in enumerate(blocks):
+        out[i * m:(i + 1) * m, i * m:(i + 1) * m] = block
+    return out
+
+
+class TestMmseEstimatePerUser:
+    @pytest.mark.parametrize("m,k,tau_p,rank", [(4, 3, 3, 4), (5, 2, 4, 2), (1, 1, 1, 1)])
+    def test_matches_dense_mmse_with_block_diagonal_covariance(self, m, k, tau_p, rank):
+        rng = np.random.default_rng(m * 100 + tau_p)
+        for _ in range(10):
+            r = random_covariances(rng, k, m, rank)
+            pilots = math.sqrt(float(rng.uniform(0.1, 5.0))) * unitary_pilots(k, tau_p)
+            pilot = PilotConfig(pilots, noise_variance=float(rng.uniform(0.01, 2.0)))
+            y = random_channel(rng, m, tau_p)
+            dense = mmse_estimate(y, pilot, block_diagonal(r)).reshape(m, k, order="F")
+            fast = mmse_estimate_per_user(y, pilot, r)
+            assert fast.shape == (m, k)
+            assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_unequal_pilot_powers(self):
+        rng = np.random.default_rng(8)
+        m, k = 3, 3
+        r = random_covariances(rng, k, m, m)
+        pilots = np.diag([0.5, 1.0, 3.0]) @ unitary_pilots(k)
+        pilot = PilotConfig(pilots, noise_variance=0.7)
+        y = random_channel(rng, m, k)
+        dense = mmse_estimate(y, pilot, block_diagonal(r)).reshape(m, k, order="F")
+        np.testing.assert_allclose(mmse_estimate_per_user(y, pilot, r), dense,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_scalar_case(self):
+        pilot = PilotConfig(matrix=np.array([[1.0 + 0j]]), noise_variance=1.0)
+        est = mmse_estimate_per_user(np.array([[0.8 - 0.4j]]), pilot,
+                                     np.array([[[1.0 + 0j]]]))
+        assert est[0, 0] == pytest.approx((0.8 - 0.4j) / 2.0, abs=1e-14)
+
+    def test_non_orthogonal_pilots_rejected(self):
+        pilot = PilotConfig(matrix=np.array([[1.0, 0.0], [1.0, 1.0]]),
+                            noise_variance=1.0)
+        with pytest.raises(ConfigurationError):
+            mmse_estimate_per_user(np.zeros((2, 2)), pilot,
+                                   np.stack([np.eye(2)] * 2).astype(complex))
+
+    def test_shape_mismatch_rejected(self):
+        pilot = PilotConfig(matrix=unitary_pilots(2), noise_variance=1.0)
+        with pytest.raises(ConfigurationError):
+            mmse_estimate_per_user(np.zeros((3, 2)), pilot,
+                                   np.stack([np.eye(2)] * 2).astype(complex))
+        with pytest.raises(ConfigurationError):
+            mmse_estimate_per_user(np.zeros((2, 3)), pilot,
+                                   np.stack([np.eye(2)] * 2).astype(complex))
+
+    def test_singular_inner_matrix_reported(self):
+        pilot = PilotConfig(matrix=np.ones((1, 1), dtype=complex), noise_variance=0.0)
+        with pytest.raises(RankDeficiencyError):
+            mmse_estimate_per_user(np.zeros((1, 1)), pilot,
+                                   np.zeros((1, 1, 1), dtype=complex))
 
 
 class TestZfWeights:
