@@ -254,6 +254,14 @@ def steering_vector(azimuth: float, num_antennas: int,
     return np.exp(1j * alpha * m * math.sin(azimuth))
 
 
+def _steering_stack(azimuths, num_antennas: int,
+                    d_over_lambda: float) -> np.ndarray:
+    """(N_p, M) array responses of a cluster's MPCs: row p is
+    ``steering_vector(azimuths[p], ...)``."""
+    return np.stack([steering_vector(phi, num_antennas, d_over_lambda)
+                     for phi in azimuths])
+
+
 def user_reference_delay(scenario: Scenario, user: int) -> float:
     """Attenuation reference delay for one user: the configured value, or
     the user's line-of-sight delay when the config leaves it unset."""
@@ -376,21 +384,18 @@ def channel_matrix(scenario: Scenario, selected,
             draw = mpc_amplitudes(scenario, k, j, rng=gain_rng,
                                   shared_fading=shared_fading)
             if j not in steer_cache:
-                steer_cache[j] = np.stack([
-                    steering_vector(phi, m, cfg.antenna_spacing_fraction)
-                    for phi in draw.azimuths
-                ])
+                steer_cache[j] = _steering_stack(draw.azimuths, m,
+                                                 cfg.antenna_spacing_fraction)
             h[:, col] += draw.gains @ steer_cache[j]
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
     return ChannelMatrix(entries=h, user_ids=tuple(selected))
 
 
-def channel_covariances(scenario: Scenario, selected,
-                        visibility_floor: float = DEFAULT_VISIBILITY_FLOOR) -> np.ndarray:
+def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
     """Exact fading covariances E{h_k h_k^H} of the selected users,
     shape (K_s, M, M), for the independent re-draws of ``channel_matrix``
-    with a ``gain_rng``.
+    with a ``gain_rng`` (default visibility floor).
 
     Each MPC gain has variance f_kj^2 / N_p, so
     R_k = sum_j f_kj^2 G_j over the clusters visible to user k, with the
@@ -398,16 +403,15 @@ def channel_covariances(scenario: Scenario, selected,
     """
     selected = _check_selected(scenario, selected)
     cfg = scenario.config
-    alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
-    azimuths = np.stack([cluster_azimuths(scenario, j)
-                         for j in range(scenario.num_clusters)])
     # steer[j, p, m] = a(phi_jp)[m]
-    steer = np.exp(1j * alpha * np.arange(cfg.antenna_count)
-                   * np.sin(azimuths)[:, :, None])
+    steer = np.stack([
+        _steering_stack(cluster_azimuths(scenario, j), cfg.antenna_count,
+                        cfg.antenna_spacing_fraction)
+        for j in range(scenario.num_clusters)])
     gram = np.einsum("jpm,jpn->jmn", steer, steer.conj()) / cfg.mpcs_per_cluster
     power = np.zeros((len(selected), scenario.num_clusters))
     for row, k in enumerate(selected):
-        for j in visible_clusters(scenario, k, visibility_floor):
+        for j in visible_clusters(scenario, k):
             power[row, j] = user_cluster_geometry_factor(scenario, k, j) ** 2
     return np.einsum("kj,jmn->kmn", power, gram)
 

@@ -284,19 +284,32 @@ class TestChannelCovariances:
         np.testing.assert_array_equal(r[0], channel_covariances(scen, [3])[0])
 
     def test_invisible_cluster_contributes_nothing(self):
+        # the second cluster's VR centre is ~300 km from the user, so its
+        # VR gain falls below the default visibility floor of 1e-6
+        far_vr = np.array([-3.0e5, 0.0])
+        assert vr_gain(float(np.linalg.norm(far_vr - [200.0, 0.0])), 50.0, 20.0,
+                       WAVELENGTH_2GHZ) < gscm.DEFAULT_VISIBILITY_FLOOR
         scen = make_scenario(
             users_xy=[(200.0, 0.0)],
             cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0])),
-                           (np.array([-400.0, 0.0, 20.0]), np.array([-900.0, 0.0]))],
+                           (np.array([-400.0, 0.0, 20.0]), far_vr)],
             antenna_count=4)
         alone = make_scenario(
             users_xy=[(200.0, 0.0)],
             cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
             antenna_count=4)
-        floor = gscm.vr_gain(1100.0, 50.0, 20.0, WAVELENGTH_2GHZ) * 2
-        np.testing.assert_allclose(
-            channel_covariances(scen, [0], visibility_floor=floor),
-            channel_covariances(alone, [0], visibility_floor=floor), rtol=1e-12)
+        np.testing.assert_allclose(channel_covariances(scen, [0]),
+                                   channel_covariances(alone, [0]), rtol=1e-12)
+
+    def test_no_visible_cluster_gives_zero(self):
+        scen = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([-400.0, 0.0, 20.0]), np.array([-3.0e5, 0.0]))],
+            antenna_count=4)
+        np.testing.assert_array_equal(channel_covariances(scen, [0]),
+                                      np.zeros((1, 4, 4)))
+        np.testing.assert_array_equal(channel_matrix(scen, [0]).entries,
+                                      np.zeros((4, 1)))
 
     def test_selection_checked(self, small_scenario):
         with pytest.raises(ConfigurationError):
