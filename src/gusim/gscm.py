@@ -16,6 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, GeometryError
+from .plain import from_plain, to_plain
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -421,66 +422,18 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    return {
-        "schema_version": _SCENARIO_SCHEMA_VERSION,
-        "config": {
-            "cell_half_side": cfg.cell_half_side,
-            "num_users": cfg.num_users,
-            "num_clusters": cfg.num_clusters,
-            "mpcs_per_cluster": cfg.mpcs_per_cluster,
-            "carrier_freq": cfg.carrier_freq,
-            "bs_exclusion_fraction": cfg.bs_exclusion_fraction,
-            "vr_radius": cfg.vr_radius,
-            "transition_size": cfg.transition_size,
-            "bs_height": cfg.bs_height,
-            "ms_height": cfg.ms_height,
-            "power_decay": cfg.power_decay,
-            "cutoff_delay": cfg.cutoff_delay,
-            "reference_delay": cfg.reference_delay,
-            "antenna_count": cfg.antenna_count,
-            "antenna_spacing_fraction": cfg.antenna_spacing_fraction,
-            "shadowing_sigma_db": cfg.shadowing_sigma_db,
-            "angular_spread_deg": cfg.angular_spread_deg,
-            "cluster_height_range": list(cfg.cluster_height_range),
-            "rng_seed": cfg.rng_seed,
-        },
-        "bs_position": [float(x) for x in scenario.bs_position],
-        "users": [[float(x) for x in row] for row in scenario.users],
-        "clusters": [
-            {
-                "position": [float(x) for x in cl.position],
-                "vr_center": [float(x) for x in cl.vr_center],
-                "delay": cl.delay,
-                "shadow_gain": cl.shadow_gain,
-            }
-            for cl in scenario.clusters
-        ],
-    }
+    return {"schema_version": _SCENARIO_SCHEMA_VERSION, **to_plain(scenario)}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"scenario must be a mapping, got {data!r}")
     if data.get("schema_version") != _SCENARIO_SCHEMA_VERSION:
         raise ConfigurationError(
             f"unsupported scenario schema_version {data.get('schema_version')!r}"
         )
-    raw = dict(data["config"])
-    raw["cluster_height_range"] = tuple(raw["cluster_height_range"])
-    cfg = ScenarioConfig(**raw)
-    users = np.array(data["users"], dtype=float)
-    bs = np.array(data["bs_position"], dtype=float)
-    clusters = tuple(
-        Cluster(
-            position=np.array(c["position"], dtype=float),
-            vr_center=np.array(c["vr_center"], dtype=float),
-            delay=float(c["delay"]),
-            shadow_gain=float(c["shadow_gain"]),
-        )
-        for c in data["clusters"]
-    )
-    users.setflags(write=False)
-    bs.setflags(write=False)
-    return Scenario(config=cfg, bs_position=bs, users=users, clusters=clusters)
+    rest = {k: v for k, v in data.items() if k != "schema_version"}
+    return from_plain(Scenario, rest, "scenario")
 
 
 def save_scenario(scenario: Scenario, path) -> None:

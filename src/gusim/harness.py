@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -22,6 +21,7 @@ from .errors import ConfigurationError, RankDeficiencyError, SelectionError
 from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT, channel_covariances,
                    channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild
+from .plain import from_plain, to_plain
 from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
                  sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
@@ -179,15 +179,22 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
                     v_use = perturb_and_rebuild(scen, omega, config.crlb).v_tilde
                 for alg in config.algorithms:
                     load = estimation_load(m, k_total if alg == "GWC" else ks)
+                    # GUS and RANDOM do not depend on power: select once
+                    fixed_sel = random_sel.selected
+                    if alg == "GUS":
+                        try:
+                            fixed_sel = gus_select(v_use, ks, config.gus_variant).selected
+                        except SelectionError:
+                            fixed_sel = None
                     for p_dbm in config.powers_dbm:
                         power = PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
                         try:
-                            if alg == "GUS":
-                                sel = gus_select(v_use, ks, config.gus_variant).selected
-                            elif alg == "RANDOM":
-                                sel = random_sel.selected
-                            else:
+                            if alg == "GWC":
                                 sel = gwc_select(h_all, ks, power, config.mode).selected
+                            elif fixed_sel is None:
+                                raise SelectionError("no feasible GUS selection")
+                            else:
+                                sel = fixed_sel
                             h_s = h_all[:, list(sel)]
                             if config.use_estimation:
                                 h_est = _estimate_selected_channel(
@@ -295,58 +302,8 @@ def write_results_csv(stats: AggregateStats, path) -> None:
     _write_csv(path, RESULT_HEADER, rows)
 
 
-def _to_plain(value):
-    """Dataclasses as nested dicts and tuples as lists, ready for YAML."""
-    if is_dataclass(value):
-        return {f.name: _to_plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_plain(x) for x in value]
-    return value
-
-
-def _from_plain(cls, data, where: str):
-    """Build dataclass ``cls`` from a plain mapping, rejecting unknown keys
-    and values that do not match the field types."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = [str(k) for k in data if k not in hints]
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    return cls(**{name: _typed(hints[name], value, f"{where}.{name}")
-                  for name, value in data.items()})
-
-
-def _typed(hint, value, where: str):
-    """``value`` checked against the field type ``hint``; ints are accepted
-    for floats and lists for tuples."""
-    if is_dataclass(hint):
-        return _from_plain(hint, value, where)
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(hint, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"{where} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigurationError(f"{where} must have {len(args)} entries, got {value!r}")
-        return tuple(_typed(t, x, f"{where}[{i}]")
-                     for i, (t, x) in enumerate(zip(args, value)))
-    is_bool = isinstance(value, bool)
-    if hint is float and isinstance(value, int) and not is_bool:
-        return float(value)
-    if not isinstance(value, hint) or (is_bool and hint is not bool):
-        raise ConfigurationError(f"{where} must be {hint.__name__}, got {value!r}")
-    return value
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {"schema_version": CONFIG_SCHEMA_VERSION, **_to_plain(config)}
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **to_plain(config)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -361,7 +318,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             f"{CONFIG_SCHEMA_VERSION}{why}"
         )
     rest = {k: v for k, v in data.items() if k != "schema_version"}
-    return _from_plain(ExperimentConfig, rest, "config")
+    return from_plain(ExperimentConfig, rest, "config")
 
 
 def save_config(config: ExperimentConfig, path) -> None:

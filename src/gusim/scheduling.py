@@ -12,7 +12,7 @@ import numpy as np
 
 from . import gscm
 from .errors import ConfigurationError, RankDeficiencyError, SelectionError
-from .rx import PowerConfig, sum_rate, zf_weights
+from .rx import PowerConfig, zf_weights
 
 
 @dataclass(frozen=True)
@@ -113,43 +113,76 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
     and at each step add the user maximizing the zero-forcing sum-rate of
     the tentative set (equal power split over the tentative set size).
 
-    A step that cannot improve the objective still takes the best available
+    Every remaining candidate is scored at once from the QR factors
+    H_S = QR of the selected columns. With C = Q^H H_rem, the residual
+    E = H_rem - QC of squared column norm rho^2 and X = R^-1 C, the ZF
+    noise gain [(H'^H H')^-1]_kk of the tentative set H' = [H_S h] is
+    ||row k of R^-1||^2 + |X_k|^2 / rho^2 for a selected user and
+    1 / rho^2 for the candidate, which gives ``sum_rate``'s per-user SINR
+    in closed form. In ``paper-literal`` mode that SINR is the per-user
+    power, so every candidate scores the same and the lowest index wins.
+
+    Candidates are visited in descending score (ties to the lowest index)
+    and the first one that ``zf_weights`` accepts is added; a candidate in
+    the span of the selected columns (rho^2 = 0) gets no score. A step
+    that cannot improve the objective still takes the best available
     candidate so that exactly ``num_selected`` users come out.
     """
     h_all = np.asarray(h_all)
-    k = h_all.shape[1]
+    m, k = h_all.shape
     if not 1 <= num_selected <= k:
         raise ConfigurationError(f"num_selected must be in [1, {k}]")
+    if mode not in ("physical", "paper-literal"):
+        raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
 
     norms = np.linalg.norm(h_all, axis=0)
-    first = int(np.argmax(norms))
-    selected = [first]
-    scores = [_set_rate(h_all, selected, power, mode)]
-    remaining = [i for i in range(k) if i != first]
+    # QR factors of the selected columns, grown one column per step
+    dtype = np.result_type(h_all, float)
+    q_all = np.zeros((m, num_selected), dtype=dtype)
+    r_inv_all = np.zeros((num_selected, num_selected), dtype=dtype)
+    selected: list[int] = []
+    scores: list[float] = []
+    remaining = np.arange(k)
     while len(selected) < num_selected:
-        best_i, best_rate = None, -math.inf
-        for i in remaining:
+        s = len(selected)
+        q, r_inv = q_all[:, :s], r_inv_all[:s, :s]
+        h_rem = h_all[:, remaining]
+        c = q.conj().T @ h_rem
+        resid = h_rem - q @ c
+        rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
+        scored = np.flatnonzero(rho2 > 0)
+        rho2 = rho2[scored]
+        p = power.total_power / (s + 1)
+        if mode == "physical":
+            gain = (np.sum(np.abs(r_inv) ** 2, axis=1)[:, None]
+                    + np.abs(r_inv @ c[:, scored]) ** 2 / rho2)
+            rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
+                     + np.log2(1.0 + p * rho2 / power.noise_power))
+        else:
+            rates = np.full(len(scored), (s + 1) * math.log2(1.0 + p))
+        key = rates if s else norms[remaining[scored]]
+        for j in np.argsort(-key, kind="stable"):
             try:
-                rate = _set_rate(h_all, selected + [i], power, mode)
+                zf_weights(h_all[:, selected + [int(remaining[scored[j]])]])
             except (RankDeficiencyError, ConfigurationError):
                 continue
-            if rate > best_rate:
-                best_i, best_rate = i, rate
-        if best_i is None:
+            break
+        else:
             raise SelectionError(
                 "zero-forcing is undefined for every remaining candidate"
             )
-        selected.append(best_i)
-        scores.append(best_rate)
-        remaining.remove(best_i)
+        w = scored[j]
+        # append the winner's column, re-orthogonalized once against Q
+        delta = q.conj().T @ resid[:, w]
+        e = resid[:, w] - q @ delta
+        rho = np.linalg.norm(e)
+        q_all[:, s] = e / rho
+        r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
+        r_inv_all[s, s] = 1.0 / rho
+        selected.append(int(remaining[w]))
+        scores.append(float(rates[j]))
+        remaining = np.delete(remaining, w)
     return ScheduleResult(tuple(selected), tuple(scores), "GWC")
-
-
-def _set_rate(h_all: np.ndarray, members: list[int], power: PowerConfig,
-              mode: str) -> float:
-    h = h_all[:, members]
-    p = PowerConfig(power.total_power, len(members), power.noise_power)
-    return sum_rate(h, zf_weights(h), p, mode=mode)
 
 
 def random_select(num_users: int, num_selected: int,

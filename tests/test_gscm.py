@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         mpc_amplitudes, path_loss_nlos, save_scenario,
-                        steering_vector, vr_gain)
+                        scenario_from_dict, scenario_to_dict, steering_vector,
+                        vr_gain)
 from gusim.rx import channel_covariance
 
 from conftest import make_scenario
@@ -332,6 +334,43 @@ class TestScenarioSerialization:
             assert a.delay == b.delay
 
     def test_rejects_unknown_schema(self, tmp_path):
-        from gusim.gscm import scenario_from_dict
         with pytest.raises(ConfigurationError):
             scenario_from_dict({"schema_version": 99})
+
+    def test_dict_round_trip_keeps_every_field(self):
+        scen = generate_scenario(ScenarioConfig(num_users=3, num_clusters=2,
+                                                reference_delay=1e-7, rng_seed=2))
+        data = scenario_to_dict(scen)
+        assert set(data["config"]) == {f.name for f in fields(ScenarioConfig)}
+        loaded = scenario_from_dict(data)
+        assert loaded.config == scen.config
+        assert scenario_to_dict(loaded) == data
+        assert not loaded.users.flags.writeable
+
+    def test_unknown_config_key_rejected(self):
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=3)))
+        data["config"]["colour"] = "blue"
+        with pytest.raises(ConfigurationError, match="scenario.config.*colour"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("path,value", [
+        (("config", "num_users"), "3"),
+        (("config", "cluster_height_range"), [5.0]),
+        (("users",), "everywhere"),
+        (("clusters", 0, "delay"), None),
+        (("clusters", 0, "position"), [1.0, "2", 3.0]),
+    ])
+    def test_wrongly_typed_value_rejected(self, path, value):
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=3)))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigurationError):
+            scenario_from_dict(data)
+
+    def test_missing_key_rejected(self):
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=3)))
+        del data["users"]
+        with pytest.raises(ConfigurationError, match="missing key.*users"):
+            scenario_from_dict(data)

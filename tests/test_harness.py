@@ -5,8 +5,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusim import cli
-from gusim.errors import ConfigurationError
+from gusim import cli, harness
+from gusim.errors import ConfigurationError, SelectionError
 from gusim.gscm import ScenarioConfig
 from gusim.localization import CrlbParams
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
@@ -15,6 +15,7 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            figure4_robustness, load_config, run_experiment,
                            save_config, watts_to_dbm, write_manifest,
                            write_results_csv)
+from gusim.scheduling import gus_select
 
 
 def tiny_config(**overrides):
@@ -84,6 +85,32 @@ class TestRunExperiment:
         assert [r.selected for r in perfect] == [r.selected for r in estimated]
         assert all(math.isfinite(r.sum_rate) for r in estimated)
         assert [r.sum_rate for r in perfect] != [r.sum_rate for r in estimated]
+
+    def test_gus_selects_once_per_trial_ks_and_omega(self, monkeypatch):
+        calls = []
+
+        def counting(v, ks, variant):
+            calls.append(ks)
+            return gus_select(v, ks, variant)
+
+        monkeypatch.setattr(harness, "gus_select", counting)
+        cfg = tiny_config(algorithms=("GUS",), powers_dbm=(0.0, 20.0, 40.0),
+                          ks_values=(2, 3), omegas=(0, 1))
+        stats = run_experiment(cfg)
+        assert len(calls) == cfg.trials * 2 * 2
+        assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
+
+    def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
+        def failing(v, ks, variant):
+            raise SelectionError("no usable rows")
+
+        monkeypatch.setattr(harness, "gus_select", failing)
+        stats = run_experiment(tiny_config(algorithms=("GUS", "RANDOM")))
+        for cell in stats.cells:
+            if cell.algorithm == "GUS":
+                assert (cell.trials_used, cell.excluded) == (0, 2)
+            else:
+                assert (cell.trials_used, cell.excluded) == (2, 0)
 
     def test_ks_above_antenna_count_rejected_before_any_trial(self):
         cfg = tiny_config(scenario=ScenarioConfig(num_users=8, num_clusters=2,

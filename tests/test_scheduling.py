@@ -1,11 +1,14 @@
 import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gusim.gscm as gscm
-from gusim.errors import ConfigurationError, SelectionError
+from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
+from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.scheduling import (build_v_matrix, correlation_metric,
                               estimation_load, gus_select, gwc_select,
@@ -171,6 +174,42 @@ class TestGusSelect:
         assert gus_select(v, 3, variant="set").selected == (0, 1, 3)
 
 
+def gwc_oracle(h_all, num_selected, power, mode="physical"):
+    """Reference greedy: one ``zf_weights`` + ``sum_rate`` per candidate
+    and step, with the same first pick, tie and skip rules as
+    ``gwc_select``. Returns (selected, per-step objective)."""
+    def set_rate(members):
+        h = h_all[:, members]
+        p = PowerConfig(power.total_power, len(members), power.noise_power)
+        return sum_rate(h, zf_weights(h), p, mode=mode)
+
+    first = int(np.argmax(np.linalg.norm(h_all, axis=0)))
+    selected, scores = [first], [set_rate([first])]
+    remaining = [i for i in range(h_all.shape[1]) if i != first]
+    while len(selected) < num_selected:
+        best_i, best_rate = None, -math.inf
+        for i in remaining:
+            try:
+                rate = set_rate(selected + [i])
+            except (RankDeficiencyError, ConfigurationError):
+                continue
+            if rate > best_rate:
+                best_i, best_rate = i, rate
+        if best_i is None:
+            raise SelectionError("no candidate left")
+        selected.append(best_i)
+        scores.append(best_rate)
+        remaining.remove(best_i)
+    return tuple(selected), tuple(scores)
+
+
+def assert_matches_oracle(h, num_selected, power):
+    result = gwc_select(h, num_selected, power)
+    selected, scores = gwc_oracle(h, num_selected, power)
+    assert result.selected == selected
+    np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-9, atol=0)
+
+
 class TestGwcSelect:
     def test_single_slot_max_column_norm(self):
         rng = np.random.default_rng(3)
@@ -197,6 +236,59 @@ class TestGwcSelect:
             best = max(set_rate(h, list(c)) for c in itertools.combinations(range(5), 2))
             greedy = set_rate(h, list(gwc_select(h, 2, power).selected))
             assert greedy >= 0.9 * best
+
+    def test_matches_oracle_on_gaussian_channels(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            ks = int(rng.integers(1, 11))
+            m = int(rng.integers(ks, 65))
+            k = int(rng.integers(ks, 41))
+            h = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            power = PowerConfig(float(10 ** rng.uniform(-2, 2)), ks,
+                                float(10 ** rng.uniform(-3, 0)))
+            assert_matches_oracle(h, ks, power)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_oracle_on_desk_channels(self, seed):
+        # criterion-5 drops (base_seed 1, trial seeds 1, 2, 3, ...)
+        cfg = ExperimentConfig()
+        scen = gscm.generate_scenario(replace(cfg.scenario, rng_seed=seed))
+        h = gscm.channel_matrix(scen, range(scen.num_users)).entries
+        for ks in cfg.ks_values:
+            for p_dbm in cfg.powers_dbm:
+                power = PowerConfig(dbm_to_watts(p_dbm), ks, cfg.noise_power)
+                assert_matches_oracle(h, ks, power)
+
+    def test_duplicated_column_skipped_without_warning(self):
+        # column 4 repeats the strongest column 0 and lies in its span
+        h = np.diag([3.0, 2.0, 1.0, 1.0])
+        h = np.column_stack([h, h[:, 0]])
+        power = PowerConfig(4.0, 4, 1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gwc_select(h, 4, power).selected == (0, 1, 2, 3)
+            with pytest.raises(SelectionError):
+                gwc_select(h, 5, power)
+
+    def test_collinear_pool_raises(self):
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h = np.outer(v, [1.0, 2.0, -0.5, 1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelectionError):
+                gwc_select(h, 2, PowerConfig(1.0, 2, 1e-2))
+
+    def test_paper_literal_strongest_then_lowest_indices(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        h[:, 3] *= 3.0
+        result = gwc_select(h, 4, PowerConfig(2.0, 4, 1e-2), mode="paper-literal")
+        assert result.selected == (3, 0, 1, 2)
+        # exact ZF: the objective is n * log2(1 + P/n) for every n-user set
+        np.testing.assert_allclose(
+            result.per_step_scores,
+            [n * math.log2(1.0 + 2.0 / n) for n in range(1, 5)], rtol=1e-15)
 
     def test_objective_recorded_per_step(self):
         rng = np.random.default_rng(5)
