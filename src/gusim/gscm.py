@@ -2,8 +2,8 @@
 
 Random scenario generation (users, scatterer clusters, circular visibility
 regions) and synthesis of the uplink channel matrix at a uniform linear
-array, with the constituent large-scale gain terms exposed as standalone
-functions so they can be reused by the scheduler and the localization
+array. The large-scale user-cluster gains come from one array function,
+``large_scale_gains``, shared with the scheduler and the localization
 module.
 """
 
@@ -202,45 +202,46 @@ def generate_scenario(config: ScenarioConfig, max_attempts: int = 10_000) -> Sce
     return Scenario(config=config, bs_position=bs, users=users, clusters=tuple(clusters))
 
 
-def vr_gain(d_ms_vr: float, vr_radius: float, transition_size: float,
-            wavelength: float) -> float:
-    """Visibility-region transition gain at distance ``d_ms_vr`` from the
+def vr_gain(d_ms_vr, vr_radius: float, transition_size: float,
+            wavelength: float):
+    """Visibility-region transition gain at distance(s) ``d_ms_vr`` from the
     VR centre. Equals 0.5 at the inner edge ``vr_radius - transition_size``
     and decays smoothly to 0 far outside the region."""
     if not vr_radius > transition_size > 0:
         raise ConfigurationError("need vr_radius > transition_size > 0")
     if wavelength <= 0:
         raise ConfigurationError("wavelength must be positive")
-    if d_ms_vr < 0:
+    d_ms_vr = np.asarray(d_ms_vr)
+    if np.any(d_ms_vr < 0):
         raise ConfigurationError("distance must be nonnegative")
     arg = 2.0 * math.sqrt(2.0) * (transition_size + d_ms_vr - vr_radius)
     arg /= math.sqrt(wavelength * transition_size)
-    return 0.5 - math.atan(arg) / math.pi
+    return 0.5 - np.arctan(arg) / math.pi
 
 
-def cluster_attenuation(tau_c: float, tau_0: float, tau_b: float,
-                        power_decay: float) -> float:
+def cluster_attenuation(tau_c, tau_0, tau_b: float, power_decay: float):
     """Exponential cluster power attenuation with a floor at the cut-off
-    delay ``tau_b``."""
+    delay ``tau_b``; the delays broadcast against each other."""
     if power_decay < 0:
         raise ConfigurationError("power_decay must be nonnegative")
-    if tau_b < tau_0:
+    tau_0 = np.asarray(tau_0)
+    if np.any(tau_b < tau_0):
         raise ConfigurationError("tau_b must be >= tau_0")
-    return max(math.exp(-power_decay * (tau_c - tau_0)),
-               math.exp(-power_decay * (tau_b - tau_0)))
+    return np.maximum(np.exp(-power_decay * (tau_c - tau_0)),
+                      np.exp(-power_decay * (tau_b - tau_0)))
 
 
-def path_loss_nlos(d_bs_ms: float, wavelength: float) -> tuple[float, float]:
-    """NLoS micro-cell path loss.
+def path_loss_nlos(d_bs_ms, wavelength: float):
+    """NLoS micro-cell path loss at a scalar or array distance.
 
     Returns ``(loss_dB, gain_linear)`` with
     ``loss_dB = 26 log10(d) + 20 log10(4 pi / lambda)``.
     """
-    if d_bs_ms <= 0:
+    if np.any(np.asarray(d_bs_ms) <= 0):
         raise GeometryError("d_bs_ms must be positive")
     if wavelength <= 0:
         raise ConfigurationError("wavelength must be positive")
-    loss_db = 26.0 * math.log10(d_bs_ms) + 20.0 * math.log10(4.0 * math.pi / wavelength)
+    loss_db = 26.0 * np.log10(d_bs_ms) + 20.0 * math.log10(4.0 * math.pi / wavelength)
     return loss_db, 10.0 ** (-loss_db / 10.0)
 
 
@@ -255,45 +256,42 @@ def steering_vector(azimuth: float, num_antennas: int,
     return np.exp(1j * alpha * m * math.sin(azimuth))
 
 
-def _steering_stack(azimuths, num_antennas: int,
-                    d_over_lambda: float) -> np.ndarray:
-    """(N_p, M) array responses of a cluster's MPCs: row p is
-    ``steering_vector(azimuths[p], ...)``."""
-    return np.stack([steering_vector(phi, num_antennas, d_over_lambda)
-                     for phi in azimuths])
-
-
-def user_reference_delay(scenario: Scenario, user: int) -> float:
-    """Attenuation reference delay for one user: the configured value, or
-    the user's line-of-sight delay when the config leaves it unset."""
+def _vr_gains(scenario: Scenario, vr_centers=None) -> np.ndarray:
+    """(K, N_C) visibility gains A_VR of every user at every VR centre."""
     cfg = scenario.config
-    if cfg.reference_delay is not None:
-        return cfg.reference_delay
-    d = float(np.linalg.norm(scenario.users[user] - scenario.bs_position))
-    return d / SPEED_OF_LIGHT
+    if vr_centers is None:
+        vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
+    d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
+    return vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
 
 
-def user_pathloss_amplitude(scenario: Scenario, user: int) -> float:
-    """sqrt of the linear NLoS path gain for one user."""
-    d = float(np.linalg.norm(scenario.users[user] - scenario.bs_position))
-    _, gain = path_loss_nlos(d, scenario.config.wavelength)
-    return math.sqrt(gain)
+def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
+                      include_shadowing: bool = True) -> np.ndarray:
+    """(K, N_C) large-scale amplitudes L_p * A_VR * sqrt(A_C [* shadow])
+    tying every user to every cluster.
+
+    ``vr_centers`` (N_C, 2) and ``delays`` (N_C,) replace the clusters' own
+    VR centres and delays, which is how a rebuilt geometry is scored; one
+    column comes out per row of the overrides.
+    """
+    cfg = scenario.config
+    if delays is None:
+        delays = np.array([cl.delay for cl in scenario.clusters])
+    d_bs = np.linalg.norm(scenario.users - scenario.bs_position, axis=1)
+    _, path_gain = path_loss_nlos(d_bs, cfg.wavelength)
+    tau_0 = d_bs / SPEED_OF_LIGHT if cfg.reference_delay is None else cfg.reference_delay
+    a_c = cluster_attenuation(np.asarray(delays), np.reshape(tau_0, (-1, 1)),
+                              cfg.cutoff_delay, cfg.power_decay)
+    if include_shadowing:
+        a_c = a_c * np.array([cl.shadow_gain for cl in scenario.clusters])
+    return np.sqrt(path_gain)[:, None] * _vr_gains(scenario, vr_centers) * np.sqrt(a_c)
 
 
 def user_cluster_geometry_factor(scenario: Scenario, user: int, cluster: int,
                                  include_shadowing: bool = True) -> float:
-    """Scalar large-scale amplitude L_p * A_VR * sqrt(A_C [* shadow]) tying
-    one user to one cluster."""
-    cfg = scenario.config
-    cl = scenario.clusters[cluster]
-    lp = user_pathloss_amplitude(scenario, user)
-    d_vr = float(np.linalg.norm(scenario.users[user, :2] - cl.vr_center))
-    a_vr = vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
-    a_c = cluster_attenuation(cl.delay, user_reference_delay(scenario, user),
-                              cfg.cutoff_delay, cfg.power_decay)
-    if include_shadowing:
-        a_c = a_c * cl.shadow_gain
-    return lp * a_vr * math.sqrt(a_c)
+    """Entry (user, cluster) of ``large_scale_gains``."""
+    return float(large_scale_gains(
+        scenario, include_shadowing=include_shadowing)[user, cluster])
 
 
 def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
@@ -311,6 +309,34 @@ def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
     return center + offsets
 
 
+def _steering_tensor(scenario: Scenario) -> np.ndarray:
+    """(N_C, N_p, M) array responses: [j, p] is the steering vector of
+    cluster j's MPC p."""
+    cfg = scenario.config
+    return np.array([
+        [steering_vector(phi, cfg.antenna_count, cfg.antenna_spacing_fraction)
+         for phi in cluster_azimuths(scenario, j)]
+        for j in range(scenario.num_clusters)])
+
+
+def _fading_normals(scenario: Scenario, user: int, cluster: int,
+                    rng: np.random.Generator | None, shared_fading: bool) -> np.ndarray:
+    """The 2 N_p standard normals behind one user-cluster pair's MPC fading
+    (real parts, then imaginary parts), from ``rng`` or else from the
+    pair's own stream (the cluster's, if shared)."""
+    if rng is None:
+        key = (_STREAM_GAINS, cluster) if shared_fading else (_STREAM_GAINS, cluster, user)
+        rng = _stream(scenario.config.rng_seed, *key)
+    return rng.standard_normal(2 * scenario.config.mpcs_per_cluster)
+
+
+def _unit_fading(normals: np.ndarray) -> np.ndarray:
+    """Circular Gaussian MPC gains of per-MPC power 1/N_p from
+    ``_fading_normals`` output (last axis)."""
+    n_p = normals.shape[-1] // 2
+    return (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
+
+
 def mpc_amplitudes(scenario: Scenario, user: int, cluster: int,
                    rng: np.random.Generator | None = None,
                    shared_fading: bool = False) -> MpcDraw:
@@ -326,28 +352,15 @@ def mpc_amplitudes(scenario: Scenario, user: int, cluster: int,
         raise IndexError(f"user index {user} out of range")
     if not 0 <= cluster < scenario.num_clusters:
         raise IndexError(f"cluster index {cluster} out of range")
-    cfg = scenario.config
-    n_p = cfg.mpcs_per_cluster
-    if rng is None:
-        key = (_STREAM_GAINS, cluster) if shared_fading else (_STREAM_GAINS, cluster, user)
-        rng = _stream(cfg.rng_seed, *key)
-    raw = (rng.standard_normal(n_p) + 1j * rng.standard_normal(n_p))
-    raw /= math.sqrt(2.0 * n_p)
+    raw = _unit_fading(_fading_normals(scenario, user, cluster, rng, shared_fading))
     factor = user_cluster_geometry_factor(scenario, user, cluster)
     return MpcDraw(gains=factor * raw, azimuths=cluster_azimuths(scenario, cluster))
 
 
 def visible_clusters(scenario: Scenario, user: int,
                      floor: float = DEFAULT_VISIBILITY_FLOOR) -> list[int]:
-    """Indices of clusters whose VR transition gain at the user exceeds
-    ``floor``."""
-    cfg = scenario.config
-    out = []
-    for j, cl in enumerate(scenario.clusters):
-        d = float(np.linalg.norm(scenario.users[user, :2] - cl.vr_center))
-        if vr_gain(d, cfg.vr_radius, cfg.transition_size, cfg.wavelength) > floor:
-            out.append(j)
-    return out
+    """Indices of the clusters whose VR gain at ``user`` exceeds ``floor``."""
+    return np.flatnonzero(_vr_gains(scenario)[user] > floor).tolist()
 
 
 def _check_selected(scenario: Scenario, selected) -> list[int]:
@@ -376,18 +389,15 @@ def channel_matrix(scenario: Scenario, selected,
     are produced.
     """
     selected = _check_selected(scenario, selected)
-    cfg = scenario.config
-    m = cfg.antenna_count
-    h = np.zeros((m, len(selected)), dtype=complex)
-    steer_cache: dict[int, np.ndarray] = {}
-    for col, k in enumerate(selected):
-        for j in visible_clusters(scenario, k, visibility_floor):
-            draw = mpc_amplitudes(scenario, k, j, rng=gain_rng,
-                                  shared_fading=shared_fading)
-            if j not in steer_cache:
-                steer_cache[j] = _steering_stack(draw.azimuths, m,
-                                                 cfg.antenna_spacing_fraction)
-            h[:, col] += draw.gains @ steer_cache[j]
+    gains = large_scale_gains(scenario)[selected]
+    visible = _vr_gains(scenario)[selected] > visibility_floor
+    # the fading is drawn pair by pair, visible pairs only, in this order
+    normals = np.zeros(gains.shape + (2 * scenario.config.mpcs_per_cluster,))
+    for row, k in enumerate(selected):
+        for j in np.flatnonzero(visible[row]):
+            normals[row, j] = _fading_normals(scenario, k, j, gain_rng, shared_fading)
+    h = np.einsum("kjp,jpm->mk", gains[..., None] * _unit_fading(normals),
+                  _steering_tensor(scenario))
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
     return ChannelMatrix(entries=h, user_ids=tuple(selected))
@@ -403,17 +413,11 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
     cluster's steering Gram G_j = (1/N_p) sum_p a(phi_jp) a(phi_jp)^H.
     """
     selected = _check_selected(scenario, selected)
-    cfg = scenario.config
-    # steer[j, p, m] = a(phi_jp)[m]
-    steer = np.stack([
-        _steering_stack(cluster_azimuths(scenario, j), cfg.antenna_count,
-                        cfg.antenna_spacing_fraction)
-        for j in range(scenario.num_clusters)])
-    gram = np.einsum("jpm,jpn->jmn", steer, steer.conj()) / cfg.mpcs_per_cluster
-    power = np.zeros((len(selected), scenario.num_clusters))
-    for row, k in enumerate(selected):
-        for j in visible_clusters(scenario, k):
-            power[row, j] = user_cluster_geometry_factor(scenario, k, j) ** 2
+    power = large_scale_gains(scenario)[selected] ** 2
+    power[_vr_gains(scenario)[selected] <= DEFAULT_VISIBILITY_FLOOR] = 0.0
+    steer = _steering_tensor(scenario)
+    gram = np.einsum("jpm,jpn->jmn", steer, steer.conj(),
+                     optimize=True) / scenario.config.mpcs_per_cluster
     return np.einsum("kj,jmn->kmn", power, gram)
 
 

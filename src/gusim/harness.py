@@ -135,10 +135,10 @@ class AggregateStats:
         raise KeyError((algorithm, ks, p_dbm, omega))
 
 
-def _estimate_selected_channel(scenario, selected, h_true,
-                               power: PowerConfig) -> np.ndarray:
+def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
+                               covariances: np.ndarray) -> np.ndarray:
     """MMSE-estimate the selected users' channel from one block of
-    orthogonal pilots, using the model's exact per-user covariances."""
+    orthogonal pilots, given their exact per-user covariances."""
     rng = _stream(scenario.config.rng_seed, _STREAM_FADING, len(selected))
     pilots = math.sqrt(power.per_user) * unitary_pilots(len(selected))
     pilot = PilotConfig(matrix=pilots, noise_variance=power.noise_power)
@@ -146,8 +146,7 @@ def _estimate_selected_channel(scenario, selected, h_true,
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, tau_p)) + 1j * rng.standard_normal((m, tau_p)))
     received = h_true @ pilots + noise
-    return mmse_estimate_per_user(received, pilot,
-                                  channel_covariances(scenario, selected))
+    return mmse_estimate_per_user(received, pilot, covariances)
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
@@ -168,29 +167,35 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
             replace(config.scenario, rng_seed=config.base_seed + trial))
         v = build_v_matrix(scen)
         h_all = channel_matrix(scen, range(k_total)).entries
+        # the rebuilt geometry depends on the scenario and omega, not on K_s
+        v_by_omega = {omega: v if omega == 0 else
+                      perturb_and_rebuild(scen, omega, config.crlb).v_tilde
+                      for omega in config.omegas}
 
         for ks in config.ks_values:
             random_rng = _stream(config.base_seed + trial, _STREAM_SELECT, ks)
             random_sel = random_select(k_total, ks, random_rng)
             for omega in config.omegas:
-                if omega == 0:
-                    v_use = v
-                else:
-                    v_use = perturb_and_rebuild(scen, omega, config.crlb).v_tilde
                 for alg in config.algorithms:
                     load = estimation_load(m, k_total if alg == "GWC" else ks)
-                    # GUS and RANDOM do not depend on power: select once
-                    fixed_sel = random_sel.selected
+                    # GUS and RANDOM do not depend on power: select once,
+                    # and build the covariances of the selection once
+                    fixed_sel, cov = random_sel.selected, None
                     if alg == "GUS":
                         try:
-                            fixed_sel = gus_select(v_use, ks, config.gus_variant).selected
+                            fixed_sel = gus_select(v_by_omega[omega], ks,
+                                                   config.gus_variant).selected
                         except SelectionError:
                             fixed_sel = None
+                    if config.use_estimation and alg != "GWC" and fixed_sel is not None:
+                        cov = channel_covariances(scen, fixed_sel)
                     for p_dbm in config.powers_dbm:
                         power = PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
                         try:
                             if alg == "GWC":
                                 sel = gwc_select(h_all, ks, power, config.mode).selected
+                                if config.use_estimation:
+                                    cov = channel_covariances(scen, sel)
                             elif fixed_sel is None:
                                 raise SelectionError("no feasible GUS selection")
                             else:
@@ -198,7 +203,7 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
                             h_s = h_all[:, list(sel)]
                             if config.use_estimation:
                                 h_est = _estimate_selected_channel(
-                                    scen, list(sel), h_s, power)
+                                    scen, sel, h_s, power, cov)
                             else:
                                 h_est = h_s
                             rate = sum_rate(h_s, zf_weights(h_est), power,

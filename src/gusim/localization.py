@@ -186,11 +186,10 @@ def cluster_observables(scenario: Scenario, cluster: int) -> tuple[float, float,
     return cl.delay, elevation, azimuth
 
 
-def rebuild_cluster_column(scenario: Scenario, cluster: int, tau: float,
-                           elevation: float, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild one cluster from measured (delay, elevation, azimuth) and
-    return the per-user column of the rebuilt user-cluster matrix along
-    with the rebuilt 3D cluster position.
+def _rebuild_cluster(scenario: Scenario, cluster: int, tau: float,
+                     elevation: float, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuilt 3D position and VR centre of a cluster measured at (delay,
+    elevation, azimuth).
 
     The bounce distance comes from the ellipse inversion anchored at the
     VR centre; the VR centre is translated together with the cluster.
@@ -210,17 +209,17 @@ def rebuild_cluster_column(scenario: Scenario, cluster: int, tau: float,
         math.cos(elevation) * math.sin(azimuth),
         math.sin(elevation),
     ])
-    vr_center = cl.vr_center + (position[:2] - cl.position[:2])
+    return position, cl.vr_center + (position[:2] - cl.position[:2])
 
-    column = np.empty(scenario.num_users)
-    for k in range(scenario.num_users):
-        lp = gscm.user_pathloss_amplitude(scenario, k)
-        d_vr = float(np.linalg.norm(scenario.users[k, :2] - vr_center))
-        a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
-        a_c = gscm.cluster_attenuation(
-            tau, gscm.user_reference_delay(scenario, k), cfg.cutoff_delay,
-            cfg.power_decay)
-        column[k] = lp * a_vr * math.sqrt(a_c)
+
+def rebuild_cluster_column(scenario: Scenario, cluster: int, tau: float,
+                           elevation: float, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild one cluster from measured (delay, elevation, azimuth) and
+    return the per-user column of the rebuilt user-cluster matrix along
+    with the rebuilt 3D cluster position."""
+    position, vr_center = _rebuild_cluster(scenario, cluster, tau, elevation, azimuth)
+    column = gscm.large_scale_gains(scenario, vr_center[None], np.array([tau]),
+                                    include_shadowing=False)[:, 0]
     return column, position
 
 
@@ -241,6 +240,7 @@ def perturb_and_rebuild(scenario: Scenario, omega: int, params: CrlbParams,
 
     v = build_v_matrix(scenario)
     n_c = scenario.num_clusters
+    positions = np.stack([cl.position for cl in scenario.clusters])
     if omega == 0:
         zeros = np.zeros(n_c)
         return PerturbedGeometry(
@@ -248,7 +248,7 @@ def perturb_and_rebuild(scenario: Scenario, omega: int, params: CrlbParams,
             v_tilde=v.copy(),
             error_matrix=np.zeros_like(v),
             perturbations=LocalizationError(0, zeros, zeros.copy(), zeros.copy()),
-            cluster_positions=np.stack([cl.position for cl in scenario.clusters]),
+            cluster_positions=positions,
             fallback_count=0,
         )
 
@@ -256,12 +256,10 @@ def perturb_and_rebuild(scenario: Scenario, omega: int, params: CrlbParams,
         rng = np.random.default_rng(
             np.random.SeedSequence([scenario.config.rng_seed, gscm._STREAM_PERTURB]))
 
-    v_tilde = np.empty_like(v)
-    positions = np.empty((n_c, 3))
-    d_tau = np.empty(n_c)
-    d_theta = np.empty(n_c)
-    d_phi = np.empty(n_c)
-    fallbacks = 0
+    vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
+    delays = np.array([cl.delay for cl in scenario.clusters])
+    fallback = np.zeros(n_c, dtype=bool)
+    d_tau, d_theta, d_phi = np.empty((3, n_c))
     for j in range(n_c):
         tau, el, az = cluster_observables(scenario, j)
         bounds = crlb(params, az, el, corrected_pattern=corrected_pattern)
@@ -272,22 +270,22 @@ def perturb_and_rebuild(scenario: Scenario, omega: int, params: CrlbParams,
         try:
             if tau + d_tau[j] <= 0:
                 raise GeometryError("perturbed delay is nonpositive")
-            column, pos = rebuild_cluster_column(
+            positions[j], vr_centers[j] = _rebuild_cluster(
                 scenario, j, tau + d_tau[j], el + d_theta[j], az + d_phi[j])
+            delays[j] = tau + d_tau[j]
         except GeometryError:
             # keep the true geometry for this cluster; the robustness study
             # continues with the remaining clusters perturbed
-            fallbacks += 1
-            column = v[:, j].copy()
-            pos = scenario.clusters[j].position
-        v_tilde[:, j] = column
-        positions[j] = pos
+            fallback[j] = True
 
+    v_tilde = gscm.large_scale_gains(scenario, vr_centers, delays,
+                                     include_shadowing=False)
+    v_tilde[:, fallback] = v[:, fallback]
     return PerturbedGeometry(
         v_matrix=v,
         v_tilde=v_tilde,
         error_matrix=v - v_tilde,
         perturbations=LocalizationError(omega, d_tau, d_theta, d_phi),
         cluster_positions=positions,
-        fallback_count=fallbacks,
+        fallback_count=int(fallback.sum()),
     )

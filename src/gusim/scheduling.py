@@ -37,14 +37,7 @@ def build_v_matrix(scenario: gscm.Scenario) -> np.ndarray:
     shadowing enters, since the base station computes it from positions
     alone.
     """
-    k = scenario.num_users
-    n_c = scenario.num_clusters
-    v = np.empty((k, n_c))
-    for i in range(k):
-        for j in range(n_c):
-            v[i, j] = gscm.user_cluster_geometry_factor(
-                scenario, i, j, include_shadowing=False)
-    return v
+    return gscm.large_scale_gains(scenario, include_shadowing=False)
 
 
 def correlation_metric(v_k: np.ndarray, v_j: np.ndarray) -> float:
@@ -76,7 +69,7 @@ def gus_select(v: np.ndarray, num_selected: int,
         raise ConfigurationError(f"unknown variant {variant!r}")
 
     norms = np.linalg.norm(v, axis=1)
-    candidates = [i for i in range(k) if norms[i] > 0]
+    candidates = np.flatnonzero(norms > 0)
     if len(candidates) < k:
         warnings.warn(
             f"excluding {k - len(candidates)} zero-norm user rows from selection",
@@ -87,24 +80,24 @@ def gus_select(v: np.ndarray, num_selected: int,
             f"only {len(candidates)} usable candidates for {num_selected} slots"
         )
 
-    first = max(candidates, key=lambda i: (norms[i], -i))
-    selected = [first]
-    scores = [float(norms[first])]
-    remaining = [i for i in candidates if i != first]
+    # corr[a, b]: correlation metric of candidates a and b; the products
+    # are summed elementwise so that equal rows give exactly equal entries
+    u = v[candidates]
+    n = norms[candidates]
+    corr = np.minimum(1.0, np.abs(np.einsum("ik,jk->ij", u, u)) / np.outer(n, n))
+    pick = int(np.argmax(n))
+    selected = [pick]
+    scores = [float(n[pick])]
+    worst = np.zeros(len(candidates))
+    taken = np.zeros(len(candidates), dtype=bool)
     while len(selected) < num_selected:
-        if variant == "last":
-            ref = v[selected[-1]]
-            corr = {i: correlation_metric(v[i], ref) for i in remaining}
-        else:
-            corr = {
-                i: max(correlation_metric(v[i], v[s]) for s in selected)
-                for i in remaining
-            }
-        pick = min(remaining, key=lambda i: (corr[i], i))
+        taken[pick] = True
+        worst = corr[:, pick] if variant == "last" else np.maximum(worst, corr[:, pick])
+        pick = int(np.argmin(np.where(taken, np.inf, worst)))
         selected.append(pick)
-        scores.append(corr[pick])
-        remaining.remove(pick)
-    return ScheduleResult(tuple(selected), tuple(scores), "GUS")
+        scores.append(float(worst[pick]))
+    return ScheduleResult(tuple(int(candidates[i]) for i in selected),
+                          tuple(scores), "GUS")
 
 
 def gwc_select(h_all: np.ndarray, num_selected: int,

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gusim import gscm
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
 
 
@@ -38,3 +41,36 @@ def small_scenario():
         users_xy=[(200.0, 0.0)],
         cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
     )
+
+
+def pathloss_amplitude(scen, user):
+    """sqrt of the linear NLoS path gain of one user, from the scalar
+    ``path_loss_nlos``."""
+    d = float(np.linalg.norm(scen.users[user] - scen.bs_position))
+    return math.sqrt(gscm.path_loss_nlos(d, scen.config.wavelength)[1])
+
+
+def reference_delay(scen, user):
+    """Attenuation reference delay of one user: the configured value, or
+    the user's line-of-sight delay."""
+    if scen.config.reference_delay is not None:
+        return scen.config.reference_delay
+    return float(np.linalg.norm(scen.users[user] - scen.bs_position)) / SPEED_OF_LIGHT
+
+
+def scalar_gain(scen, user, cluster, vr_center=None, delay=None,
+                include_shadowing=True):
+    """Oracle for ``gscm.large_scale_gains``: L_p * A_VR * sqrt(A_C [* shadow])
+    of one user-cluster pair composed from the scalar gain functions, with
+    optional VR-centre and delay overrides."""
+    cfg = scen.config
+    cl = scen.clusters[cluster]
+    vr_center = cl.vr_center if vr_center is None else vr_center
+    delay = cl.delay if delay is None else delay
+    d_vr = float(np.linalg.norm(scen.users[user, :2] - vr_center))
+    a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
+    a_c = gscm.cluster_attenuation(delay, reference_delay(scen, user),
+                                   cfg.cutoff_delay, cfg.power_decay)
+    if include_shadowing:
+        a_c = a_c * cl.shadow_gain
+    return pathloss_amplitude(scen, user) * a_vr * math.sqrt(a_c)

@@ -13,7 +13,7 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         vr_gain)
 from gusim.rx import channel_covariance
 
-from conftest import make_scenario
+from conftest import make_scenario, scalar_gain
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -115,6 +115,85 @@ class TestPathLoss:
     def test_nonpositive_distance(self):
         with pytest.raises(GeometryError):
             path_loss_nlos(0.0, 0.1499)
+
+
+class TestBroadcasting:
+    def test_arrays_match_scalar_calls(self):
+        # elementwise equal to the scalar calls up to the last bits, which
+        # vectorized transcendental functions may round differently
+        rng = np.random.default_rng(4)
+        d = rng.uniform(0.0, 400.0, size=(3, 5))
+        np.testing.assert_allclose(
+            vr_gain(d, 50.0, 20.0, WAVELENGTH_2GHZ),
+            [[vr_gain(x, 50.0, 20.0, WAVELENGTH_2GHZ) for x in row] for row in d],
+            rtol=1e-13)
+        taus = rng.uniform(0.0, 9e-6, size=(3, 5))
+        t0 = rng.uniform(0.0, 4e-6, size=(3, 1))
+        np.testing.assert_allclose(
+            cluster_attenuation(taus, t0, 5e-6, 1e6),
+            [[cluster_attenuation(t, r[0], 5e-6, 1e6) for t in row]
+             for row, r in zip(taus, t0)], rtol=1e-13)
+        loss, gain = path_loss_nlos(d + 1.0, WAVELENGTH_2GHZ)
+        scalar = [path_loss_nlos(x, WAVELENGTH_2GHZ) for x in (d + 1.0).ravel()]
+        np.testing.assert_allclose(loss.ravel(), [lo for lo, _ in scalar], rtol=1e-13)
+        np.testing.assert_allclose(gain.ravel(), [g for _, g in scalar], rtol=1e-13)
+
+    def test_input_checks_see_every_element(self):
+        with pytest.raises(ConfigurationError):
+            vr_gain(np.array([10.0, -1.0]), 50.0, 20.0, WAVELENGTH_2GHZ)
+        with pytest.raises(ConfigurationError):
+            cluster_attenuation(1e-6, np.array([1e-6, 6e-6]), 5e-6, 1e6)
+        with pytest.raises(GeometryError):
+            path_loss_nlos(np.array([5.0, 0.0]), WAVELENGTH_2GHZ)
+
+
+class TestLargeScaleGains:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("reference_delay", [None, 2e-6])
+    @pytest.mark.parametrize("include_shadowing", [True, False])
+    def test_matches_scalar_composition(self, seed, reference_delay,
+                                        include_shadowing):
+        scen = generate_scenario(ScenarioConfig(
+            num_users=7, num_clusters=5, reference_delay=reference_delay,
+            rng_seed=seed))
+        gains = gscm.large_scale_gains(scen, include_shadowing=include_shadowing)
+        assert gains.shape == (7, 5)
+        for k in range(7):
+            for j in range(5):
+                assert gains[k, j] == pytest.approx(
+                    scalar_gain(scen, k, j, include_shadowing=include_shadowing),
+                    rel=1e-12)
+
+    @pytest.mark.parametrize("reference_delay", [None, 2e-6])
+    def test_overrides_match_scalar_composition(self, reference_delay):
+        scen = generate_scenario(ScenarioConfig(
+            num_users=6, num_clusters=4, reference_delay=reference_delay,
+            rng_seed=5))
+        rng = np.random.default_rng(5)
+        vr = np.stack([cl.vr_center for cl in scen.clusters]) \
+            + rng.normal(0.0, 40.0, size=(4, 2))
+        delays = np.array([cl.delay for cl in scen.clusters]) \
+            * rng.uniform(0.95, 1.05, size=4)
+        for shadowing in (True, False):
+            gains = gscm.large_scale_gains(scen, vr, delays,
+                                           include_shadowing=shadowing)
+            for k in range(6):
+                for j in range(4):
+                    assert gains[k, j] == pytest.approx(
+                        scalar_gain(scen, k, j, vr[j], delays[j], shadowing),
+                        rel=1e-12)
+        # a single overridden column, as a cluster rebuild scores it
+        column = gscm.large_scale_gains(scen, vr[2:3], delays[2:3],
+                                        include_shadowing=False)
+        assert column.shape == (6, 1)
+        np.testing.assert_allclose(
+            column[:, 0],
+            [scalar_gain(scen, k, 2, vr[2], delays[2], False) for k in range(6)],
+            rtol=1e-12)
+
+    def test_geometry_factor_is_a_kernel_entry(self, small_scenario):
+        assert gscm.user_cluster_geometry_factor(small_scenario, 0, 0) \
+            == pytest.approx(scalar_gain(small_scenario, 0, 0), rel=1e-12)
 
 
 class TestSteeringVector:
@@ -228,6 +307,12 @@ class TestChannelMatrix:
                 phi, small_scenario.config.antenna_count,
                 small_scenario.config.antenna_spacing_fraction)
         np.testing.assert_allclose(2.0 * h1[:, 0], 2.0 * rebuilt, rtol=1e-12)
+
+    def test_column_independent_of_the_other_selected_users(self):
+        scen = generate_scenario(ScenarioConfig(num_users=12, rng_seed=4))
+        h = channel_matrix(scen, range(12)).entries
+        for k in range(12):
+            np.testing.assert_array_equal(h[:, [k]], channel_matrix(scen, [k]).entries)
 
     def test_empty_selection_rejected(self, small_scenario):
         with pytest.raises(ConfigurationError):

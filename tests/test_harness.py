@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gusim import cli, harness
 from gusim.errors import ConfigurationError, SelectionError
-from gusim.gscm import ScenarioConfig
-from gusim.localization import CrlbParams
+from gusim.gscm import ScenarioConfig, channel_covariances
+from gusim.localization import CrlbParams, perturb_and_rebuild
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -99,6 +99,39 @@ class TestRunExperiment:
         stats = run_experiment(cfg)
         assert len(calls) == cfg.trials * 2 * 2
         assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
+
+    @pytest.mark.parametrize("ks_values", [(2,), (2, 3, 4)])
+    def test_perturbation_once_per_trial_and_positive_omega(self, monkeypatch,
+                                                            ks_values):
+        calls = []
+
+        def counting(scen, omega, params):
+            calls.append((scen.config.rng_seed, omega))
+            return perturb_and_rebuild(scen, omega, params)
+
+        monkeypatch.setattr(harness, "perturb_and_rebuild", counting)
+        cfg = tiny_config(algorithms=("GUS", "RANDOM"), ks_values=ks_values,
+                          omegas=(0, 1, 3))
+        stats = run_experiment(cfg)
+        assert sorted(calls) == sorted((3 + t, o) for t in range(2) for o in (1, 3))
+        assert len(stats.trial_rows) == 2 * len(ks_values) * 3 * 2 * 2
+
+    def test_covariances_once_per_fixed_selection(self, monkeypatch):
+        calls = []
+
+        def counting(scen, selected):
+            calls.append(tuple(selected))
+            return channel_covariances(scen, selected)
+
+        monkeypatch.setattr(harness, "channel_covariances", counting)
+        cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
+                          ks_values=(2, 3), omegas=(0, 1))
+        stats = run_experiment(cfg)
+        fixed = [r for r in stats.trial_rows if r.algorithm != "GWC"]
+        gwc = [r for r in stats.trial_rows if r.algorithm == "GWC"]
+        # GUS and RANDOM: once per (trial, K_s, omega, algorithm); GWC per power
+        assert len(calls) == len(fixed) // 3 + len(gwc)
+        assert all(r.sum_rate is not None for r in stats.trial_rows)
 
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
         def failing(v, ks, variant):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, GeometryError
-from gusim.gscm import SPEED_OF_LIGHT
+from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_angles, crlb_delay, cluster_observables,
                                 field_pattern, output_snr, perturb_and_rebuild,
                                 rebuild_cluster_column, solve_cluster_distance)
 from gusim.scheduling import build_v_matrix
 
-from conftest import make_scenario
+from conftest import make_scenario, pathloss_amplitude, reference_delay
 
 
 class TestFieldPattern:
@@ -155,11 +155,11 @@ class TestPerturbAndRebuild:
         cfg = scen.config
         vr_shift = pos[:2] - scen.clusters[0].position[:2]
         vr_new = scen.clusters[0].vr_center + vr_shift
-        lp = gscm.user_pathloss_amplitude(scen, 0)
+        lp = pathloss_amplitude(scen, 0)
         a_vr = gscm.vr_gain(float(np.linalg.norm(scen.users[0, :2] - vr_new)),
                             cfg.vr_radius, cfg.transition_size, cfg.wavelength)
         a_c = gscm.cluster_attenuation(tau * 1.01,
-                                       gscm.user_reference_delay(scen, 0),
+                                       reference_delay(scen, 0),
                                        cfg.cutoff_delay, cfg.power_decay)
         assert column[0] == pytest.approx(lp * a_vr * math.sqrt(a_c), rel=1e-12)
 
@@ -186,6 +186,36 @@ class TestPerturbAndRebuild:
                 bound += np.abs(shifted - base)
             observed = np.abs(pg.error_matrix[:, j] - (pg.v_matrix[:, j] - base))
             assert np.all(observed <= 2.0 * bound + 1e-15)
+
+    @pytest.mark.parametrize("seed,omega,has_fallback",
+                             [(10, 1, True), (10, 5, True), (3, 5, True), (4, 2, False)])
+    def test_matches_per_cluster_rebuild(self, seed, omega, has_fallback):
+        # Oracle: each cluster rebuilt on its own from the injected
+        # perturbations; a cluster whose rebuild fails keeps its true V
+        # column and position.
+        scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+        pg = perturb_and_rebuild(scen, omega, CrlbParams())
+        p = pg.perturbations
+        v = build_v_matrix(scen)
+        fallbacks = 0
+        for j in range(scen.num_clusters):
+            tau, el, az = cluster_observables(scen, j)
+            try:
+                if tau + p.delay[j] <= 0:
+                    raise GeometryError("nonpositive delay")
+                column, pos = rebuild_cluster_column(
+                    scen, j, tau + p.delay[j], el + p.elevation[j],
+                    az + p.azimuth[j])
+            except GeometryError:
+                fallbacks += 1
+                column, pos = v[:, j], scen.clusters[j].position
+                np.testing.assert_array_equal(pg.v_tilde[:, j], column)
+            np.testing.assert_allclose(pg.v_tilde[:, j], column, rtol=1e-12)
+            np.testing.assert_allclose(pg.cluster_positions[j], pos, rtol=1e-12)
+        assert pg.fallback_count == fallbacks
+        assert (fallbacks > 0) == has_fallback
+        np.testing.assert_array_equal(pg.v_matrix, v)
+        np.testing.assert_array_equal(pg.error_matrix, v - pg.v_tilde)
 
     def test_negative_omega_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -14,7 +14,7 @@ from gusim.scheduling import (build_v_matrix, correlation_metric,
                               estimation_load, gus_select, gwc_select,
                               random_select)
 
-from conftest import make_scenario
+from conftest import make_scenario, pathloss_amplitude, reference_delay
 
 
 class TestBuildVMatrix:
@@ -27,7 +27,7 @@ class TestBuildVMatrix:
             power_decay=0.0,
         )
         v = build_v_matrix(scen)
-        lp = gscm.user_pathloss_amplitude(scen, 0)
+        lp = pathloss_amplitude(scen, 0)
         assert v[0, 0] == pytest.approx(0.5 * lp, rel=1e-12)
 
     def test_far_user_row_vanishes(self):
@@ -36,7 +36,7 @@ class TestBuildVMatrix:
             cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([-950.0, -950.0]))],
         )
         v = build_v_matrix(scen)
-        lp = gscm.user_pathloss_amplitude(scen, 0)
+        lp = pathloss_amplitude(scen, 0)
         assert v[0, 0] < 1e-4 * lp
 
     def test_matches_factor_composition(self):
@@ -60,7 +60,7 @@ class TestBuildVMatrix:
                                     cfg.wavelength)
                 a_c = gscm.cluster_attenuation(
                     scen.clusters[j].delay,
-                    gscm.user_reference_delay(scen, i),
+                    reference_delay(scen, i),
                     cfg.cutoff_delay, cfg.power_decay)
                 assert v[i, j] == pytest.approx(
                     math.sqrt(gain) * a_vr * math.sqrt(a_c), rel=1e-12)
@@ -172,6 +172,78 @@ class TestGusSelect:
         ])
         assert gus_select(v, 3, variant="last").selected == (0, 1, 2)
         assert gus_select(v, 3, variant="set").selected == (0, 1, 3)
+
+
+def gus_oracle(v, num_selected, variant="last"):
+    """Reference GUS: one ``correlation_metric`` call per candidate pair
+    and step, with the same first pick, tie and zero-row rules as
+    ``gus_select``. Returns (selected, per-step scores)."""
+    v = np.asarray(v, dtype=float)
+    norms = np.linalg.norm(v, axis=1)
+    candidates = [i for i in range(v.shape[0]) if norms[i] > 0]
+    if len(candidates) < v.shape[0]:
+        warnings.warn("excluding zero-norm user rows from selection")
+    if len(candidates) < num_selected:
+        raise SelectionError("too few usable candidates")
+    first = max(candidates, key=lambda i: (norms[i], -i))
+    selected, scores = [first], [float(norms[first])]
+    remaining = [i for i in candidates if i != first]
+    while len(selected) < num_selected:
+        refs = selected[-1:] if variant == "last" else selected
+        corr = {i: max(correlation_metric(v[i], v[s]) for s in refs)
+                for i in remaining}
+        pick = min(remaining, key=lambda i: (corr[i], i))
+        selected.append(pick)
+        scores.append(corr[pick])
+        remaining.remove(pick)
+    return tuple(selected), tuple(scores)
+
+
+class TestGusMatchesPairwiseOracle:
+    @staticmethod
+    def _check(v, num_selected, variant):
+        result = gus_select(v, num_selected, variant)
+        selected, scores = gus_oracle(v, num_selected, variant)
+        assert result.selected == selected
+        np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-12,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_random_matrices(self, variant):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            k = int(rng.integers(2, 30))
+            v = rng.uniform(0.0, 1.0, size=(k, int(rng.integers(1, 13))))
+            self._check(v, int(rng.integers(1, k + 1)), variant)
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_desk_scale_v_matrices(self, variant):
+        for seed in (1, 2, 3):
+            v = build_v_matrix(gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed)))
+            for ks in (5, 10, 20):
+                self._check(v, ks, variant)
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_tied_correlations(self, variant):
+        # duplicated rows, a row scaled by a power of two (equal metric to
+        # the bit), orthogonal rows (metric 0) and a collinear pair
+        # (clipped to 1) give exact ties that the index rule must break
+        base = np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0],
+                         [0.3, 0.4, 0.5, 0.6], [0.3, 0.4, 0.5, 0.6]])
+        for num_selected in range(1, len(base) + 1):
+            self._check(base, num_selected, variant)
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_zero_norm_row_warns_in_both(self, variant):
+        v = np.array([[1.0, 0.2], [0.0, 0.0], [0.1, 1.0], [0.5, 0.5]])
+        with pytest.warns(UserWarning, match="zero-norm"):
+            result = gus_select(v, 3, variant)
+        with pytest.warns(UserWarning, match="zero-norm"):
+            selected, _ = gus_oracle(v, 3, variant)
+        assert result.selected == selected
+        assert 1 not in selected
 
 
 def gwc_oracle(h_all, num_selected, power, mode="physical"):
