@@ -8,7 +8,7 @@ import numpy as np
 
 from gusim import (ScenarioConfig, channel_matrix, cluster_attenuation,
                    generate_scenario, path_loss_nlos, steering_vector, vr_gain)
-from gusim.gscm import user_cluster_geometry_factor
+from gusim.gscm import large_scale_gains
 
 cfg = ScenarioConfig(num_users=10, num_clusters=4, antenna_count=16, rng_seed=42)
 scenario = generate_scenario(cfg)
@@ -34,10 +34,7 @@ print(f"\ncluster 0 delay: {cl.delay * 1e6:.3f} us, "
       f"{cluster_attenuation(cl.delay, cl.delay, cfg.cutoff_delay, cfg.power_decay):.3f}")
 
 # Large-scale user-cluster coupling factors (amplitude scale).
-factors = np.array([
-    [user_cluster_geometry_factor(scenario, k, j) for j in range(scenario.num_clusters)]
-    for k in range(scenario.num_users)
-])
+factors = large_scale_gains(scenario)
 print("\nstrongest user-cluster couplings (log10 amplitude):")
 for k in range(3):
     print(f"  user {k}: {np.log10(factors[k] + 1e-30).round(1)}")

@@ -45,7 +45,7 @@ print("\nOmega sweep (relative error in V, and whether GUS picks change):")
 baseline = gus_select(v_true, 5).selected
 for omega in range(6):
     pg = perturb_and_rebuild(scenario, omega, params)
-    rel = np.linalg.norm(pg.error_matrix) / np.linalg.norm(v_true)
+    rel = np.linalg.norm(v_true - pg.v_tilde) / np.linalg.norm(v_true)
     picks = gus_select(pg.v_tilde, 5).selected
     print(f"  Omega={omega}: |E|/|V| = {rel:.3e}, picks "
           f"{'unchanged' if picks == baseline else f'changed -> {picks}'}")

@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, GeometryError, RankDeficiencyError,
                      SelectionError)
-from .gscm import (ChannelMatrix, Cluster, MpcDraw, Scenario, ScenarioConfig,
+from .gscm import (ChannelMatrix, Cluster, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
                    cluster_attenuation, generate_scenario, load_scenario,
-                   mpc_amplitudes, path_loss_nlos, save_scenario,
-                   steering_vector, vr_gain)
+                   path_loss_nlos, save_scenario, steering_vector, vr_gain)
 from .rx import (PilotConfig, PowerConfig, ZfReceiver, channel_covariance,
                  ergodic_capacity, mmse_estimate, mmse_estimate_per_user,
                  noise_power, sum_rate, unitary_pilots, zf_weights)

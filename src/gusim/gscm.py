@@ -23,6 +23,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 # A_VR never reaches 0 exactly; cluster membership uses this floor.
 DEFAULT_VISIBILITY_FLOOR = 1e-6
 
+# rejection-sampling draws allowed per user outside the BS exclusion disk
+_MAX_PLACEMENT_ATTEMPTS = 10_000
+
 _SCENARIO_SCHEMA_VERSION = 1
 
 # salts for the per-purpose random streams derived from the scenario seed
@@ -131,14 +134,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class MpcDraw:
-    """Per-multipath-component complex gains and departure azimuths."""
-
-    gains: np.ndarray     # (N_p,) complex
-    azimuths: np.ndarray  # (N_p,) radians
-
-
-@dataclass(frozen=True)
 class ChannelMatrix:
     """M x K_s uplink channel of the selected users."""
 
@@ -151,7 +146,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def generate_scenario(config: ScenarioConfig, max_attempts: int = 10_000) -> Scenario:
+def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Draw a random scenario: users, clusters, VR centres and shadowing.
 
     Users are uniform over the square cell minus the BS exclusion disk
@@ -166,7 +161,7 @@ def generate_scenario(config: ScenarioConfig, max_attempts: int = 10_000) -> Sce
     users = np.empty((config.num_users, 3))
     r_min = config.bs_exclusion_fraction * half
     for k in range(config.num_users):
-        for _ in range(max_attempts):
+        for _ in range(_MAX_PLACEMENT_ATTEMPTS):
             xy = rng.uniform(-half, half, size=2)
             if math.hypot(xy[0], xy[1]) >= r_min:
                 users[k, :2] = xy
@@ -175,7 +170,7 @@ def generate_scenario(config: ScenarioConfig, max_attempts: int = 10_000) -> Sce
         else:
             raise ConfigurationError(
                 f"could not place user {k} outside the exclusion disk after "
-                f"{max_attempts} attempts"
+                f"{_MAX_PLACEMENT_ATTEMPTS} attempts"
             )
 
     z_lo, z_hi = config.cluster_height_range
@@ -287,13 +282,6 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
     return np.sqrt(path_gain)[:, None] * _vr_gains(scenario, vr_centers) * np.sqrt(a_c)
 
 
-def user_cluster_geometry_factor(scenario: Scenario, user: int, cluster: int,
-                                 include_shadowing: bool = True) -> float:
-    """Entry (user, cluster) of ``large_scale_gains``."""
-    return float(large_scale_gains(
-        scenario, include_shadowing=include_shadowing)[user, cluster])
-
-
 def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
     """Departure azimuths of the cluster's MPCs at the BS: the BS-to-cluster
     azimuth plus Laplacian intra-cluster offsets. Deterministic per
@@ -319,48 +307,11 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
         for j in range(scenario.num_clusters)])
 
 
-def _fading_normals(scenario: Scenario, user: int, cluster: int,
-                    rng: np.random.Generator | None, shared_fading: bool) -> np.ndarray:
+def _fading_normals(scenario: Scenario, user: int, cluster: int) -> np.ndarray:
     """The 2 N_p standard normals behind one user-cluster pair's MPC fading
-    (real parts, then imaginary parts), from ``rng`` or else from the
-    pair's own stream (the cluster's, if shared)."""
-    if rng is None:
-        key = (_STREAM_GAINS, cluster) if shared_fading else (_STREAM_GAINS, cluster, user)
-        rng = _stream(scenario.config.rng_seed, *key)
+    (real parts, then imaginary parts), from the pair's own stream."""
+    rng = _stream(scenario.config.rng_seed, _STREAM_GAINS, cluster, user)
     return rng.standard_normal(2 * scenario.config.mpcs_per_cluster)
-
-
-def _unit_fading(normals: np.ndarray) -> np.ndarray:
-    """Circular Gaussian MPC gains of per-MPC power 1/N_p from
-    ``_fading_normals`` output (last axis)."""
-    n_p = normals.shape[-1] // 2
-    return (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
-
-
-def mpc_amplitudes(scenario: Scenario, user: int, cluster: int,
-                   rng: np.random.Generator | None = None,
-                   shared_fading: bool = False) -> MpcDraw:
-    """Complex MPC gains and azimuths for one user-cluster pair.
-
-    Gains are circular Gaussian with per-MPC expected power 1/N_p, scaled
-    by the user's large-scale geometry factor. With ``shared_fading`` the
-    fading draw is keyed by the cluster only, so users seeing the same
-    cluster share it. An explicit ``rng`` overrides the deterministic
-    per-pair stream (used for Monte-Carlo re-draws).
-    """
-    if not 0 <= user < scenario.num_users:
-        raise IndexError(f"user index {user} out of range")
-    if not 0 <= cluster < scenario.num_clusters:
-        raise IndexError(f"cluster index {cluster} out of range")
-    raw = _unit_fading(_fading_normals(scenario, user, cluster, rng, shared_fading))
-    factor = user_cluster_geometry_factor(scenario, user, cluster)
-    return MpcDraw(gains=factor * raw, azimuths=cluster_azimuths(scenario, cluster))
-
-
-def visible_clusters(scenario: Scenario, user: int,
-                     floor: float = DEFAULT_VISIBILITY_FLOOR) -> list[int]:
-    """Indices of the clusters whose VR gain at ``user`` exceeds ``floor``."""
-    return np.flatnonzero(_vr_gains(scenario)[user] > floor).tolist()
 
 
 def _check_selected(scenario: Scenario, selected) -> list[int]:
@@ -376,27 +327,27 @@ def _check_selected(scenario: Scenario, selected) -> list[int]:
     return selected
 
 
-def channel_matrix(scenario: Scenario, selected,
-                   visibility_floor: float = DEFAULT_VISIBILITY_FLOOR,
-                   shared_fading: bool = False,
-                   gain_rng: np.random.Generator | None = None) -> ChannelMatrix:
+def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     """Synthesize the M x K_s channel of the selected users.
 
-    Column k sums, over the clusters visible to user k, the per-MPC complex
-    gains times the array steering vectors at the MPC azimuths. Passing
-    ``gain_rng`` redraws the fast fading from that generator (angles stay
-    fixed), which is how independent fading realizations of one scenario
-    are produced.
+    Column k sums, over the clusters visible to user k (VR gain above
+    ``DEFAULT_VISIBILITY_FLOOR``), the per-MPC complex gains times the
+    array steering vectors at the MPC azimuths. Each gain is circular
+    Gaussian with variance f_kj^2 / N_p, f_kj the ``large_scale_gains``
+    entry, drawn from the (user, cluster) pair's own stream, so a column
+    does not depend on which other users are selected.
     """
     selected = _check_selected(scenario, selected)
     gains = large_scale_gains(scenario)[selected]
-    visible = _vr_gains(scenario)[selected] > visibility_floor
-    # the fading is drawn pair by pair, visible pairs only, in this order
-    normals = np.zeros(gains.shape + (2 * scenario.config.mpcs_per_cluster,))
+    visible = _vr_gains(scenario)[selected] > DEFAULT_VISIBILITY_FLOOR
+    # the fading is drawn pair by pair, visible pairs only
+    n_p = scenario.config.mpcs_per_cluster
+    normals = np.zeros(gains.shape + (2 * n_p,))
     for row, k in enumerate(selected):
         for j in np.flatnonzero(visible[row]):
-            normals[row, j] = _fading_normals(scenario, k, j, gain_rng, shared_fading)
-    h = np.einsum("kjp,jpm->mk", gains[..., None] * _unit_fading(normals),
+            normals[row, j] = _fading_normals(scenario, k, j)
+    fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
+    h = np.einsum("kjp,jpm->mk", gains[..., None] * fading,
                   _steering_tensor(scenario))
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
@@ -404,9 +355,8 @@ def channel_matrix(scenario: Scenario, selected,
 
 
 def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
-    """Exact fading covariances E{h_k h_k^H} of the selected users,
-    shape (K_s, M, M), for the independent re-draws of ``channel_matrix``
-    with a ``gain_rng`` (default visibility floor).
+    """Exact fading covariances E{h_k h_k^H} of the selected users' columns
+    of ``channel_matrix``, shape (K_s, M, M), over the fading draw.
 
     Each MPC gain has variance f_kj^2 / N_p, so
     R_k = sum_j f_kj^2 G_j over the clusters visible to user k, with the

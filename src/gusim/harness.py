@@ -78,6 +78,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
         if self.mode not in ("physical", "paper-literal"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.mode == "paper-literal" and not self.use_estimation:
+            raise ConfigurationError(
+                "mode 'paper-literal' needs use_estimation: with perfect CSI, "
+                "zero-forcing leaves no interference, so every algorithm "
+                "reads K_s*log2(1 + P/K_s) whatever the channel")
         if self.gus_variant not in ("last", "set"):
             raise ConfigurationError(f"unknown gus_variant {self.gus_variant!r}")
         for ks in self.ks_values:

@@ -55,31 +55,28 @@ class LocalizationError:
 
 @dataclass(frozen=True)
 class PerturbedGeometry:
-    """Rebuilt geometry after localization-error injection."""
+    """Rebuilt geometry after localization-error injection. The error
+    matrix the scheduler suffers is ``build_v_matrix(scenario) - v_tilde``."""
 
-    v_matrix: np.ndarray            # true K x N_C matrix
     v_tilde: np.ndarray             # rebuilt K x N_C matrix
-    error_matrix: np.ndarray        # v_matrix - v_tilde
     perturbations: LocalizationError
     cluster_positions: np.ndarray   # (N_C, 3) rebuilt positions
     fallback_count: int             # clusters kept unperturbed (infeasible geometry)
 
 
-def field_pattern(phi: float, corrected: bool = False) -> float:
+def field_pattern(phi: float) -> float:
     """Sounder antenna electric field pattern, a cubic in the azimuth.
 
-    The published polynomial carries two cubic terms (net coefficient
-    3.99); ``corrected`` treats the second of them as a quartic instead.
+    The published polynomial carries two cubic terms, 5.7 phi^3 and
+    -1.71 phi^3; they are summed into the net coefficient 3.99.
     """
-    if corrected:
-        return 0.67 + 2.67 * phi - 6.79 * phi**2 + 5.7 * phi**3 - 1.71 * phi**4
     return 0.67 + 2.67 * phi - 6.79 * phi**2 + 3.99 * phi**3
 
 
-def output_snr(params: CrlbParams, phi: float, corrected: bool = False) -> float:
+def output_snr(params: CrlbParams, phi: float) -> float:
     """Post-processing SNR: M * I * N_c * |f(phi)|^2 * input SNR."""
     params.validate()
-    f = field_pattern(phi, corrected=corrected)
+    f = field_pattern(phi)
     return params.num_antennas * params.signal_periods * params.pn_length \
         * f * f * params.input_snr
 
@@ -120,12 +117,11 @@ def crlb_angles(gamma_o: float, num_antennas: int, delta: float,
     return bound_theta, bound_phi
 
 
-def crlb(params: CrlbParams, phi: float, theta: float,
-         corrected_pattern: bool = False) -> tuple[float, float, float]:
+def crlb(params: CrlbParams, phi: float, theta: float) -> tuple[float, float, float]:
     """(delay, elevation, azimuth) estimation variance bounds for a path
     arriving at azimuth ``phi`` and elevation ``theta``."""
     params.validate()
-    gamma_o = output_snr(params, phi, corrected=corrected_pattern)
+    gamma_o = output_snr(params, phi)
     delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
     bound_tau = crlb_delay(gamma_o, params.bandwidth)
     bound_theta, bound_phi = crlb_angles(gamma_o, params.num_antennas, delta, theta)
@@ -223,68 +219,50 @@ def rebuild_cluster_column(scenario: Scenario, cluster: int, tau: float,
     return column, position
 
 
-def perturb_and_rebuild(scenario: Scenario, omega: int, params: CrlbParams,
-                        rng: np.random.Generator | None = None,
-                        corrected_pattern: bool = False) -> PerturbedGeometry:
+def perturb_and_rebuild(scenario: Scenario, omega: int,
+                        params: CrlbParams) -> PerturbedGeometry:
     """Perturb each cluster's measured delay/elevation/azimuth by
     +- omega * sqrt(variance bound) with seeded equiprobable signs, rebuild
     the cluster geometry and the user-cluster matrix the scheduler will use.
 
     ``omega == 0`` is an exact no-op. Clusters whose perturbed geometry has
-    no admissible bounce distance fall back to their true geometry and are
-    counted in ``fallback_count``.
+    no admissible bounce distance fall back to their true geometry, so
+    their column of ``v_tilde`` is the true V column, and are counted in
+    ``fallback_count``.
     """
     if omega < 0:
         raise ConfigurationError("omega must be a nonnegative integer")
-    from .scheduling import build_v_matrix  # late import, no cycle at module load
-
-    v = build_v_matrix(scenario)
     n_c = scenario.num_clusters
     positions = np.stack([cl.position for cl in scenario.clusters])
-    if omega == 0:
-        zeros = np.zeros(n_c)
-        return PerturbedGeometry(
-            v_matrix=v,
-            v_tilde=v.copy(),
-            error_matrix=np.zeros_like(v),
-            perturbations=LocalizationError(0, zeros, zeros.copy(), zeros.copy()),
-            cluster_positions=positions,
-            fallback_count=0,
-        )
-
-    if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([scenario.config.rng_seed, gscm._STREAM_PERTURB]))
-
     vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
     delays = np.array([cl.delay for cl in scenario.clusters])
     fallback = np.zeros(n_c, dtype=bool)
-    d_tau, d_theta, d_phi = np.empty((3, n_c))
-    for j in range(n_c):
-        tau, el, az = cluster_observables(scenario, j)
-        bounds = crlb(params, az, el, corrected_pattern=corrected_pattern)
-        signs = rng.choice([-1.0, 1.0], size=3)
-        d_tau[j] = signs[0] * omega * math.sqrt(bounds[0])
-        d_theta[j] = signs[1] * omega * math.sqrt(bounds[1]) if math.isfinite(bounds[1]) else 0.0
-        d_phi[j] = signs[2] * omega * math.sqrt(bounds[2]) if math.isfinite(bounds[2]) else 0.0
-        try:
-            if tau + d_tau[j] <= 0:
-                raise GeometryError("perturbed delay is nonpositive")
-            positions[j], vr_centers[j] = _rebuild_cluster(
-                scenario, j, tau + d_tau[j], el + d_theta[j], az + d_phi[j])
-            delays[j] = tau + d_tau[j]
-        except GeometryError:
-            # keep the true geometry for this cluster; the robustness study
-            # continues with the remaining clusters perturbed
-            fallback[j] = True
+    d_tau, d_theta, d_phi = np.zeros((3, n_c))
+    if omega > 0:
+        rng = gscm._stream(scenario.config.rng_seed, gscm._STREAM_PERTURB)
+        for j in range(n_c):
+            tau, el, az = cluster_observables(scenario, j)
+            bounds = crlb(params, az, el)
+            signs = rng.choice([-1.0, 1.0], size=3)
+            # the angle bounds are infinite for a single sensor per axis
+            d_tau[j], d_theta[j], d_phi[j] = (
+                sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
+                for sign, b in zip(signs, bounds))
+            try:
+                if tau + d_tau[j] <= 0:
+                    raise GeometryError("perturbed delay is nonpositive")
+                positions[j], vr_centers[j] = _rebuild_cluster(
+                    scenario, j, tau + d_tau[j], el + d_theta[j], az + d_phi[j])
+                delays[j] = tau + d_tau[j]
+            except GeometryError:
+                # keep the true geometry for this cluster; the robustness
+                # study continues with the remaining clusters perturbed
+                fallback[j] = True
 
     v_tilde = gscm.large_scale_gains(scenario, vr_centers, delays,
                                      include_shadowing=False)
-    v_tilde[:, fallback] = v[:, fallback]
     return PerturbedGeometry(
-        v_matrix=v,
         v_tilde=v_tilde,
-        error_matrix=v - v_tilde,
         perturbations=LocalizationError(omega, d_tau, d_theta, d_phi),
         cluster_positions=positions,
         fallback_count=int(fallback.sum()),

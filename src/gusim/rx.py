@@ -12,7 +12,8 @@ from .errors import ConfigurationError, RankDeficiencyError
 
 BOLTZMANN = 1.381e-23
 
-_ZF_RTOL = 1e-9
+# zero-forcing refuses a channel whose condition number exceeds this
+ZF_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -157,15 +158,15 @@ def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
     return (covariances @ sol)[:, :, 0].T
 
 
-def zf_weights(h: np.ndarray, cond_limit: float = 1e12) -> ZfReceiver:
-    """Pseudo-inverse receiver W = (H^H H)^{-1} H^H with a conditioning
-    guard; requires M >= K_s and full column rank."""
+def zf_weights(h: np.ndarray) -> ZfReceiver:
+    """Pseudo-inverse receiver W = (H^H H)^{-1} H^H; requires M >= K_s and
+    a condition number of at most ``ZF_COND_LIMIT``."""
     h = np.asarray(h)
     m, k_s = h.shape
     if m < k_s:
         raise ConfigurationError(f"need at least as many antennas ({m}) as users ({k_s})")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    if s[-1] == 0 or s[0] / s[-1] > cond_limit:
+    if s[-1] == 0 or s[0] / s[-1] > ZF_COND_LIMIT:
         cond = math.inf if s[-1] == 0 else s[0] / s[-1]
         raise RankDeficiencyError(
             f"channel matrix is numerically rank deficient (condition number {cond:.3e})"

@@ -8,14 +8,23 @@ import gusim.gscm as gscm
 from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
-                        mpc_amplitudes, path_loss_nlos, save_scenario,
-                        scenario_from_dict, scenario_to_dict, steering_vector,
-                        vr_gain)
+                        path_loss_nlos, save_scenario, scenario_from_dict,
+                        scenario_to_dict, steering_vector, vr_gain)
 from gusim.rx import channel_covariance
 
 from conftest import make_scenario, scalar_gain
 
 WAVELENGTH_2GHZ = 0.1499
+
+
+def mpc_gains(scen, user, cluster):
+    """Oracle for one user-cluster pair's complex MPC gains: the pair's
+    fading normals as circular Gaussians of power 1/N_p, scaled by the
+    scalar large-scale gain."""
+    normals = gscm._fading_normals(scen, user, cluster)
+    n_p = scen.config.mpcs_per_cluster
+    unit = (normals[:n_p] + 1j * normals[n_p:]) / math.sqrt(2.0 * n_p)
+    return scalar_gain(scen, user, cluster) * unit
 
 
 class TestGenerateScenario:
@@ -191,10 +200,6 @@ class TestLargeScaleGains:
             [scalar_gain(scen, k, 2, vr[2], delays[2], False) for k in range(6)],
             rtol=1e-12)
 
-    def test_geometry_factor_is_a_kernel_entry(self, small_scenario):
-        assert gscm.user_cluster_geometry_factor(small_scenario, 0, 0) \
-            == pytest.approx(scalar_gain(small_scenario, 0, 0), rel=1e-12)
-
 
 class TestSteeringVector:
     def test_broadside_all_ones(self):
@@ -212,7 +217,8 @@ class TestSteeringVector:
 class TestMpcAmplitudes:
     def test_far_user_amplitudes_vanish(self):
         # same user distance from the BS, VR centre moved far away: the
-        # transition gain collapses the amplitudes by orders of magnitude
+        # transition gain collapses the amplitudes by orders of magnitude,
+        # and the fading draw of the pair is the same
         inside = make_scenario(
             users_xy=[(900.0, 900.0)],
             cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([900.0, 900.0]))],
@@ -221,33 +227,12 @@ class TestMpcAmplitudes:
             users_xy=[(900.0, 900.0)],
             cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([-900.0, -900.0]))],
         )
-        near = gscm.user_cluster_geometry_factor(inside, 0, 0)
-        far = gscm.user_cluster_geometry_factor(outside, 0, 0)
+        near = gscm.large_scale_gains(inside)[0, 0]
+        far = gscm.large_scale_gains(outside)[0, 0]
         assert far < 1e-4 * near
-        assert np.max(np.abs(mpc_amplitudes(outside, 0, 0).gains)) < 1e-3 * near
-
-    def test_expected_total_power(self, small_scenario):
-        # sample-mean oracle over 1e5 redraws against the closed-form
-        # large-scale factor
-        factor = gscm.user_cluster_geometry_factor(small_scenario, 0, 0)
-        rng = np.random.default_rng(42)
-        n = 100_000
-        acc = 0.0
-        for _ in range(n):
-            draw = mpc_amplitudes(small_scenario, 0, 0, rng=rng)
-            acc += float(np.sum(np.abs(draw.gains) ** 2))
-        assert acc / n == pytest.approx(factor ** 2, rel=0.01)
-
-    def test_deterministic_without_rng(self, small_scenario):
-        a = mpc_amplitudes(small_scenario, 0, 0)
-        b = mpc_amplitudes(small_scenario, 0, 0)
-        np.testing.assert_array_equal(a.gains, b.gains)
-        np.testing.assert_array_equal(a.azimuths, b.azimuths)
-
-    def test_draw_length(self, small_scenario):
-        draw = mpc_amplitudes(small_scenario, 0, 0)
-        assert draw.gains.shape == (small_scenario.config.mpcs_per_cluster,)
-        assert np.all(np.isfinite(draw.gains))
+        np.testing.assert_allclose(channel_matrix(outside, [0]).entries,
+                                   far / near * channel_matrix(inside, [0]).entries,
+                                   rtol=1e-12)
 
 
 class TestChannelMatrix:
@@ -259,20 +244,10 @@ class TestChannelMatrix:
             cluster_specs=[(np.array([150.0, 0.0, 5.0]), np.array([210.0, 0.0]))],
             mpcs_per_cluster=1, angular_spread_deg=0.0, antenna_count=4,
         )
-        draw = mpc_amplitudes(scen, 0, 0)
-        assert draw.azimuths[0] == pytest.approx(0.0, abs=1e-12)
+        assert gscm.cluster_azimuths(scen, 0)[0] == pytest.approx(0.0, abs=1e-12)
         h = channel_matrix(scen, [0]).entries
-        np.testing.assert_allclose(h[:, 0], np.full(4, draw.gains[0]), rtol=1e-12)
-
-    def test_shared_cluster_parallel_columns(self):
-        scen = make_scenario(
-            users_xy=[(200.0, 10.0), (220.0, -10.0)],
-            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
-        )
-        h = channel_matrix(scen, [0, 1], shared_fading=True).entries
-        c0, c1 = h[:, 0], h[:, 1]
-        inner = abs(np.vdot(c0, c1)) / (np.linalg.norm(c0) * np.linalg.norm(c1))
-        assert inner == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(h[:, 0], np.full(4, mpc_gains(scen, 0, 0)[0]),
+                                   rtol=1e-12)
 
     def test_matches_brute_force_double_sum(self):
         scen = make_scenario(
@@ -288,21 +263,27 @@ class TestChannelMatrix:
         alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
         expected = np.zeros((4, 2), dtype=complex)
         for col, user in enumerate([0, 1]):
-            for j in gscm.visible_clusters(scen, user):
-                draw = mpc_amplitudes(scen, user, j)
+            for j in range(scen.num_clusters):
+                d_vr = float(np.linalg.norm(scen.users[user, :2]
+                                            - scen.clusters[j].vr_center))
+                if vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
+                           cfg.wavelength) <= gscm.DEFAULT_VISIBILITY_FLOOR:
+                    continue
+                gains = mpc_gains(scen, user, j)
+                azimuths = gscm.cluster_azimuths(scen, j)
                 for i in range(cfg.mpcs_per_cluster):
                     for m in range(4):
-                        expected[m, col] += draw.gains[i] * np.exp(
-                            1j * alpha * m * math.sin(draw.azimuths[i]))
+                        expected[m, col] += gains[i] * np.exp(
+                            1j * alpha * m * math.sin(azimuths[i]))
         np.testing.assert_allclose(h, expected, rtol=1e-12)
 
     def test_linearity_via_shared_scaling(self, small_scenario):
         # doubling every MPC gain of a user doubles that column: verified
         # through the scale factor in the geometry term
         h1 = channel_matrix(small_scenario, [0]).entries
-        draw = mpc_amplitudes(small_scenario, 0, 0)
         rebuilt = np.zeros_like(h1[:, 0])
-        for g, phi in zip(draw.gains, draw.azimuths):
+        for g, phi in zip(mpc_gains(small_scenario, 0, 0),
+                          gscm.cluster_azimuths(small_scenario, 0)):
             rebuilt += g * steering_vector(
                 phi, small_scenario.config.antenna_count,
                 small_scenario.config.antenna_spacing_fraction)
@@ -330,9 +311,11 @@ class TestChannelMatrix:
 
 
 class TestChannelCovariances:
-    def test_sample_covariance_of_redraws_converges(self):
+    def test_sample_covariance_of_redraws_converges(self, monkeypatch):
         # Oracle: the sample covariance of vec(H) over independent fading
         # re-draws, cross-user blocks included (those are exactly zero).
+        # The re-draws come from channel_matrix itself, its per-pair
+        # fading normals drawn from one seeded test generator instead.
         scen = generate_scenario(ScenarioConfig(
             num_users=2, num_clusters=1, antenna_count=4, mpcs_per_cluster=3,
             rng_seed=0))
@@ -341,7 +324,9 @@ class TestChannelCovariances:
         exact = np.zeros((2 * m, 2 * m), dtype=complex)
         exact[:m, :m], exact[m:, m:] = r
         rng = np.random.default_rng(0)
-        samples = [channel_matrix(scen, [0, 1], gain_rng=rng).entries
+        monkeypatch.setattr(gscm, "_fading_normals", lambda s, user, cluster:
+                            rng.standard_normal(2 * s.config.mpcs_per_cluster))
+        samples = [channel_matrix(scen, [0, 1]).entries
                    .reshape(-1, order="F") for _ in range(30_000)]
 
         def rel_err(n):
@@ -357,7 +342,7 @@ class TestChannelCovariances:
             users_xy=[(200.0, 0.0)],
             cluster_specs=[(np.array([150.0, 0.0, 5.0]), np.array([210.0, 0.0]))],
             mpcs_per_cluster=1, angular_spread_deg=0.0, antenna_count=3)
-        f2 = gscm.user_cluster_geometry_factor(scen, 0, 0) ** 2
+        f2 = scalar_gain(scen, 0, 0) ** 2
         np.testing.assert_allclose(channel_covariances(scen, [0]),
                                    f2 * np.ones((1, 3, 3)), rtol=1e-12)
 

@@ -33,6 +33,15 @@ def tiny_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if any trial starts (every trial draws a scenario)."""
+    def refuse(config):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "generate_scenario", refuse)
+
+
 class TestUnitConversions:
     def test_round_trip(self):
         assert watts_to_dbm(dbm_to_watts(23.0)) == pytest.approx(23.0, abs=1e-12)
@@ -150,6 +159,15 @@ class TestRunExperiment:
                                                   antenna_count=4), ks_values=(6,))
         with pytest.raises(ConfigurationError, match="antenna_count"):
             cfg.validate()
+
+    def test_paper_literal_needs_estimation(self, no_trials):
+        # with perfect CSI every algorithm would read K_s*log2(1 + P/K_s)
+        cfg = tiny_config(mode="paper-literal")
+        with pytest.raises(ConfigurationError, match="use_estimation"):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match="use_estimation"):
+            run_experiment(cfg)
+        tiny_config(mode="paper-literal", use_estimation=True).validate()
 
 
 class TestFigureSweeps:
@@ -314,13 +332,23 @@ class TestCli:
 
     def test_overrides_apply(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        save_config(tiny_config(), cfg_path)
+        save_config(tiny_config(use_estimation=True), cfg_path)
         out = tmp_path / "o.csv"
         cli.main(["run", "--config", str(cfg_path), "--trials", "1",
                   "--seed", "7", "--mode", "paper-literal",
                   "--gus-variant", "set", "--out", str(out)])
         manifest = (tmp_path / "o.csv.manifest.txt").read_text()
         assert "base_seed: 7" in manifest
+
+    def test_paper_literal_override_rejected_before_any_trial(self, tmp_path,
+                                                                no_trials):
+        cfg_path = tmp_path / "c.yaml"
+        save_config(tiny_config(), cfg_path)
+        out = tmp_path / "o.csv"
+        with pytest.raises(ConfigurationError, match="use_estimation"):
+            cli.main(["fig2", "--config", str(cfg_path), "--mode", "paper-literal",
+                      "--out", str(out)])
+        assert not out.exists()
 
     def test_fig3_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
