@@ -12,8 +12,8 @@ from .gscm import (ChannelMatrix, Cluster, Scenario, ScenarioConfig,
 from .rx import (PilotConfig, PowerConfig, ZfReceiver, channel_covariance,
                  ergodic_capacity, mmse_estimate, mmse_estimate_per_user,
                  noise_power, sum_rate, unitary_pilots, zf_weights)
-from .scheduling import (ScheduleResult, build_v_matrix, correlation_metric,
-                         estimation_load, gus_select, gwc_select, random_select)
+from .scheduling import (ScheduleResult, build_v_matrix, estimation_load,
+                         gus_select, gwc_select, random_select)
 from .localization import (CrlbParams, LocalizationError, PerturbedGeometry,
                            crlb, field_pattern, perturb_and_rebuild,
                            solve_cluster_distance)

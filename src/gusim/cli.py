@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
+from .errors import ConfigurationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,18 +51,22 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _load(args)
-    if args.command == "fig2":
-        harness.figure2_sweep(config, args.out)
-    elif args.command == "fig3":
-        harness.figure3_load(config, args.out)
-    elif args.command == "fig4":
-        harness.figure4_robustness(config, args.out)
-    else:
-        stats = harness.run_experiment(config)
-        harness.write_results_csv(stats, args.out)
-        harness.write_manifest(config, args.out)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _load(args)
+        if args.command == "fig2":
+            harness.figure2_sweep(config, args.out)
+        elif args.command == "fig3":
+            harness.figure3_load(config, args.out)
+        elif args.command == "fig4":
+            harness.figure4_robustness(config, args.out)
+        else:
+            stats = harness.run_experiment(config)
+            harness.write_results_csv(stats, args.out)
+            harness.write_manifest(config, args.out)
+    except ConfigurationError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote {args.out} (+ manifest)")
     return 0
 

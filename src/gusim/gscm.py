@@ -307,11 +307,51 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
         for j in range(scenario.num_clusters)])
 
 
-def _fading_normals(scenario: Scenario, user: int, cluster: int) -> np.ndarray:
-    """The 2 N_p standard normals behind one user-cluster pair's MPC fading
-    (real parts, then imaginary parts), from the pair's own stream."""
-    rng = _stream(scenario.config.rng_seed, _STREAM_GAINS, cluster, user)
-    return rng.standard_normal(2 * scenario.config.mpcs_per_cluster)
+# numpy's SeedSequence mixer (O'Neill's seed_seq) and PCG64 seeding constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+
+
+def _seed_hash(words: np.ndarray, step: int, init: int, mult: int) -> np.ndarray:
+    """seed_seq's hash of uint32 words at step ``step`` of its constant chain."""
+    const = init * pow(mult, step, 2**32) & _MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(const * mult & _MASK32)
+    return words ^ (words >> _XSHIFT)
+
+
+def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
+    """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
+    row i is bitwise ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])
+    .standard_normal(2 N_p)``. All pairs are seeded at once, then one reused
+    generator draws from each pair's PCG64 state. A key word of 2^32 or more
+    adds SeedSequence entropy words, so such keys take ``_stream``."""
+    seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
+    if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
+        return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
+                         for k, j in zip(users, clusters)]).reshape(-1, n_draws)
+    with np.errstate(over="ignore"):
+        pool = [_seed_hash(w.astype(np.uint32), i, _INIT_A, _MULT_A) for i, w in
+                enumerate(np.broadcast_arrays(seed, _STREAM_GAINS, clusters, users))]
+        pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+        for step, (src, dst) in enumerate(pairs, 4):
+            mixed = np.uint32(_MIX_MULT_L) * pool[dst] \
+                - np.uint32(_MIX_MULT_R) * _seed_hash(pool[src], step, _INIT_A, _MULT_A)
+            pool[dst] = mixed ^ (mixed >> _XSHIFT)
+        # generate_state(4, uint64): eight words cycling the pool, paired low-high
+        state = np.array([_seed_hash(pool[i % 4], i, _INIT_B, _MULT_B) for i in range(8)],
+                         np.uint64)
+    words = (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+    gen = np.random.Generator(np.random.PCG64(0))
+    out = np.empty((len(users), n_draws))
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, words):
+        # PCG64 setseq_128_srandom: inc = 2 initseq + 1, two LCG steps from 0
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        pcg_state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": pcg_state, "inc": inc}}
+        gen.standard_normal(out=row)
+    return out
 
 
 def _check_selected(scenario: Scenario, selected) -> list[int]:
@@ -340,12 +380,11 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     selected = _check_selected(scenario, selected)
     gains = large_scale_gains(scenario)[selected]
     visible = _vr_gains(scenario)[selected] > DEFAULT_VISIBILITY_FLOOR
-    # the fading is drawn pair by pair, visible pairs only
+    # each visible pair's fading comes from the pair's own stream
     n_p = scenario.config.mpcs_per_cluster
     normals = np.zeros(gains.shape + (2 * n_p,))
-    for row, k in enumerate(selected):
-        for j in np.flatnonzero(visible[row]):
-            normals[row, j] = _fading_normals(scenario, k, j)
+    rows, cols = np.nonzero(visible)
+    normals[rows, cols] = _fading_normals_batch(scenario, np.array(selected)[rows], cols)
     fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
     h = np.einsum("kjp,jpm->mk", gains[..., None] * fading,
                   _steering_tensor(scenario))

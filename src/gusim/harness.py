@@ -71,6 +71,8 @@ class ExperimentConfig:
         self.scenario.validate()
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError("base_seed must be a nonnegative integer")
         if not self.powers_dbm or not self.ks_values or not self.omegas:
             raise ConfigurationError("power, K_s and omega grids must be nonempty")
         for alg in self.algorithms:
@@ -83,6 +85,10 @@ class ExperimentConfig:
                 "mode 'paper-literal' needs use_estimation: with perfect CSI, "
                 "zero-forcing leaves no interference, so every algorithm "
                 "reads K_s*log2(1 + P/K_s) whatever the channel")
+        if self.mode == "paper-literal" and "GWC" in self.algorithms:
+            raise ConfigurationError(
+                "GWC needs mode 'physical': its paper-literal objective is flat, so "
+                "it takes the strongest column and then the lowest indices")
         if self.gus_variant not in ("last", "set"):
             raise ConfigurationError(f"unknown gus_variant {self.gus_variant!r}")
         for ks in self.ks_values:
@@ -198,7 +204,7 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
                         power = PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
                         try:
                             if alg == "GWC":
-                                sel = gwc_select(h_all, ks, power, config.mode).selected
+                                sel = gwc_select(h_all, ks, power).selected
                                 if config.use_estimation:
                                     cov = channel_covariances(scen, sel)
                             elif fixed_sel is None:

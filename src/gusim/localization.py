@@ -208,17 +208,6 @@ def _rebuild_cluster(scenario: Scenario, cluster: int, tau: float,
     return position, cl.vr_center + (position[:2] - cl.position[:2])
 
 
-def rebuild_cluster_column(scenario: Scenario, cluster: int, tau: float,
-                           elevation: float, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild one cluster from measured (delay, elevation, azimuth) and
-    return the per-user column of the rebuilt user-cluster matrix along
-    with the rebuilt 3D cluster position."""
-    position, vr_center = _rebuild_cluster(scenario, cluster, tau, elevation, azimuth)
-    column = gscm.large_scale_gains(scenario, vr_center[None], np.array([tau]),
-                                    include_shadowing=False)[:, 0]
-    return column, position
-
-
 def perturb_and_rebuild(scenario: Scenario, omega: int,
                         params: CrlbParams) -> PerturbedGeometry:
     """Perturb each cluster's measured delay/elevation/azimuth by

@@ -4,7 +4,6 @@ baseline, and the channel-estimation load metric."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,17 +37,6 @@ def build_v_matrix(scenario: gscm.Scenario) -> np.ndarray:
     alone.
     """
     return gscm.large_scale_gains(scenario, include_shadowing=False)
-
-
-def correlation_metric(v_k: np.ndarray, v_j: np.ndarray) -> float:
-    """Normalized inner product |v_k . v_j*| / (||v_k|| ||v_j||) in [0, 1]."""
-    v_k = np.asarray(v_k).reshape(-1)
-    v_j = np.asarray(v_j).reshape(-1)
-    nk = np.linalg.norm(v_k)
-    nj = np.linalg.norm(v_j)
-    if nk == 0 or nj == 0:
-        raise ConfigurationError("correlation metric undefined for a zero row")
-    return min(1.0, float(abs(np.vdot(v_j, v_k))) / (nk * nj))
 
 
 def gus_select(v: np.ndarray, num_selected: int,
@@ -101,7 +89,7 @@ def gus_select(v: np.ndarray, num_selected: int,
 
 
 def gwc_select(h_all: np.ndarray, num_selected: int,
-               power: PowerConfig, mode: str = "physical") -> ScheduleResult:
+               power: PowerConfig) -> ScheduleResult:
     """Full-CSI greedy baseline: start from the strongest channel column
     and at each step add the user maximizing the zero-forcing sum-rate of
     the tentative set (equal power split over the tentative set size).
@@ -111,9 +99,8 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
     E = H_rem - QC of squared column norm rho^2 and X = R^-1 C, the ZF
     noise gain [(H'^H H')^-1]_kk of the tentative set H' = [H_S h] is
     ||row k of R^-1||^2 + |X_k|^2 / rho^2 for a selected user and
-    1 / rho^2 for the candidate, which gives ``sum_rate``'s per-user SINR
-    in closed form. In ``paper-literal`` mode that SINR is the per-user
-    power, so every candidate scores the same and the lowest index wins.
+    1 / rho^2 for the candidate, which gives ``sum_rate``'s physical
+    per-user SINR in closed form.
 
     Candidates are visited in descending score (ties to the lowest index)
     and the first one that ``zf_weights`` accepts is added; a candidate in
@@ -125,8 +112,6 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
     m, k = h_all.shape
     if not 1 <= num_selected <= k:
         raise ConfigurationError(f"num_selected must be in [1, {k}]")
-    if mode not in ("physical", "paper-literal"):
-        raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
 
     norms = np.linalg.norm(h_all, axis=0)
     # QR factors of the selected columns, grown one column per step
@@ -146,13 +131,10 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
         scored = np.flatnonzero(rho2 > 0)
         rho2 = rho2[scored]
         p = power.total_power / (s + 1)
-        if mode == "physical":
-            gain = (np.sum(np.abs(r_inv) ** 2, axis=1)[:, None]
-                    + np.abs(r_inv @ c[:, scored]) ** 2 / rho2)
-            rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
-                     + np.log2(1.0 + p * rho2 / power.noise_power))
-        else:
-            rates = np.full(len(scored), (s + 1) * math.log2(1.0 + p))
+        gain = (np.sum(np.abs(r_inv) ** 2, axis=1)[:, None]
+                + np.abs(r_inv @ c[:, scored]) ** 2 / rho2)
+        rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
+                 + np.log2(1.0 + p * rho2 / power.noise_power))
         key = rates if s else norms[remaining[scored]]
         for j in np.argsort(-key, kind="stable"):
             try:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gusim import gscm
+from gusim import gscm, localization
+from gusim.errors import ConfigurationError
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
 
 
@@ -74,3 +75,26 @@ def scalar_gain(scen, user, cluster, vr_center=None, delay=None,
     if include_shadowing:
         a_c = a_c * cl.shadow_gain
     return pathloss_amplitude(scen, user) * a_vr * math.sqrt(a_c)
+
+
+def correlation_metric(v_k, v_j) -> float:
+    """Oracle for one entry of ``gus_select``'s normalized |V V^T| matrix:
+    |v_k . v_j*| / (||v_k|| ||v_j||) in [0, 1]."""
+    v_k = np.asarray(v_k).reshape(-1)
+    v_j = np.asarray(v_j).reshape(-1)
+    nk = np.linalg.norm(v_k)
+    nj = np.linalg.norm(v_j)
+    if nk == 0 or nj == 0:
+        raise ConfigurationError("correlation metric undefined for a zero row")
+    return min(1.0, float(abs(np.vdot(v_j, v_k))) / (nk * nj))
+
+
+def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
+    """Oracle for one column of ``perturb_and_rebuild``: rebuild one cluster
+    from measured (delay, elevation, azimuth) and return the per-user column
+    of the rebuilt user-cluster matrix with the rebuilt 3D cluster position."""
+    position, vr_center = localization._rebuild_cluster(scen, cluster, tau,
+                                                        elevation, azimuth)
+    column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]),
+                                    include_shadowing=False)[:, 0]
+    return column, position

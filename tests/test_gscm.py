@@ -1,8 +1,10 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gusim.gscm as gscm
 from gusim.errors import ConfigurationError, GeometryError
@@ -17,11 +19,24 @@ from conftest import make_scenario, scalar_gain
 WAVELENGTH_2GHZ = 0.1499
 
 
+def fading_normals(scen, user, cluster):
+    """Oracle for one row of ``gscm._fading_normals_batch``: the 2 N_p
+    normals of the pair's own SeedSequence-seeded stream."""
+    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_GAINS, cluster, user)
+    return rng.standard_normal(2 * scen.config.mpcs_per_cluster)
+
+
+def per_pair_batch(scen, users, clusters):
+    """``gscm._fading_normals_batch`` computed one stream per pair."""
+    return np.array([fading_normals(scen, k, j) for k, j in zip(users, clusters)]
+                    ).reshape(-1, 2 * scen.config.mpcs_per_cluster)
+
+
 def mpc_gains(scen, user, cluster):
     """Oracle for one user-cluster pair's complex MPC gains: the pair's
     fading normals as circular Gaussians of power 1/N_p, scaled by the
     scalar large-scale gain."""
-    normals = gscm._fading_normals(scen, user, cluster)
+    normals = fading_normals(scen, user, cluster)
     n_p = scen.config.mpcs_per_cluster
     unit = (normals[:n_p] + 1j * normals[n_p:]) / math.sqrt(2.0 * n_p)
     return scalar_gain(scen, user, cluster) * unit
@@ -310,6 +325,56 @@ class TestChannelMatrix:
         np.testing.assert_array_equal(a, b)
 
 
+class TestFadingNormalsBatch:
+    """The batch seeder re-implements numpy's SeedSequence mixing and PCG64
+    seeding, so a numpy release that changes either fails here."""
+
+    SEEDS = (0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3, 2**64)
+    USERS = np.array([0, 1, 39, 7, 2**16, 2**31, 2**32 - 1, 2**32 - 1, 2**32, 5])
+    CLUSTERS = np.array([0, 11, 3, 2**32 - 1, 4, 2**31 + 5, 0, 2**32 - 1, 2, 2**33])
+
+    @staticmethod
+    def _scenario(seed, mpcs=6):
+        scen = generate_scenario(ScenarioConfig(num_users=2, num_clusters=1))
+        return replace(scen, config=replace(scen.config, rng_seed=seed,
+                                            mpcs_per_cluster=mpcs))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_per_pair_streams(self, seed):
+        scen = self._scenario(seed)
+        for users, clusters in ((self.USERS, self.CLUSTERS),
+                                (self.USERS[:8], self.CLUSTERS[:8])):
+            got = gscm._fading_normals_batch(scen, users, clusters)
+            np.testing.assert_array_equal(got, per_pair_batch(scen, users, clusters))
+
+    def test_no_pairs(self):
+        got = gscm._fading_normals_batch(self._scenario(3, mpcs=4),
+                                         np.array([], int), np.array([], int))
+        assert got.shape == (0, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**70),
+           mpcs=st.integers(1, 8),
+           pairs=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                    st.integers(0, 2**32 - 1)), max_size=12))
+    def test_random_keys_match_per_pair_streams(self, seed, mpcs, pairs):
+        scen = self._scenario(seed, mpcs)
+        users = np.array([k for k, _ in pairs], dtype=np.int64)
+        clusters = np.array([j for _, j in pairs], dtype=np.int64)
+        np.testing.assert_array_equal(gscm._fading_normals_batch(scen, users, clusters),
+                                      per_pair_batch(scen, users, clusters))
+
+    def test_channel_matrix_matches_per_pair_loop(self, monkeypatch):
+        # every user of seeds 1-40, and two seeds that take the fallback
+        batch = {}
+        for seed in [*range(1, 41), 2**32, 2**40 + 3]:
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            batch[seed] = (scen, channel_matrix(scen, range(40)).entries)
+        monkeypatch.setattr(gscm, "_fading_normals_batch", per_pair_batch)
+        for seed, (scen, h) in batch.items():
+            np.testing.assert_array_equal(h, channel_matrix(scen, range(40)).entries)
+
+
 class TestChannelCovariances:
     def test_sample_covariance_of_redraws_converges(self, monkeypatch):
         # Oracle: the sample covariance of vec(H) over independent fading
@@ -324,8 +389,9 @@ class TestChannelCovariances:
         exact = np.zeros((2 * m, 2 * m), dtype=complex)
         exact[:m, :m], exact[m:, m:] = r
         rng = np.random.default_rng(0)
-        monkeypatch.setattr(gscm, "_fading_normals", lambda s, user, cluster:
-                            rng.standard_normal(2 * s.config.mpcs_per_cluster))
+        monkeypatch.setattr(gscm, "_fading_normals_batch", lambda s, users, clusters:
+                            rng.standard_normal((len(users),
+                                                 2 * s.config.mpcs_per_cluster)))
         samples = [channel_matrix(scen, [0, 1]).entries
                    .reshape(-1, order="F") for _ in range(30_000)]
 

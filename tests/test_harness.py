@@ -162,12 +162,30 @@ class TestRunExperiment:
 
     def test_paper_literal_needs_estimation(self, no_trials):
         # with perfect CSI every algorithm would read K_s*log2(1 + P/K_s)
-        cfg = tiny_config(mode="paper-literal")
+        cfg = tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"))
         with pytest.raises(ConfigurationError, match="use_estimation"):
             cfg.validate()
         with pytest.raises(ConfigurationError, match="use_estimation"):
             run_experiment(cfg)
-        tiny_config(mode="paper-literal", use_estimation=True).validate()
+        tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"),
+                    use_estimation=True).validate()
+
+    def test_paper_literal_gwc_rejected_before_any_trial(self, no_trials):
+        # its flat objective picks the strongest column, then the lowest indices
+        cfg = tiny_config(mode="paper-literal", use_estimation=True)
+        with pytest.raises(ConfigurationError, match="GWC.*lowest indices"):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match="GWC"):
+            run_experiment(cfg)
+        tiny_config(use_estimation=True).validate()
+
+    def test_negative_base_seed_rejected_before_any_trial(self, no_trials):
+        cfg = tiny_config(base_seed=-2)
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            run_experiment(cfg)
+        tiny_config(base_seed=0).validate()
 
 
 class TestFigureSweeps:
@@ -332,7 +350,8 @@ class TestCli:
 
     def test_overrides_apply(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"
-        save_config(tiny_config(use_estimation=True), cfg_path)
+        save_config(tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM")),
+                    cfg_path)
         out = tmp_path / "o.csv"
         cli.main(["run", "--config", str(cfg_path), "--trials", "1",
                   "--seed", "7", "--mode", "paper-literal",
@@ -341,13 +360,17 @@ class TestCli:
         assert "base_seed: 7" in manifest
 
     def test_paper_literal_override_rejected_before_any_trial(self, tmp_path,
-                                                                no_trials):
+                                                                no_trials, capsys):
         cfg_path = tmp_path / "c.yaml"
         save_config(tiny_config(), cfg_path)
         out = tmp_path / "o.csv"
-        with pytest.raises(ConfigurationError, match="use_estimation"):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["fig2", "--config", str(cfg_path), "--mode", "paper-literal",
                       "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: mode 'paper-literal' needs use_estimation")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_fig3_subcommand(self, tmp_path):

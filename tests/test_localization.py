@@ -9,10 +9,11 @@ from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_angles, crlb_delay, cluster_observables,
                                 field_pattern, output_snr, perturb_and_rebuild,
-                                rebuild_cluster_column, solve_cluster_distance)
+                                solve_cluster_distance)
 from gusim.scheduling import build_v_matrix
 
-from conftest import make_scenario, pathloss_amplitude, reference_delay
+from conftest import (make_scenario, pathloss_amplitude, rebuild_cluster_column,
+                      reference_delay)
 
 
 class TestFieldPattern:

@@ -10,11 +10,11 @@ import gusim.gscm as gscm
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.rx import PowerConfig, sum_rate, zf_weights
-from gusim.scheduling import (build_v_matrix, correlation_metric,
-                              estimation_load, gus_select, gwc_select,
-                              random_select)
+from gusim.scheduling import (build_v_matrix, estimation_load, gus_select,
+                              gwc_select, random_select)
 
-from conftest import make_scenario, pathloss_amplitude, reference_delay
+from conftest import (correlation_metric, make_scenario, pathloss_amplitude,
+                      reference_delay)
 
 
 class TestBuildVMatrix:
@@ -246,14 +246,14 @@ class TestGusMatchesPairwiseOracle:
         assert 1 not in selected
 
 
-def gwc_oracle(h_all, num_selected, power, mode="physical"):
+def gwc_oracle(h_all, num_selected, power):
     """Reference greedy: one ``zf_weights`` + ``sum_rate`` per candidate
     and step, with the same first pick, tie and skip rules as
     ``gwc_select``. Returns (selected, per-step objective)."""
     def set_rate(members):
         h = h_all[:, members]
         p = PowerConfig(power.total_power, len(members), power.noise_power)
-        return sum_rate(h, zf_weights(h), p, mode=mode)
+        return sum_rate(h, zf_weights(h), p)
 
     first = int(np.argmax(np.linalg.norm(h_all, axis=0)))
     selected, scores = [first], [set_rate([first])]
@@ -350,17 +350,6 @@ class TestGwcSelect:
             warnings.simplefilter("error")
             with pytest.raises(SelectionError):
                 gwc_select(h, 2, PowerConfig(1.0, 2, 1e-2))
-
-    def test_paper_literal_strongest_then_lowest_indices(self):
-        rng = np.random.default_rng(9)
-        h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        h[:, 3] *= 3.0
-        result = gwc_select(h, 4, PowerConfig(2.0, 4, 1e-2), mode="paper-literal")
-        assert result.selected == (3, 0, 1, 2)
-        # exact ZF: the objective is n * log2(1 + P/n) for every n-user set
-        np.testing.assert_allclose(
-            result.per_step_scores,
-            [n * math.log2(1.0 + 2.0 / n) for n in range(1, 5)], rtol=1e-15)
 
     def test_objective_recorded_per_step(self):
         rng = np.random.default_rng(5)
