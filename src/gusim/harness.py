@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
+from itertools import product
 
 import numpy as np
 import yaml
@@ -75,6 +78,8 @@ class ExperimentConfig:
             raise ConfigurationError("base_seed must be a nonnegative integer")
         if not self.powers_dbm or not self.ks_values or not self.omegas:
             raise ConfigurationError("power, K_s and omega grids must be nonempty")
+        if not all(math.isfinite(p) for p in self.powers_dbm):
+            raise ConfigurationError("powers_dbm must be finite")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
@@ -160,6 +165,94 @@ def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
     return mmse_estimate_per_user(received, pilot, covariances)
 
 
+def _greedy_prefixes(select, ks_values) -> dict:
+    """K_s -> ``select(K_s)``, None where that raises ``SelectionError``. Greedy
+    picks do not depend on how many follow: the largest feasible K_s serves all."""
+    for top in sorted(set(ks_values), reverse=True):
+        try:
+            picks = select(top)
+        except SelectionError:
+            continue
+        return {ks: picks[:ks] if ks <= top else None for ks in ks_values}
+    return dict.fromkeys(ks_values)
+
+
+def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
+    """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
+    function of (config, base seed, trial). GUS and GWC run at the largest
+    K_s only; receivers, covariances and rates are memoized per ordered set
+    (and power), since the estimate's pilot noise is keyed by the set size."""
+    seed = config.base_seed + trial
+    scen = generate_scenario(replace(config.scenario, rng_seed=seed))
+    k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
+                       config.noise_power)
+    h_all = channel_matrix(scen, range(k_total)).entries
+
+    random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks)).selected
+              for ks in config.ks_values}
+    gus = {}
+    if "GUS" in config.algorithms:
+        v = build_v_matrix(scen)
+        for omega in config.omegas:   # the rebuilt V depends on omega only
+            v_omega = v if omega == 0 else \
+                perturb_and_rebuild(scen, omega, config.crlb).v_tilde
+            gus[omega] = _greedy_prefixes(lambda ks: gus_select(
+                v_omega, ks, config.gus_variant).selected, config.ks_values)
+    gwc = {p_dbm: _greedy_prefixes(lambda ks: gwc_select(
+        h_all, ks, PowerConfig(dbm_to_watts(p_dbm), ks, p_n)).selected, config.ks_values)
+        for p_dbm in config.powers_dbm if "GWC" in config.algorithms}
+
+    covariances = cache(partial(channel_covariances, scen))
+
+    @cache
+    def receiver(sel: tuple[int, ...], p_dbm: float | None):
+        """ZF receiver of a set (power-free with perfect CSI), None if rank deficient."""
+        h_zf = h_all[:, list(sel)]
+        try:
+            if p_dbm is not None:
+                power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
+                h_zf = _estimate_selected_channel(scen, sel, h_zf, power, covariances(sel))
+            return zf_weights(h_zf)
+        except RankDeficiencyError:
+            return None
+
+    @cache
+    def rate(sel: tuple[int, ...], p_dbm: float) -> float | None:
+        rx = receiver(sel, p_dbm if config.use_estimation else None)
+        power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
+        return None if rx is None else \
+            sum_rate(h_all[:, list(sel)], rx, power, mode=config.mode)
+
+    rows = []
+    for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
+                                         config.algorithms, config.powers_dbm):
+        sel = (gus[omega] if alg == "GUS" else gwc[p_dbm] if alg == "GWC"
+               else random)[ks]
+        r = None if sel is None else rate(sel, p_dbm)
+        rows.append(TrialResult(trial, alg, ks, p_dbm, omega, r,
+                                estimation_load(m, k_total if alg == "GWC" else ks),
+                                () if r is None else sel))
+    return rows
+
+
+def _aggregate(config: ExperimentConfig, rows, figure: str) -> tuple[CellStats, ...]:
+    """One cell per (K_s, omega, algorithm, power) of the grid, in that
+    order, from one pass over the rows; a cell keeps its rows' order."""
+    groups = defaultdict(list)
+    for r in rows:
+        groups[r.ks, r.omega, r.algorithm, r.p_dbm].append(r)
+    cells = []
+    for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
+                                         config.algorithms, config.powers_dbm):
+        group = groups[ks, omega, alg, p_dbm]
+        ok = [r.sum_rate for r in group if r.sum_rate is not None]
+        mean = float(np.mean(ok)) if ok else math.nan
+        se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else 0.0
+        cells.append(CellStats(figure, alg, ks, p_dbm, omega, mean, se, len(ok),
+                               len(group) - len(ok), group[0].load))
+    return tuple(cells)
+
+
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
     """Execute the configured Monte-Carlo sweep and aggregate per cell.
 
@@ -168,80 +261,9 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
     in the aggregate rows.
     """
     config.validate()
-    p_n = config.noise_power
-    k_total = config.scenario.num_users
-    m = config.scenario.antenna_count
-    rows: list[TrialResult] = []
-
-    for trial in range(config.trials):
-        scen = generate_scenario(
-            replace(config.scenario, rng_seed=config.base_seed + trial))
-        v = build_v_matrix(scen)
-        h_all = channel_matrix(scen, range(k_total)).entries
-        # the rebuilt geometry depends on the scenario and omega, not on K_s
-        v_by_omega = {omega: v if omega == 0 else
-                      perturb_and_rebuild(scen, omega, config.crlb).v_tilde
-                      for omega in config.omegas}
-
-        for ks in config.ks_values:
-            random_rng = _stream(config.base_seed + trial, _STREAM_SELECT, ks)
-            random_sel = random_select(k_total, ks, random_rng)
-            for omega in config.omegas:
-                for alg in config.algorithms:
-                    load = estimation_load(m, k_total if alg == "GWC" else ks)
-                    # GUS and RANDOM do not depend on power: select once,
-                    # and build the covariances of the selection once
-                    fixed_sel, cov = random_sel.selected, None
-                    if alg == "GUS":
-                        try:
-                            fixed_sel = gus_select(v_by_omega[omega], ks,
-                                                   config.gus_variant).selected
-                        except SelectionError:
-                            fixed_sel = None
-                    if config.use_estimation and alg != "GWC" and fixed_sel is not None:
-                        cov = channel_covariances(scen, fixed_sel)
-                    for p_dbm in config.powers_dbm:
-                        power = PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
-                        try:
-                            if alg == "GWC":
-                                sel = gwc_select(h_all, ks, power).selected
-                                if config.use_estimation:
-                                    cov = channel_covariances(scen, sel)
-                            elif fixed_sel is None:
-                                raise SelectionError("no feasible GUS selection")
-                            else:
-                                sel = fixed_sel
-                            h_s = h_all[:, list(sel)]
-                            if config.use_estimation:
-                                h_est = _estimate_selected_channel(
-                                    scen, sel, h_s, power, cov)
-                            else:
-                                h_est = h_s
-                            rate = sum_rate(h_s, zf_weights(h_est), power,
-                                            mode=config.mode)
-                            rows.append(TrialResult(trial, alg, ks, p_dbm, omega,
-                                                    rate, load, tuple(sel)))
-                        except (RankDeficiencyError, SelectionError):
-                            rows.append(TrialResult(trial, alg, ks, p_dbm, omega,
-                                                    None, load, ()))
-
-    cells = []
-    for ks in config.ks_values:
-        for omega in config.omegas:
-            for alg in config.algorithms:
-                for p_dbm in config.powers_dbm:
-                    group = [r for r in rows
-                             if (r.algorithm, r.ks, r.omega) == (alg, ks, omega)
-                             and r.p_dbm == p_dbm]
-                    ok = [r.sum_rate for r in group if r.sum_rate is not None]
-                    excluded = len(group) - len(ok)
-                    mean = float(np.mean(ok)) if ok else math.nan
-                    se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) \
-                        if len(ok) > 1 else 0.0
-                    cells.append(CellStats(
-                        figure, alg, ks, p_dbm, omega, mean, se, len(ok),
-                        excluded, estimation_load(m, k_total if alg == "GWC" else ks)))
-    return AggregateStats(tuple(cells), tuple(rows))
+    rows = [row for trial in range(config.trials)
+            for row in _run_trial(config, trial)]
+    return AggregateStats(_aggregate(config, rows, figure), tuple(rows))
 
 
 def figure2_sweep(config: ExperimentConfig, out_path=None) -> AggregateStats:
@@ -343,8 +365,12 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(yaml.safe_load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(data)
 
 
 def config_hash(config: ExperimentConfig) -> str:

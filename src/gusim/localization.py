@@ -229,14 +229,14 @@ def perturb_and_rebuild(scenario: Scenario, omega: int,
     d_tau, d_theta, d_phi = np.zeros((3, n_c))
     if omega > 0:
         rng = gscm._stream(scenario.config.rng_seed, gscm._STREAM_PERTURB)
+        signs = rng.choice([-1.0, 1.0], size=(n_c, 3))
         for j in range(n_c):
             tau, el, az = cluster_observables(scenario, j)
             bounds = crlb(params, az, el)
-            signs = rng.choice([-1.0, 1.0], size=3)
             # the angle bounds are infinite for a single sensor per axis
             d_tau[j], d_theta[j], d_phi[j] = (
                 sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
-                for sign, b in zip(signs, bounds))
+                for sign, b in zip(signs[j], bounds))
             try:
                 if tau + d_tau[j] <= 0:
                     raise GeometryError("perturbed delay is nonpositive")

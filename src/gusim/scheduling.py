@@ -4,14 +4,15 @@ baseline, and the channel-estimation load metric."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gscm
-from .errors import ConfigurationError, RankDeficiencyError, SelectionError
-from .rx import PowerConfig, zf_weights
+from .errors import ConfigurationError, SelectionError
+from .rx import ZF_COND_LIMIT, PowerConfig
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,18 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
     per-user SINR in closed form.
 
     Candidates are visited in descending score (ties to the lowest index)
-    and the first one that ``zf_weights`` accepts is added; a candidate in
-    the span of the selected columns (rho^2 = 0) gets no score. A step
-    that cannot improve the objective still takes the best available
-    candidate so that exactly ``num_selected`` users come out.
+    and the first that ``zf_weights``' condition rule accepts, applied to
+    the tentative factor R'^-1 as cond(H') = cond(R') = cond(R'^-1), is
+    added; a candidate in the span of the selected columns (rho^2 = 0) gets
+    no score. A step that cannot improve the objective still takes the best
+    available candidate, and no pick depends on how many picks follow.
     """
     h_all = np.asarray(h_all)
     m, k = h_all.shape
     if not 1 <= num_selected <= k:
         raise ConfigurationError(f"num_selected must be in [1, {k}]")
+    if num_selected > m:
+        raise SelectionError(f"zero-forcing needs num_selected <= M = {m}")
 
     norms = np.linalg.norm(h_all, axis=0)
     # QR factors of the selected columns, grown one column per step
@@ -130,18 +134,18 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
         rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
         scored = np.flatnonzero(rho2 > 0)
         rho2 = rho2[scored]
+        x = r_inv @ c[:, scored]
         p = power.total_power / (s + 1)
-        gain = (np.sum(np.abs(r_inv) ** 2, axis=1)[:, None]
-                + np.abs(r_inv @ c[:, scored]) ** 2 / rho2)
+        gain = np.sum(np.abs(r_inv) ** 2, axis=1)[:, None] + np.abs(x) ** 2 / rho2
         rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
                  + np.log2(1.0 + p * rho2 / power.noise_power))
         key = rates if s else norms[remaining[scored]]
         for j in np.argsort(-key, kind="stable"):
-            try:
-                zf_weights(h_all[:, selected + [int(remaining[scored[j]])]])
-            except (RankDeficiencyError, ConfigurationError):
-                continue
-            break
+            rho = math.sqrt(rho2[j])   # R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
+            r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
+            sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
+            if not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT):
+                break
         else:
             raise SelectionError(
                 "zero-forcing is undefined for every remaining candidate"

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gusim import gscm, localization
-from gusim.errors import ConfigurationError
+from gusim import gscm, harness, localization
+from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
 
 
@@ -98,3 +99,49 @@ def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
     column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]),
                                     include_shadowing=False)[:, 0]
     return column, position
+
+
+def naive_trial_rows(config):
+    """Oracle for ``run_experiment(config).trial_rows``: every row of every
+    trial selects, zero-forces and rates from scratch, with no reuse across
+    K_s, omega, algorithms or powers. The harness functions are looked up
+    on ``gusim.harness``, so a test that patches one there patches both."""
+    h = harness
+    k_total = config.scenario.num_users
+    m = config.scenario.antenna_count
+    rows = []
+    for trial in range(config.trials):
+        seed = config.base_seed + trial
+        scen = h.generate_scenario(replace(config.scenario, rng_seed=seed))
+        h_all = h.channel_matrix(scen, range(k_total)).entries
+        for ks in config.ks_values:
+            for omega in config.omegas:
+                for alg in config.algorithms:
+                    load = h.estimation_load(m, k_total if alg == "GWC" else ks)
+                    for p_dbm in config.powers_dbm:
+                        power = h.PowerConfig(h.dbm_to_watts(p_dbm), ks,
+                                              config.noise_power)
+                        try:
+                            if alg == "GUS":
+                                v = h.build_v_matrix(scen) if omega == 0 else \
+                                    h.perturb_and_rebuild(scen, omega, config.crlb).v_tilde
+                                sel = h.gus_select(v, ks, config.gus_variant).selected
+                            elif alg == "GWC":
+                                sel = h.gwc_select(h_all, ks, power).selected
+                            else:
+                                rng = h._stream(seed, h._STREAM_SELECT, ks)
+                                sel = h.random_select(k_total, ks, rng).selected
+                            h_s = h_all[:, list(sel)]
+                            h_est = h_s
+                            if config.use_estimation:
+                                h_est = h._estimate_selected_channel(
+                                    scen, sel, h_s, power,
+                                    h.channel_covariances(scen, sel))
+                            rate = h.sum_rate(h_s, h.zf_weights(h_est), power,
+                                              mode=config.mode)
+                            rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
+                                                      rate, load, tuple(sel)))
+                        except (RankDeficiencyError, SelectionError):
+                            rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
+                                                      None, load, ()))
+    return rows

@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from gusim import cli, harness
 from gusim.errors import ConfigurationError, SelectionError
 from gusim.gscm import ScenarioConfig, channel_covariances
+from gusim.rx import zf_weights
 from gusim.localization import CrlbParams, perturb_and_rebuild
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
@@ -15,7 +18,9 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            figure4_robustness, load_config, run_experiment,
                            save_config, watts_to_dbm, write_manifest,
                            write_results_csv)
-from gusim.scheduling import gus_select
+from gusim.scheduling import gus_select, gwc_select
+
+from conftest import naive_trial_rows
 
 
 def tiny_config(**overrides):
@@ -95,7 +100,8 @@ class TestRunExperiment:
         assert all(math.isfinite(r.sum_rate) for r in estimated)
         assert [r.sum_rate for r in perfect] != [r.sum_rate for r in estimated]
 
-    def test_gus_selects_once_per_trial_ks_and_omega(self, monkeypatch):
+    def test_gus_selects_once_per_trial_and_omega(self, monkeypatch):
+        # at the largest K_s; a smaller K_s takes the first picks
         calls = []
 
         def counting(v, ks, variant):
@@ -106,8 +112,45 @@ class TestRunExperiment:
         cfg = tiny_config(algorithms=("GUS",), powers_dbm=(0.0, 20.0, 40.0),
                           ks_values=(2, 3), omegas=(0, 1))
         stats = run_experiment(cfg)
-        assert len(calls) == cfg.trials * 2 * 2
+        assert calls == [3] * (cfg.trials * 2)
         assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
+
+    def test_gwc_selects_once_per_trial_and_power(self, monkeypatch):
+        calls = []
+
+        def counting(h_all, ks, power):
+            calls.append((ks, power.total_power))
+            return gwc_select(h_all, ks, power)
+
+        monkeypatch.setattr(harness, "gwc_select", counting)
+        cfg = tiny_config(algorithms=("GWC",), powers_dbm=(0.0, 20.0, 40.0),
+                          ks_values=(2, 3), omegas=(0, 1))
+        stats = run_experiment(cfg)
+        assert calls == [(3, dbm_to_watts(p)) for _ in range(cfg.trials)
+                         for p in cfg.powers_dbm]
+        assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
+
+    @pytest.mark.parametrize("rank_limited", [False, True])
+    def test_zf_weights_once_per_distinct_selection(self, monkeypatch, rank_limited):
+        # perfect CSI: the receiver of a set, or its rank deficiency, does
+        # not depend on the power
+        calls = []
+
+        def counting(h):
+            calls.append(h.tobytes())
+            return zf_weights(h)
+
+        monkeypatch.setattr(harness, "zf_weights", counting)
+        cfg = tiny_config(powers_dbm=(0.0, 20.0, 40.0), ks_values=(2, 3),
+                          omegas=(0, 1))
+        if rank_limited:   # every channel has rank 2: K_s = 3 is rank deficient
+            cfg = replace(cfg, scenario=replace(cfg.scenario, num_clusters=1,
+                                                mpcs_per_cluster=2))
+        rows = run_experiment(cfg).trial_rows
+        assert len(set(calls)) == len(calls)
+        assert any(r.sum_rate is None for r in rows) == rank_limited
+        if not rank_limited:
+            assert len(calls) == len({(r.trial, r.selected) for r in rows}) < len(rows)
 
     @pytest.mark.parametrize("ks_values", [(2,), (2, 3, 4)])
     def test_perturbation_once_per_trial_and_positive_omega(self, monkeypatch,
@@ -125,22 +168,21 @@ class TestRunExperiment:
         assert sorted(calls) == sorted((3 + t, o) for t in range(2) for o in (1, 3))
         assert len(stats.trial_rows) == 2 * len(ks_values) * 3 * 2 * 2
 
-    def test_covariances_once_per_fixed_selection(self, monkeypatch):
+    def test_covariances_once_per_distinct_selection(self, monkeypatch):
         calls = []
 
         def counting(scen, selected):
-            calls.append(tuple(selected))
+            calls.append((scen.config.rng_seed, tuple(selected)))
             return channel_covariances(scen, selected)
 
         monkeypatch.setattr(harness, "channel_covariances", counting)
         cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
                           ks_values=(2, 3), omegas=(0, 1))
-        stats = run_experiment(cfg)
-        fixed = [r for r in stats.trial_rows if r.algorithm != "GWC"]
-        gwc = [r for r in stats.trial_rows if r.algorithm == "GWC"]
-        # GUS and RANDOM: once per (trial, K_s, omega, algorithm); GWC per power
-        assert len(calls) == len(fixed) // 3 + len(gwc)
-        assert all(r.sum_rate is not None for r in stats.trial_rows)
+        rows = run_experiment(cfg).trial_rows
+        assert all(r.sum_rate is not None for r in rows)
+        # whichever algorithm, K_s, omega or power selects a set
+        assert sorted(calls) == sorted({(cfg.base_seed + r.trial, r.selected)
+                                        for r in rows})
 
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
         def failing(v, ks, variant):
@@ -179,6 +221,11 @@ class TestRunExperiment:
             run_experiment(cfg)
         tiny_config(use_estimation=True).validate()
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_nonfinite_power_rejected_before_any_trial(self, no_trials, power):
+        with pytest.raises(ConfigurationError, match="powers_dbm"):
+            run_experiment(tiny_config(powers_dbm=(0.0, power)))
+
     def test_negative_base_seed_rejected_before_any_trial(self, no_trials):
         cfg = tiny_config(base_seed=-2)
         with pytest.raises(ConfigurationError, match="base_seed"):
@@ -186,6 +233,72 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="base_seed"):
             run_experiment(cfg)
         tiny_config(base_seed=0).validate()
+
+
+class TestAggregate:
+    def test_cells_match_per_cell_scan(self):
+        # Oracle: scan every row for every cell, in trial order
+        cfg = tiny_config(trials=7, ks_values=(2, 3), omegas=(0, 1))
+        stats = run_experiment(cfg, figure="t")
+        expected = []
+        for ks in cfg.ks_values:
+            for omega in cfg.omegas:
+                for alg in cfg.algorithms:
+                    for p_dbm in cfg.powers_dbm:
+                        group = [r for r in stats.trial_rows
+                                 if (r.algorithm, r.ks, r.omega, r.p_dbm)
+                                 == (alg, ks, omega, p_dbm)]
+                        ok = [r.sum_rate for r in group if r.sum_rate is not None]
+                        expected.append(harness.CellStats(
+                            "t", alg, ks, p_dbm, omega, float(np.mean(ok)),
+                            float(np.std(ok, ddof=1) / math.sqrt(len(ok))),
+                            len(ok), len(group) - len(ok), group[0].load))
+        assert stats.cells == tuple(expected)
+
+
+class TestTrialRowsMatchNaiveOracle:
+    """Reusing picks, receivers, covariances and rates inside a trial
+    gives exactly the rows of evaluating every row from scratch."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(ks_values=(3, 2)),
+        dict(algorithms=("GUS", "RANDOM"), omegas=(0, 1, 3), ks_values=(2, 3)),
+        dict(algorithms=("GUS", "RANDOM"), omegas=(0, 1, 3), ks_values=(2, 3),
+             gus_variant="set"),
+        dict(algorithms=("GWC",), use_estimation=True, ks_values=(2, 3),
+             powers_dbm=(0.0, 20.0, 40.0, 60.0)),
+        dict(mode="paper-literal", use_estimation=True,
+             algorithms=("GUS", "RANDOM"), ks_values=(2, 3)),
+    ], ids=["unsorted-ks", "omegas-last", "omegas-set", "gwc-estimated",
+            "paper-literal"])
+    def test_rows_equal(self, overrides):
+        cfg = tiny_config(**overrides)
+        assert run_experiment(cfg).trial_rows == tuple(naive_trial_rows(cfg))
+
+    def test_largest_ks_infeasible_for_gwc(self):
+        # one cluster of two paths: every channel has rank 2, so GWC fails
+        # at K_s = 3 and K_s = 2 still gets its rows
+        cfg = tiny_config(scenario=ScenarioConfig(
+            num_users=8, num_clusters=1, antenna_count=8, mpcs_per_cluster=2,
+            rng_seed=0), ks_values=(2, 3), trials=3)
+        rows = run_experiment(cfg).trial_rows
+        assert rows == tuple(naive_trial_rows(cfg))
+        gwc = [r for r in rows if r.algorithm == "GWC"]
+        assert all(r.sum_rate is None for r in gwc if r.ks == 3)
+        assert all(r.sum_rate is not None for r in gwc if r.ks == 2)
+
+    def test_largest_ks_infeasible_for_gus(self, monkeypatch):
+        def short_pool(v, ks, variant):
+            if ks > 2:
+                raise SelectionError("too few usable rows")
+            return gus_select(v, ks, variant)
+
+        monkeypatch.setattr(harness, "gus_select", short_pool)
+        cfg = tiny_config(algorithms=("GUS",), ks_values=(3, 1, 2))
+        rows = run_experiment(cfg).trial_rows
+        assert rows == tuple(naive_trial_rows(cfg))
+        assert [r.sum_rate is None for r in rows if r.trial == 0] == \
+            [True, True, False, False, False, False]
 
 
 class TestFigureSweeps:
@@ -371,6 +484,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("gusim: error: mode 'paper-literal' needs use_estimation")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "No such file"), ("a: [1\n", "while parsing"),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys,
+                                                      content, message):
+        cfg_path = tmp_path / "c.yaml"
+        if content is not None:
+            cfg_path.write_text(content)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig2", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gusim: error: cannot read config {cfg_path}: ")
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_fig3_subcommand(self, tmp_path):

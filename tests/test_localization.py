@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gusim.scheduling
+from gusim import gscm, localization
 from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
@@ -226,3 +227,51 @@ class TestPerturbAndRebuild:
     def test_negative_omega_rejected(self):
         with pytest.raises(ConfigurationError):
             perturb_and_rebuild(self._scenario(), -1, CrlbParams())
+
+    def test_signs_drawn_once_match_per_cluster_draws(self):
+        # Oracle: one three-sign draw per cluster from the same stream, then
+        # the same rebuild; the batched draw must agree bit for bit
+        params = CrlbParams()
+        fallbacks = 0
+        for seed in range(1, 41):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            for omega in range(1, 6):
+                expected = per_cluster_perturb_and_rebuild(scen, omega, params)
+                pg = perturb_and_rebuild(scen, omega, params)
+                for field in ("delay", "elevation", "azimuth"):
+                    np.testing.assert_array_equal(
+                        getattr(pg.perturbations, field),
+                        getattr(expected.perturbations, field))
+                np.testing.assert_array_equal(pg.v_tilde, expected.v_tilde)
+                np.testing.assert_array_equal(pg.cluster_positions,
+                                              expected.cluster_positions)
+                assert pg.fallback_count == expected.fallback_count
+                fallbacks += pg.fallback_count
+        assert fallbacks > 0
+
+
+def per_cluster_perturb_and_rebuild(scen, omega, params):
+    """``perturb_and_rebuild`` with one ``rng.choice`` sign draw per cluster."""
+    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
+    positions = np.stack([cl.position for cl in scen.clusters])
+    vr_centers = np.stack([cl.vr_center for cl in scen.clusters])
+    delays = np.array([cl.delay for cl in scen.clusters])
+    d = np.zeros((3, scen.num_clusters))
+    fallbacks = 0
+    for j in range(scen.num_clusters):
+        tau, el, az = cluster_observables(scen, j)
+        signs = rng.choice([-1.0, 1.0], size=3)
+        d[:, j] = [sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
+                   for sign, b in zip(signs, crlb(params, az, el))]
+        try:
+            if tau + d[0, j] <= 0:
+                raise GeometryError("nonpositive delay")
+            positions[j], vr_centers[j] = localization._rebuild_cluster(
+                scen, j, tau + d[0, j], el + d[1, j], az + d[2, j])
+            delays[j] = tau + d[0, j]
+        except GeometryError:
+            fallbacks += 1
+    v_tilde = gscm.large_scale_gains(scen, vr_centers, delays,
+                                     include_shadowing=False)
+    return localization.PerturbedGeometry(
+        v_tilde, localization.LocalizationError(omega, *d), positions, fallbacks)

@@ -9,6 +9,7 @@ import pytest
 import gusim.gscm as gscm
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
+from gusim.localization import perturb_and_rebuild
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.scheduling import (build_v_matrix, estimation_load, gus_select,
                               gwc_select, random_select)
@@ -351,6 +352,29 @@ class TestGwcSelect:
             with pytest.raises(SelectionError):
                 gwc_select(h, 2, PowerConfig(1.0, 2, 1e-2))
 
+    def test_near_collinear_candidate_skipped_like_zf_weights(self):
+        # Column 1 is off the span of column 0 (rho^2 = 1e-26 > 0) and
+        # outscores column 2, but [h0 h1] has condition number 1e13.
+        # Column 2 is nearly parallel to column 0 (condition number about
+        # 2e10) and is the one zero-forcing accepts.
+        h = np.array([[1.0, 0.0, 0.999], [0.0, 1e-13, 1e-10]], dtype=complex)
+        power = PowerConfig(2e4, 2, 1.0)
+        with pytest.raises(RankDeficiencyError):
+            zf_weights(h[:, [0, 1]])
+        h_02 = h[:, [0, 2]]
+        assert sum_rate(h_02, zf_weights(h_02), power) < math.log2(1.0 + 1e4)
+        assert gwc_select(h, 2, power).selected == (0, 2)
+        assert gwc_oracle(h, 2, power)[0] == (0, 2)
+
+    def test_more_users_than_antennas_raises(self):
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        power = PowerConfig(1.0, 4, 1e-2)
+        with pytest.raises(SelectionError):
+            gwc_select(h, 4, power)
+        with pytest.raises(SelectionError):
+            gwc_oracle(h, 4, power)
+
     def test_objective_recorded_per_step(self):
         rng = np.random.default_rng(5)
         h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
@@ -358,6 +382,38 @@ class TestGwcSelect:
         result = gwc_select(h, 3, power)
         assert len(result.per_step_scores) == 3
         assert all(np.isfinite(result.per_step_scores))
+
+
+class TestGreedyPrefixes:
+    """The first n picks of a greedy run do not depend on how many follow,
+    which lets the harness run each scheduler once at the largest K_s."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gus_prefixes(self, seed):
+        scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed))
+        v = build_v_matrix(scen)
+        for omega in range(6):
+            v_omega = v if omega == 0 else \
+                perturb_and_rebuild(scen, omega, ExperimentConfig().crlb).v_tilde
+            for variant in ("last", "set"):
+                full = gus_select(v_omega, 10, variant)
+                for ks in range(1, 10):
+                    short = gus_select(v_omega, ks, variant)
+                    assert short.selected == full.selected[:ks]
+                    assert short.per_step_scores == full.per_step_scores[:ks]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gwc_prefixes(self, seed):
+        cfg = ExperimentConfig()
+        scen = gscm.generate_scenario(replace(cfg.scenario, rng_seed=seed))
+        h = gscm.channel_matrix(scen, range(scen.num_users)).entries
+        for p_dbm in cfg.powers_dbm:
+            power = PowerConfig(dbm_to_watts(p_dbm), 10, cfg.noise_power)
+            full = gwc_select(h, 10, power)
+            for ks in (1, 2, 5, 9):
+                short = gwc_select(h, ks, power)
+                assert short.selected == full.selected[:ks]
+                assert short.per_step_scores == full.per_step_scores[:ks]
 
 
 class TestRandomSelect:
