@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -117,7 +118,9 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable world state: BS, user positions and clusters."""
+    """Immutable world state: BS, user positions and clusters. The channel
+    geometry is built on first use and cached, read-only; it is not a field,
+    so equality and serialization ignore it."""
 
     config: ScenarioConfig
     bs_position: np.ndarray    # (3,)
@@ -132,6 +135,25 @@ class Scenario:
     def num_clusters(self) -> int:
         return len(self.clusters)
 
+    @cached_property
+    def steering(self) -> np.ndarray:
+        """(N_C, N_p, M) array responses at the MPC azimuths."""
+        return _read_only(_steering_tensor(self))
+
+    @cached_property
+    def cluster_grams(self) -> np.ndarray:
+        """(N_C, M*M) steering Grams (1/N_p) sum_p a(phi_jp) a(phi_jp)^H."""
+        steer = self.steering
+        gram = (steer.transpose(0, 2, 1) / self.config.mpcs_per_cluster) @ steer.conj()
+        return _read_only(gram.reshape(len(steer), -1))
+
+    @cached_property
+    def channel_gains(self) -> np.ndarray:
+        """(K, N_C) ``large_scale_gains``, 0 where the VR gain is at most
+        ``DEFAULT_VISIBILITY_FLOOR``."""
+        visible = _vr_gains(self) > DEFAULT_VISIBILITY_FLOOR
+        return _read_only(np.where(visible, large_scale_gains(self), 0.0))
+
 
 @dataclass(frozen=True)
 class ChannelMatrix:
@@ -139,6 +161,11 @@ class ChannelMatrix:
 
     entries: np.ndarray    # (M, K_s) complex
     user_ids: tuple[int, ...]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -186,15 +213,14 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
         shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
         clusters.append(Cluster(
-            position=pos,
-            vr_center=vr,
+            position=_read_only(pos),
+            vr_center=_read_only(vr),
             delay=float(delay),
             shadow_gain=float(10.0 ** (shadow_db / 10.0)),
         ))
 
-    users.setflags(write=False)
-    bs.setflags(write=False)
-    return Scenario(config=config, bs_position=bs, users=users, clusters=tuple(clusters))
+    return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
+                    clusters=tuple(clusters))
 
 
 def vr_gain(d_ms_vr, vr_radius: float, transition_size: float,
@@ -298,13 +324,13 @@ def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
 
 
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
-    """(N_C, N_p, M) array responses: [j, p] is the steering vector of
-    cluster j's MPC p."""
+    """(N_C, N_p, M) array responses: [j, p] is the ``steering_vector`` of
+    cluster j's MPC p, bitwise."""
     cfg = scenario.config
-    return np.array([
-        [steering_vector(phi, cfg.antenna_count, cfg.antenna_spacing_fraction)
-         for phi in cluster_azimuths(scenario, j)]
-        for j in range(scenario.num_clusters)])
+    azimuths = np.array([cluster_azimuths(scenario, j)
+                         for j in range(scenario.num_clusters)])
+    alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
+    return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
 
 
 # numpy's SeedSequence mixer (O'Neill's seed_seq) and PCG64 seeding constants
@@ -378,16 +404,14 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     does not depend on which other users are selected.
     """
     selected = _check_selected(scenario, selected)
-    gains = large_scale_gains(scenario)[selected]
-    visible = _vr_gains(scenario)[selected] > DEFAULT_VISIBILITY_FLOOR
+    gains = scenario.channel_gains[selected]
     # each visible pair's fading comes from the pair's own stream
     n_p = scenario.config.mpcs_per_cluster
     normals = np.zeros(gains.shape + (2 * n_p,))
-    rows, cols = np.nonzero(visible)
+    rows, cols = np.nonzero(gains)
     normals[rows, cols] = _fading_normals_batch(scenario, np.array(selected)[rows], cols)
     fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
-    h = np.einsum("kjp,jpm->mk", gains[..., None] * fading,
-                  _steering_tensor(scenario))
+    h = np.einsum("kjp,jpm->mk", gains[..., None] * fading, scenario.steering)
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
     return ChannelMatrix(entries=h, user_ids=tuple(selected))
@@ -399,15 +423,14 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
 
     Each MPC gain has variance f_kj^2 / N_p, so
     R_k = sum_j f_kj^2 G_j over the clusters visible to user k, with the
-    cluster's steering Gram G_j = (1/N_p) sum_p a(phi_jp) a(phi_jp)^H.
+    cluster's steering Gram G_j (``Scenario.cluster_grams``).
     """
     selected = _check_selected(scenario, selected)
-    power = large_scale_gains(scenario)[selected] ** 2
-    power[_vr_gains(scenario)[selected] <= DEFAULT_VISIBILITY_FLOOR] = 0.0
-    steer = _steering_tensor(scenario)
-    gram = np.einsum("jpm,jpn->jmn", steer, steer.conj(),
-                     optimize=True) / scenario.config.mpcs_per_cluster
-    return np.einsum("kj,jmn->kmn", power, gram)
+    grams = scenario.cluster_grams.view(float)   # real and imaginary parts
+    m = scenario.config.antenna_count
+    # one product per user, so that R_k does not depend on the rest of the set
+    return np.stack([p @ grams for p in scenario.channel_gains[selected] ** 2]
+                    ).view(complex).reshape(-1, m, m)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ LOAD_HEADER = ("figure", "M", "K", "K_s", "load_selected", "load_full", "ratio")
 _STREAM_FADING = 505
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
@@ -72,14 +76,23 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.scenario.validate()
+        for name, values in (("trials", [self.trials]), ("base_seed", [self.base_seed]),
+                             ("ks_values", self.ks_values), ("omegas", self.omegas)):
+            if not all(map(_is_int, values)):
+                raise ConfigurationError(
+                    f"{name} must be integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be a nonnegative integer")
-        if not self.powers_dbm or not self.ks_values or not self.omegas:
-            raise ConfigurationError("power, K_s and omega grids must be nonempty")
         if not all(math.isfinite(p) for p in self.powers_dbm):
             raise ConfigurationError("powers_dbm must be finite")
+        for name in ("algorithms", "powers_dbm", "ks_values", "omegas"):
+            grid = getattr(self, name)
+            if not grid or len(set(grid)) != len(grid):
+                # a duplicate would be a second cell holding the same trials
+                raise ConfigurationError(
+                    f"{name} must be nonempty and distinct, got {grid!r}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
@@ -281,16 +294,10 @@ def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
     2*M*K_s against full-pool load 2*M*K. Pure arithmetic, no trials."""
     config.validate()
     k = config.scenario.num_users
-    rows = []
-    for m in config.fig3_m_values:
-        for ks in config.ks_values:
-            sel_load = estimation_load(m, ks)
-            full_load = estimation_load(m, k)
-            rows.append({
-                "figure": "fig3", "M": m, "K": k, "K_s": ks,
-                "load_selected": sel_load, "load_full": full_load,
-                "ratio": ks / k,
-            })
+    rows = [{"figure": "fig3", "M": m, "K": k, "K_s": ks,
+             "load_selected": estimation_load(m, ks), "load_full": estimation_load(m, k),
+             "ratio": ks / k}
+            for m in config.fig3_m_values for ks in config.ks_values]
     if out_path is not None:
         _write_csv(out_path, LOAD_HEADER,
                    [[r[h] for h in LOAD_HEADER] for r in rows])
@@ -317,27 +324,16 @@ def figure4_robustness(config: ExperimentConfig, out_path=None) -> AggregateStat
 # CSV / manifest / config-file plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_results_csv(stats: AggregateStats, path) -> None:
-    rows = []
-    for c in stats.cells:
-        rows.append([c.figure, c.algorithm, c.ks, c.p_dbm,
-                     dbm_to_watts(c.p_dbm), c.omega, c.mean, c.std_err,
-                     c.trials_used, c.excluded, c.load])
-    _write_csv(path, RESULT_HEADER, rows)
+    _write_csv(path, RESULT_HEADER, [
+        [c.figure, c.algorithm, c.ks, c.p_dbm, dbm_to_watts(c.p_dbm), c.omega, c.mean,
+         c.std_err, c.trials_used, c.excluded, c.load] for c in stats.cells])
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

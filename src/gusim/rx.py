@@ -80,20 +80,6 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
     return bandwidth * BOLTZMANN * temperature * 10.0 ** (noise_figure_db / 10.0)
 
 
-def channel_covariance(samples) -> np.ndarray:
-    """Sample covariance E{h h^H} from vectorized channel realizations."""
-    samples = [np.asarray(s).reshape(-1) for s in samples]
-    if len(samples) == 0:
-        raise ConfigurationError("need at least one channel sample")
-    n = samples[0].size
-    if any(s.size != n for s in samples):
-        raise ConfigurationError("all channel samples must have equal length")
-    r = np.zeros((n, n), dtype=complex)
-    for s in samples:
-        r += np.outer(s, s.conj())
-    return r / len(samples)
-
-
 def mmse_estimate(received: np.ndarray, pilot: PilotConfig,
                   covariance: np.ndarray) -> np.ndarray:
     """Bayesian MMSE estimate of the vectorized channel from received
@@ -191,17 +177,11 @@ def sum_rate(h: np.ndarray, receiver: ZfReceiver, power: PowerConfig,
     if mode not in ("physical", "paper-literal"):
         raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
     p_k = power.per_user
-    g = w @ h  # (K_s, K_s); entry [k, i] = w_k h_i
-    total = 0.0
-    for k in range(k_s):
-        signal = p_k * abs(g[k, k]) ** 2
-        interference = p_k * (np.sum(np.abs(g[k]) ** 2) - abs(g[k, k]) ** 2)
-        if mode == "physical":
-            denom = power.noise_power * float(np.sum(np.abs(w[k]) ** 2)) + interference
-        else:
-            denom = 1.0 + interference
-        total += math.log2(1.0 + signal / denom)
-    return total
+    g2 = np.abs(w @ h) ** 2  # (K_s, K_s); entry [k, i] = |w_k h_i|^2
+    own = g2.diagonal()
+    interference = p_k * (g2.sum(axis=1) - own)
+    noise = power.noise_power * np.sum(np.abs(w) ** 2, axis=1) if mode == "physical" else 1.0
+    return float(np.sum(np.log2(1.0 + p_k * own / (noise + interference))))
 
 
 def ergodic_capacity(h_samples, power: PowerConfig) -> float:

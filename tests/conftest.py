@@ -78,6 +78,50 @@ def scalar_gain(scen, user, cluster, vr_center=None, delay=None,
     return pathloss_amplitude(scen, user) * a_vr * math.sqrt(a_c)
 
 
+def channel_covariance(samples) -> np.ndarray:
+    """Oracle for ``gscm.channel_covariances``: the sample covariance
+    E{h h^H} of vectorized channel realizations."""
+    samples = [np.asarray(s).reshape(-1) for s in samples]
+    if len(samples) == 0:
+        raise ConfigurationError("need at least one channel sample")
+    n = samples[0].size
+    if any(s.size != n for s in samples):
+        raise ConfigurationError("all channel samples must have equal length")
+    r = np.zeros((n, n), dtype=complex)
+    for s in samples:
+        r += np.outer(s, s.conj())
+    return r / len(samples)
+
+
+def einsum_covariances(scen, selected) -> np.ndarray:
+    """Oracle for ``gscm.channel_covariances``: R_k = sum_j f_kj^2 G_j for
+    the whole set in one einsum, with the steering tensor and the Grams
+    rebuilt from the scenario."""
+    power = gscm.large_scale_gains(scen)[list(selected)] ** 2
+    power[gscm._vr_gains(scen)[list(selected)] <= gscm.DEFAULT_VISIBILITY_FLOOR] = 0.0
+    steer = gscm._steering_tensor(scen)
+    gram = np.einsum("jpm,jpn->jmn", steer, steer.conj(),
+                     optimize=True) / scen.config.mpcs_per_cluster
+    return np.einsum("kj,jmn->kmn", power, gram)
+
+
+def sum_rate_loop(h, receiver, power, mode="physical") -> float:
+    """Oracle for ``rx.sum_rate``: the SINR of each user in turn."""
+    w = receiver.weights
+    p_k = power.per_user
+    g = w @ h  # (K_s, K_s); entry [k, i] = w_k h_i
+    total = 0.0
+    for k in range(h.shape[1]):
+        signal = p_k * abs(g[k, k]) ** 2
+        interference = p_k * (np.sum(np.abs(g[k]) ** 2) - abs(g[k, k]) ** 2)
+        if mode == "physical":
+            denom = power.noise_power * float(np.sum(np.abs(w[k]) ** 2)) + interference
+        else:
+            denom = 1.0 + interference
+        total += math.log2(1.0 + signal / denom)
+    return total
+
+
 def correlation_metric(v_k, v_j) -> float:
     """Oracle for one entry of ``gus_select``'s normalized |V V^T| matrix:
     |v_k . v_j*| / (||v_k|| ||v_j||) in [0, 1]."""

@@ -12,9 +12,8 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         path_loss_nlos, save_scenario, scenario_from_dict,
                         scenario_to_dict, steering_vector, vr_gain)
-from gusim.rx import channel_covariance
-
-from conftest import make_scenario, scalar_gain
+from conftest import (channel_covariance, einsum_covariances, make_scenario,
+                      scalar_gain)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -227,6 +226,18 @@ class TestSteeringVector:
     def test_endfire_half_wavelength(self):
         v = steering_vector(math.pi / 2, 2, 0.5)
         assert v[1] == pytest.approx(-1.0 + 0j, abs=1e-14)
+
+    def test_tensor_is_the_per_mpc_steering_vectors(self):
+        # bitwise, so that channel_matrix does not move
+        for seed in range(300):
+            m, spacing = ((64, 0.5), (7, 0.3), (1, 0.5))[seed % 3]
+            scen = generate_scenario(ScenarioConfig(
+                num_users=2, antenna_count=m, antenna_spacing_fraction=spacing,
+                mpcs_per_cluster=1 + seed % 7, rng_seed=seed))
+            loop = np.array([[steering_vector(phi, m, spacing)
+                              for phi in gscm.cluster_azimuths(scen, j)]
+                             for j in range(scen.num_clusters)])
+            np.testing.assert_array_equal(gscm._steering_tensor(scen), loop)
 
 
 class TestMpcAmplitudes:
@@ -454,6 +465,47 @@ class TestChannelCovariances:
             channel_covariances(small_scenario, [])
         with pytest.raises(IndexError):
             channel_covariances(small_scenario, [1])
+
+
+class TestScenarioCache:
+    CACHED = {"steering", "cluster_grams", "channel_gains"}
+
+    def test_covariances_match_einsum_oracle(self):
+        for seed in range(1, 21):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            for sel in ([0], [5, 1, 17, 33, 2], range(40)):
+                got, want = channel_covariances(scen, sel), einsum_covariances(scen, sel)
+                err = np.abs(got - want).max(axis=(1, 2))
+                assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+
+    def test_every_array_read_only(self, tmp_path):
+        scen = generate_scenario(ScenarioConfig(num_users=6, rng_seed=4))
+        save_scenario(scen, tmp_path / "scenario.yaml")
+        for s in (scen, load_scenario(tmp_path / "scenario.yaml")):
+            arrays = [s.bs_position, s.users, *(getattr(s, n) for n in self.CACHED)]
+            arrays += [a for cl in s.clusters for a in (cl.position, cl.vr_center)]
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_equality_and_serialization_ignore_the_cache(self, tmp_path):
+        scen = generate_scenario(ScenarioConfig(num_users=6, rng_seed=4))
+        cold = scenario_to_dict(scen)
+        twin = replace(scen)
+        h = channel_matrix(scen, range(6)).entries
+        channel_covariances(scen, [0, 1])
+        assert set(vars(scen)) >= self.CACHED and not set(vars(twin)) & self.CACHED
+        assert scen == twin
+        assert scenario_to_dict(scen) == cold
+        save_scenario(scen, tmp_path / "scenario.yaml")
+        loaded = load_scenario(tmp_path / "scenario.yaml")
+        assert scenario_to_dict(loaded) == cold
+        np.testing.assert_array_equal(channel_matrix(loaded, range(6)).entries, h)
+
+    def test_replaced_scenario_rebuilds_its_geometry(self):
+        scen = generate_scenario(ScenarioConfig(num_users=6, rng_seed=4))
+        warm = scen.steering
+        moved = replace(scen, config=replace(scen.config, rng_seed=5))
+        np.testing.assert_array_equal(moved.steering, gscm._steering_tensor(moved))
+        assert not np.array_equal(moved.steering, warm)
 
 
 class TestScenarioSerialization:

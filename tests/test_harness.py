@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusim import cli, harness
+from gusim import cli, gscm, harness
 from gusim.errors import ConfigurationError, SelectionError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import zf_weights
@@ -184,6 +184,22 @@ class TestRunExperiment:
         assert sorted(calls) == sorted({(cfg.base_seed + r.trial, r.selected)
                                         for r in rows})
 
+    def test_channel_geometry_built_once_per_trial(self, monkeypatch):
+        # H and the covariances of every selected set share one steering tensor
+        calls = []
+        steering_tensor = gscm._steering_tensor
+
+        def counting(scen):
+            calls.append(scen.config.rng_seed)
+            return steering_tensor(scen)
+
+        monkeypatch.setattr(gscm, "_steering_tensor", counting)
+        cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
+                          ks_values=(2, 3), omegas=(0, 1))
+        rows = run_experiment(cfg).trial_rows
+        assert calls == [cfg.base_seed + t for t in range(cfg.trials)]
+        assert len({(r.trial, r.selected) for r in rows}) > 2 * cfg.trials
+
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
         def failing(v, ks, variant):
             raise SelectionError("no usable rows")
@@ -233,6 +249,29 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="base_seed"):
             run_experiment(cfg)
         tiny_config(base_seed=0).validate()
+
+
+class TestValidate:
+    @pytest.mark.parametrize("grid,values", [
+        ("ks_values", (2, 2)), ("powers_dbm", (0.0, 20.0, 0)), ("omegas", (0, 1, 0)),
+        ("algorithms", ("GUS", "RANDOM", "GUS"))])
+    def test_duplicate_grid_entries_rejected_before_any_trial(self, no_trials, grid,
+                                                              values):
+        # a duplicate would be a second cell holding the same trials
+        with pytest.raises(ConfigurationError, match=f"{grid} must be .* distinct"):
+            run_experiment(tiny_config(**{grid: values}))
+
+    def test_empty_algorithms_rejected_before_any_trial(self, no_trials):
+        with pytest.raises(ConfigurationError, match="algorithms must be nonempty"):
+            run_experiment(tiny_config(algorithms=()))
+
+    @pytest.mark.parametrize("name,value", [
+        ("trials", 2.5), ("trials", True), ("base_seed", 1.5), ("ks_values", (2.0,)),
+        ("omegas", (0.5,)), ("omegas", (0, True))])
+    def test_non_integer_rejected_before_any_trial(self, no_trials, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be integer"):
+            run_experiment(tiny_config(**{name: value}))
+        tiny_config(trials=np.int64(2), ks_values=(np.int64(2),)).validate()
 
 
 class TestAggregate:

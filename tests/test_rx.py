@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (PilotConfig, PowerConfig, channel_covariance,
-                      ergodic_capacity, mmse_estimate, mmse_estimate_per_user,
-                      noise_power, sum_rate, unitary_pilots, zf_weights)
+from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, ergodic_capacity,
+                      mmse_estimate, mmse_estimate_per_user, noise_power, sum_rate,
+                      unitary_pilots, zf_weights)
+
+from conftest import channel_covariance, sum_rate_loop
 
 
 def random_channel(rng, m, k):
@@ -242,6 +244,18 @@ class TestSumRate:
         rates = [sum_rate(h, w, PowerConfig(p, 4, 1e-2), mode=mode)
                  for p in [0.1, 0.5, 1.0, 5.0, 20.0]]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    def test_matches_per_user_loop(self, mode):
+        rng = np.random.default_rng(9)
+        for k_s in (1, 2, 5, 10):
+            h = random_channel(rng, 16, k_s)
+            # ZF leaves no interference; random weights leave plenty
+            for rx in (zf_weights(h), ZfReceiver(random_channel(rng, 16, k_s).T)):
+                for p in (1e-3, 1.0, 1e3):
+                    power = PowerConfig(p, k_s, 1e-2)
+                    assert sum_rate(h, rx, power, mode) == pytest.approx(
+                        sum_rate_loop(h, rx, power, mode), rel=1e-12, abs=0)
 
 
 class TestErgodicCapacity:
