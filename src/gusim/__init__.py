@@ -13,7 +13,7 @@ from .rx import (PilotConfig, PowerConfig, ZfReceiver, ergodic_capacity,
                  mmse_estimate, mmse_estimate_per_user, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
 from .scheduling import (ScheduleResult, build_v_matrix, estimation_load,
-                         gus_select, gwc_select, random_select)
+                         gus_select, gwc_select, gwc_select_powers, random_select)
 from .localization import (CrlbParams, LocalizationError, PerturbedGeometry,
                            crlb, field_pattern, perturb_and_rebuild,
                            solve_cluster_distance)

@@ -10,7 +10,7 @@ module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -101,6 +101,14 @@ class ScenarioConfig:
             raise ConfigurationError("rng_seed must be a nonnegative integer")
 
 
+def _equal_by_value(self, other) -> bool:
+    """Field-wise dataclass equality that compares array fields by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    values = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in values)
+
+
 @dataclass(frozen=True)
 class Cluster:
     """One scatterer cluster with its visibility region.
@@ -115,6 +123,8 @@ class Cluster:
     delay: float               # seconds
     shadow_gain: float         # linear power factor
 
+    __eq__ = _equal_by_value
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -126,6 +136,8 @@ class Scenario:
     bs_position: np.ndarray    # (3,)
     users: np.ndarray          # (K, 3)
     clusters: tuple[Cluster, ...]
+
+    __eq__ = _equal_by_value
 
     @property
     def num_users(self) -> int:

@@ -28,7 +28,7 @@ from .plain import from_plain, to_plain
 from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
                  sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
-                         gwc_select, random_select)
+                         gwc_select_powers, random_select)
 
 CONFIG_SCHEMA_VERSION = 2
 
@@ -77,7 +77,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.scenario.validate()
         for name, values in (("trials", [self.trials]), ("base_seed", [self.base_seed]),
-                             ("ks_values", self.ks_values), ("omegas", self.omegas)):
+                             ("ks_values", self.ks_values), ("omegas", self.omegas),
+                             ("fig3_m_values", self.fig3_m_values)):
             if not all(map(_is_int, values)):
                 raise ConfigurationError(
                     f"{name} must be integer, got {getattr(self, name)!r}")
@@ -118,6 +119,12 @@ class ExperimentConfig:
                     " zero-forcing needs at least as many antennas as users")
         if any(o < 0 for o in self.omegas):
             raise ConfigurationError("omega values must be nonnegative")
+        if not self.fig3_m_values or min(self.fig3_m_values) < 1:
+            raise ConfigurationError(f"fig3_m_values must be positive, got {self.fig3_m_values!r}")
+        if not isinstance(self.use_estimation, bool):
+            raise ConfigurationError(f"use_estimation must be a bool, got {self.use_estimation!r}")
+        if not 0 < self.noise_power < math.inf:   # noise_power checks bandwidth and temperature > 0
+            raise ConfigurationError(f"noise power {self.noise_power} W must be finite and positive")
         self.crlb.validate()
 
     @property
@@ -193,8 +200,9 @@ def _greedy_prefixes(select, ks_values) -> dict:
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
     function of (config, base seed, trial). GUS and GWC run at the largest
-    K_s only; receivers, covariances and rates are memoized per ordered set
-    (and power), since the estimate's pilot noise is keyed by the set size."""
+    K_s only, GWC once for all powers; receivers, covariances and rates are
+    memoized per ordered set (and power), since the estimate's pilot noise is
+    keyed by the set size."""
     seed = config.base_seed + trial
     scen = generate_scenario(replace(config.scenario, rng_seed=seed))
     k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
@@ -211,9 +219,13 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
                 perturb_and_rebuild(scen, omega, config.crlb).v_tilde
             gus[omega] = _greedy_prefixes(lambda ks: gus_select(
                 v_omega, ks, config.gus_variant).selected, config.ks_values)
-    gwc = {p_dbm: _greedy_prefixes(lambda ks: gwc_select(
-        h_all, ks, PowerConfig(dbm_to_watts(p_dbm), ks, p_n)).selected, config.ks_values)
-        for p_dbm in config.powers_dbm if "GWC" in config.algorithms}
+    gwc = {}
+    if "GWC" in config.algorithms:   # one search at the largest K_s for every power
+        top = max(config.ks_values)
+        powers = [PowerConfig(dbm_to_watts(p), top, p_n) for p in config.powers_dbm]
+        for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(h_all, top, powers)):
+            gwc[p_dbm] = {ks: r.selected[:ks] if ks <= len(r.selected) else None
+                          for ks in config.ks_values}   # None past a short result
 
     covariances = cache(partial(channel_covariances, scen))
 

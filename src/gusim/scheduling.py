@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -89,11 +90,25 @@ def gus_select(v: np.ndarray, num_selected: int,
                           tuple(scores), "GUS")
 
 
-def gwc_select(h_all: np.ndarray, num_selected: int,
-               power: PowerConfig) -> ScheduleResult:
-    """Full-CSI greedy baseline: start from the strongest channel column
-    and at each step add the user maximizing the zero-forcing sum-rate of
-    the tentative set (equal power split over the tentative set size).
+def _gwc_node(h_all: np.ndarray, q: np.ndarray, r_inv: np.ndarray, remaining):
+    """The power-free part of a greedy step from a prefix's QR factors."""
+    h_rem = h_all[:, remaining]
+    c = q.conj().T @ h_rem
+    resid = h_rem - q @ c
+    rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
+    scored = np.flatnonzero(rho2 > 0)
+    rho2 = rho2[scored]
+    x = r_inv @ c[:, scored]
+    gain = np.sum(np.abs(r_inv) ** 2, axis=1)[:, None] + np.abs(x) ** 2 / rho2
+    return c, resid, scored, rho2, x, gain
+
+
+def gwc_select_powers(h_all: np.ndarray, num_selected: int,
+                      powers) -> tuple[ScheduleResult, ...]:
+    """Full-CSI greedy baseline, one result per power in input order: start
+    from the strongest channel column and at each step add the user
+    maximizing the zero-forcing sum-rate of the tentative set (equal power
+    split over the tentative set size).
 
     Every remaining candidate is scored at once from the QR factors
     H_S = QR of the selected columns. With C = Q^H H_rem, the residual
@@ -108,7 +123,10 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
     the tentative factor R'^-1 as cond(H') = cond(R') = cond(R'^-1), is
     added; a candidate in the span of the selected columns (rho^2 = 0) gets
     no score. A step that cannot improve the objective still takes the best
-    available candidate, and no pick depends on how many picks follow.
+    available candidate, and no pick depends on how many picks follow. A
+    power left with no acceptable candidate gets a shorter result. C, E, X,
+    the gains and the condition tests run once per ordered prefix that some
+    power reaches, the rates and the visiting order once per power.
     """
     h_all = np.asarray(h_all)
     m, k = h_all.shape
@@ -118,50 +136,56 @@ def gwc_select(h_all: np.ndarray, num_selected: int,
         raise SelectionError(f"zero-forcing needs num_selected <= M = {m}")
 
     norms = np.linalg.norm(h_all, axis=0)
-    # QR factors of the selected columns, grown one column per step
     dtype = np.result_type(h_all, float)
     q_all = np.zeros((m, num_selected), dtype=dtype)
     r_inv_all = np.zeros((num_selected, num_selected), dtype=dtype)
-    selected: list[int] = []
-    scores: list[float] = []
-    remaining = np.arange(k)
-    while len(selected) < num_selected:
-        s = len(selected)
+    found = [([], []) for _ in powers]   # each power's picks and scores
+
+    # depth first: a child writes only its own column of the factors, so
+    # siblings share them uncopied
+    def walk(s: int, remaining: np.ndarray, group: list[int]) -> None:
         q, r_inv = q_all[:, :s], r_inv_all[:s, :s]
-        h_rem = h_all[:, remaining]
-        c = q.conj().T @ h_rem
-        resid = h_rem - q @ c
-        rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
-        scored = np.flatnonzero(rho2 > 0)
-        rho2 = rho2[scored]
-        x = r_inv @ c[:, scored]
-        p = power.total_power / (s + 1)
-        gain = np.sum(np.abs(r_inv) ** 2, axis=1)[:, None] + np.abs(x) ** 2 / rho2
-        rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
-                 + np.log2(1.0 + p * rho2 / power.noise_power))
-        key = rates if s else norms[remaining[scored]]
-        for j in np.argsort(-key, kind="stable"):
+        c, resid, scored, rho2, x, gain = _gwc_node(h_all, q, r_inv, remaining)
+
+        @cache
+        def acceptable(j) -> bool:
             rho = math.sqrt(rho2[j])   # R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
             r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
             sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
-            if not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT):
-                break
-        else:
-            raise SelectionError(
-                "zero-forcing is undefined for every remaining candidate"
-            )
-        w = scored[j]
-        # append the winner's column, re-orthogonalized once against Q
-        delta = q.conj().T @ resid[:, w]
-        e = resid[:, w] - q @ delta
-        rho = np.linalg.norm(e)
-        q_all[:, s] = e / rho
-        r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
-        r_inv_all[s, s] = 1.0 / rho
-        selected.append(int(remaining[w]))
-        scores.append(float(rates[j]))
-        remaining = np.delete(remaining, w)
-    return ScheduleResult(tuple(selected), tuple(scores), "GWC")
+            return not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
+
+        children: dict[int, list[int]] = {}
+        for i in group:
+            p, p_n = powers[i].total_power / (s + 1), powers[i].noise_power
+            rates = (np.sum(np.log2(1.0 + p / (p_n * gain)), axis=0)
+                     + np.log2(1.0 + p * rho2 / p_n))
+            key = rates if s else norms[remaining[scored]]
+            j = next((j for j in np.argsort(-key, kind="stable") if acceptable(j)), None)
+            if j is not None:
+                found[i][0].append(int(remaining[scored[j]]))
+                found[i][1].append(float(rates[j]))
+                children.setdefault(scored[j], []).append(i)
+        for w, sub in children.items() if s + 1 < num_selected else ():
+            # append the winner's column, re-orthogonalized once against Q
+            delta = q.conj().T @ resid[:, w]
+            e = resid[:, w] - q @ delta
+            rho = np.linalg.norm(e)
+            q_all[:, s] = e / rho
+            r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
+            r_inv_all[s, s] = 1.0 / rho
+            walk(s + 1, np.delete(remaining, w), sub)
+
+    walk(0, np.arange(k), list(range(len(powers))))
+    return tuple(ScheduleResult(tuple(sel), tuple(sc), "GWC") for sel, sc in found)
+
+
+def gwc_select(h_all: np.ndarray, num_selected: int,
+               power: PowerConfig) -> ScheduleResult:
+    """``gwc_select_powers`` for one power, which must reach ``num_selected``."""
+    result, = gwc_select_powers(h_all, num_selected, [power])
+    if len(result.selected) < num_selected:
+        raise SelectionError("zero-forcing is undefined for every remaining candidate")
+    return result
 
 
 def random_select(num_users: int, num_selected: int,

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gusim import gscm, harness, localization
+from gusim import gscm, harness, localization, scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
+from gusim.rx import ZF_COND_LIMIT
+from gusim.scheduling import ScheduleResult
 
 
 def make_scenario(users_xy, cluster_specs, **config_overrides):
@@ -148,8 +150,9 @@ def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
 def naive_trial_rows(config):
     """Oracle for ``run_experiment(config).trial_rows``: every row of every
     trial selects, zero-forces and rates from scratch, with no reuse across
-    K_s, omega, algorithms or powers. The harness functions are looked up
-    on ``gusim.harness``, so a test that patches one there patches both."""
+    K_s, omega, algorithms or powers: GWC searches once per power with
+    ``scheduling.gwc_select``. The other harness functions are looked up on
+    ``gusim.harness``, so a test that patches one there patches both."""
     h = harness
     k_total = config.scenario.num_users
     m = config.scenario.antenna_count
@@ -171,7 +174,7 @@ def naive_trial_rows(config):
                                     h.perturb_and_rebuild(scen, omega, config.crlb).v_tilde
                                 sel = h.gus_select(v, ks, config.gus_variant).selected
                             elif alg == "GWC":
-                                sel = h.gwc_select(h_all, ks, power).selected
+                                sel = scheduling.gwc_select(h_all, ks, power).selected
                             else:
                                 rng = h._stream(seed, h._STREAM_SELECT, ks)
                                 sel = h.random_select(k_total, ks, rng).selected
@@ -189,3 +192,62 @@ def naive_trial_rows(config):
                             rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
                                                       None, load, ()))
     return rows
+
+
+def gwc_select_single(h_all, num_selected, power):
+    """Oracle for ``scheduling.gwc_select_powers``: the greedy search for one
+    power, every step computed from its own prefix with the same arithmetic
+    in the same order. Raises ``SelectionError`` where no candidate is
+    acceptable before ``num_selected`` picks."""
+    h_all = np.asarray(h_all)
+    m, k = h_all.shape
+    if not 1 <= num_selected <= k:
+        raise ConfigurationError(f"num_selected must be in [1, {k}]")
+    if num_selected > m:
+        raise SelectionError(f"zero-forcing needs num_selected <= M = {m}")
+
+    norms = np.linalg.norm(h_all, axis=0)
+    # QR factors of the selected columns, grown one column per step
+    dtype = np.result_type(h_all, float)
+    q_all = np.zeros((m, num_selected), dtype=dtype)
+    r_inv_all = np.zeros((num_selected, num_selected), dtype=dtype)
+    selected: list[int] = []
+    scores: list[float] = []
+    remaining = np.arange(k)
+    while len(selected) < num_selected:
+        s = len(selected)
+        q, r_inv = q_all[:, :s], r_inv_all[:s, :s]
+        h_rem = h_all[:, remaining]
+        c = q.conj().T @ h_rem
+        resid = h_rem - q @ c
+        rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
+        scored = np.flatnonzero(rho2 > 0)
+        rho2 = rho2[scored]
+        x = r_inv @ c[:, scored]
+        p = power.total_power / (s + 1)
+        gain = np.sum(np.abs(r_inv) ** 2, axis=1)[:, None] + np.abs(x) ** 2 / rho2
+        rates = (np.sum(np.log2(1.0 + p / (power.noise_power * gain)), axis=0)
+                 + np.log2(1.0 + p * rho2 / power.noise_power))
+        key = rates if s else norms[remaining[scored]]
+        for j in np.argsort(-key, kind="stable"):
+            rho = math.sqrt(rho2[j])   # R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
+            r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
+            sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
+            if not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT):
+                break
+        else:
+            raise SelectionError(
+                "zero-forcing is undefined for every remaining candidate"
+            )
+        w = scored[j]
+        # append the winner's column, re-orthogonalized once against Q
+        delta = q.conj().T @ resid[:, w]
+        e = resid[:, w] - q @ delta
+        rho = np.linalg.norm(e)
+        q_all[:, s] = e / rho
+        r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
+        r_inv_all[s, s] = 1.0 / rho
+        selected.append(int(remaining[w]))
+        scores.append(float(rates[j]))
+        remaining = np.delete(remaining, w)
+    return ScheduleResult(tuple(selected), tuple(scores), "GWC")

@@ -62,6 +62,22 @@ class TestGenerateScenario:
             assert ca.delay == cb.delay
             assert ca.shadow_gain == cb.shadow_gain
 
+    def test_independent_equal_draws_compare_equal(self):
+        cfg = ScenarioConfig(num_users=6, rng_seed=11)
+        a, b = generate_scenario(cfg), generate_scenario(cfg)
+        assert a.users is not b.users
+        assert a == b and not a != b
+        assert a.clusters[0] == b.clusters[0]
+
+    def test_one_user_coordinate_makes_scenarios_differ(self):
+        a = generate_scenario(ScenarioConfig(num_users=6, rng_seed=11))
+        users = a.users.copy()
+        users[3, 1] += 1e-6
+        assert replace(a, users=users) != a
+        moved = replace(a.clusters[2], vr_center=a.clusters[2].vr_center + 1e-6)
+        assert moved != a.clusters[2]
+        assert replace(a, clusters=(*a.clusters[:2], moved, *a.clusters[3:])) != a
+
     def test_invalid_exclusion_fraction(self):
         with pytest.raises(ConfigurationError):
             generate_scenario(ScenarioConfig(bs_exclusion_fraction=1.5))

@@ -18,7 +18,7 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            figure4_robustness, load_config, run_experiment,
                            save_config, watts_to_dbm, write_manifest,
                            write_results_csv)
-from gusim.scheduling import gus_select, gwc_select
+from gusim.scheduling import gus_select, gwc_select_powers
 
 from conftest import naive_trial_rows
 
@@ -115,19 +115,19 @@ class TestRunExperiment:
         assert calls == [3] * (cfg.trials * 2)
         assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
 
-    def test_gwc_selects_once_per_trial_and_power(self, monkeypatch):
+    def test_gwc_selects_once_per_trial_for_every_power(self, monkeypatch):
+        # at the largest K_s, with every power in config order
         calls = []
 
-        def counting(h_all, ks, power):
-            calls.append((ks, power.total_power))
-            return gwc_select(h_all, ks, power)
+        def counting(h_all, ks, powers):
+            calls.append((ks, [p.total_power for p in powers]))
+            return gwc_select_powers(h_all, ks, powers)
 
-        monkeypatch.setattr(harness, "gwc_select", counting)
-        cfg = tiny_config(algorithms=("GWC",), powers_dbm=(0.0, 20.0, 40.0),
+        monkeypatch.setattr(harness, "gwc_select_powers", counting)
+        cfg = tiny_config(algorithms=("GWC",), powers_dbm=(40.0, 0.0, 20.0),
                           ks_values=(2, 3), omegas=(0, 1))
         stats = run_experiment(cfg)
-        assert calls == [(3, dbm_to_watts(p)) for _ in range(cfg.trials)
-                         for p in cfg.powers_dbm]
+        assert calls == [(3, [dbm_to_watts(p) for p in cfg.powers_dbm])] * cfg.trials
         assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
 
     @pytest.mark.parametrize("rank_limited", [False, True])
@@ -252,6 +252,27 @@ class TestRunExperiment:
 
 
 class TestValidate:
+    @pytest.mark.parametrize("overrides,match", [
+        (dict(bandwidth=-1.0), "bandwidth"), (dict(temperature=0.0), "temperature"),
+        (dict(bandwidth=math.nan), "noise power"), (dict(temperature=math.nan), "noise power"),
+        (dict(noise_figure_db=math.inf), "noise power"),
+        (dict(noise_figure_db=-math.inf), "noise power")])
+    def test_noise_power_must_be_finite_and_positive(self, no_trials, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            run_experiment(tiny_config(**overrides))
+
+    @pytest.mark.parametrize("values", [(), (0,), (100, -50), (100.0,), (True,)])
+    def test_fig3_m_values_must_be_positive_integers(self, no_trials, values):
+        with pytest.raises(ConfigurationError, match="fig3_m_values"):
+            run_experiment(tiny_config(fig3_m_values=values))
+        with pytest.raises(ConfigurationError, match="fig3_m_values"):
+            figure3_load(tiny_config(fig3_m_values=values))
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_use_estimation_must_be_a_bool(self, no_trials, value):
+        with pytest.raises(ConfigurationError, match="use_estimation"):
+            run_experiment(tiny_config(use_estimation=value))
+
     @pytest.mark.parametrize("grid,values", [
         ("ks_values", (2, 2)), ("powers_dbm", (0.0, 20.0, 0)), ("omegas", (0, 1, 0)),
         ("algorithms", ("GUS", "RANDOM", "GUS"))])

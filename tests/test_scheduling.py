@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 import gusim.gscm as gscm
+import gusim.scheduling as scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.localization import perturb_and_rebuild
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.scheduling import (build_v_matrix, estimation_load, gus_select,
-                              gwc_select, random_select)
+                              gwc_select, gwc_select_powers, random_select)
 
-from conftest import (correlation_metric, make_scenario, pathloss_amplitude,
-                      reference_delay)
+from conftest import (correlation_metric, gwc_select_single, make_scenario,
+                      pathloss_amplitude, reference_delay)
 
 
 class TestBuildVMatrix:
@@ -382,6 +383,105 @@ class TestGwcSelect:
         result = gwc_select(h, 3, power)
         assert len(result.per_step_scores) == 3
         assert all(np.isfinite(result.per_step_scores))
+
+
+def desk_channel(seed):
+    """The full desk-scale channel matrix of one trial seed."""
+    scen = gscm.generate_scenario(replace(ExperimentConfig().scenario, rng_seed=seed))
+    return gscm.channel_matrix(scen, range(scen.num_users)).entries
+
+
+def desk_powers(p_dbm, num_selected=10, noise_power=ExperimentConfig().noise_power):
+    return [PowerConfig(dbm_to_watts(p), num_selected, noise_power) for p in p_dbm]
+
+
+def near_planar_pool(seed, m, k):
+    """Columns of spread norms whose last coordinate is 1e-13..1e-8 of the
+    rest, so the condition rule decides which extensions are acceptable."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-1.5, 0.5, k)
+    h[m - 1] = rng.standard_normal(k) * 10.0 ** rng.uniform(-13, -8, k)
+    return h
+
+
+def assert_matches_single(h, num_selected, powers):
+    """Each power's result is the one-power search's, scores equal by ==;
+    a short result is the longest run the one-power search completes."""
+    results = gwc_select_powers(h, num_selected, powers)
+    assert len(results) == len(powers)
+    for power, result in zip(powers, results):
+        n = len(result.selected)
+        if n < num_selected:
+            with pytest.raises(SelectionError):
+                gwc_select_single(h, n + 1, power)
+        expected = gwc_select_single(h, n, power)
+        assert result.selected == expected.selected
+        assert result.per_step_scores == expected.per_step_scores
+    return results
+
+
+class TestGwcSelectPowers:
+    """One search for several powers gives every power exactly the picks
+    and scores of its own one-power search."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_matches_single_on_desk_channels(self, seed):
+        assert_matches_single(desk_channel(seed), 10,
+                              desk_powers(ExperimentConfig().powers_dbm))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unsorted_repeated_and_extreme_powers(self, seed):
+        powers = desk_powers((40.0, -20.0, 70.0, 10.0, 40.0, -5.0, 55.0, 0.0, 70.0))
+        results = assert_matches_single(desk_channel(seed), 10, powers)
+        assert results[0] == results[4] and results[2] == results[8]
+
+    def test_matches_single_on_gaussian_channels(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            ks = int(rng.integers(1, 11))
+            m = int(rng.integers(ks, 65))
+            k = int(rng.integers(ks, 41))
+            h = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+            powers = [PowerConfig(float(10 ** rng.uniform(-3, 4)), ks,
+                                  float(10 ** rng.uniform(-3, 0)))
+                      for _ in range(int(rng.integers(1, 7)))]
+            assert_matches_single(h, ks, powers)
+
+    @pytest.mark.parametrize("seed,m,k", [(1807, 3, 6), (780, 4, 8), (1381, 4, 8)])
+    def test_some_powers_run_out(self, seed, m, k):
+        # the powers part ways on a near-planar pool, and some branches
+        # reach a prefix that no remaining candidate extends acceptably
+        h = near_planar_pool(seed, m, k)
+        powers = desk_powers(range(-40, 91, 5), m, noise_power=1e-3)
+        results = assert_matches_single(h, m, powers)
+        lengths = [len(r.selected) for r in results]
+        assert min(lengths) < m and m in lengths
+        short = powers[lengths.index(min(lengths))]
+        with pytest.raises(SelectionError):
+            gwc_select(h, m, short)
+        assert gwc_select(h, m, powers[lengths.index(m)]).selected
+        # a duplicated column never extends a prefix holding its twin
+        assert_matches_single(np.column_stack([h, h[:, ::2]]), m, powers)
+
+    @pytest.mark.parametrize("h,num_selected,powers", [
+        (desk_channel(1), 10, desk_powers(ExperimentConfig().powers_dbm)),
+        (desk_channel(2), 10, desk_powers((50.0, -20.0, 70.0, 10.0, 50.0))),
+        (near_planar_pool(1807, 3, 6), 3, desk_powers(range(-40, 91, 5), 3, 1e-3)),
+    ], ids=["desk-1", "desk-2", "runs-out"])
+    def test_one_node_per_distinct_prefix(self, monkeypatch, h, num_selected, powers):
+        depths = []
+        node = scheduling._gwc_node
+
+        def spy(h_all, q, r_inv, remaining):
+            depths.append(q.shape[1])
+            return node(h_all, q, r_inv, remaining)
+
+        monkeypatch.setattr(scheduling, "_gwc_node", spy)
+        results = gwc_select_powers(h, num_selected, powers)
+        prefixes = {r.selected[:s] for r in results
+                    for s in range(min(len(r.selected) + 1, num_selected))}
+        assert sorted(depths) == sorted(map(len, prefixes))
+        assert len(depths) < num_selected * len(powers)
 
 
 class TestGreedyPrefixes:
