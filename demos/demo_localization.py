@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from gusim import (CrlbParams, ScenarioConfig, build_v_matrix, crlb,
-                   generate_scenario, gus_select, perturb_and_rebuild,
+                   generate_scenario, gus_select, perturb_and_rebuild_omegas,
                    solve_cluster_distance)
 from gusim.gscm import SPEED_OF_LIGHT
 
@@ -43,8 +43,10 @@ scenario = generate_scenario(ScenarioConfig(num_users=20, rng_seed=5))
 v_true = build_v_matrix(scenario)
 print("\nOmega sweep (relative error in V, and whether GUS picks change):")
 baseline = gus_select(v_true, 5).selected
-for omega in range(6):
-    pg = perturb_and_rebuild(scenario, omega, params)
+# one rebuild covers every error scale; each result equals its own
+# perturb_and_rebuild(scenario, omega, params)
+omegas = range(6)
+for omega, pg in zip(omegas, perturb_and_rebuild_omegas(scenario, omegas, params)):
     rel = np.linalg.norm(v_true - pg.v_tilde) / np.linalg.norm(v_true)
     picks = gus_select(pg.v_tilde, 5).selected
     print(f"  Omega={omega}: |E|/|V| = {rel:.3e}, picks "

@@ -16,7 +16,7 @@ from .scheduling import (ScheduleResult, build_v_matrix, estimation_load,
                          gus_select, gwc_select, gwc_select_powers, random_select)
 from .localization import (CrlbParams, LocalizationError, PerturbedGeometry,
                            crlb, field_pattern, perturb_and_rebuild,
-                           solve_cluster_distance)
+                           perturb_and_rebuild_omegas, solve_cluster_distance)
 from .harness import (AggregateStats, ExperimentConfig, TrialResult,
                       figure2_sweep, figure3_load, figure4_robustness,
                       load_config, run_experiment, save_config)

@@ -36,6 +36,21 @@ _STREAM_PERTURB = 303
 _STREAM_SELECT = 404
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite real number, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and math.isfinite(value)
+
+
+# ScenarioConfig fields that count things; the others hold real numbers
+_COUNT_FIELDS = ("num_users", "num_clusters", "mpcs_per_cluster", "antenna_count",
+                 "rng_seed")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable parameter set describing one simulated micro-cell.
@@ -70,6 +85,21 @@ class ScenarioConfig:
         return SPEED_OF_LIGHT / self.carrier_freq
 
     def validate(self) -> None:
+        for name in _COUNT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be integer, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not (_is_finite(value) or name == "reference_delay" and value is None):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if not all(map(_is_finite, self.cluster_height_range)):
+            raise ConfigurationError(
+                f"cluster_height_range must be finite, got {self.cluster_height_range!r}")
+        if self.shadowing_sigma_db < 0 or self.angular_spread_deg < 0:
+            raise ConfigurationError("shadowing_sigma_db and angular_spread_deg must be "
+                                     "nonnegative")
+        if self.antenna_spacing_fraction <= 0:
+            raise ConfigurationError("antenna_spacing_fraction must be positive")
         if self.cell_half_side <= 0:
             raise ConfigurationError("cell_half_side must be positive")
         if not 0 < self.bs_exclusion_fraction < 1:
@@ -99,6 +129,10 @@ class ScenarioConfig:
             raise ConfigurationError("cluster_height_range must satisfy 0 <= lo <= hi")
         if self.rng_seed < 0:
             raise ConfigurationError("rng_seed must be a nonnegative integer")
+
+
+_REAL_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
+                     if f.name not in (*_COUNT_FIELDS, "cluster_height_range"))
 
 
 def _equal_by_value(self, other) -> bool:

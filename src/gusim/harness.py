@@ -21,9 +21,9 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError, RankDeficiencyError, SelectionError
-from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT, channel_covariances,
-                   channel_matrix, generate_scenario)
-from .localization import CrlbParams, perturb_and_rebuild
+from .gscm import (ScenarioConfig, _is_finite, _is_int, _stream, _STREAM_SELECT,
+                   channel_covariances, channel_matrix, generate_scenario)
+from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import from_plain, to_plain
 from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
                  sum_rate, unitary_pilots, zf_weights)
@@ -40,10 +40,6 @@ RESULT_HEADER = ("figure", "algorithm", "K_s", "P_dbm", "P_watts", "omega",
 LOAD_HEADER = ("figure", "M", "K", "K_s", "load_selected", "load_full", "ratio")
 
 _STREAM_FADING = 505
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -86,8 +82,8 @@ class ExperimentConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be a nonnegative integer")
-        if not all(math.isfinite(p) for p in self.powers_dbm):
-            raise ConfigurationError("powers_dbm must be finite")
+        if not all(map(_is_finite, self.powers_dbm)):
+            raise ConfigurationError(f"powers_dbm must be finite numbers, got {self.powers_dbm!r}")
         for name in ("algorithms", "powers_dbm", "ks_values", "omegas"):
             grid = getattr(self, name)
             if not grid or len(set(grid)) != len(grid):
@@ -200,30 +196,49 @@ def _greedy_prefixes(select, ks_values) -> dict:
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
     function of (config, base seed, trial). GUS and GWC run at the largest
-    K_s only, GWC once for all powers; receivers, covariances and rates are
-    memoized per ordered set (and power), since the estimate's pilot noise is
-    keyed by the set size."""
+    K_s only, GUS on one rebuild for every positive omega and GWC once for all
+    powers; H holds only the columns of users some row rates, unless GWC runs.
+    Receivers, covariances and rates are memoized per ordered set (and power),
+    since the estimate's pilot noise is keyed by the set size."""
     seed = config.base_seed + trial
     scen = generate_scenario(replace(config.scenario, rng_seed=seed))
     k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
                        config.noise_power)
-    h_all = channel_matrix(scen, range(k_total)).entries
 
-    random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks)).selected
-              for ks in config.ks_values}
+    random = {}
+    if "RANDOM" in config.algorithms:
+        random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks)).selected
+                  for ks in config.ks_values}
     gus = {}
     if "GUS" in config.algorithms:
-        v = build_v_matrix(scen)
-        for omega in config.omegas:   # the rebuilt V depends on omega only
-            v_omega = v if omega == 0 else \
-                perturb_and_rebuild(scen, omega, config.crlb).v_tilde
+        v_of = {0: build_v_matrix(scen)} if 0 in config.omegas else {}
+        positive = [o for o in config.omegas if o > 0]
+        if positive:   # the rebuilt V depends on omega only: one rebuild for all
+            v_of.update(zip(positive, (pg.v_tilde for pg in perturb_and_rebuild_omegas(
+                scen, positive, config.crlb))))
+        for omega in config.omegas:
             gus[omega] = _greedy_prefixes(lambda ks: gus_select(
-                v_omega, ks, config.gus_variant).selected, config.ks_values)
+                v_of[omega], ks, config.gus_variant).selected, config.ks_values)
+
+    # one channel synthesis per trial, of the users some row rates: a column
+    # depends only on its own (scenario, user) streams. GWC reads all of H.
+    if "GWC" in config.algorithms:
+        needed = range(k_total)
+    else:
+        needed = sorted({u for picks in (*gus.values(), random) for sel in picks.values()
+                         if sel is not None for u in sel})
+    h_needed = channel_matrix(scen, needed).entries if needed else None
+    column = {user: i for i, user in enumerate(needed)}
+
+    @cache
+    def h_of(sel: tuple[int, ...]) -> np.ndarray:
+        return h_needed[:, [column[u] for u in sel]]
+
     gwc = {}
     if "GWC" in config.algorithms:   # one search at the largest K_s for every power
         top = max(config.ks_values)
         powers = [PowerConfig(dbm_to_watts(p), top, p_n) for p in config.powers_dbm]
-        for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(h_all, top, powers)):
+        for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(h_needed, top, powers)):
             gwc[p_dbm] = {ks: r.selected[:ks] if ks <= len(r.selected) else None
                           for ks in config.ks_values}   # None past a short result
 
@@ -232,7 +247,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     @cache
     def receiver(sel: tuple[int, ...], p_dbm: float | None):
         """ZF receiver of a set (power-free with perfect CSI), None if rank deficient."""
-        h_zf = h_all[:, list(sel)]
+        h_zf = h_of(sel)
         try:
             if p_dbm is not None:
                 power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
@@ -246,7 +261,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
         rx = receiver(sel, p_dbm if config.use_estimation else None)
         power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
         return None if rx is None else \
-            sum_rate(h_all[:, list(sel)], rx, power, mode=config.mode)
+            sum_rate(h_of(sel), rx, power, mode=config.mode)
 
     rows = []
     for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gscm
 from .errors import ConfigurationError, GeometryError
-from .gscm import SPEED_OF_LIGHT, Scenario
+from .gscm import SPEED_OF_LIGHT, Scenario, _is_finite, _is_int
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,15 @@ class CrlbParams:
     d_over_lambda: float = 0.5
 
     def validate(self) -> None:
-        if min(self.num_antennas, self.sensors_per_axis, self.signal_periods,
-               self.pn_length) < 1:
-            raise ConfigurationError("all counts must be positive")
-        if self.input_snr <= 0 or self.bandwidth <= 0 or self.d_over_lambda <= 0:
-            raise ConfigurationError("input_snr, bandwidth, d_over_lambda must be positive")
+        counts = (self.num_antennas, self.sensors_per_axis, self.signal_periods,
+                  self.pn_length)
+        if not all(map(_is_int, counts)) or min(counts) < 1:
+            raise ConfigurationError(f"all counts must be positive integers, got {counts!r}")
+        reals = (self.input_snr, self.bandwidth, self.d_over_lambda)
+        if not all(map(_is_finite, reals)) or min(reals) <= 0:
+            # a NaN SNR would make every bound NaN and silently perturb nothing
+            raise ConfigurationError(
+                f"input_snr, bandwidth, d_over_lambda must be finite and positive, got {reals!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,44 @@ def crlb_angles(gamma_o: float, num_antennas: int, delta: float,
 def crlb(params: CrlbParams, phi: float, theta: float) -> tuple[float, float, float]:
     """(delay, elevation, azimuth) estimation variance bounds for a path
     arriving at azimuth ``phi`` and elevation ``theta``."""
-    params.validate()
-    gamma_o = output_snr(params, phi)
+    gamma_o = output_snr(params, phi)   # validates params
     delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
     bound_tau = crlb_delay(gamma_o, params.bandwidth)
     bound_theta, bound_phi = crlb_angles(gamma_o, params.num_antennas, delta, theta)
     return bound_tau, bound_theta, bound_phi
+
+
+# why the ellipse inversion fails, in the order it checks; failure code i + 1
+_ELLIPSE_FAILURES = (
+    "total path length c0*tau must be positive",
+    "total path length shorter than the direct BS-MS path: ellipse is empty",
+    "degenerate geometry: no finite bounce distance",
+    "no real bounce distance for these angles",
+    "no admissible bounce distance in (0, c0*tau)",
+)
+
+
+def _ellipse_distance(r, se, ce, ca, dh, d_bs_ms, direct, alternate_root=False):
+    """``solve_cluster_distance`` on broadcast arrays: the path length
+    r = c0 tau, sin and cos of the elevation, cos of the azimuth and the
+    direct BS-MS length ``direct``. Returns the BS-to-cluster distances (NaN
+    where unsolved) and the failure codes, 0 where solved, else 1 + the index
+    in ``_ELLIPSE_FAILURES`` of the first check that fails."""
+    a = 1.0 - se * se - ce * ce * ca * ca
+    b = -2.0 * r - 2.0 * dh * se + 2.0 * d_bs_ms * ce * ca
+    c = r * r - dh * dh - d_bs_ms * d_bs_ms
+    linear = np.abs(a) < 1e-12
+    with np.errstate(all="ignore"):   # the branches not taken are masked below
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(disc)
+        lo = np.where(linear, -c / b, (-b - sq) / (2.0 * a))
+        hi = np.where(linear, lo, (-b + sq) / (2.0 * a))
+    ok_lo, ok_hi = (0.0 < lo) & (lo < r), (0.0 < hi) & (hi < r)
+    both = (np.maximum if alternate_root else np.minimum)(lo, hi)
+    failure = np.select([r <= 0, r < direct, linear & (np.abs(b) < 1e-12),
+                         ~linear & (disc < 0), ~(ok_lo | ok_hi)], [1, 2, 3, 4, 5], 0)
+    d = np.where(ok_lo & ok_hi, both, np.where(ok_lo, lo, hi))
+    return np.where(failure == 0, d, np.nan), failure
 
 
 def solve_cluster_distance(tau: float, elevation: float, azimuth: float,
@@ -139,37 +175,13 @@ def solve_cluster_distance(tau: float, elevation: float, azimuth: float,
     Of multiple admissible roots in (0, c0 tau) the smallest is taken;
     ``alternate_root`` selects the largest instead.
     """
-    r = SPEED_OF_LIGHT * tau
-    dh = h_bs - h_ms
-    if r <= 0:
-        raise GeometryError("total path length c0*tau must be positive")
-    if r < math.hypot(dh, d_bs_ms):
-        raise GeometryError(
-            "total path length shorter than the direct BS-MS path: ellipse is empty"
-        )
-    se, ce = math.sin(elevation), math.cos(elevation)
-    ca = math.cos(azimuth)
-    a = 1.0 - se * se - ce * ce * ca * ca
-    b = -2.0 * r - 2.0 * dh * se + 2.0 * d_bs_ms * ce * ca
-    c = r * r - dh * dh - d_bs_ms * d_bs_ms
-
-    roots: list[float]
-    if abs(a) < 1e-12:
-        if abs(b) < 1e-12:
-            raise GeometryError("degenerate geometry: no finite bounce distance")
-        roots = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0:
-            raise GeometryError("no real bounce distance for these angles")
-        sq = math.sqrt(disc)
-        roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-
-    admissible = sorted(d for d in roots if 0.0 < d < r)
-    if not admissible:
-        raise GeometryError("no admissible bounce distance in (0, c0*tau)")
-    d_bs_c = admissible[-1] if alternate_root else admissible[0]
-    return d_bs_c, r - d_bs_c
+    r, dh = SPEED_OF_LIGHT * tau, h_bs - h_ms
+    d_bs_c, failure = _ellipse_distance(
+        r, math.sin(elevation), math.cos(elevation), math.cos(azimuth), dh, d_bs_ms,
+        math.hypot(dh, d_bs_ms), alternate_root)
+    if failure:
+        raise GeometryError(_ELLIPSE_FAILURES[failure - 1])
+    return float(d_bs_c), r - float(d_bs_c)
 
 
 def cluster_observables(scenario: Scenario, cluster: int) -> tuple[float, float, float]:
@@ -182,30 +194,76 @@ def cluster_observables(scenario: Scenario, cluster: int) -> tuple[float, float,
     return cl.delay, elevation, azimuth
 
 
-def _rebuild_cluster(scenario: Scenario, cluster: int, tau: float,
-                     elevation: float, azimuth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuilt 3D position and VR centre of a cluster measured at (delay,
-    elevation, azimuth).
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``x`` in Python floats. numpy's transcendental
+    ufuncs may differ from ``math`` in the last bit; this keeps ``math``'s."""
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
-    The bounce distance comes from the ellipse inversion anchored at the
-    VR centre; the VR centre is translated together with the cluster.
+
+def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
+                               params: CrlbParams) -> tuple[PerturbedGeometry, ...]:
+    """``perturb_and_rebuild`` at every error scale in ``omegas``: one result
+    per omega, in input order, each bitwise equal to its own call.
+
+    The observables, bounds, signs and VR-centre geometry do not depend on
+    omega and are computed once; the perturbations and the ellipse inversion
+    run on (omega, cluster) arrays over the positive omegas. A zero omega is
+    the exact no-op of ``perturb_and_rebuild``.
     """
-    cfg = scenario.config
-    cl = scenario.clusters[cluster]
-    bs = scenario.bs_position
-    vr_vec = cl.vr_center - bs[:2]
-    d_bs_vr = float(np.linalg.norm(vr_vec))
-    az_vr = math.atan2(vr_vec[1], vr_vec[0])
-    az_rel = azimuth - az_vr
+    if any(o < 0 for o in omegas):
+        raise ConfigurationError("omega must be a nonnegative integer")
+    n_c = scenario.num_clusters
+    positions = np.stack([cl.position for cl in scenario.clusters])
+    vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
+    delays = np.array([cl.delay for cl in scenario.clusters])
+    n_w = len(omegas)
+    steps = np.zeros((n_w, 3, n_c))   # delay, elevation, azimuth perturbations
+    new_positions = np.repeat(positions[None], n_w, axis=0)
+    new_vr_centers = np.repeat(vr_centers[None], n_w, axis=0)
+    new_delays = np.repeat(delays[None], n_w, axis=0)
+    fallback = np.zeros((n_w, n_c), dtype=bool)
+    live = np.array([o > 0 for o in omegas], dtype=bool)
+    if live.any():
+        cfg, bs = scenario.config, scenario.bs_position
+        rng = gscm._stream(cfg.rng_seed, gscm._STREAM_PERTURB)
+        signs = rng.choice([-1.0, 1.0], size=(n_c, 3)).T
+        observed = [cluster_observables(scenario, j) for j in range(n_c)]
+        bounds = np.array([crlb(params, az, el) for _, el, az in observed]).T
+        scale = np.array([o for o in omegas if o > 0], dtype=float)[:, None, None]
+        # the angle bounds are infinite for a single sensor per axis
+        steps[live] = np.where(np.isfinite(bounds), signs * scale * np.sqrt(bounds), 0.0)
+        tau, el, az = np.array(observed).T[:, None] + steps[live].transpose(1, 0, 2)
 
-    d_bs_c, _ = solve_cluster_distance(
-        tau, elevation, az_rel, cfg.bs_height, cfg.ms_height, d_bs_vr)
-    position = bs + d_bs_c * np.array([
-        math.cos(elevation) * math.cos(azimuth),
-        math.cos(elevation) * math.sin(azimuth),
-        math.sin(elevation),
-    ])
-    return position, cl.vr_center + (position[:2] - cl.position[:2])
+        # the ellipse is anchored at the VR centre, which moves with the cluster
+        vr_vec = vr_centers - bs[:2]
+        d_bs_vr = np.array([float(np.linalg.norm(v)) for v in vr_vec])
+        az_vr = np.array([math.atan2(v[1], v[0]) for v in vr_vec])
+        dh = cfg.bs_height - cfg.ms_height
+        se, ce = _elementwise(math.sin, el), _elementwise(math.cos, el)
+        d_bs_c, failure = _ellipse_distance(
+            SPEED_OF_LIGHT * tau, se, ce, _elementwise(math.cos, az - az_vr), dh,
+            d_bs_vr, np.array([math.hypot(dh, d) for d in d_bs_vr]))
+        rebuilt = bs + d_bs_c[..., None] * np.stack(
+            [ce * _elementwise(math.cos, az), ce * _elementwise(math.sin, az), se], axis=-1)
+        # a nonpositive perturbed delay fails the first check; a cluster with
+        # no admissible bounce distance keeps its true geometry, and the
+        # robustness study continues with the remaining clusters perturbed
+        failed = failure > 0
+        fallback[live] = failed
+        new_positions[live] = np.where(failed[..., None], positions, rebuilt)
+        new_vr_centers[live] = np.where(
+            failed[..., None], vr_centers, vr_centers + (rebuilt[..., :2] - positions[:, :2]))
+        new_delays[live] = np.where(failed, delays, tau)
+
+    return tuple(
+        PerturbedGeometry(
+            v_tilde=gscm.large_scale_gains(scenario, vr, delay, include_shadowing=False),
+            perturbations=LocalizationError(omega, *step),
+            cluster_positions=position,
+            fallback_count=int(fb.sum()),
+        )
+        for omega, step, position, vr, delay, fb in zip(
+            omegas, steps, new_positions, new_vr_centers, new_delays, fallback))
 
 
 def perturb_and_rebuild(scenario: Scenario, omega: int,
@@ -217,42 +275,6 @@ def perturb_and_rebuild(scenario: Scenario, omega: int,
     ``omega == 0`` is an exact no-op. Clusters whose perturbed geometry has
     no admissible bounce distance fall back to their true geometry, so
     their column of ``v_tilde`` is the true V column, and are counted in
-    ``fallback_count``.
+    ``fallback_count``. The one-omega case of ``perturb_and_rebuild_omegas``.
     """
-    if omega < 0:
-        raise ConfigurationError("omega must be a nonnegative integer")
-    n_c = scenario.num_clusters
-    positions = np.stack([cl.position for cl in scenario.clusters])
-    vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
-    delays = np.array([cl.delay for cl in scenario.clusters])
-    fallback = np.zeros(n_c, dtype=bool)
-    d_tau, d_theta, d_phi = np.zeros((3, n_c))
-    if omega > 0:
-        rng = gscm._stream(scenario.config.rng_seed, gscm._STREAM_PERTURB)
-        signs = rng.choice([-1.0, 1.0], size=(n_c, 3))
-        for j in range(n_c):
-            tau, el, az = cluster_observables(scenario, j)
-            bounds = crlb(params, az, el)
-            # the angle bounds are infinite for a single sensor per axis
-            d_tau[j], d_theta[j], d_phi[j] = (
-                sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
-                for sign, b in zip(signs[j], bounds))
-            try:
-                if tau + d_tau[j] <= 0:
-                    raise GeometryError("perturbed delay is nonpositive")
-                positions[j], vr_centers[j] = _rebuild_cluster(
-                    scenario, j, tau + d_tau[j], el + d_theta[j], az + d_phi[j])
-                delays[j] = tau + d_tau[j]
-            except GeometryError:
-                # keep the true geometry for this cluster; the robustness
-                # study continues with the remaining clusters perturbed
-                fallback[j] = True
-
-    v_tilde = gscm.large_scale_gains(scenario, vr_centers, delays,
-                                     include_shadowing=False)
-    return PerturbedGeometry(
-        v_tilde=v_tilde,
-        perturbations=LocalizationError(omega, d_tau, d_theta, d_phi),
-        cluster_positions=positions,
-        fallback_count=int(fallback.sum()),
-    )
+    return perturb_and_rebuild_omegas(scenario, (omega,), params)[0]

@@ -136,12 +136,35 @@ def correlation_metric(v_k, v_j) -> float:
     return min(1.0, float(abs(np.vdot(v_j, v_k))) / (nk * nj))
 
 
+def rebuild_cluster(scen, cluster, tau, elevation, azimuth):
+    """Oracle for one cluster of ``perturb_and_rebuild_omegas``: the rebuilt
+    3D position and VR centre of a cluster measured at (delay, elevation,
+    azimuth), from the scalar ``solve_cluster_distance``.
+
+    The bounce distance comes from the ellipse inversion anchored at the
+    VR centre; the VR centre is translated together with the cluster.
+    """
+    cfg = scen.config
+    cl = scen.clusters[cluster]
+    bs = scen.bs_position
+    vr_vec = cl.vr_center - bs[:2]
+    d_bs_vr = float(np.linalg.norm(vr_vec))
+    az_vr = math.atan2(vr_vec[1], vr_vec[0])
+    d_bs_c, _ = localization.solve_cluster_distance(
+        tau, elevation, azimuth - az_vr, cfg.bs_height, cfg.ms_height, d_bs_vr)
+    position = bs + d_bs_c * np.array([
+        math.cos(elevation) * math.cos(azimuth),
+        math.cos(elevation) * math.sin(azimuth),
+        math.sin(elevation),
+    ])
+    return position, cl.vr_center + (position[:2] - cl.position[:2])
+
+
 def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
     """Oracle for one column of ``perturb_and_rebuild``: rebuild one cluster
     from measured (delay, elevation, azimuth) and return the per-user column
     of the rebuilt user-cluster matrix with the rebuilt 3D cluster position."""
-    position, vr_center = localization._rebuild_cluster(scen, cluster, tau,
-                                                        elevation, azimuth)
+    position, vr_center = rebuild_cluster(scen, cluster, tau, elevation, azimuth)
     column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]),
                                     include_shadowing=False)[:, 0]
     return column, position
@@ -150,9 +173,11 @@ def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
 def naive_trial_rows(config):
     """Oracle for ``run_experiment(config).trial_rows``: every row of every
     trial selects, zero-forces and rates from scratch, with no reuse across
-    K_s, omega, algorithms or powers: GWC searches once per power with
-    ``scheduling.gwc_select``. The other harness functions are looked up on
-    ``gusim.harness``, so a test that patches one there patches both."""
+    K_s, omega, algorithms or powers: H holds every user's column, GWC
+    searches once per power with ``scheduling.gwc_select`` and GUS rebuilds V
+    once per row with the one-omega ``localization.perturb_and_rebuild``. The
+    other harness functions are looked up on ``gusim.harness``, so a test that
+    patches one there patches both."""
     h = harness
     k_total = config.scenario.num_users
     m = config.scenario.antenna_count
@@ -171,7 +196,8 @@ def naive_trial_rows(config):
                         try:
                             if alg == "GUS":
                                 v = h.build_v_matrix(scen) if omega == 0 else \
-                                    h.perturb_and_rebuild(scen, omega, config.crlb).v_tilde
+                                    localization.perturb_and_rebuild(
+                                        scen, omega, config.crlb).v_tilde
                                 sel = h.gus_select(v, ks, config.gus_variant).selected
                             elif alg == "GWC":
                                 sel = scheduling.gwc_select(h_all, ks, power).selected

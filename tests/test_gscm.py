@@ -336,6 +336,16 @@ class TestChannelMatrix:
         h = channel_matrix(scen, range(12)).entries
         for k in range(12):
             np.testing.assert_array_equal(h[:, [k]], channel_matrix(scen, [k]).entries)
+        # desk scale, multi-user subsets in any order: the harness synthesizes
+        # only the users a trial rates and must get the full matrix's bits
+        for seed in (1, 7, 1001):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            h = channel_matrix(scen, range(scen.num_users)).entries
+            rng = np.random.default_rng(seed)
+            for size in (2, 5, 10, 23, 39, 40):
+                subset = rng.permutation(scen.num_users)[:size]
+                np.testing.assert_array_equal(channel_matrix(scen, subset).entries,
+                                              h[:, subset])
 
     def test_empty_selection_rejected(self, small_scenario):
         with pytest.raises(ConfigurationError):

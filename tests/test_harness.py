@@ -11,7 +11,7 @@ from gusim import cli, gscm, harness
 from gusim.errors import ConfigurationError, SelectionError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import zf_weights
-from gusim.localization import CrlbParams, perturb_and_rebuild
+from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -152,21 +152,32 @@ class TestRunExperiment:
         if not rank_limited:
             assert len(calls) == len({(r.trial, r.selected) for r in rows}) < len(rows)
 
+    @staticmethod
+    def count_rebuilds(monkeypatch):
+        calls = []
+
+        def counting(scen, omegas, params):
+            calls.append((scen.config.rng_seed, tuple(omegas)))
+            return perturb_and_rebuild_omegas(scen, omegas, params)
+
+        monkeypatch.setattr(harness, "perturb_and_rebuild_omegas", counting)
+        return calls
+
     @pytest.mark.parametrize("ks_values", [(2,), (2, 3, 4)])
     def test_perturbation_once_per_trial_and_positive_omega(self, monkeypatch,
                                                             ks_values):
-        calls = []
-
-        def counting(scen, omega, params):
-            calls.append((scen.config.rng_seed, omega))
-            return perturb_and_rebuild(scen, omega, params)
-
-        monkeypatch.setattr(harness, "perturb_and_rebuild", counting)
+        # one rebuild per trial carries every positive omega, in grid order
+        calls = self.count_rebuilds(monkeypatch)
         cfg = tiny_config(algorithms=("GUS", "RANDOM"), ks_values=ks_values,
-                          omegas=(0, 1, 3))
+                          omegas=(3, 0, 1))
         stats = run_experiment(cfg)
-        assert sorted(calls) == sorted((3 + t, o) for t in range(2) for o in (1, 3))
+        assert calls == [(3 + t, (3, 1)) for t in range(2)]
         assert len(stats.trial_rows) == 2 * len(ks_values) * 3 * 2 * 2
+
+    def test_no_rebuild_without_a_positive_omega(self, monkeypatch):
+        calls = self.count_rebuilds(monkeypatch)
+        run_experiment(tiny_config(algorithms=("GUS", "RANDOM"), omegas=(0,)))
+        assert calls == []
 
     def test_covariances_once_per_distinct_selection(self, monkeypatch):
         calls = []
@@ -295,6 +306,39 @@ class TestValidate:
         tiny_config(trials=np.int64(2), ks_values=(np.int64(2),)).validate()
 
 
+class TestValidateHoles:
+    """Every invalid value fails in ``validate()`` before any trial runs."""
+
+    @pytest.mark.parametrize("part,overrides,match", [
+        ("scenario", dict(num_users=40.5), "num_users must be integer"),
+        ("scenario", dict(mpcs_per_cluster=2.5), "mpcs_per_cluster must be integer"),
+        ("scenario", dict(antenna_count=64.0), "antenna_count must be integer"),
+        ("scenario", dict(rng_seed=1.5), "rng_seed must be integer"),
+        ("scenario", dict(cell_half_side=math.nan), "cell_half_side must be finite"),
+        ("scenario", dict(shadowing_sigma_db=math.nan), "shadowing_sigma_db must be finite"),
+        ("scenario", dict(angular_spread_deg=math.nan), "angular_spread_deg must be finite"),
+        ("scenario", dict(bs_height=math.nan), "bs_height must be finite"),
+        ("scenario", dict(cutoff_delay=math.nan), "cutoff_delay must be finite"),
+        ("scenario", dict(power_decay=math.nan), "power_decay must be finite"),
+        ("scenario", dict(carrier_freq=math.inf), "carrier_freq must be finite"),
+        ("scenario", dict(shadowing_sigma_db=-1.0), "shadowing_sigma_db .* nonnegative"),
+        ("scenario", dict(angular_spread_deg=-5.0), "angular_spread_deg must be nonnegative"),
+        ("scenario", dict(antenna_spacing_fraction=-0.5), "antenna_spacing_fraction"),
+        ("crlb", dict(input_snr=math.nan), "input_snr.* finite and positive"),
+        ("crlb", dict(pn_length=127.5), "positive integers"),
+        ("crlb", dict(sensors_per_axis=5.0), "positive integers"),
+        ("config", dict(powers_dbm=("30",)), "powers_dbm must be finite numbers"),
+        ("config", dict(powers_dbm=(0.0, True)), "powers_dbm must be finite numbers"),
+    ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
+    def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
+        base = tiny_config()
+        cfg = (replace(base, scenario=replace(base.scenario, **overrides)) if part == "scenario"
+               else replace(base, crlb=CrlbParams(**overrides)) if part == "crlb"
+               else replace(base, **overrides))
+        with pytest.raises(ConfigurationError, match=match):
+            run_experiment(cfg)
+
+
 class TestAggregate:
     def test_cells_match_per_cell_scan(self):
         # Oracle: scan every row for every cell, in trial order
@@ -329,11 +373,50 @@ class TestTrialRowsMatchNaiveOracle:
              powers_dbm=(0.0, 20.0, 40.0, 60.0)),
         dict(mode="paper-literal", use_estimation=True,
              algorithms=("GUS", "RANDOM"), ks_values=(2, 3)),
+        # the desk-scale grids, where powers choose different GWC users and
+        # GUS and RANDOM rate a strict subset of the 40 users
+        dict(scenario=ScenarioConfig(), algorithms=ALGORITHMS,
+             powers_dbm=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0), ks_values=(5, 10)),
+        dict(scenario=ScenarioConfig(), algorithms=("GUS", "RANDOM"),
+             powers_dbm=(30.0,), ks_values=(5, 10), omegas=tuple(range(6))),
+        dict(scenario=ScenarioConfig(), algorithms=("GUS", "RANDOM"),
+             use_estimation=True, powers_dbm=(30.0,), ks_values=(10,)),
     ], ids=["unsorted-ks", "omegas-last", "omegas-set", "gwc-estimated",
-            "paper-literal"])
+            "paper-literal", "fig2-grid", "fig4-grid", "estimated-csi-grid"])
     def test_rows_equal(self, overrides):
         cfg = tiny_config(**overrides)
         assert run_experiment(cfg).trial_rows == tuple(naive_trial_rows(cfg))
+
+    def test_fig2_grid_powers_choose_different_gwc_users(self):
+        # the fig2-grid case above covers rows that differ between powers
+        cfg = tiny_config(scenario=ScenarioConfig(), algorithms=("GWC",),
+                          powers_dbm=(0.0, 10.0, 20.0, 30.0, 40.0, 50.0),
+                          ks_values=(5, 10))
+        rows = run_experiment(cfg).trial_rows
+        assert any(len({r.selected for r in rows if (r.trial, r.ks) == key}) > 1
+                   for key in {(r.trial, r.ks) for r in rows})
+
+    @pytest.mark.parametrize("algorithms,omegas", [
+        (("GUS", "RANDOM"), (0, 2)), (("GUS",), (1,)), (("RANDOM",), (0,)),
+        (ALGORITHMS, (0,))])
+    def test_channel_columns_only_for_rated_users(self, monkeypatch, algorithms, omegas):
+        # one synthesis per trial: every user when GWC runs (it reads all of
+        # H), else the sorted users of the rated sets
+        calls = []
+
+        def recording(scen, selected):
+            calls.append(list(selected))
+            return gscm.channel_matrix(scen, selected)
+
+        monkeypatch.setattr(harness, "channel_matrix", recording)
+        cfg = tiny_config(scenario=replace(tiny_config().scenario, num_users=20),
+                          algorithms=algorithms, omegas=omegas, ks_values=(2, 4))
+        rows = run_experiment(cfg).trial_rows
+        assert len(calls) == cfg.trials
+        for trial, columns in enumerate(calls):
+            rated = sorted({u for r in rows if r.trial == trial for u in r.selected})
+            assert columns == (list(range(20)) if "GWC" in algorithms else rated)
+            assert len(rated) < 20 or "GWC" in algorithms
 
     def test_largest_ks_infeasible_for_gwc(self):
         # one cluster of two paths: every channel has rank 2, so GWC fails

@@ -10,11 +10,11 @@ from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_angles, crlb_delay, cluster_observables,
                                 field_pattern, output_snr, perturb_and_rebuild,
-                                solve_cluster_distance)
+                                perturb_and_rebuild_omegas, solve_cluster_distance)
 from gusim.scheduling import build_v_matrix
 
-from conftest import (make_scenario, pathloss_amplitude, rebuild_cluster_column,
-                      reference_delay)
+from conftest import (make_scenario, pathloss_amplitude, rebuild_cluster,
+                      rebuild_cluster_column, reference_delay)
 
 
 class TestFieldPattern:
@@ -250,15 +250,45 @@ class TestPerturbAndRebuild:
         assert fallbacks > 0
 
 
+class TestPerturbAndRebuildOmegas:
+    @staticmethod
+    def assert_same(pg, expected):
+        for field in ("delay", "elevation", "azimuth"):
+            np.testing.assert_array_equal(getattr(pg.perturbations, field),
+                                          getattr(expected.perturbations, field))
+        assert pg.perturbations.omega == expected.perturbations.omega
+        np.testing.assert_array_equal(pg.v_tilde, expected.v_tilde)
+        np.testing.assert_array_equal(pg.cluster_positions, expected.cluster_positions)
+        assert pg.fallback_count == expected.fallback_count
+
+    @pytest.mark.parametrize("params", [CrlbParams(), CrlbParams(sensors_per_axis=1)],
+                             ids=["planar", "single-sensor"])
+    def test_each_omega_matches_the_per_cluster_rebuild(self, params):
+        # Oracle: each omega on its own, one cluster at a time from the scalar
+        # ellipse solver; omegas in any order, zero among them
+        omegas = (3, 0, 1, 5, 2, 4)
+        fallbacks = 0
+        for seed in range(1, 21):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            results = perturb_and_rebuild_omegas(scen, omegas, params)
+            assert len(results) == len(omegas)
+            for omega, pg in zip(omegas, results):
+                expected = per_cluster_perturb_and_rebuild(scen, omega, params)
+                self.assert_same(pg, expected)
+                fallbacks += pg.fallback_count
+        assert fallbacks > 0
+
+
 def per_cluster_perturb_and_rebuild(scen, omega, params):
-    """``perturb_and_rebuild`` with one ``rng.choice`` sign draw per cluster."""
+    """``perturb_and_rebuild`` with one ``rng.choice`` sign draw per cluster
+    and one scalar rebuild per cluster; omega = 0 rebuilds nothing."""
     rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
     positions = np.stack([cl.position for cl in scen.clusters])
     vr_centers = np.stack([cl.vr_center for cl in scen.clusters])
     delays = np.array([cl.delay for cl in scen.clusters])
     d = np.zeros((3, scen.num_clusters))
     fallbacks = 0
-    for j in range(scen.num_clusters):
+    for j in range(scen.num_clusters if omega else 0):
         tau, el, az = cluster_observables(scen, j)
         signs = rng.choice([-1.0, 1.0], size=3)
         d[:, j] = [sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
@@ -266,7 +296,7 @@ def per_cluster_perturb_and_rebuild(scen, omega, params):
         try:
             if tau + d[0, j] <= 0:
                 raise GeometryError("nonpositive delay")
-            positions[j], vr_centers[j] = localization._rebuild_cluster(
+            positions[j], vr_centers[j] = rebuild_cluster(
                 scen, j, tau + d[0, j], el + d[1, j], az + d[2, j])
             delays[j] = tau + d[0, j]
         except GeometryError:
