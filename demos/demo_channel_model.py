@@ -7,7 +7,7 @@ Run:  python3 demos/demo_channel_model.py
 import numpy as np
 
 from gusim import (ScenarioConfig, channel_matrix, cluster_attenuation,
-                   generate_scenario, path_loss_nlos, steering_vector, vr_gain)
+                   generate_scenario, path_loss_nlos, vr_gain)
 from gusim.gscm import large_scale_gains
 
 cfg = ScenarioConfig(num_users=10, num_clusters=4, antenna_count=16, rng_seed=42)
@@ -44,5 +44,6 @@ h = channel_matrix(scenario, range(scenario.num_users))
 print(f"\nchannel matrix: {h.entries.shape}, column norms:")
 print(np.linalg.norm(h.entries, axis=0))
 
-# Steering vectors have unit-modulus entries; broadside is all ones.
-print("\nbroadside steering vector (M=4):", steering_vector(0.0, 4, 0.5))
+# Steering vectors have unit-modulus entries; the scenario caches one per MPC.
+print("\ncluster 0, MPC 0 steering vector (first 4 of M=16):",
+      scenario.steering[0, 0, :4].round(3))

@@ -8,7 +8,7 @@ from .errors import (ConfigurationError, GeometryError, RankDeficiencyError,
 from .gscm import (ChannelMatrix, Cluster, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
                    cluster_attenuation, generate_scenario, load_scenario,
-                   path_loss_nlos, save_scenario, steering_vector, vr_gain)
+                   path_loss_nlos, save_scenario, vr_gain)
 from .rx import (PilotConfig, PowerConfig, ZfReceiver, ergodic_capacity,
                  mmse_estimate, mmse_estimate_per_user, noise_power, sum_rate,
                  unitary_pilots, zf_weights)

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, GeometryError
-from .plain import from_plain, to_plain
+from .plain import _is_finite, check_fields, checked, from_plain, to_plain
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -36,21 +36,6 @@ _STREAM_PERTURB = 303
 _STREAM_SELECT = 404
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A finite real number, not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool) and math.isfinite(value)
-
-
-# ScenarioConfig fields that count things; the others hold real numbers
-_COUNT_FIELDS = ("num_users", "num_clusters", "mpcs_per_cluster", "antenna_count",
-                 "rng_seed")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Immutable parameter set describing one simulated micro-cell.
@@ -60,79 +45,45 @@ class ScenarioConfig:
     as the attenuation reference for that user.
     """
 
-    cell_half_side: float = 1000.0
-    num_users: int = 40
-    num_clusters: int = 12
-    mpcs_per_cluster: int = 6
-    carrier_freq: float = 2e9
-    bs_exclusion_fraction: float = 0.1
-    vr_radius: float = 50.0
-    transition_size: float = 20.0
-    bs_height: float = 5.0
-    ms_height: float = 1.5
-    power_decay: float = 1e6
-    cutoff_delay: float = 1e-5
-    reference_delay: float | None = None
-    antenna_count: int = 64
-    antenna_spacing_fraction: float = 0.5
-    shadowing_sigma_db: float = 3.0
-    angular_spread_deg: float = 5.0
+    cell_half_side: float = checked(1000.0, "positive")
+    num_users: int = checked(40, "positive")
+    num_clusters: int = checked(12, "positive")
+    mpcs_per_cluster: int = checked(6, "positive")
+    carrier_freq: float = checked(2e9, "positive")
+    bs_exclusion_fraction: float = checked(0.1, "positive")
+    vr_radius: float = checked(50.0, "positive")
+    transition_size: float = checked(20.0, "positive")
+    bs_height: float = checked(5.0)
+    ms_height: float = checked(1.5)
+    power_decay: float = checked(1e6, "nonnegative")
+    cutoff_delay: float = checked(1e-5)
+    reference_delay: float | None = checked(None)
+    antenna_count: int = checked(64, "positive")
+    antenna_spacing_fraction: float = checked(0.5, "positive")
+    shadowing_sigma_db: float = checked(3.0, "nonnegative")
+    angular_spread_deg: float = checked(5.0, "nonnegative")
     cluster_height_range: tuple[float, float] = (5.0, 30.0)
-    rng_seed: int = 0
+    rng_seed: int = checked(0, "nonnegative")
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
 
     def validate(self) -> None:
-        for name in _COUNT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be integer, got {getattr(self, name)!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not (_is_finite(value) or name == "reference_delay" and value is None):
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
-        if not all(map(_is_finite, self.cluster_height_range)):
+        check_fields(self)
+        if self.bs_exclusion_fraction >= 1:
             raise ConfigurationError(
-                f"cluster_height_range must be finite, got {self.cluster_height_range!r}")
-        if self.shadowing_sigma_db < 0 or self.angular_spread_deg < 0:
-            raise ConfigurationError("shadowing_sigma_db and angular_spread_deg must be "
-                                     "nonnegative")
-        if self.antenna_spacing_fraction <= 0:
-            raise ConfigurationError("antenna_spacing_fraction must be positive")
-        if self.cell_half_side <= 0:
-            raise ConfigurationError("cell_half_side must be positive")
-        if not 0 < self.bs_exclusion_fraction < 1:
-            raise ConfigurationError(
-                "bs_exclusion_fraction must lie strictly in (0, 1), got "
-                f"{self.bs_exclusion_fraction}"
-            )
-        if self.num_users < 1 or self.num_clusters < 1:
-            raise ConfigurationError("num_users and num_clusters must be positive")
-        if self.mpcs_per_cluster < 1:
-            raise ConfigurationError("mpcs_per_cluster must be >= 1")
-        if not self.vr_radius > self.transition_size > 0:
-            raise ConfigurationError(
-                "need vr_radius > transition_size > 0, got "
-                f"{self.vr_radius} and {self.transition_size}"
-            )
+                f"bs_exclusion_fraction must be < 1, got {self.bs_exclusion_fraction}")
+        if self.vr_radius <= self.transition_size:
+            raise ConfigurationError(f"vr_radius {self.vr_radius} must exceed "
+                                     f"transition_size {self.transition_size}")
         if self.reference_delay is not None and self.cutoff_delay < self.reference_delay:
             raise ConfigurationError("cutoff_delay must be >= reference_delay")
-        if self.antenna_count < 1:
-            raise ConfigurationError("antenna_count must be >= 1")
-        if self.carrier_freq <= 0:
-            raise ConfigurationError("carrier_freq must be positive")
-        if self.power_decay < 0:
-            raise ConfigurationError("power_decay must be nonnegative")
-        lo, hi = self.cluster_height_range
-        if not 0 <= lo <= hi:
-            raise ConfigurationError("cluster_height_range must satisfy 0 <= lo <= hi")
-        if self.rng_seed < 0:
-            raise ConfigurationError("rng_seed must be a nonnegative integer")
-
-
-_REAL_FIELDS = tuple(f.name for f in fields(ScenarioConfig)
-                     if f.name not in (*_COUNT_FIELDS, "cluster_height_range"))
+        heights = self.cluster_height_range
+        if not (isinstance(heights, tuple) and len(heights) == 2
+                and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
+            raise ConfigurationError("cluster_height_range must be two finite numbers "
+                                     f"with 0 <= lo <= hi, got {heights!r}")
 
 
 def _equal_by_value(self, other) -> bool:
@@ -312,17 +263,6 @@ def path_loss_nlos(d_bs_ms, wavelength: float):
     return loss_db, 10.0 ** (-loss_db / 10.0)
 
 
-def steering_vector(azimuth: float, num_antennas: int,
-                    d_over_lambda: float) -> np.ndarray:
-    """Uniform-linear-array response; element m is exp(j*alpha*m*sin(az))
-    with alpha = -2*pi*d/lambda."""
-    if num_antennas < 1:
-        raise ConfigurationError("num_antennas must be >= 1")
-    alpha = -2.0 * math.pi * d_over_lambda
-    m = np.arange(num_antennas)
-    return np.exp(1j * alpha * m * math.sin(azimuth))
-
-
 def _vr_gains(scenario: Scenario, vr_centers=None) -> np.ndarray:
     """(K, N_C) visibility gains A_VR of every user at every VR centre."""
     cfg = scenario.config
@@ -370,8 +310,9 @@ def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
 
 
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
-    """(N_C, N_p, M) array responses: [j, p] is the ``steering_vector`` of
-    cluster j's MPC p, bitwise."""
+    """(N_C, N_p, M) uniform-linear-array responses: element [j, p, m] is
+    exp(j*alpha*m*sin(phi_jp)) at cluster j's MPC azimuth phi_jp, with
+    alpha = -2*pi*d/lambda."""
     cfg = scenario.config
     azimuths = np.array([cluster_azimuths(scenario, j)
                          for j in range(scenario.num_clusters)])

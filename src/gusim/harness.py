@@ -21,10 +21,10 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError, RankDeficiencyError, SelectionError
-from .gscm import (ScenarioConfig, _is_finite, _is_int, _stream, _STREAM_SELECT,
+from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import from_plain, to_plain
+from .plain import check_fields, checked, from_plain, to_plain
 from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
                  sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
@@ -46,55 +46,31 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    return 10.0 * math.log10(p_watts / 1e-3)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; desk-scale defaults."""
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    algorithms: tuple[str, ...] = ALGORITHMS
-    powers_dbm: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-    ks_values: tuple[int, ...] = (5, 10)
-    omegas: tuple[int, ...] = (0,)
-    trials: int = 50
-    base_seed: int = 1
-    mode: str = "physical"
-    gus_variant: str = "last"
+    algorithms: tuple[str, ...] = checked(ALGORITHMS, choices=ALGORITHMS)
+    powers_dbm: tuple[float, ...] = checked((0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
+    ks_values: tuple[int, ...] = checked((5, 10), "positive")
+    omegas: tuple[int, ...] = checked((0,), "nonnegative")
+    trials: int = checked(50, "positive")
+    base_seed: int = checked(1, "nonnegative")
+    mode: str = checked("physical", choices=("physical", "paper-literal"))
+    gus_variant: str = checked("last", choices=("last", "set"))
     bandwidth: float = 20e6
     temperature: float = 290.0
     noise_figure_db: float = 9.0
     crlb: CrlbParams = field(default_factory=CrlbParams)
-    fig3_m_values: tuple[int, ...] = (50, 100, 150, 200, 250, 300, 350, 400)
-    use_estimation: bool = False
+    fig3_m_values: tuple[int, ...] = checked((50, 100, 150, 200, 250, 300, 350, 400),
+                                             "positive")
+    use_estimation: bool = checked(False)
 
     def validate(self) -> None:
         self.scenario.validate()
-        for name, values in (("trials", [self.trials]), ("base_seed", [self.base_seed]),
-                             ("ks_values", self.ks_values), ("omegas", self.omegas),
-                             ("fig3_m_values", self.fig3_m_values)):
-            if not all(map(_is_int, values)):
-                raise ConfigurationError(
-                    f"{name} must be integer, got {getattr(self, name)!r}")
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigurationError("base_seed must be a nonnegative integer")
-        if not all(map(_is_finite, self.powers_dbm)):
-            raise ConfigurationError(f"powers_dbm must be finite numbers, got {self.powers_dbm!r}")
-        for name in ("algorithms", "powers_dbm", "ks_values", "omegas"):
-            grid = getattr(self, name)
-            if not grid or len(set(grid)) != len(grid):
-                # a duplicate would be a second cell holding the same trials
-                raise ConfigurationError(
-                    f"{name} must be nonempty and distinct, got {grid!r}")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ConfigurationError(f"unknown algorithm {alg!r}")
-        if self.mode not in ("physical", "paper-literal"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+        self.crlb.validate()
+        check_fields(self)
         if self.mode == "paper-literal" and not self.use_estimation:
             raise ConfigurationError(
                 "mode 'paper-literal' needs use_estimation: with perfect CSI, "
@@ -104,24 +80,18 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "GWC needs mode 'physical': its paper-literal objective is flat, so "
                 "it takes the strongest column and then the lowest indices")
-        if self.gus_variant not in ("last", "set"):
-            raise ConfigurationError(f"unknown gus_variant {self.gus_variant!r}")
-        for ks in self.ks_values:
-            if not 1 <= ks <= self.scenario.num_users:
-                raise ConfigurationError(f"K_s={ks} out of range")
-            if ks > self.scenario.antenna_count:
-                raise ConfigurationError(
-                    f"K_s={ks} exceeds antenna_count={self.scenario.antenna_count};"
-                    " zero-forcing needs at least as many antennas as users")
-        if any(o < 0 for o in self.omegas):
-            raise ConfigurationError("omega values must be nonnegative")
-        if not self.fig3_m_values or min(self.fig3_m_values) < 1:
-            raise ConfigurationError(f"fig3_m_values must be positive, got {self.fig3_m_values!r}")
-        if not isinstance(self.use_estimation, bool):
-            raise ConfigurationError(f"use_estimation must be a bool, got {self.use_estimation!r}")
-        if not 0 < self.noise_power < math.inf:   # noise_power checks bandwidth and temperature > 0
-            raise ConfigurationError(f"noise power {self.noise_power} W must be finite and positive")
-        self.crlb.validate()
+        ks, k, m = max(self.ks_values), self.scenario.num_users, self.scenario.antenna_count
+        if ks > min(k, m):
+            raise ConfigurationError(f"K_s={ks} exceeds num_users={k} or antenna_count={m}; "
+                                     "zero-forcing needs at least as many antennas as users")
+        try:   # noise_power checks bandwidth and temperature > 0
+            power = self.noise_power
+        except (OverflowError, TypeError):   # a huge noise figure, a non-number
+            power = math.nan
+        if not 0 < power < math.inf:
+            raise ConfigurationError(
+                f"noise power {power} W must be finite and positive; bandwidth={self.bandwidth!r}, "
+                f"temperature={self.temperature!r}, noise_figure_db={self.noise_figure_db!r}")
 
     @property
     def noise_power(self) -> float:

@@ -19,31 +19,23 @@ import numpy as np
 
 from . import gscm
 from .errors import ConfigurationError, GeometryError
-from .gscm import SPEED_OF_LIGHT, Scenario, _is_finite, _is_int
+from .gscm import SPEED_OF_LIGHT, Scenario
+from .plain import check_fields, checked
 
 
 @dataclass(frozen=True)
 class CrlbParams:
     """Sounder parameters entering the estimation variance bounds."""
 
-    num_antennas: int = 64
-    sensors_per_axis: int = 5
-    signal_periods: int = 1
-    pn_length: int = 127
-    input_snr: float = 100.0     # linear
-    bandwidth: float = 20e6      # Hz
-    d_over_lambda: float = 0.5
+    num_antennas: int = checked(64, "positive")
+    sensors_per_axis: int = checked(5, "positive")
+    signal_periods: int = checked(1, "positive")
+    pn_length: int = checked(127, "positive")
+    input_snr: float = checked(100.0, "positive")   # linear
+    bandwidth: float = checked(20e6, "positive")   # Hz
+    d_over_lambda: float = checked(0.5, "positive")
 
-    def validate(self) -> None:
-        counts = (self.num_antennas, self.sensors_per_axis, self.signal_periods,
-                  self.pn_length)
-        if not all(map(_is_int, counts)) or min(counts) < 1:
-            raise ConfigurationError(f"all counts must be positive integers, got {counts!r}")
-        reals = (self.input_snr, self.bandwidth, self.d_over_lambda)
-        if not all(map(_is_finite, reals)) or min(reals) <= 0:
-            # a NaN SNR would make every bound NaN and silently perturb nothing
-            raise ConfigurationError(
-                f"input_snr, bandwidth, d_over_lambda must be finite and positive, got {reals!r}")
+    validate = check_fields   # no rule spans two fields
 
 
 @dataclass(frozen=True)

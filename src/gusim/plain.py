@@ -1,11 +1,13 @@
 """Conversion between the package's frozen dataclasses and plain data
-(dicts, lists, numbers, strings) ready for YAML, driven by the dataclass
-fields and their type annotations."""
+(dicts, lists, numbers, strings) ready for YAML, and the checks on their
+values, both driven by the dataclass fields and their type annotations."""
 
 from __future__ import annotations
 
+import math
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, field, fields, is_dataclass
+from functools import cache
 
 import numpy as np
 
@@ -78,3 +80,75 @@ def _typed(hint, value, where: str):
     if not isinstance(value, hint) or (is_bool and hint is not bool):
         raise ConfigurationError(f"{where} must be {hint.__name__}, got {value!r}")
     return value
+
+
+def _is_finite(value) -> bool:
+    """A finite real number, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and math.isfinite(value)
+
+
+# annotation: (test, what a value must be, what grid entries must be, allowed under a bound)
+_KINDS = {
+    int: (lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+          "integer", "integers", "{} integers"),
+    float: (_is_finite, "finite", "finite numbers", "finite and {} numbers"),
+    bool: (lambda value: isinstance(value, bool), "a bool", "bools", None),
+    str: (lambda value: isinstance(value, str), "a string", "strings", None),
+}
+_BOUNDS = {"positive": lambda value: value > 0, "nonnegative": lambda value: value >= 0}
+
+
+def checked(default, bound: str | None = None, choices: tuple = ()):
+    """A dataclass field that ``check_fields`` checks. The annotation gives
+    the kind: ``int`` (not a bool), ``float`` (finite), ``bool`` or ``str``;
+    ``X | None`` also allows None, and ``tuple[X, ...]`` is a grid, a
+    nonempty tuple of distinct X. ``bound`` is "positive" or "nonnegative",
+    and nonempty ``choices`` lists the allowed values."""
+    return field(default=default, metadata={"check": (bound, choices)})
+
+
+@cache
+def _rules(cls) -> tuple:
+    """(name, checks, allowed) for each checked field of ``cls``, where
+    ``checks`` pairs what the value must be with its test, in order."""
+    hints = typing.get_type_hints(cls)
+    rules = []
+    for f in fields(cls):
+        if "check" not in f.metadata:
+            continue
+        bound, choices = f.metadata["check"]
+        args = typing.get_args(hints[f.name])   # of tuple[X, ...] or X | None
+        grid = typing.get_origin(hints[f.name]) is tuple
+        test, one, many, under_bound = _KINDS[args[0] if args else hints[f.name]]
+        checks = [(many if grid else one, test)]
+        allowed = many
+        if bound:
+            checks.append((bound, _BOUNDS[bound]))
+            allowed = under_bound.format(bound)
+        if choices:
+            checks.append(("among the choices", choices.__contains__))
+            allowed = ", ".join(map(repr, choices))
+        if grid:
+            # the entry tests come first, so the entries are hashable; a
+            # duplicate would be a second cell holding the same trials
+            checks = [("a tuple", lambda value: isinstance(value, tuple)),
+                      *((what, lambda value, t=t: all(map(t, value))) for what, t in checks),
+                      ("nonempty and distinct", lambda value: 0 < len(value) == len(set(value)))]
+            allowed = f"nonempty tuples of distinct {allowed}"
+        if type(None) in args:
+            checks = [(what, lambda value, t=t: value is None or t(value)) for what, t in checks]
+            allowed += " or None"
+        rules.append((f.name, tuple(checks), allowed))
+    return tuple(rules)
+
+
+def check_fields(obj) -> None:
+    """Raise ``ConfigurationError`` unless every field of dataclass ``obj``
+    declared with ``checked`` keeps its rule."""
+    for name, checks, allowed in _rules(type(obj)):
+        value = getattr(obj, name)
+        for what, test in checks:
+            if not test(value):
+                raise ConfigurationError(
+                    f"{name} must be {what}, got {value!r}; allowed: {allowed}")

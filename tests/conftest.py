@@ -47,6 +47,15 @@ def small_scenario():
     )
 
 
+def steering_vector(azimuth: float, num_antennas: int,
+                    d_over_lambda: float) -> np.ndarray:
+    """Uniform-linear-array response of one path, the oracle for
+    ``Scenario.steering``: element m is exp(j*alpha*m*sin(az)) with
+    alpha = -2*pi*d/lambda."""
+    alpha = -2.0 * math.pi * d_over_lambda
+    return np.exp(1j * alpha * np.arange(num_antennas) * math.sin(azimuth))
+
+
 def pathloss_amplitude(scen, user):
     """sqrt of the linear NLoS path gain of one user, from the scalar
     ``path_loss_nlos``."""

@@ -11,9 +11,9 @@ from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         path_loss_nlos, save_scenario, scenario_from_dict,
-                        scenario_to_dict, steering_vector, vr_gain)
+                        scenario_to_dict, vr_gain)
 from conftest import (channel_covariance, einsum_covariances, make_scenario,
-                      scalar_gain)
+                      scalar_gain, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 

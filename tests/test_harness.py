@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
                            figure4_robustness, load_config, run_experiment,
-                           save_config, watts_to_dbm, write_manifest,
+                           save_config, write_manifest,
                            write_results_csv)
 from gusim.scheduling import gus_select, gwc_select_powers
 
@@ -48,9 +48,6 @@ def no_trials(monkeypatch):
 
 
 class TestUnitConversions:
-    def test_round_trip(self):
-        assert watts_to_dbm(dbm_to_watts(23.0)) == pytest.approx(23.0, abs=1e-12)
-
     def test_reference_points(self):
         assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-12)
         assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
@@ -267,12 +264,13 @@ class TestValidate:
         (dict(bandwidth=-1.0), "bandwidth"), (dict(temperature=0.0), "temperature"),
         (dict(bandwidth=math.nan), "noise power"), (dict(temperature=math.nan), "noise power"),
         (dict(noise_figure_db=math.inf), "noise power"),
-        (dict(noise_figure_db=-math.inf), "noise power")])
+        (dict(noise_figure_db=-math.inf), "noise power"),
+        (dict(noise_figure_db=1e4), "noise power"), (dict(bandwidth="x"), "noise power")])
     def test_noise_power_must_be_finite_and_positive(self, no_trials, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             run_experiment(tiny_config(**overrides))
 
-    @pytest.mark.parametrize("values", [(), (0,), (100, -50), (100.0,), (True,)])
+    @pytest.mark.parametrize("values", [(), (0,), (100, -50), (100.0,), (True,), (50, 50)])
     def test_fig3_m_values_must_be_positive_integers(self, no_trials, values):
         with pytest.raises(ConfigurationError, match="fig3_m_values"):
             run_experiment(tiny_config(fig3_m_values=values))
@@ -329,6 +327,9 @@ class TestValidateHoles:
         ("crlb", dict(sensors_per_axis=5.0), "positive integers"),
         ("config", dict(powers_dbm=("30",)), "powers_dbm must be finite numbers"),
         ("config", dict(powers_dbm=(0.0, True)), "powers_dbm must be finite numbers"),
+        ("scenario", dict(cluster_height_range=(5.0,)), "cluster_height_range"),
+        ("scenario", dict(cluster_height_range=5.0), "cluster_height_range"),
+        ("config", dict(algorithms=(["GUS"],)), "algorithms"),
     ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
     def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
         base = tiny_config()
@@ -337,6 +338,18 @@ class TestValidateHoles:
                else replace(base, **overrides))
         with pytest.raises(ConfigurationError, match=match):
             run_experiment(cfg)
+
+
+# fields checked by hand in validate(): nested configs, a (lo, hi) pair, and
+# the inputs of the derived noise power
+EXEMPT_FROM_FIELD_RULES = {"scenario", "crlb", "cluster_height_range", "bandwidth",
+                           "temperature", "noise_figure_db"}
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig])
+def test_every_config_field_has_a_rule_or_is_exempt(cls):
+    unruled = {f.name for f in fields(cls) if "check" not in f.metadata}
+    assert unruled <= EXEMPT_FROM_FIELD_RULES, f"{cls.__name__} fields without a rule"
 
 
 class TestAggregate:
@@ -644,6 +657,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"gusim: error: cannot read config {cfg_path}: ")
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_noise_figure_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.yaml"
+        save_config(tiny_config(noise_figure_db=10000.0), cfg_path)
+        out = tmp_path / "f3.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: noise power") and "Traceback" not in err
         assert not out.exists()
 
     def test_fig3_subcommand(self, tmp_path):
