@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import yaml
@@ -182,39 +182,33 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     half = config.cell_half_side
     bs = np.array([0.0, 0.0, config.bs_height])
 
-    users = np.empty((config.num_users, 3))
-    r_min = config.bs_exclusion_fraction * half
-    for k in range(config.num_users):
-        for _ in range(_MAX_PLACEMENT_ATTEMPTS):
-            xy = rng.uniform(-half, half, size=2)
-            if math.hypot(xy[0], xy[1]) >= r_min:
-                users[k, :2] = xy
-                users[k, 2] = config.ms_height
-                break
-        else:
-            raise ConfigurationError(
-                f"could not place user {k} outside the exclusion disk after "
-                f"{_MAX_PLACEMENT_ATTEMPTS} attempts"
-            )
+    # rounds of exactly the users still missing, so user k is the k-th
+    # accepted draw and nothing is drawn past the last one
+    r_min, placed, misses = config.bs_exclusion_fraction * half, [], 0
+    while len(placed) < config.num_users:
+        for x, y in rng.uniform(-half, half, size=(config.num_users - len(placed), 2)).tolist():
+            if math.hypot(x, y) >= r_min:
+                placed.append((x, y))
+                misses = 0
+            elif (misses := misses + 1) == _MAX_PLACEMENT_ATTEMPTS:
+                raise ConfigurationError(
+                    f"could not place user {len(placed)} outside the exclusion disk "
+                    f"after {_MAX_PLACEMENT_ATTEMPTS} attempts")
+    users = np.column_stack([placed, np.full(config.num_users, config.ms_height)])
 
     z_lo, z_hi = config.cluster_height_range
+    lows = np.array([-half, -half, z_lo, -half, -half])   # cluster x, y, z, VR centre x, y
+    highs = np.array([half, half, z_hi, half, half])
     clusters = []
     for _ in range(config.num_clusters):
-        pos = np.array([
-            rng.uniform(-half, half),
-            rng.uniform(-half, half),
-            rng.uniform(z_lo, z_hi),
-        ])
-        vr = rng.uniform(-half, half, size=2)
+        draw = rng.uniform(lows, highs)
+        pos, vr = draw[:3], draw[3:]
         vr3 = np.array([vr[0], vr[1], config.ms_height])
         delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
         shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
-        clusters.append(Cluster(
-            position=_read_only(pos),
-            vr_center=_read_only(vr),
-            delay=float(delay),
-            shadow_gain=float(10.0 ** (shadow_db / 10.0)),
-        ))
+        clusters.append(Cluster(position=_read_only(pos), vr_center=_read_only(vr),
+                                delay=float(delay),
+                                shadow_gain=float(10.0 ** (shadow_db / 10.0))))
 
     return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
                     clusters=tuple(clusters))
@@ -294,28 +288,21 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
     return np.sqrt(path_gain)[:, None] * _vr_gains(scenario, vr_centers) * np.sqrt(a_c)
 
 
-def cluster_azimuths(scenario: Scenario, cluster: int) -> np.ndarray:
-    """Departure azimuths of the cluster's MPCs at the BS: the BS-to-cluster
-    azimuth plus Laplacian intra-cluster offsets. Deterministic per
-    (scenario seed, cluster)."""
-    cfg = scenario.config
-    cl = scenario.clusters[cluster]
-    center = math.atan2(cl.position[1] - scenario.bs_position[1],
-                        cl.position[0] - scenario.bs_position[0])
-    rng = _stream(cfg.rng_seed, _STREAM_ANGLES, cluster)
-    sigma = math.radians(cfg.angular_spread_deg)
-    # Laplace with std sigma has scale sigma/sqrt(2)
-    offsets = rng.laplace(0.0, sigma / math.sqrt(2.0), size=cfg.mpcs_per_cluster)
-    return center + offsets
-
-
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
     """(N_C, N_p, M) uniform-linear-array responses: element [j, p, m] is
     exp(j*alpha*m*sin(phi_jp)) at cluster j's MPC azimuth phi_jp, with
-    alpha = -2*pi*d/lambda."""
-    cfg = scenario.config
-    azimuths = np.array([cluster_azimuths(scenario, j)
-                         for j in range(scenario.num_clusters)])
+    alpha = -2*pi*d/lambda. phi_jp is the BS-to-cluster azimuth plus Laplacian
+    offsets from ``_stream(seed, _STREAM_ANGLES, j)``, which is the seed words'
+    key (j, user 0): SeedSequence pads its pool with zero words."""
+    cfg, bs = scenario.config, scenario.bs_position
+    seed, keys = cfg.rng_seed, np.arange(scenario.num_clusters)
+    gens = (_stream(seed, _STREAM_ANGLES, j) for j in keys) if seed > _MASK32 \
+        else _pcg64_generators(_seed_words(seed, _STREAM_ANGLES, keys, 0))
+    # Laplace with std sigma has scale sigma/sqrt(2)
+    scale = math.radians(cfg.angular_spread_deg) / math.sqrt(2.0)
+    azimuths = np.array([math.atan2(cl.position[1] - bs[1], cl.position[0] - bs[0])
+                         + gen.laplace(0.0, scale, size=cfg.mpcs_per_cluster)
+                         for cl, gen in zip(scenario.clusters, gens)])
     alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
     return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
 
@@ -326,44 +313,119 @@ _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 _PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
 
 
-def _seed_hash(words: np.ndarray, step: int, init: int, mult: int) -> np.ndarray:
-    """seed_seq's hash of uint32 words at step ``step`` of its constant chain."""
-    const = init * pow(mult, step, 2**32) & _MASK32
-    words = (words ^ np.uint32(const)) * np.uint32(const * mult & _MASK32)
+def _seed_hash(words: np.ndarray, steps, init: int, mult: int) -> np.ndarray:
+    """seed_seq's hash of uint32 words at step(s) ``steps`` of its constant
+    chain, one step per row of words for a column of steps."""
+    const = np.uint32(init) * np.uint32(mult) ** np.asarray(steps, np.uint32)
+    words = (words ^ const) * (const * np.uint32(mult))
     return words ^ (words >> _XSHIFT)
 
 
-def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
-    """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
-    row i is bitwise ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])
-    .standard_normal(2 N_p)``. All pairs are seeded at once, then one reused
-    generator draws from each pair's PCG64 state. A key word of 2^32 or more
-    adds SeedSequence entropy words, so such keys take ``_stream``."""
-    seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
-    if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
-        return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
-                         for k, j in zip(users, clusters)]).reshape(-1, n_draws)
-    with np.errstate(over="ignore"):
-        pool = [_seed_hash(w.astype(np.uint32), i, _INIT_A, _MULT_A) for i, w in
-                enumerate(np.broadcast_arrays(seed, _STREAM_GAINS, clusters, users))]
+def _seed_words(seed: int, salt: int, clusters, users) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed words (s_hi, s_lo, q_hi, q_lo) that
+    ``_stream(seed, salt, clusters[i], users[i])`` gets from its SeedSequence,
+    for key words below 2^32 (a larger word adds SeedSequence entropy words)."""
+    with np.errstate(over="ignore"):   # uint32 products wrap, as in seed_seq
+        key = np.array(np.broadcast_arrays(seed, salt, clusters, users), np.uint32)
+        pool = list(_seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A))
         pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
         for step, (src, dst) in enumerate(pairs, 4):
             mixed = np.uint32(_MIX_MULT_L) * pool[dst] \
                 - np.uint32(_MIX_MULT_R) * _seed_hash(pool[src], step, _INIT_A, _MULT_A)
             pool[dst] = mixed ^ (mixed >> _XSHIFT)
         # generate_state(4, uint64): eight words cycling the pool, paired low-high
-        state = np.array([_seed_hash(pool[i % 4], i, _INIT_B, _MULT_B) for i in range(8)],
-                         np.uint64)
-    words = (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
+        state = _seed_hash(np.array(pool)[np.arange(8) % 4], np.arange(8)[:, None],
+                           _INIT_B, _MULT_B).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _pcg64_generators(words: np.ndarray):
+    """One reused generator, set in turn to the PCG64 state that each row of
+    ``_seed_words`` seeds (setseq_128_srandom: inc = 2 initseq + 1, two LCG
+    steps from 0)."""
     gen = np.random.Generator(np.random.PCG64(0))
-    out = np.empty((len(users), n_draws))
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, words):
-        # PCG64 setseq_128_srandom: inc = 2 initseq + 1, two LCG steps from 0
+    for s_hi, s_lo, q_hi, q_lo in words.tolist():
         inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
         pcg_state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
         gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": pcg_state, "inc": inc}}
-        gen.standard_normal(out=row)
+        yield gen
+
+
+@cache
+def _pcg64_jumps(n_draws: int) -> np.ndarray:
+    """(4, n_draws) uint64 (hi, lo) halves of a = MULT^(t+1) and
+    b = sum_{i<=t+1} MULT^i, t = 1..n_draws: PCG64 seeded with (s, inc)
+    reads the state a s + b inc at draw t, the seeding's two steps included."""
+    powers = [pow(_PCG64_MULT, k, 2**128) for k in range(n_draws + 2)]
+    jumps = [(powers[k], sum(powers[:k + 1]) & _MASK128) for k in range(2, n_draws + 2)]
+    return _read_only(np.array([(*divmod(a, 2**64), *divmod(b, 2**64)) for a, b in jumps],
+                               np.uint64).T)
+
+
+def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(x * c) mod 2^128 on uint64 (hi, lo) halves."""
+    x1, x0, c1, c0 = x_lo >> 32, x_lo & _MASK32, c_lo >> 32, c_lo & _MASK32
+    cross = (x0 * c0 >> 32) + (x1 * c0 & _MASK32) + x0 * c1   # < 2^64
+    hi = x1 * c1 + (x1 * c0 >> 32) + (cross >> 32) + x_lo * c_hi + x_hi * c_lo
+    return hi, x_lo * c_lo
+
+
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard-normal ziggurat (Marsaglia & Tsang): layer widths wi,
+    read from numpy, and fast-path thresholds floor(2^52 wi[i-1] / wi[i]),
+    at most numpy's ki (0 for layer 1, never accepted at once). Word w draws
+    +-rabs wi[idx] (idx = w & 0xff, sign bit 8, rabs = bits 9-60), accepted
+    at once if rabs < ki[idx]. One MT19937 state gives every layer rabs = 1;
+    layer 1 comes last, and the zero words after it pass its wedge test."""
+    layers = np.array([0, *range(2, 256), 1], dtype=np.uint32)
+    y = np.zeros(624, np.uint32)
+    y[1:512:2] = layers | 1 << 9   # next_uint64 is first word << 32 | second
+    # invert MT19937's output tempering, so that key word i is output i
+    y ^= y >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y.copy()
+    for _ in range(4):
+        x = y ^ (x << 7 & 0x9D2C5680)
+    gen = np.random.Generator(np.random.MT19937(0))
+    gen.bit_generator.state = {"bit_generator": "MT19937",
+                               "state": {"key": x ^ x >> 11 ^ x >> 22, "pos": 0}}
+    wi = np.empty(256)
+    wi[layers] = gen.standard_normal(256)
+    thresholds = np.floor(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
+    thresholds[1] = 0
+    return _read_only(wi), _read_only(thresholds)
+
+
+def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
+    """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
+    row i is bitwise ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])
+    .standard_normal(2 N_p)``. Every pair's PCG64 outputs are jumps from its
+    seed words on uint64 halves, and numpy's ziggurat fast path makes them
+    normals; a pair with a draw off it (more words consumed) is drawn by a
+    generator set to its state, and a key word of 2^32 or more takes _stream."""
+    seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
+    if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
+        return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
+                         for k, j in zip(users, clusters)]).reshape(-1, n_draws)
+    words = _seed_words(seed, _STREAM_GAINS, clusters, users)
+    s_hi, s_lo, q_hi, q_lo = words[:, :, None].transpose(1, 0, 2)
+    a_hi, a_lo, b_hi, b_lo = _pcg64_jumps(n_draws)
+    p_hi, p_lo = _mul128(s_hi, s_lo, a_hi, a_lo)
+    r_hi, r_lo = _mul128(q_hi << 1 | q_lo >> 63, q_lo << 1 | 1, b_hi, b_lo)   # inc = 2 q + 1
+    lo = p_lo + r_lo
+    hi = p_hi + r_hi + (lo < p_lo)
+    # PCG64's XSL-RR output: (hi ^ lo) rotated right by the top six bits
+    xored, rot = hi ^ lo, hi >> 58
+    w = xored >> rot | xored << (64 - rot & 63)
+    wi, thresholds = _ziggurat()
+    layer, rabs = w & 0xFF, w >> 9 & 2**52 - 1
+    out = rabs * wi[layer]
+    np.negative(out, out=out, where=(w & 0x100).astype(bool))
+    slow = np.flatnonzero(~np.all(rabs < thresholds[layer], axis=1))
+    for row, gen in zip(slow, _pcg64_generators(words[slow])):
+        gen.standard_normal(out=out[row])
     return out
 
 

@@ -74,10 +74,17 @@ class ZfReceiver:
 
 def noise_power(bandwidth: float, temperature: float = 290.0,
                 noise_figure_db: float = 9.0) -> float:
-    """Thermal noise power BW * k_B * T0 * noise factor, in watts."""
-    if bandwidth <= 0 or temperature <= 0:
-        raise ConfigurationError("bandwidth and temperature must be positive")
-    return bandwidth * BOLTZMANN * temperature * 10.0 ** (noise_figure_db / 10.0)
+    """Thermal noise power BW * k_B * T0 * noise factor, in watts. Raises
+    ``ConfigurationError`` unless the inputs give a finite positive power."""
+    try:   # a non-number raises TypeError, a huge noise figure OverflowError
+        power = bandwidth * BOLTZMANN * temperature * 10.0 ** (noise_figure_db / 10.0)
+        if bandwidth > 0 and temperature > 0 and 0 < power < math.inf:
+            return power
+    except (OverflowError, TypeError):
+        pass
+    raise ConfigurationError(
+        f"noise power must be finite and positive; bandwidth={bandwidth!r}, "
+        f"temperature={temperature!r}, noise_figure_db={noise_figure_db!r}")
 
 
 def mmse_estimate(received: np.ndarray, pilot: PilotConfig,

@@ -56,6 +56,62 @@ def steering_vector(azimuth: float, num_antennas: int,
     return np.exp(1j * alpha * np.arange(num_antennas) * math.sin(azimuth))
 
 
+def cluster_azimuths(scenario, cluster):
+    """Oracle for the azimuths inside ``Scenario.steering``: the BS-to-cluster
+    azimuth plus Laplacian intra-cluster offsets of std angular_spread_deg,
+    drawn from the cluster's own ``SeedSequence([seed, 101, cluster])``
+    stream."""
+    cfg = scenario.config
+    cl = scenario.clusters[cluster]
+    center = math.atan2(cl.position[1] - scenario.bs_position[1],
+                        cl.position[0] - scenario.bs_position[0])
+    rng = gscm._stream(cfg.rng_seed, gscm._STREAM_ANGLES, cluster)
+    sigma = math.radians(cfg.angular_spread_deg)
+    # Laplace with std sigma has scale sigma/sqrt(2)
+    offsets = rng.laplace(0.0, sigma / math.sqrt(2.0), size=cfg.mpcs_per_cluster)
+    return center + offsets
+
+
+def generate_scenario_loop(config):
+    """Oracle for ``gscm.generate_scenario``: one draw per user attempt and
+    one per cluster coordinate, from the scenario seed's generator."""
+    config.validate()
+    rng = np.random.default_rng(config.rng_seed)
+    half = config.cell_half_side
+    bs = np.array([0.0, 0.0, config.bs_height])
+
+    users = np.empty((config.num_users, 3))
+    r_min = config.bs_exclusion_fraction * half
+    for k in range(config.num_users):
+        for _ in range(gscm._MAX_PLACEMENT_ATTEMPTS):
+            xy = rng.uniform(-half, half, size=2)
+            if math.hypot(xy[0], xy[1]) >= r_min:
+                users[k, :2] = xy
+                users[k, 2] = config.ms_height
+                break
+        else:
+            raise ConfigurationError(
+                f"could not place user {k} outside the exclusion disk after "
+                f"{gscm._MAX_PLACEMENT_ATTEMPTS} attempts"
+            )
+
+    z_lo, z_hi = config.cluster_height_range
+    clusters = []
+    for _ in range(config.num_clusters):
+        pos = np.array([
+            rng.uniform(-half, half),
+            rng.uniform(-half, half),
+            rng.uniform(z_lo, z_hi),
+        ])
+        vr = rng.uniform(-half, half, size=2)
+        vr3 = np.array([vr[0], vr[1], config.ms_height])
+        delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
+        shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
+        clusters.append(Cluster(position=pos, vr_center=vr, delay=float(delay),
+                                shadow_gain=float(10.0 ** (shadow_db / 10.0))))
+    return Scenario(config=config, bs_position=bs, users=users, clusters=tuple(clusters))
+
+
 def pathloss_amplitude(scen, user):
     """sqrt of the linear NLoS path gain of one user, from the scalar
     ``path_loss_nlos``."""

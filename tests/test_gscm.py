@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,8 +13,8 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         path_loss_nlos, save_scenario, scenario_from_dict,
                         scenario_to_dict, vr_gain)
-from conftest import (channel_covariance, einsum_covariances, make_scenario,
-                      scalar_gain, steering_vector)
+from conftest import (channel_covariance, cluster_azimuths, einsum_covariances,
+                      generate_scenario_loop, make_scenario, scalar_gain, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -29,6 +30,15 @@ def per_pair_batch(scen, users, clusters):
     """``gscm._fading_normals_batch`` computed one stream per pair."""
     return np.array([fading_normals(scen, k, j) for k, j in zip(users, clusters)]
                     ).reshape(-1, 2 * scen.config.mpcs_per_cluster)
+
+
+def field_bytes(scen):
+    """Every array and float field of a scenario, as shapes and bytes."""
+    arrays = [scen.bs_position, scen.users]
+    for cl in scen.clusters:
+        arrays += [cl.position, cl.vr_center, np.array([cl.delay, cl.shadow_gain])]
+    assert all(type(x) is float for cl in scen.clusters for x in (cl.delay, cl.shadow_gain))
+    return scen.config, [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
 def mpc_gains(scen, user, cluster):
@@ -89,6 +99,29 @@ class TestGenerateScenario:
             los = np.linalg.norm(cl.position - scen.bs_position)
             assert cl.delay >= los / gscm.SPEED_OF_LIGHT
             assert cl.shadow_gain > 0
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.9])
+    def test_matches_the_per_draw_loop(self, fraction):
+        # 0.9 rejects about two draws in three
+        for seed in [*range(1, 301), 2**32 - 1, 2**32, 2**40 + 3]:
+            cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=fraction)
+            assert field_bytes(generate_scenario(cfg)) == \
+                field_bytes(generate_scenario_loop(cfg))
+
+    def test_attempt_cap_matches_the_per_draw_loop(self, monkeypatch):
+        monkeypatch.setattr(gscm, "_MAX_PLACEMENT_ATTEMPTS", 8)
+        raised = 0
+        for seed in range(1, 41):
+            cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9)
+            try:
+                expected = field_bytes(generate_scenario_loop(cfg))
+            except ConfigurationError as exc:
+                raised += 1
+                with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
+                    generate_scenario(cfg)
+            else:
+                assert field_bytes(generate_scenario(cfg)) == expected
+        assert 0 < raised < 40
 
 
 class TestVrGain:
@@ -245,13 +278,13 @@ class TestSteeringVector:
 
     def test_tensor_is_the_per_mpc_steering_vectors(self):
         # bitwise, so that channel_matrix does not move
-        for seed in range(300):
+        for seed in [*range(300), 2**32 - 1, 2**32, 2**40 + 3]:
             m, spacing = ((64, 0.5), (7, 0.3), (1, 0.5))[seed % 3]
             scen = generate_scenario(ScenarioConfig(
                 num_users=2, antenna_count=m, antenna_spacing_fraction=spacing,
                 mpcs_per_cluster=1 + seed % 7, rng_seed=seed))
             loop = np.array([[steering_vector(phi, m, spacing)
-                              for phi in gscm.cluster_azimuths(scen, j)]
+                              for phi in cluster_azimuths(scen, j)]
                              for j in range(scen.num_clusters)])
             np.testing.assert_array_equal(gscm._steering_tensor(scen), loop)
 
@@ -286,7 +319,7 @@ class TestChannelMatrix:
             cluster_specs=[(np.array([150.0, 0.0, 5.0]), np.array([210.0, 0.0]))],
             mpcs_per_cluster=1, angular_spread_deg=0.0, antenna_count=4,
         )
-        assert gscm.cluster_azimuths(scen, 0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert cluster_azimuths(scen, 0)[0] == pytest.approx(0.0, abs=1e-12)
         h = channel_matrix(scen, [0]).entries
         np.testing.assert_allclose(h[:, 0], np.full(4, mpc_gains(scen, 0, 0)[0]),
                                    rtol=1e-12)
@@ -312,7 +345,7 @@ class TestChannelMatrix:
                            cfg.wavelength) <= gscm.DEFAULT_VISIBILITY_FLOOR:
                     continue
                 gains = mpc_gains(scen, user, j)
-                azimuths = gscm.cluster_azimuths(scen, j)
+                azimuths = cluster_azimuths(scen, j)
                 for i in range(cfg.mpcs_per_cluster):
                     for m in range(4):
                         expected[m, col] += gains[i] * np.exp(
@@ -325,7 +358,7 @@ class TestChannelMatrix:
         h1 = channel_matrix(small_scenario, [0]).entries
         rebuilt = np.zeros_like(h1[:, 0])
         for g, phi in zip(mpc_gains(small_scenario, 0, 0),
-                          gscm.cluster_azimuths(small_scenario, 0)):
+                          cluster_azimuths(small_scenario, 0)):
             rebuilt += g * steering_vector(
                 phi, small_scenario.config.antenna_count,
                 small_scenario.config.antenna_spacing_fraction)
@@ -410,6 +443,59 @@ class TestFadingNormalsBatch:
         monkeypatch.setattr(gscm, "_fading_normals_batch", per_pair_batch)
         for seed, (scen, h) in batch.items():
             np.testing.assert_array_equal(h, channel_matrix(scen, range(40)).entries)
+
+
+class TestZigguratKernel:
+    """``_fading_normals_batch`` steps PCG64 and applies numpy's ziggurat fast
+    path itself, so a numpy release that changes either fails here."""
+
+    @staticmethod
+    def _next_word(gen, word):
+        """Set the PCG64 generator ``gen`` so that its next output is ``word``
+        and the one after it is 0 or 1."""
+        inc = (-word * gscm._PCG64_MULT | 1) & gscm._MASK128
+        state = (word - inc) * pow(gscm._PCG64_MULT, -1, 2**128) & gscm._MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+
+    def test_tables_are_numpys(self):
+        # wi[i] is the draw of the word with layer i and rabs = 1 (layer 1 then
+        # takes its wedge test with the uniform 0, which accepts); ki[i] is the
+        # least rabs whose draw consumes more than one word
+        gen = np.random.Generator(np.random.PCG64(0))
+        wi, ki = np.empty(256), np.empty(256, np.uint64)
+        for layer in range(256):
+            self._next_word(gen, 1 << 9 | layer)
+            wi[layer] = gen.standard_normal()
+            lo, hi = 0, 2**52
+            while lo < hi:
+                mid = (lo + hi) // 2
+                self._next_word(gen, mid << 9 | layer)
+                gen.standard_normal()
+                if gen.bit_generator.state["state"]["state"] == mid << 9 | layer:
+                    lo = mid + 1   # one word consumed: the fast path accepted
+                else:
+                    hi = mid
+            ki[layer] = lo
+        kernel_wi, thresholds = gscm._ziggurat()
+        np.testing.assert_array_equal(kernel_wi, wi)
+        assert np.all(thresholds <= ki)   # never accepts a draw numpy rejects
+        assert np.all(ki - thresholds <= 1) and thresholds[0] == ki[0]
+
+    def test_every_pair_through_the_fallback(self, monkeypatch):
+        wi, _ = gscm._ziggurat()
+        monkeypatch.setattr(gscm, "_ziggurat", lambda: (wi, np.zeros(256, np.uint64)))
+        generators = gscm._pcg64_generators
+        fallback_rows = []
+        monkeypatch.setattr(gscm, "_pcg64_generators",
+                            lambda words: fallback_rows.append(len(words)) or generators(words))
+        rng = np.random.default_rng(3)
+        for seed in (1, 2**31, 2**32 - 1):
+            scen = TestFadingNormalsBatch._scenario(seed)
+            users, clusters = rng.integers(0, 40, 100), rng.integers(0, 2**32, 100)
+            np.testing.assert_array_equal(gscm._fading_normals_batch(scen, users, clusters),
+                                          per_pair_batch(scen, users, clusters))
+        assert fallback_rows == [100, 100, 100]
 
 
 class TestChannelCovariances:

@@ -23,6 +23,20 @@ from gusim.scheduling import gus_select, gwc_select_powers
 from conftest import naive_trial_rows
 
 
+def config_strategy(cls, **overrides):
+    """Configs of class ``cls`` with every numeric, bool and pair field drawn
+    from its annotation (any float, integers up to 2^70); ``overrides`` gives
+    the strategies of the other fields."""
+    kinds = {"float": st.floats(), "int": st.integers(0, 2**70), "bool": st.booleans(),
+             "float | None": st.none() | st.floats(),
+             "tuple[float, float]": st.tuples(st.floats(), st.floats()),
+             "tuple[float, ...]": st.lists(st.floats(), min_size=1, max_size=6).map(tuple),
+             "tuple[int, ...]": st.lists(st.integers(0, 2**70), min_size=1,
+                                         max_size=6).map(tuple)}
+    return st.builds(cls, **{f.name: kinds[f.type] for f in fields(cls) if f.type in kinds},
+                     **overrides)
+
+
 def tiny_config(**overrides):
     defaults = dict(
         scenario=ScenarioConfig(num_users=8, num_clusters=2, antenna_count=8,
@@ -519,6 +533,31 @@ class TestConfigFile:
         cfg = tiny_config()
         assert config_hash(cfg) == config_hash(tiny_config())
         assert config_hash(cfg) != config_hash(tiny_config(base_seed=99))
+
+    def test_hash_pinned(self):
+        # the config_sha256 that manifests carry, as PyYAML's pure-Python
+        # emitter wrote them; a change here changes every manifest
+        assert config_hash(ExperimentConfig()) == \
+            "ab2386472f8d74df475546ddfeae3dff0a5654bd625d7641bb399437694c3aec"
+        assert config_hash(ExperimentConfig(
+            use_estimation=True, powers_dbm=(30.0, -2.5e-7), omegas=(0, 3),
+            crlb=CrlbParams(input_snr=1e300))) == \
+            "89ce79196492ada9bcb1dccad27a02e8f039102dc55e54674d2fc95e67266ffe"
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML without libyaml")
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=config_strategy(
+        ExperimentConfig, scenario=config_strategy(ScenarioConfig),
+        crlb=config_strategy(CrlbParams),
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(tuple),
+        mode=st.sampled_from(("physical", "paper-literal")),
+        gus_variant=st.sampled_from(("last", "set"))))
+    def test_hash_emitters_agree(self, cfg):
+        # config_hash uses libyaml's emitter where PyYAML has it; manifests
+        # written with either must carry the same config_sha256
+        data = config_to_dict(cfg)
+        assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
+            yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
 
     def test_schema_version_required(self):
         data = config_to_dict(tiny_config())

@@ -28,6 +28,16 @@ class TestNoisePower:
     def test_linear_in_bandwidth(self):
         assert noise_power(40e6) == pytest.approx(2 * noise_power(20e6), rel=1e-14)
 
+    @pytest.mark.parametrize("args", [
+        (20e6, 290.0, 1e4), ("x",), (math.nan,), (0.0,), (-20e6,), (20e6, 0.0),
+        (-20e6, -290.0), (math.inf,), (20e6, math.nan), (20e6, 290.0, math.nan),
+        (20e6, 290.0, -1e4), (20e6, 290.0, "9"), (1e300, 1e300)])
+    def test_rejects_inputs_without_a_finite_positive_power(self, args):
+        with pytest.raises(ConfigurationError, match=(
+                r"^noise power must be finite and positive; "
+                r"bandwidth=.*, temperature=.*, noise_figure_db=.*$")):
+            noise_power(*args)
+
 
 class TestChannelCovariance:
     def test_single_sample_outer_product(self):
