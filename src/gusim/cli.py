@@ -38,33 +38,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config) if args.config \
         else harness.ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.gus_variant is not None:
-        overrides["gus_variant"] = args.gus_variant
-    return replace(config, **overrides) if overrides else config
+    overrides = {"base_seed": args.seed, "trials": args.trials, "mode": args.mode,
+                 "gus_variant": args.gus_variant}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load(args)
-        if args.command == "fig2":
-            harness.figure2_sweep(config, args.out)
-        elif args.command == "fig3":
-            harness.figure3_load(config, args.out)
-        elif args.command == "fig4":
-            harness.figure4_robustness(config, args.out)
-        else:
-            stats = harness.run_experiment(config)
-            harness.write_results_csv(stats, args.out)
-            harness.write_manifest(config, args.out)
+        sweeps = {"fig2": harness.figure2_sweep, "fig3": harness.figure3_load,
+                  "fig4": harness.figure4_robustness, "run": harness.run_sweep}
+        sweeps[args.command](_load(args), args.out)
     except ConfigurationError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote {args.out} (+ manifest)")

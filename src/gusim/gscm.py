@@ -207,8 +207,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
         shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
         clusters.append(Cluster(position=_read_only(pos), vr_center=_read_only(vr),
-                                delay=float(delay),
-                                shadow_gain=float(10.0 ** (shadow_db / 10.0))))
+                                delay=float(delay), shadow_gain=float(10.0 ** (shadow_db / 10.0))))
 
     return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
                     clusters=tuple(clusters))
@@ -291,18 +290,15 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
     """(N_C, N_p, M) uniform-linear-array responses: element [j, p, m] is
     exp(j*alpha*m*sin(phi_jp)) at cluster j's MPC azimuth phi_jp, with
-    alpha = -2*pi*d/lambda. phi_jp is the BS-to-cluster azimuth plus Laplacian
-    offsets from ``_stream(seed, _STREAM_ANGLES, j)``, which is the seed words'
-    key (j, user 0): SeedSequence pads its pool with zero words."""
+    alpha = -2*pi*d/lambda. phi_jp is the BS-to-cluster azimuth plus
+    Laplacian offsets, deterministic per (scenario seed, cluster)."""
     cfg, bs = scenario.config, scenario.bs_position
-    seed, keys = cfg.rng_seed, np.arange(scenario.num_clusters)
-    gens = (_stream(seed, _STREAM_ANGLES, j) for j in keys) if seed > _MASK32 \
-        else _pcg64_generators(_seed_words(seed, _STREAM_ANGLES, keys, 0))
     # Laplace with std sigma has scale sigma/sqrt(2)
     scale = math.radians(cfg.angular_spread_deg) / math.sqrt(2.0)
-    azimuths = np.array([math.atan2(cl.position[1] - bs[1], cl.position[0] - bs[0])
-                         + gen.laplace(0.0, scale, size=cfg.mpcs_per_cluster)
-                         for cl, gen in zip(scenario.clusters, gens)])
+    azimuths = np.array([
+        math.atan2(cl.position[1] - bs[1], cl.position[0] - bs[0])
+        + _stream(cfg.rng_seed, _STREAM_ANGLES, j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
+        for j, cl in enumerate(scenario.clusters)])
     alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
     return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
 
@@ -311,6 +307,7 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 _PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 2**128)
 
 
 def _seed_hash(words: np.ndarray, steps, init: int, mult: int) -> np.ndarray:
@@ -321,12 +318,12 @@ def _seed_hash(words: np.ndarray, steps, init: int, mult: int) -> np.ndarray:
     return words ^ (words >> _XSHIFT)
 
 
-def _seed_words(seed: int, salt: int, clusters, users) -> np.ndarray:
+def _seed_words(seed: int, clusters, users) -> np.ndarray:
     """(n, 4) uint64 PCG64 seed words (s_hi, s_lo, q_hi, q_lo) that
-    ``_stream(seed, salt, clusters[i], users[i])`` gets from its SeedSequence,
-    for key words below 2^32 (a larger word adds SeedSequence entropy words)."""
+    ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])`` gets from its
+    SeedSequence, for key words below 2^32 (a larger word adds entropy words)."""
     with np.errstate(over="ignore"):   # uint32 products wrap, as in seed_seq
-        key = np.array(np.broadcast_arrays(seed, salt, clusters, users), np.uint32)
+        key = np.array(np.broadcast_arrays(seed, _STREAM_GAINS, clusters, users), np.uint32)
         pool = list(_seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A))
         pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
         for step, (src, dst) in enumerate(pairs, 4):
@@ -339,17 +336,18 @@ def _seed_words(seed: int, salt: int, clusters, users) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _pcg64_generators(words: np.ndarray):
-    """One reused generator, set in turn to the PCG64 state that each row of
-    ``_seed_words`` seeds (setseq_128_srandom: inc = 2 initseq + 1, two LCG
-    steps from 0)."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    for s_hi, s_lo, q_hi, q_lo in words.tolist():
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        pcg_state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": pcg_state, "inc": inc}}
-        yield gen
+def _set_pcg64(gen: np.random.Generator, state: int, inc: int) -> np.random.Generator:
+    """``gen`` with its PCG64 state set to (state, inc)."""
+    gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state, "inc": inc}}
+    return gen
+
+
+def _set_next_word(gen: np.random.Generator, word: int) -> np.random.Generator:
+    """``gen`` set so that its next PCG64 outputs are ``word``, then 0 or 1:
+    a state with a zero high half outputs its low half."""
+    inc = (-word * _PCG64_MULT | 1) & _MASK128
+    return _set_pcg64(gen, (word - inc) * _PCG64_MULT_INV & _MASK128, inc)
 
 
 @cache
@@ -377,22 +375,10 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     read from numpy, and fast-path thresholds floor(2^52 wi[i-1] / wi[i]),
     at most numpy's ki (0 for layer 1, never accepted at once). Word w draws
     +-rabs wi[idx] (idx = w & 0xff, sign bit 8, rabs = bits 9-60), accepted
-    at once if rabs < ki[idx]. One MT19937 state gives every layer rabs = 1;
-    layer 1 comes last, and the zero words after it pass its wedge test."""
-    layers = np.array([0, *range(2, 256), 1], dtype=np.uint32)
-    y = np.zeros(624, np.uint32)
-    y[1:512:2] = layers | 1 << 9   # next_uint64 is first word << 32 | second
-    # invert MT19937's output tempering, so that key word i is output i
-    y ^= y >> 18
-    y ^= y << 15 & 0xEFC60000
-    x = y.copy()
-    for _ in range(4):
-        x = y ^ (x << 7 & 0x9D2C5680)
-    gen = np.random.Generator(np.random.MT19937(0))
-    gen.bit_generator.state = {"bit_generator": "MT19937",
-                               "state": {"key": x ^ x >> 11 ^ x >> 22, "pos": 0}}
-    wi = np.empty(256)
-    wi[layers] = gen.standard_normal(256)
+    at once if rabs < ki[idx]. So the word with rabs = 1 draws wi[idx]; at
+    layer 1 the wedge test then takes the uniform 0, which accepts."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    wi = np.array([_set_next_word(gen, 1 << 9 | i).standard_normal() for i in range(256)])
     thresholds = np.floor(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
     thresholds[1] = 0
     return _read_only(wi), _read_only(thresholds)
@@ -409,7 +395,7 @@ def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
         return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
                          for k, j in zip(users, clusters)]).reshape(-1, n_draws)
-    words = _seed_words(seed, _STREAM_GAINS, clusters, users)
+    words = _seed_words(seed, clusters, users)
     s_hi, s_lo, q_hi, q_lo = words[:, :, None].transpose(1, 0, 2)
     a_hi, a_lo, b_hi, b_lo = _pcg64_jumps(n_draws)
     p_hi, p_lo = _mul128(s_hi, s_lo, a_hi, a_lo)
@@ -424,8 +410,12 @@ def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     out = rabs * wi[layer]
     np.negative(out, out=out, where=(w & 0x100).astype(bool))
     slow = np.flatnonzero(~np.all(rabs < thresholds[layer], axis=1))
-    for row, gen in zip(slow, _pcg64_generators(words[slow])):
-        gen.standard_normal(out=out[row])
+    gen = np.random.Generator(np.random.PCG64(0))
+    for row, (s_hi, s_lo, q_hi, q_lo) in zip(slow, words[slow].tolist()):
+        # PCG64 setseq_128_srandom: inc = 2 initseq + 1, two LCG steps from 0
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        _set_pcg64(gen, state, inc).standard_normal(out=out[row])
     return out
 
 

@@ -269,14 +269,18 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
     return AggregateStats(_aggregate(config, rows, figure), tuple(rows))
 
 
-def figure2_sweep(config: ExperimentConfig, out_path=None) -> AggregateStats:
-    """Mean sum-rate versus total transmit power per algorithm and K_s."""
-    cfg = replace(config, omegas=(0,))
-    stats = run_experiment(cfg, figure="fig2")
+def run_sweep(config: ExperimentConfig, out_path=None, figure: str = "run") -> AggregateStats:
+    """``run_experiment``, writing the CSV and manifest if given a path."""
+    stats = run_experiment(config, figure=figure)
     if out_path is not None:
         write_results_csv(stats, out_path)
-        write_manifest(cfg, out_path)
+        write_manifest(config, out_path)
     return stats
+
+
+def figure2_sweep(config: ExperimentConfig, out_path=None) -> AggregateStats:
+    """Mean sum-rate versus total transmit power per algorithm and K_s."""
+    return run_sweep(replace(config, omegas=(0,)), out_path, "fig2")
 
 
 def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
@@ -296,18 +300,12 @@ def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
 
 
 def figure4_robustness(config: ExperimentConfig, out_path=None) -> AggregateStats:
-    """Mean sum-rate versus the localization-error scale omega."""
-    cfg = config
-    if cfg.omegas == (0,):
-        cfg = replace(cfg, omegas=tuple(range(6)))
-    if "GWC" in cfg.algorithms:
-        # full-CSI scheduling is unaffected by localization error; drop it
-        cfg = replace(cfg, algorithms=tuple(a for a in cfg.algorithms if a != "GWC"))
-    stats = run_experiment(cfg, figure="fig4")
-    if out_path is not None:
-        write_results_csv(stats, out_path)
-        write_manifest(cfg, out_path)
-    return stats
+    """Mean sum-rate versus the localization-error scale omega, over
+    omega = 0..5 unless the config sets other omegas. GWC is dropped:
+    full-CSI scheduling is unaffected by localization error."""
+    omegas = tuple(range(6)) if config.omegas == (0,) else config.omegas
+    algorithms = tuple(a for a in config.algorithms if a != "GWC")
+    return run_sweep(replace(config, omegas=omegas, algorithms=algorithms), out_path, "fig4")
 
 
 # ---------------------------------------------------------------------------

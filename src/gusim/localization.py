@@ -72,10 +72,6 @@ def field_pattern(phi: float) -> float:
 def output_snr(params: CrlbParams, phi: float) -> float:
     """Post-processing SNR: M * I * N_c * |f(phi)|^2 * input SNR."""
     params.validate()
-    return _output_snr(params, phi)
-
-
-def _output_snr(params: CrlbParams, phi: float) -> float:
     f = field_pattern(phi)
     return params.num_antennas * params.signal_periods * params.pn_length \
         * f * f * params.input_snr
@@ -120,13 +116,7 @@ def crlb_angles(gamma_o: float, num_antennas: int, delta: float,
 def crlb(params: CrlbParams, phi: float, theta: float) -> tuple[float, float, float]:
     """(delay, elevation, azimuth) estimation variance bounds for a path
     arriving at azimuth ``phi`` and elevation ``theta``."""
-    params.validate()
-    return _crlb(params, phi, theta)
-
-
-def _crlb(params: CrlbParams, phi: float, theta: float) -> tuple[float, float, float]:
-    """``crlb`` for params already checked."""
-    gamma_o = _output_snr(params, phi)
+    gamma_o = output_snr(params, phi)   # validates params
     delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
     bound_tau = crlb_delay(gamma_o, params.bandwidth)
     bound_theta, bound_phi = crlb_angles(gamma_o, params.num_antennas, delta, theta)
@@ -214,7 +204,6 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     """
     if any(o < 0 for o in omegas):
         raise ConfigurationError("omega must be a nonnegative integer")
-    params.validate()   # once for every cluster's bounds
     n_c = scenario.num_clusters
     positions = np.stack([cl.position for cl in scenario.clusters])
     vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
@@ -231,7 +220,7 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
         rng = gscm._stream(cfg.rng_seed, gscm._STREAM_PERTURB)
         signs = rng.choice([-1.0, 1.0], size=(n_c, 3)).T
         observed = [cluster_observables(scenario, j) for j in range(n_c)]
-        bounds = np.array([_crlb(params, az, el) for _, el, az in observed]).T
+        bounds = np.array([crlb(params, az, el) for _, el, az in observed]).T
         scale = np.array([o for o in omegas if o > 0], dtype=float)[:, None, None]
         # the angle bounds are infinite for a single sensor per axis
         steps[live] = np.where(np.isfinite(bounds), signs * scale * np.sqrt(bounds), 0.0)

@@ -1,9 +1,10 @@
 """Uplink reception: MMSE channel estimation, zero-forcing weights,
-sum-rate and ergodic capacity, and thermal noise power."""
+sum-rate and thermal noise power."""
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +77,11 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
                 noise_figure_db: float = 9.0) -> float:
     """Thermal noise power BW * k_B * T0 * noise factor, in watts. Raises
     ``ConfigurationError`` unless the inputs give a finite positive power."""
-    try:   # a non-number raises TypeError, a huge noise figure OverflowError
+    # a non-number raises TypeError, a huge noise figure OverflowError
+    with suppress(OverflowError, TypeError):
         power = bandwidth * BOLTZMANN * temperature * 10.0 ** (noise_figure_db / 10.0)
         if bandwidth > 0 and temperature > 0 and 0 < power < math.inf:
             return power
-    except (OverflowError, TypeError):
-        pass
     raise ConfigurationError(
         f"noise power must be finite and positive; bandwidth={bandwidth!r}, "
         f"temperature={temperature!r}, noise_figure_db={noise_figure_db!r}")
@@ -190,20 +190,3 @@ def sum_rate(h: np.ndarray, receiver: ZfReceiver, power: PowerConfig,
     noise = power.noise_power * np.sum(np.abs(w) ** 2, axis=1) if mode == "physical" else 1.0
     return float(np.sum(np.log2(1.0 + p_k * own / (noise + interference))))
 
-
-def ergodic_capacity(h_samples, power: PowerConfig) -> float:
-    """Sample-mean of log2 det(I + (P/K_s) H H^H / P_n) over channel
-    realizations, in bits/s/Hz."""
-    mats = [np.asarray(getattr(h, "entries", h)) for h in h_samples]
-    if len(mats) == 0:
-        raise ConfigurationError("need at least one channel realization")
-    scale = power.per_user / power.noise_power
-    total = 0.0
-    for h in mats:
-        k_s = h.shape[1]
-        gram = np.eye(k_s) + scale * (h.conj().T @ h)
-        sign, logdet = np.linalg.slogdet(gram)
-        if sign.real <= 0:
-            raise RankDeficiencyError("capacity Gram matrix not positive definite")
-        total += logdet / math.log(2.0)
-    return total / len(mats)

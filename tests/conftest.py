@@ -112,6 +112,25 @@ def generate_scenario_loop(config):
     return Scenario(config=config, bs_position=bs, users=users, clusters=tuple(clusters))
 
 
+def ergodic_capacity(h_samples, power):
+    """Oracle upper bound on the ZF sum-rate: the sample mean of
+    log2 det(I + (P/K_s) H H^H / P_n) over channel realizations, in
+    bits/s/Hz."""
+    mats = [np.asarray(h) for h in h_samples]
+    if len(mats) == 0:
+        raise ConfigurationError("need at least one channel realization")
+    scale = power.per_user / power.noise_power
+    total = 0.0
+    for h in mats:
+        k_s = h.shape[1]
+        gram = np.eye(k_s) + scale * (h.conj().T @ h)
+        sign, logdet = np.linalg.slogdet(gram)
+        if sign.real <= 0:
+            raise RankDeficiencyError("capacity Gram matrix not positive definite")
+        total += logdet / math.log(2.0)
+    return total / len(mats)
+
+
 def pathloss_amplitude(scen, user):
     """sqrt of the linear NLoS path gain of one user, from the scalar
     ``path_loss_nlos``."""

@@ -449,29 +449,22 @@ class TestZigguratKernel:
     """``_fading_normals_batch`` steps PCG64 and applies numpy's ziggurat fast
     path itself, so a numpy release that changes either fails here."""
 
-    @staticmethod
-    def _next_word(gen, word):
-        """Set the PCG64 generator ``gen`` so that its next output is ``word``
-        and the one after it is 0 or 1."""
-        inc = (-word * gscm._PCG64_MULT | 1) & gscm._MASK128
-        state = (word - inc) * pow(gscm._PCG64_MULT, -1, 2**128) & gscm._MASK128
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-
     def test_tables_are_numpys(self):
+        # the crafted state's next raw words are the chosen word, then 0 or 1.
         # wi[i] is the draw of the word with layer i and rabs = 1 (layer 1 then
         # takes its wedge test with the uniform 0, which accepts); ki[i] is the
         # least rabs whose draw consumes more than one word
         gen = np.random.Generator(np.random.PCG64(0))
+        for word in (0, 1 << 9 | 1, 0x0123_4567_89AB_CDEF, 2**64 - 1):
+            raw = gscm._set_next_word(gen, word).bit_generator.random_raw(2).tolist()
+            assert raw in ([word, 0], [word, 1])
         wi, ki = np.empty(256), np.empty(256, np.uint64)
         for layer in range(256):
-            self._next_word(gen, 1 << 9 | layer)
-            wi[layer] = gen.standard_normal()
+            wi[layer] = gscm._set_next_word(gen, 1 << 9 | layer).standard_normal()
             lo, hi = 0, 2**52
             while lo < hi:
                 mid = (lo + hi) // 2
-                self._next_word(gen, mid << 9 | layer)
-                gen.standard_normal()
+                gscm._set_next_word(gen, mid << 9 | layer).standard_normal()
                 if gen.bit_generator.state["state"]["state"] == mid << 9 | layer:
                     lo = mid + 1   # one word consumed: the fast path accepted
                 else:
@@ -485,17 +478,17 @@ class TestZigguratKernel:
     def test_every_pair_through_the_fallback(self, monkeypatch):
         wi, _ = gscm._ziggurat()
         monkeypatch.setattr(gscm, "_ziggurat", lambda: (wi, np.zeros(256, np.uint64)))
-        generators = gscm._pcg64_generators
-        fallback_rows = []
-        monkeypatch.setattr(gscm, "_pcg64_generators",
-                            lambda words: fallback_rows.append(len(words)) or generators(words))
+        set_pcg64, fallback_rows = gscm._set_pcg64, []
+        monkeypatch.setattr(gscm, "_set_pcg64",
+                            lambda *state: fallback_rows.append(state) or set_pcg64(*state))
         rng = np.random.default_rng(3)
         for seed in (1, 2**31, 2**32 - 1):
             scen = TestFadingNormalsBatch._scenario(seed)
             users, clusters = rng.integers(0, 40, 100), rng.integers(0, 2**32, 100)
             np.testing.assert_array_equal(gscm._fading_normals_batch(scen, users, clusters),
                                           per_pair_batch(scen, users, clusters))
-        assert fallback_rows == [100, 100, 100]
+            assert len(fallback_rows) == 100
+            fallback_rows.clear()
 
 
 class TestChannelCovariances:

@@ -278,32 +278,16 @@ class TestPerturbAndRebuildOmegas:
                 fallbacks += pg.fallback_count
         assert fallbacks > 0
 
-
     def test_v_tilde_is_c_contiguous(self):
         # GUS takes row norms of it
         scen = generate_scenario(ScenarioConfig(rng_seed=2))
         for pg in perturb_and_rebuild_omegas(scen, (0, 2, 5), CrlbParams()):
             assert pg.v_tilde.shape == (40, 12) and pg.v_tilde.flags.c_contiguous
 
-    def test_params_checked_once_per_rebuild(self, monkeypatch):
-        checked = []
-        validate = CrlbParams.validate
-        monkeypatch.setattr(CrlbParams, "validate",
-                            lambda params: checked.append(params) or validate(params))
-        scen = generate_scenario(ScenarioConfig(rng_seed=4))
-        params = CrlbParams(input_snr=50.0)
-        perturb_and_rebuild_omegas(scen, (0, 1, 3, 5), params)
-        assert checked == [params]
-        perturb_and_rebuild(scen, 2, params)
-        assert checked == [params, params]
-        crlb(params, 0.2, 0.1)   # direct callers are still checked
-        assert len(checked) == 3
-
-    @pytest.mark.parametrize("omegas", [(0,), (0, 2)])
-    def test_invalid_params_rejected(self, omegas):
+    def test_invalid_params_rejected(self):
         scen = generate_scenario(ScenarioConfig(rng_seed=4))
         with pytest.raises(ConfigurationError, match="input_snr"):
-            perturb_and_rebuild_omegas(scen, omegas, CrlbParams(input_snr=0.0))
+            perturb_and_rebuild_omegas(scen, (0, 2), CrlbParams(input_snr=0.0))
         with pytest.raises(ConfigurationError, match="input_snr"):
             crlb(CrlbParams(input_snr=0.0), 0.2, 0.1)
 

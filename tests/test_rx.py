@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, ergodic_capacity,
-                      mmse_estimate, mmse_estimate_per_user, noise_power, sum_rate,
-                      unitary_pilots, zf_weights)
+from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate,
+                      mmse_estimate_per_user, noise_power, sum_rate, unitary_pilots,
+                      zf_weights)
 
-from conftest import channel_covariance, sum_rate_loop
+from conftest import channel_covariance, ergodic_capacity, sum_rate_loop
 
 
 def random_channel(rng, m, k):
