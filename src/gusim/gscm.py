@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, GeometryError
-from .plain import _is_finite, check_fields, checked, from_plain, to_plain
+from .plain import _is_finite, check_fields, checked, from_versioned, to_plain
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -157,7 +157,6 @@ class ChannelMatrix:
     """M x K_s uplink channel of the selected users."""
 
     entries: np.ndarray    # (M, K_s) complex
-    user_ids: tuple[int, ...]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -206,8 +205,12 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         vr3 = np.array([vr[0], vr[1], config.ms_height])
         delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
         shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
-        clusters.append(Cluster(position=_read_only(pos), vr_center=_read_only(vr),
-                                delay=float(delay), shadow_gain=float(10.0 ** (shadow_db / 10.0))))
+        clusters.append(Cluster(
+            position=_read_only(pos),
+            vr_center=_read_only(vr),
+            delay=float(delay),
+            shadow_gain=float(10.0 ** (shadow_db / 10.0)),
+        ))
 
     return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
                     clusters=tuple(clusters))
@@ -453,7 +456,7 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     h = np.einsum("kjp,jpm->mk", gains[..., None] * fading, scenario.steering)
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
-    return ChannelMatrix(entries=h, user_ids=tuple(selected))
+    return ChannelMatrix(entries=h)
 
 
 def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
@@ -481,14 +484,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"scenario must be a mapping, got {data!r}")
-    if data.get("schema_version") != _SCENARIO_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported scenario schema_version {data.get('schema_version')!r}"
-        )
-    rest = {k: v for k, v in data.items() if k != "schema_version"}
-    return from_plain(Scenario, rest, "scenario")
+    return from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, RankDeficiencyError, SelectionError
 from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import check_fields, checked, from_plain, to_plain
+from .plain import check_fields, checked, from_versioned, to_plain
 from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
                  sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
@@ -329,18 +329,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"config must be a mapping, got {data!r}")
-    version = data.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
-        why = (" (version 2 removed covariance_draws: estimated CSI now uses the"
-               " exact channel covariance)") if version == 1 else ""
-        raise ConfigurationError(
-            f"unsupported config schema_version {version!r}, expected "
-            f"{CONFIG_SCHEMA_VERSION}{why}"
-        )
-    rest = {k: v for k, v in data.items() if k != "schema_version"}
-    return from_plain(ExperimentConfig, rest, "config")
+    return from_versioned(ExperimentConfig, data, "config", CONFIG_SCHEMA_VERSION, {
+        1: " (version 2 removed covariance_draws: estimated CSI now uses the"
+           " exact channel covariance)"})
 
 
 def save_config(config: ExperimentConfig, path) -> None:

@@ -42,6 +42,18 @@ def from_plain(cls, data, where: str):
                   for name, value in data.items()})
 
 
+def from_versioned(cls, data, where: str, version: int, retired: dict | None = None):
+    """``from_plain`` of a mapping that also carries ``schema_version``, which
+    must be ``version``; ``retired`` says why an older version is not read."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
+    found = data.get("schema_version")
+    if found != version:
+        raise ConfigurationError(f"unsupported {where} schema_version {found!r}, "
+                                 f"expected {version}{(retired or {}).get(found, '')}")
+    return from_plain(cls, {k: v for k, v in data.items() if k != "schema_version"}, where)
+
+
 def _typed(hint, value, where: str):
     """``value`` checked against the field type ``hint``; ints are accepted
     for floats, lists for tuples, and nested lists of numbers for float
