@@ -189,4 +189,3 @@ def sum_rate(h: np.ndarray, receiver: ZfReceiver, power: PowerConfig,
     interference = p_k * (g2.sum(axis=1) - own)
     noise = power.noise_power * np.sum(np.abs(w) ** 2, axis=1) if mode == "physical" else 1.0
     return float(np.sum(np.log2(1.0 + p_k * own / (noise + interference))))
-
