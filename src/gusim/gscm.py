@@ -346,10 +346,11 @@ def _set_pcg64(gen: np.random.Generator, state: int, inc: int) -> np.random.Gene
     return gen
 
 
-def _set_next_word(gen: np.random.Generator, word: int) -> np.random.Generator:
-    """``gen`` set so that its next PCG64 outputs are ``word``, then 0 or 1:
-    a state with a zero high half outputs its low half."""
-    inc = (-word * _PCG64_MULT | 1) & _MASK128
+def _set_next_word(gen: np.random.Generator, word: int, then=None) -> np.random.Generator:
+    """``gen`` set so that its next PCG64 outputs are ``word``, then ``then``
+    of the other parity (0 or 1 by default): a state with a zero high half
+    outputs its low half, and inc = then - word * MULT is odd."""
+    inc = (1 - (word & 1) if then is None else then) - word * _PCG64_MULT & _MASK128
     return _set_pcg64(gen, (word - inc) * _PCG64_MULT_INV & _MASK128, inc)
 
 
@@ -381,7 +382,10 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     at once if rabs < ki[idx]. So the word with rabs = 1 draws wi[idx]; at
     layer 1 the wedge test then takes the uniform 0, which accepts."""
     gen = np.random.Generator(np.random.PCG64(0))
-    wi = np.array([_set_next_word(gen, 1 << 9 | i).standard_normal() for i in range(256)])
+    # a state per pair of layers, but layer 1's wedge test reads the next word
+    layers = [(0,), (1,), *zip(range(2, 256, 2), range(3, 256, 2))]
+    wi = np.concatenate([_set_next_word(gen, *(1 << 9 | i for i in pair))
+                         .standard_normal(len(pair)) for pair in layers])
     thresholds = np.floor(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
     thresholds[1] = 0
     return _read_only(wi), _read_only(thresholds)

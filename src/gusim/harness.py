@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from itertools import product
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, RankDeficiencyError, SelectionError
+from .errors import ConfigurationError, RankDeficiencyError
 from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, from_versioned, to_plain
-from .rx import (PilotConfig, PowerConfig, mmse_estimate_per_user, noise_power,
-                 sum_rate, unitary_pilots, zf_weights)
+from .rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate_per_user,
+                 noise_power, sum_rate, unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
                          gwc_select_powers, random_select)
 
@@ -144,29 +145,26 @@ def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
     return mmse_estimate_per_user(received, pilot, covariances)
 
 
-def _greedy_prefixes(select, ks_values) -> dict:
-    """K_s -> ``select(K_s)``, None where that raises ``SelectionError``. Greedy
-    picks do not depend on how many follow: the largest feasible K_s serves all."""
-    for top in sorted(set(ks_values), reverse=True):
-        try:
-            picks = select(top)
-        except SelectionError:
-            continue
-        return {ks: picks[:ks] if ks <= top else None for ks in ks_values}
-    return dict.fromkeys(ks_values)
-
-
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
-    function of (config, base seed, trial). GUS and GWC run at the largest
-    K_s only, GUS on one rebuild for every positive omega and GWC once for all
-    powers; H holds only the columns of users some row rates, unless GWC runs.
-    Receivers, covariances and rates are memoized per ordered set (and power),
-    since the estimate's pilot noise is keyed by the set size."""
+    function of (config, base seed, trial). GUS (on the V of every omega,
+    one rebuild serving every positive omega) and GWC (for every power) run
+    once at the largest K_s, and each K_s takes the first picks; H holds only
+    the columns of users some row rates, unless GWC runs. Each set size is
+    zero-forced in one stacked call, per ordered set, or per (set, power)
+    with estimation, and each set is rated at all its powers at once."""
     seed = config.base_seed + trial
     scen = generate_scenario(replace(config.scenario, rng_seed=seed))
     k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
                        config.noise_power)
+    top = max(config.ks_values)
+
+    def prefixes(result) -> dict:   # None past a short result
+        return {ks: result.selected[:ks] if ks <= len(result.selected) else None
+                for ks in config.ks_values}
+
+    def power(p_dbm: float, ks: int) -> PowerConfig:
+        return PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
 
     random = {}
     if "RANDOM" in config.algorithms:
@@ -179,9 +177,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
         if positive:   # the rebuilt V depends on omega only: one rebuild for all
             v_of.update(zip(positive, (pg.v_tilde for pg in perturb_and_rebuild_omegas(
                 scen, positive, config.crlb))))
-        for omega in config.omegas:
-            gus[omega] = _greedy_prefixes(lambda ks: gus_select(
-                v_of[omega], ks, config.gus_variant).selected, config.ks_values)
+        results = gus_select(np.stack([v_of[o] for o in config.omegas]), top,
+                             config.gus_variant)
+        gus = {omega: prefixes(r) for omega, r in zip(config.omegas, results)}
 
     # one channel synthesis per trial, of the users some row rates: a column
     # depends only on its own (scenario, user) streams. GWC reads all of H.
@@ -198,40 +196,42 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
         return h_needed[:, [column[u] for u in sel]]
 
     gwc = {}
-    if "GWC" in config.algorithms:   # one search at the largest K_s for every power
-        top = max(config.ks_values)
-        powers = [PowerConfig(dbm_to_watts(p), top, p_n) for p in config.powers_dbm]
-        for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(h_needed, top, powers)):
-            gwc[p_dbm] = {ks: r.selected[:ks] if ks <= len(r.selected) else None
-                          for ks in config.ks_values}   # None past a short result
+    if "GWC" in config.algorithms:
+        gwc = {p_dbm: prefixes(r) for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(
+            h_needed, top, [power(p, top) for p in config.powers_dbm]))}
 
-    covariances = cache(partial(channel_covariances, scen))
-
-    @cache
-    def receiver(sel: tuple[int, ...], p_dbm: float | None):
-        """ZF receiver of a set (power-free with perfect CSI), None if rank deficient."""
-        h_zf = h_of(sel)
-        try:
-            if p_dbm is not None:
-                power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
-                h_zf = _estimate_selected_channel(scen, sel, h_zf, power, covariances(sel))
-            return zf_weights(h_zf)
-        except RankDeficiencyError:
-            return None
-
-    @cache
-    def rate(sel: tuple[int, ...], p_dbm: float) -> float | None:
-        rx = receiver(sel, p_dbm if config.use_estimation else None)
-        power = PowerConfig(dbm_to_watts(p_dbm), len(sel), p_n)
-        return None if rx is None else \
-            sum_rate(h_of(sel), rx, power, mode=config.mode)
+    grid = [(ks, omega, alg, p_dbm, (gus[omega] if alg == "GUS" else gwc[p_dbm]
+                                      if alg == "GWC" else random)[ks])
+            for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
+                                                 config.algorithms, config.powers_dbm)]
+    rated = defaultdict(dict)   # set -> {power: its receiver's power, None if shared}
+    for *_, p_dbm, sel in grid:
+        if sel is not None:
+            rated[sel][p_dbm] = p_dbm if config.use_estimation else None
+    receivers, inputs = {}, defaultdict(dict)   # K_s -> {(set, power): ZF input}
+    for sel, powers in rated.items():
+        covariances = channel_covariances(scen, sel) if config.use_estimation else None
+        for p_dbm in dict.fromkeys(powers.values()):
+            try:
+                inputs[len(sel)][sel, p_dbm] = h_of(sel) if p_dbm is None else \
+                    _estimate_selected_channel(scen, sel, h_of(sel), power(p_dbm, len(sel)),
+                                               covariances)
+            except RankDeficiencyError:   # a singular MMSE system
+                receivers[sel, p_dbm] = None
+    for same_size in inputs.values():
+        receivers.update(zip(same_size, zf_weights(np.stack(list(same_size.values())))))
+    rates = {}
+    for sel, powers in rated.items():
+        usable = [p for p, rx_p in powers.items() if receivers[sel, rx_p] is not None]
+        if usable:
+            weights = [receivers[sel, powers[p]].weights for p in usable]
+            rx = ZfReceiver(np.stack(weights) if config.use_estimation else weights[0])
+            rates.update(zip(((sel, p) for p in usable), sum_rate(
+                h_of(sel), rx, [power(p, len(sel)) for p in usable], config.mode).tolist()))
 
     rows = []
-    for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
-                                         config.algorithms, config.powers_dbm):
-        sel = (gus[omega] if alg == "GUS" else gwc[p_dbm] if alg == "GWC"
-               else random)[ks]
-        r = None if sel is None else rate(sel, p_dbm)
+    for ks, omega, alg, p_dbm, sel in grid:
+        r = rates.get((sel, p_dbm))
         rows.append(TrialResult(trial, alg, ks, p_dbm, omega, r,
                                 estimation_load(m, k_total if alg == "GWC" else ks),
                                 () if r is None else sel))
@@ -269,8 +269,20 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
     return AggregateStats(_aggregate(config, rows, figure), tuple(rows))
 
 
+def _check_out_path(out_path) -> None:
+    """Raise ``ConfigurationError`` unless ``out_path`` is None or names a
+    file, existing or not, in a directory that exists and is writable."""
+    if out_path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out_path))
+    if os.path.isdir(out_path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigurationError(f"cannot write {out_path}: not a file in a writable directory")
+
+
 def run_sweep(config: ExperimentConfig, out_path=None, figure: str = "run") -> AggregateStats:
-    """``run_experiment``, writing the CSV and manifest if given a path."""
+    """``run_experiment``, writing the CSV and manifest if given a path,
+    which is checked before any trial runs."""
+    _check_out_path(out_path)
     stats = run_experiment(config, figure=figure)
     if out_path is not None:
         write_results_csv(stats, out_path)
@@ -287,6 +299,7 @@ def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
     """Channel-estimation load versus antenna count: selected-set load
     2*M*K_s against full-pool load 2*M*K. Pure arithmetic, no trials."""
     config.validate()
+    _check_out_path(out_path)
     k = config.scenario.num_users
     rows = [{"figure": "fig3", "M": m, "K": k, "K_s": ks,
              "load_selected": estimation_load(m, ks), "load_full": estimation_load(m, k),
@@ -349,6 +362,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
+    config.validate()   # a string outside the fixed choices could emit differently
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)   # libyaml: same bytes, faster
     blob = yaml.dump(config_to_dict(config), Dumper=dumper, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

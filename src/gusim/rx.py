@@ -87,35 +87,6 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
         f"temperature={temperature!r}, noise_figure_db={noise_figure_db!r}")
 
 
-def mmse_estimate(received: np.ndarray, pilot: PilotConfig,
-                  covariance: np.ndarray) -> np.ndarray:
-    """Bayesian MMSE estimate of the vectorized channel from received
-    pilots ``received`` (M x tau_p).
-
-    Uses h_hat = R Phi~^H (Phi~ R Phi~^H + sigma_n^2 I)^{-1} y~ with
-    Phi~ = Phi^T (x) I_M and y~ = vec(received).
-    """
-    received = np.asarray(received)
-    m, tau_p = received.shape
-    if tau_p != pilot.pilot_length:
-        raise ConfigurationError("received pilot block width must equal pilot_length")
-    if covariance.shape != (m * pilot.num_users,) * 2:
-        raise ConfigurationError(
-            f"covariance must be {m * pilot.num_users} x {m * pilot.num_users}"
-        )
-    phi_tilde = np.kron(pilot.matrix.T, np.eye(m))
-    y = received.reshape(-1, order="F")
-    inner = phi_tilde @ covariance @ phi_tilde.conj().T
-    inner = inner + pilot.noise_variance * np.eye(inner.shape[0])
-    try:
-        sol = np.linalg.solve(inner, y)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            f"MMSE inner matrix is singular (sigma_n^2={pilot.noise_variance}): {exc}"
-        ) from exc
-    return covariance @ phi_tilde.conj().T @ sol
-
-
 def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
                            covariances: np.ndarray) -> np.ndarray:
     """MMSE estimate (M x K_s) of the channel of users with mutually
@@ -125,7 +96,8 @@ def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
     Projecting the received block onto pilot phi_k gives
     z_k = Y phi_k^H / ||phi_k||^2 = h_k + n_k with n_k ~ CN(0, s_k I),
     s_k = sigma_n^2 / ||phi_k||^2, so h_hat_k = R_k (R_k + s_k I)^{-1} z_k.
-    This equals ``mmse_estimate`` with the block-diagonal covariance.
+    This equals the dense Kronecker-form MMSE estimate with the
+    block-diagonal covariance.
     """
     received = np.asarray(received)
     m, tau_p = received.shape
@@ -151,41 +123,50 @@ def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
     return (covariances @ sol)[:, :, 0].T
 
 
-def zf_weights(h: np.ndarray) -> ZfReceiver:
+def zf_weights(h: np.ndarray):
     """Pseudo-inverse receiver W = (H^H H)^{-1} H^H; requires M >= K_s and
-    a condition number of at most ``ZF_COND_LIMIT``."""
+    a condition number of at most ``ZF_COND_LIMIT``. An (n, M, K_s) stack
+    gives one receiver per entry from one stacked SVD, None where the entry
+    is rank deficient; one H raises ``RankDeficiencyError`` instead."""
     h = np.asarray(h)
-    m, k_s = h.shape
+    m, k_s = h.shape[-2:]
     if m < k_s:
         raise ConfigurationError(f"need at least as many antennas ({m}) as users ({k_s})")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    if s[-1] == 0 or s[0] / s[-1] > ZF_COND_LIMIT:
-        cond = math.inf if s[-1] == 0 else s[0] / s[-1]
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], math.inf),
+                     where=s[..., -1] > 0)
+    if h.ndim == 2 and cond > ZF_COND_LIMIT:
         raise RankDeficiencyError(
             f"channel matrix is numerically rank deficient (condition number {cond:.3e})"
         )
-    w = (vh.conj().T / s) @ u.conj().T
-    return ZfReceiver(weights=w)
+    s[cond > ZF_COND_LIMIT] = 1.0   # their weights are dropped; no division by zero
+    w = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return ZfReceiver(weights=w) if h.ndim == 2 else tuple(
+        None if c > ZF_COND_LIMIT else ZfReceiver(weights=w_e) for c, w_e in zip(cond, w))
 
 
-def sum_rate(h: np.ndarray, receiver: ZfReceiver, power: PowerConfig,
-             mode: str = "physical") -> float:
+def sum_rate(h: np.ndarray, receiver: ZfReceiver, power, mode: str = "physical"):
     """Achievable uplink sum-rate in bits/s/Hz.
 
     ``physical`` puts amplified thermal noise P_n ||w_k||^2 plus residual
     interference in the SINR denominator; ``paper-literal`` uses
-    1 + interference with no noise amplification term.
+    1 + interference with no noise amplification term. A sequence of P
+    powers gives P rates from one |W H|^2 product, with one receiver for
+    all or a (P, K_s, M) stack of weights, one per power.
     """
     h = np.asarray(h)
     w = receiver.weights
+    powers = [power] if isinstance(power, PowerConfig) else list(power)
     k_s = h.shape[1]
-    if w.shape != (k_s, h.shape[0]):
+    if w.shape[-2:] != (k_s, h.shape[0]) or w.ndim == 3 and len(w) != len(powers):
         raise ConfigurationError("receiver shape does not match channel")
     if mode not in ("physical", "paper-literal"):
         raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
-    p_k = power.per_user
-    g2 = np.abs(w @ h) ** 2  # (K_s, K_s); entry [k, i] = |w_k h_i|^2
-    own = g2.diagonal()
-    interference = p_k * (g2.sum(axis=1) - own)
-    noise = power.noise_power * np.sum(np.abs(w) ** 2, axis=1) if mode == "physical" else 1.0
-    return float(np.sum(np.log2(1.0 + p_k * own / (noise + interference))))
+    p_k = np.array([p.per_user for p in powers])[:, None]
+    g2 = np.abs(w @ h) ** 2  # (..., K_s, K_s); entry [k, i] = |w_k h_i|^2
+    own = g2.diagonal(axis1=-2, axis2=-1)
+    interference = p_k * (g2.sum(axis=-1) - own)
+    noise = np.array([[p.noise_power] for p in powers]) * np.sum(np.abs(w) ** 2, axis=-1) \
+        if mode == "physical" else 1.0
+    rates = np.sum(np.log2(1.0 + p_k * own / (noise + interference)), axis=-1)
+    return float(rates[0]) if isinstance(power, PowerConfig) else rates

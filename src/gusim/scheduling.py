@@ -41,53 +41,50 @@ def build_v_matrix(scenario: gscm.Scenario) -> np.ndarray:
     return gscm.large_scale_gains(scenario, include_shadowing=False)
 
 
-def gus_select(v: np.ndarray, num_selected: int,
-               variant: str = "last") -> ScheduleResult:
+def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
     """Geometry-based greedy selection on the user-cluster matrix.
 
     The first user maximizes the row norm; each later pick minimizes the
     correlation metric against the most recently selected row (``last``,
     the literal algorithm) or against the worst case over all selected rows
     (``set``). Ties go to the lowest index. Zero-norm rows are excluded
-    with a warning since their correlation is undefined.
+    with a warning since their correlation is undefined. An (n, K, N_C)
+    stack gives one result per entry, cut at its count of usable rows,
+    where one V raises ``SelectionError``.
     """
     v = np.asarray(v, dtype=float)
-    k = v.shape[0]
+    stack, k = v.reshape(-1, *v.shape[-2:]), v.shape[-2]
     if not 1 <= num_selected <= k:
         raise ConfigurationError(f"num_selected must be in [1, {k}]")
     if variant not in ("last", "set"):
         raise ConfigurationError(f"unknown variant {variant!r}")
 
-    norms = np.linalg.norm(v, axis=1)
-    candidates = np.flatnonzero(norms > 0)
-    if len(candidates) < k:
-        warnings.warn(
-            f"excluding {k - len(candidates)} zero-norm user rows from selection",
-            stacklevel=2,
-        )
-    if len(candidates) < num_selected:
-        raise SelectionError(
-            f"only {len(candidates)} usable candidates for {num_selected} slots"
-        )
+    norms = np.linalg.norm(stack, axis=2)
+    counts = np.count_nonzero(norms, axis=1)
+    if counts.sum() < norms.size:
+        warnings.warn(f"excluding {norms.size - counts.sum()} zero-norm user rows "
+                      "from selection", stacklevel=2)
+    if v.ndim == 2 and counts[0] < num_selected:
+        raise SelectionError(f"only {counts[0]} usable candidates for {num_selected} slots")
 
-    # corr[a, b]: correlation metric of candidates a and b; the products
-    # are summed elementwise so that equal rows give exactly equal entries
-    u = v[candidates]
-    n = norms[candidates]
-    corr = np.minimum(1.0, np.abs(np.einsum("ik,jk->ij", u, u)) / np.outer(n, n))
-    pick = int(np.argmax(n))
-    selected = [pick]
-    scores = [float(n[pick])]
-    worst = np.zeros(len(candidates))
-    taken = np.zeros(len(candidates), dtype=bool)
-    while len(selected) < num_selected:
-        taken[pick] = True
-        worst = corr[:, pick] if variant == "last" else np.maximum(worst, corr[:, pick])
-        pick = int(np.argmin(np.where(taken, np.inf, worst)))
-        selected.append(pick)
-        scores.append(float(worst[pick]))
-    return ScheduleResult(tuple(int(candidates[i]) for i in selected),
-                          tuple(scores), "GUS")
+    # row e K + a of corr: the correlation metric of row a of entry e with
+    # each row of that entry, products summed elementwise so that equal rows
+    # give exactly equal entries (and corr is symmetric to the bit). Zero-norm
+    # and selected users are barred with an infinite metric.
+    safe = np.where(norms > 0, norms, 1.0)
+    corr = np.minimum(1.0, np.abs(np.einsum("eik,ejk->eij", stack, stack))
+                      / (safe[:, :, None] * safe[:, None, :])).reshape(-1, k)
+    rows, barred = np.arange(len(stack)) * k, np.where(norms > 0, 0.0, np.inf)
+    at, scores, worst = [rows + norms.argmax(axis=1)], [norms.max(axis=1)], barred
+    while len(at) < num_selected:   # at: the picks' rows of corr
+        barred.reshape(-1)[at[-1]] = np.inf
+        latest = corr[at[-1]]   # each row's metric against the latest pick
+        worst = np.maximum(latest if variant == "last" else np.maximum(worst, latest), barred)
+        at.append(rows + worst.argmin(axis=1))
+        scores.append(worst.min(axis=1))
+    results = tuple(ScheduleResult(tuple(p[:n]), tuple(sc[:n]), "GUS") for p, sc, n in
+                    zip((np.array(at) - rows).T.tolist(), np.array(scores).T.tolist(), counts))
+    return results if v.ndim == 3 else results[0]
 
 
 def _gwc_node(h_all: np.ndarray, q: np.ndarray, r_inv: np.ndarray, remaining):
@@ -126,7 +123,7 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     available candidate, and no pick depends on how many picks follow. A
     power left with no acceptable candidate gets a shorter result. C, E, X,
     the gains and the condition tests run once per ordered prefix that some
-    power reaches, the rates and the visiting order once per power.
+    power reaches, and there one (P, s, n) pass rates every power it serves.
     """
     h_all = np.asarray(h_all)
     m, k = h_all.shape
@@ -140,6 +137,8 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     q_all = np.zeros((m, num_selected), dtype=dtype)
     r_inv_all = np.zeros((num_selected, num_selected), dtype=dtype)
     found = [([], []) for _ in powers]   # each power's picks and scores
+    totals, noises = np.reshape([(p.total_power, p.noise_power) for p in powers],
+                                (-1, 2)).T[:, :, None]   # (P, 1) each
 
     # depth first: a child writes only its own column of the factors, so
     # siblings share them uncopied
@@ -154,16 +153,18 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
             sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
             return not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
 
+        # (P, s, n) rates of every power of the group, then one visiting order each
+        p, p_n = totals[group] / (s + 1), noises[group]
+        rates = (np.sum(np.log2(1.0 + p[:, :, None] / (p_n[:, :, None] * gain)), axis=1)
+                 + np.log2(1.0 + p * rho2 / p_n))
+        key = rates if s else norms[remaining[scored]]
+        order = np.argsort(-key, axis=-1, kind="stable").tolist()
         children: dict[int, list[int]] = {}
-        for i in group:
-            p, p_n = powers[i].total_power / (s + 1), powers[i].noise_power
-            rates = (np.sum(np.log2(1.0 + p / (p_n * gain)), axis=0)
-                     + np.log2(1.0 + p * rho2 / p_n))
-            key = rates if s else norms[remaining[scored]]
-            j = next((j for j in np.argsort(-key, kind="stable") if acceptable(j)), None)
+        for i, row, visit in zip(group, rates.tolist(), order if s else [order] * len(group)):
+            j = next((j for j in visit if acceptable(j)), None)
             if j is not None:
                 found[i][0].append(int(remaining[scored[j]]))
-                found[i][1].append(float(rates[j]))
+                found[i][1].append(row[j])
                 children.setdefault(scored[j], []).append(i)
         for w, sub in children.items() if s + 1 < num_selected else ():
             # append the winner's column, re-orthogonalized once against Q
@@ -173,7 +174,7 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
             q_all[:, s] = e / rho
             r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
             r_inv_all[s, s] = 1.0 / rho
-            walk(s + 1, np.delete(remaining, w), sub)
+            walk(s + 1, np.concatenate((remaining[:w], remaining[w + 1:])), sub)
 
     walk(0, np.arange(k), list(range(len(powers))))
     return tuple(ScheduleResult(tuple(sel), tuple(sc), "GWC") for sel, sc in found)

@@ -7,7 +7,7 @@ import pytest
 from gusim import gscm, harness, localization, scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
-from gusim.rx import ZF_COND_LIMIT
+from gusim.rx import ZF_COND_LIMIT, PilotConfig
 from gusim.scheduling import ScheduleResult
 
 
@@ -129,6 +129,36 @@ def ergodic_capacity(h_samples, power):
             raise RankDeficiencyError("capacity Gram matrix not positive definite")
         total += logdet / math.log(2.0)
     return total / len(mats)
+
+
+def mmse_estimate(received: np.ndarray, pilot: PilotConfig,
+                  covariance: np.ndarray) -> np.ndarray:
+    """Oracle for ``rx.mmse_estimate_per_user``: the dense Bayesian MMSE
+    estimate of the vectorized channel from received pilots ``received``
+    (M x tau_p), for any pilots and any joint covariance.
+
+    Uses h_hat = R Phi~^H (Phi~ R Phi~^H + sigma_n^2 I)^{-1} y~ with
+    Phi~ = Phi^T (x) I_M and y~ = vec(received).
+    """
+    received = np.asarray(received)
+    m, tau_p = received.shape
+    if tau_p != pilot.pilot_length:
+        raise ConfigurationError("received pilot block width must equal pilot_length")
+    if covariance.shape != (m * pilot.num_users,) * 2:
+        raise ConfigurationError(
+            f"covariance must be {m * pilot.num_users} x {m * pilot.num_users}"
+        )
+    phi_tilde = np.kron(pilot.matrix.T, np.eye(m))
+    y = received.reshape(-1, order="F")
+    inner = phi_tilde @ covariance @ phi_tilde.conj().T
+    inner = inner + pilot.noise_variance * np.eye(inner.shape[0])
+    try:
+        sol = np.linalg.solve(inner, y)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError(
+            f"MMSE inner matrix is singular (sigma_n^2={pilot.noise_variance}): {exc}"
+        ) from exc
+    return covariance @ phi_tilde.conj().T @ sol
 
 
 def pathloss_amplitude(scen, user):

@@ -20,11 +20,10 @@ from gusim.harness import (ExperimentConfig, figure2_sweep, figure3_load,
                            figure4_robustness, run_experiment, save_config)
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_delay, solve_cluster_distance)
-from gusim.rx import (PilotConfig, PowerConfig, mmse_estimate, sum_rate,
-                      unitary_pilots, zf_weights)
+from gusim.rx import PilotConfig, PowerConfig, sum_rate, unitary_pilots, zf_weights
 from gusim.scheduling import gwc_select
 
-from conftest import ergodic_capacity
+from conftest import ergodic_capacity, mmse_estimate
 
 
 def _report(capsys, number: int, label: str, ok: bool, detail: str) -> None:

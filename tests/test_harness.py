@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gusim import cli, gscm, harness
-from gusim.errors import ConfigurationError, SelectionError
+from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import zf_weights
 from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
@@ -16,7 +16,7 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
                            figure4_robustness, load_config, run_experiment,
-                           save_config, write_manifest,
+                           run_sweep, save_config, write_manifest,
                            write_results_csv)
 from gusim.scheduling import gus_select, gwc_select_powers
 
@@ -112,18 +112,19 @@ class TestRunExperiment:
         assert [r.sum_rate for r in perfect] != [r.sum_rate for r in estimated]
 
     def test_gus_selects_once_per_trial_and_omega(self, monkeypatch):
-        # at the largest K_s; a smaller K_s takes the first picks
+        # one call per trial on the stacked V of every omega, at the largest
+        # K_s; a smaller K_s takes the first picks
         calls = []
 
         def counting(v, ks, variant):
-            calls.append(ks)
+            calls.append((v.shape[0], ks))
             return gus_select(v, ks, variant)
 
         monkeypatch.setattr(harness, "gus_select", counting)
         cfg = tiny_config(algorithms=("GUS",), powers_dbm=(0.0, 20.0, 40.0),
                           ks_values=(2, 3), omegas=(0, 1))
         stats = run_experiment(cfg)
-        assert calls == [3] * (cfg.trials * 2)
+        assert calls == [(2, 3)] * cfg.trials
         assert len(stats.trial_rows) == cfg.trials * 2 * 2 * 3
 
     def test_gwc_selects_once_per_trial_for_every_power(self, monkeypatch):
@@ -144,12 +145,15 @@ class TestRunExperiment:
     @pytest.mark.parametrize("rank_limited", [False, True])
     def test_zf_weights_once_per_distinct_selection(self, monkeypatch, rank_limited):
         # perfect CSI: the receiver of a set, or its rank deficiency, does
-        # not depend on the power
-        calls = []
+        # not depend on the power. One stacked call per trial and set size
+        # zero-forces each distinct set once and reports deficiency per entry
+        calls, deficient = [], []
 
         def counting(h):
-            calls.append(h.tobytes())
-            return zf_weights(h)
+            calls.append((h.shape[2], [entry.tobytes() for entry in h]))
+            receivers = zf_weights(h)
+            deficient.extend(rx is None for rx in receivers)
+            return receivers
 
         monkeypatch.setattr(harness, "zf_weights", counting)
         cfg = tiny_config(powers_dbm=(0.0, 20.0, 40.0), ks_values=(2, 3),
@@ -158,10 +162,12 @@ class TestRunExperiment:
             cfg = replace(cfg, scenario=replace(cfg.scenario, num_clusters=1,
                                                 mpcs_per_cluster=2))
         rows = run_experiment(cfg).trial_rows
-        assert len(set(calls)) == len(calls)
-        assert any(r.sum_rate is None for r in rows) == rank_limited
+        assert [size for size, _ in calls] == [2, 3] * cfg.trials
+        entries = [entry for _, stack in calls for entry in stack]
+        assert len(set(entries)) == len(entries)
+        assert any(r.sum_rate is None for r in rows) == any(deficient) == rank_limited
         if not rank_limited:
-            assert len(calls) == len({(r.trial, r.selected) for r in rows}) < len(rows)
+            assert len(entries) == len({(r.trial, r.selected) for r in rows}) < len(rows)
 
     @staticmethod
     def count_rebuilds(monkeypatch):
@@ -223,11 +229,11 @@ class TestRunExperiment:
         assert len({(r.trial, r.selected) for r in rows}) > 2 * cfg.trials
 
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
-        def failing(v, ks, variant):
-            raise SelectionError("no usable rows")
-
-        monkeypatch.setattr(harness, "gus_select", failing)
-        stats = run_experiment(tiny_config(algorithms=("GUS", "RANDOM")))
+        # a V of zero rows leaves GUS no usable candidate
+        monkeypatch.setattr(harness, "build_v_matrix",
+                            lambda scen: np.zeros((scen.num_users, scen.num_clusters)))
+        with pytest.warns(UserWarning, match="zero-norm"):
+            stats = run_experiment(tiny_config(algorithms=("GUS", "RANDOM")))
         for cell in stats.cells:
             if cell.algorithm == "GUS":
                 assert (cell.trials_used, cell.excluded) == (0, 2)
@@ -263,6 +269,19 @@ class TestRunExperiment:
     def test_nonfinite_power_rejected_before_any_trial(self, no_trials, power):
         with pytest.raises(ConfigurationError, match="powers_dbm"):
             run_experiment(tiny_config(powers_dbm=(0.0, power)))
+
+    @pytest.mark.parametrize("sweep", [run_sweep, figure2_sweep, figure3_load,
+                                       figure4_robustness])
+    @pytest.mark.parametrize("name", ["missing/o.csv", "folder"])
+    def test_unwritable_output_path_rejected_before_any_trial(self, tmp_path, no_trials,
+                                                              sweep, name):
+        # a missing directory, or a path that is a directory itself
+        (tmp_path / "folder").mkdir()
+        out = tmp_path / name
+        with pytest.raises(ConfigurationError, match="cannot write .* writable directory"):
+            sweep(tiny_config(), out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+        assert not any((tmp_path / "folder").iterdir())
 
     def test_negative_base_seed_rejected_before_any_trial(self, no_trials):
         cfg = tiny_config(base_seed=-2)
@@ -458,15 +477,20 @@ class TestTrialRowsMatchNaiveOracle:
         assert all(r.sum_rate is not None for r in gwc if r.ks == 2)
 
     def test_largest_ks_infeasible_for_gus(self, monkeypatch):
-        def short_pool(v, ks, variant):
-            if ks > 2:
-                raise SelectionError("too few usable rows")
-            return gus_select(v, ks, variant)
+        # a V with two nonzero rows: the stacked selection stops after two
+        # picks, where one V raises for K_s = 3
+        build = harness.build_v_matrix
 
-        monkeypatch.setattr(harness, "gus_select", short_pool)
+        def two_rows(scen):
+            v = build(scen)
+            v[np.argsort(-np.linalg.norm(v, axis=1))[2:]] = 0.0
+            return v
+
+        monkeypatch.setattr(harness, "build_v_matrix", two_rows)
         cfg = tiny_config(algorithms=("GUS",), ks_values=(3, 1, 2))
-        rows = run_experiment(cfg).trial_rows
-        assert rows == tuple(naive_trial_rows(cfg))
+        with pytest.warns(UserWarning, match="zero-norm"):
+            rows = run_experiment(cfg).trial_rows
+            assert rows == tuple(naive_trial_rows(cfg))
         assert [r.sum_rate is None for r in rows if r.trial == 0] == \
             [True, True, False, False, False, False]
 
@@ -559,6 +583,14 @@ class TestConfigFile:
         assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
             yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
 
+    @pytest.mark.parametrize("overrides", [dict(mode=""), dict(gus_variant="x"),
+                                           dict(algorithms=("GUS", ""))])
+    def test_hash_of_an_invalid_config_raises(self, overrides):
+        # a string outside the fixed choices could hash differently with and
+        # without libyaml, so such a config has no hash
+        with pytest.raises(ConfigurationError):
+            config_hash(tiny_config(**overrides))
+
     def test_schema_version_required(self):
         data = config_to_dict(tiny_config())
         data["schema_version"] = 42
@@ -634,7 +666,13 @@ class TestConfigFile:
         path = tmp_path_factory.mktemp("rt") / "config.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
-        assert config_hash(load_config(path)) == config_hash(cfg)
+        try:
+            cfg.validate()
+        except ConfigurationError:   # e.g. a duplicated omega: no hash to compare
+            with pytest.raises(ConfigurationError):
+                config_hash(load_config(path))
+        else:
+            assert config_hash(load_config(path)) == config_hash(cfg)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config()
@@ -708,6 +746,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("gusim: error: noise power") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "run"])
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, no_trials, capsys,
+                                                     command):
+        cfg_path = tmp_path / "c.yaml"
+        save_config(tiny_config(), cfg_path)
+        out = tmp_path / "missing" / "o.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gusim: error: cannot write {out}") and "Traceback" not in err
+        assert not out.exists() and not out.parent.exists()
 
     def test_fig3_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate,
-                      mmse_estimate_per_user, noise_power, sum_rate, unitary_pilots,
-                      zf_weights)
+from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate_per_user,
+                      noise_power, sum_rate, unitary_pilots, zf_weights)
 
-from conftest import channel_covariance, ergodic_capacity, sum_rate_loop
+from conftest import channel_covariance, ergodic_capacity, mmse_estimate, sum_rate_loop
 
 
 def random_channel(rng, m, k):
@@ -224,6 +223,28 @@ class TestZfWeights:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
             zf_weights(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ConfigurationError):
+            zf_weights(np.ones((4, 2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("m,k_s", [(64, 10), (64, 5), (8, 3), (4, 1), (3, 3)])
+    def test_stack_matches_per_matrix_calls(self, m, k_s):
+        # bitwise, with rank-deficient entries reported as None, not raised
+        rng = np.random.default_rng(m + k_s)
+        h = np.stack([random_channel(rng, m, k_s) for _ in range(6)])
+        h[1] = np.ones((m, k_s))                       # rank 1
+        h[4, :, -1] = 0.0                              # a zero column
+        h[5, :, 0] = h[5, :, -1] * (1 + 1e-14)         # conditioned beyond the limit
+        receivers = zf_weights(h)
+        assert len(receivers) == len(h)
+        for entry, rx in zip(h, receivers):
+            try:
+                alone = zf_weights(entry)
+            except RankDeficiencyError:
+                assert rx is None
+            else:
+                assert np.array_equal(rx.weights, alone.weights)
+        deficient = [rx is None for rx in receivers]
+        assert deficient == [False, k_s > 1, False, False, True, k_s > 1]
 
 
 class TestSumRate:
@@ -266,6 +287,39 @@ class TestSumRate:
                     power = PowerConfig(p, k_s, 1e-2)
                     assert sum_rate(h, rx, power, mode) == pytest.approx(
                         sum_rate_loop(h, rx, power, mode), rel=1e-12, abs=0)
+
+
+    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("per_power", [False, True])
+    def test_several_powers_match_one_power_calls(self, mode, per_power):
+        # bitwise: one shared receiver, or one receiver per power as with
+        # estimated CSI, and mixed noise powers
+        rng = np.random.default_rng(10)
+        for m, k_s in ((64, 10), (64, 5), (16, 1), (8, 8)):
+            h = random_channel(rng, m, k_s)
+            powers = [PowerConfig(p, k_s, n) for p, n in
+                      ((1e-3, 1e-2), (1.0, 1e-2), (1e3, 1e-2), (1.0, 5.0), (0.0, 1.0))]
+            receivers = [ZfReceiver(random_channel(rng, m, k_s).T) if per_power
+                         else zf_weights(h + 0.1 * random_channel(rng, m, k_s))
+                         for _ in powers]
+            if not per_power:
+                receivers = receivers[:1] * len(powers)
+            weights = np.stack([rx.weights for rx in receivers]) if per_power \
+                else receivers[0].weights
+            rates = sum_rate(h, ZfReceiver(weights), powers, mode)
+            assert rates.shape == (len(powers),)
+            assert rates.tolist() == [sum_rate(h, rx, p, mode)
+                                      for rx, p in zip(receivers, powers)]
+            assert sum_rate(h, ZfReceiver(weights), powers[:1] * (1 + per_power * 4),
+                            mode)[0] == sum_rate(h, receivers[0], powers[0], mode)
+
+    def test_receiver_stack_must_match_the_powers(self):
+        h = np.eye(4, dtype=complex)
+        stack = ZfReceiver(np.stack([np.eye(4)] * 3))
+        with pytest.raises(ConfigurationError, match="receiver shape"):
+            sum_rate(h, stack, [PowerConfig(1.0, 4, 1.0)] * 2)
+        with pytest.raises(ConfigurationError, match="receiver shape"):
+            sum_rate(h, stack, PowerConfig(1.0, 4, 1.0))
 
 
 class TestErgodicCapacity:

@@ -237,6 +237,50 @@ class TestGusMatchesPairwiseOracle:
         for num_selected in range(1, len(base) + 1):
             self._check(base, num_selected, variant)
 
+    @staticmethod
+    def _check_stack(stack, num_selected, variant):
+        # each entry is the one-V result, bitwise, cut at its usable rows
+        results = gus_select(stack, num_selected, variant)
+        assert len(results) == len(stack)
+        for v, result in zip(stack, results):
+            usable = int(np.count_nonzero(np.linalg.norm(v, axis=1)))
+            n = min(usable, num_selected)
+            assert len(result.selected) == n
+            if n:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    alone = gus_select(v, n, variant)
+                    selected, scores = gus_oracle(v, n, variant)
+                assert result == alone and result.selected == selected
+                np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-12,
+                                           atol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_stacks(self, variant):
+        # some entries with zero-norm rows, some too short for num_selected
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 7)), int(rng.integers(2, 30))
+            stack = rng.uniform(0.0, 1.0, size=(n, k, int(rng.integers(1, 13))))
+            for entry in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                stack[entry, rng.random(k) < rng.uniform(0.1, 1.0)] = 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                self._check_stack(stack, int(rng.integers(1, k + 1)), variant)
+        stack[0] = 0.0
+        with pytest.warns(UserWarning, match="zero-norm"):
+            assert gus_select(stack, 1, variant)[0].selected == ()
+
+    @pytest.mark.parametrize("variant", ["last", "set"])
+    def test_desk_scale_omega_stacks(self, variant):
+        # the stack the harness selects on: V and its rebuilds for omega 1..5
+        scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=4))
+        stack = np.stack([build_v_matrix(scen)] + [
+            perturb_and_rebuild(scen, omega, ExperimentConfig().crlb).v_tilde
+            for omega in range(1, 6)])
+        for ks in (1, 5, 10, 40):
+            self._check_stack(stack, ks, variant)
+
     @pytest.mark.parametrize("variant", ["last", "set"])
     def test_zero_norm_row_warns_in_both(self, variant):
         v = np.array([[1.0, 0.2], [0.0, 0.0], [0.1, 1.0], [0.5, 0.5]])
