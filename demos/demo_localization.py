@@ -43,8 +43,8 @@ scenario = generate_scenario(ScenarioConfig(num_users=20, rng_seed=5))
 v_true = build_v_matrix(scenario)
 print("\nOmega sweep (relative error in V, and whether GUS picks change):")
 baseline = gus_select(v_true, 5).selected
-# one rebuild covers every error scale; each result equals its own
-# perturb_and_rebuild(scenario, omega, params)
+# one rebuild covers every error scale; each result equals the one a
+# call with that omega alone gives
 omegas = range(6)
 for omega, pg in zip(omegas, perturb_and_rebuild_omegas(scenario, omegas, params)):
     rel = np.linalg.norm(v_true - pg.v_tilde) / np.linalg.norm(v_true)

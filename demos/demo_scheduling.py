@@ -7,7 +7,7 @@ Run:  python3 demos/demo_scheduling.py
 import numpy as np
 
 from gusim import (PowerConfig, ScenarioConfig, build_v_matrix, channel_matrix,
-                   estimation_load, generate_scenario, gus_select, gwc_select,
+                   estimation_load, generate_scenario, gus_select, gwc_select_powers,
                    noise_power, random_select, sum_rate, zf_weights)
 
 cfg = ScenarioConfig(num_users=40, antenna_count=64, rng_seed=7)
@@ -23,7 +23,7 @@ p_n = noise_power(20e6)
 power = PowerConfig(total_power=1.0, num_users=k_s, noise_power=p_n)
 
 gus = gus_select(v, k_s)
-gwc = gwc_select(h_all, k_s, power)
+gwc, = gwc_select_powers(h_all, k_s, [power])
 rnd = random_select(cfg.num_users, k_s, rng=0)
 
 print(f"\nGUS picks    {gus.selected}")

@@ -17,7 +17,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError, GeometryError
-from .plain import _is_finite, check_fields, checked, from_versioned, to_plain
+from .plain import (_is_finite, _is_integer, check_fields, checked, from_versioned,
+                    read_yaml, to_plain)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -427,7 +428,11 @@ def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
 
 
 def _check_selected(scenario: Scenario, selected) -> list[int]:
-    """The selected user indices as ints: nonempty, distinct, in range."""
+    """The selected user indices as ints: integers (not bools), nonempty,
+    distinct, in range."""
+    selected = list(selected)
+    if not all(map(_is_integer, selected)):
+        raise ConfigurationError(f"selected user indices must be integers, got {selected!r}")
     selected = [int(i) for i in selected]
     if len(selected) == 0:
         raise ConfigurationError("selected user list must be nonempty")
@@ -488,7 +493,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    return from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION)
+    """The scenario ``data`` holds, with a valid config and the shapes it sets."""
+    scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION)
+    cfg = scenario.config
+    cfg.validate()
+    shapes = [("bs_position", scenario.bs_position.shape, (3,)),
+              ("users", scenario.users.shape, (cfg.num_users, 3)),
+              ("clusters", (len(scenario.clusters),), (cfg.num_clusters,)),
+              *(("cluster position", cl.position.shape, (3,)) for cl in scenario.clusters),
+              *(("vr_center", cl.vr_center.shape, (2,)) for cl in scenario.clusters)]
+    for name, shape, wanted in shapes:
+        if shape != wanted:
+            raise ConfigurationError(f"scenario {name} must have shape {wanted}, got {shape}")
+    return scenario
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -497,5 +514,4 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(yaml.safe_load(fh))
+    return scenario_from_dict(read_yaml(path, "scenario"))

@@ -25,9 +25,9 @@ from .errors import ConfigurationError, RankDeficiencyError
 from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import check_fields, checked, from_versioned, to_plain
-from .rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate_per_user,
-                 noise_power, sum_rate, unitary_pilots, zf_weights)
+from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
+from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
+                 unitary_pilots, zf_weights)
 from .scheduling import (build_v_matrix, estimation_load, gus_select,
                          gwc_select_powers, random_select)
 
@@ -137,12 +137,11 @@ def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
     orthogonal pilots, given their exact per-user covariances."""
     rng = _stream(scenario.config.rng_seed, _STREAM_FADING, len(selected))
     pilots = math.sqrt(power.per_user) * unitary_pilots(len(selected))
-    pilot = PilotConfig(matrix=pilots, noise_variance=power.noise_power)
     m, tau_p = h_true.shape[0], pilots.shape[1]
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, tau_p)) + 1j * rng.standard_normal((m, tau_p)))
     received = h_true @ pilots + noise
-    return mmse_estimate_per_user(received, pilot, covariances)
+    return mmse_estimate_per_user(received, pilots, power.noise_power, covariances)
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
@@ -204,11 +203,11 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
                                       if alg == "GWC" else random)[ks])
             for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
                                                  config.algorithms, config.powers_dbm)]
-    rated = defaultdict(dict)   # set -> {power: its receiver's power, None if shared}
+    rated = defaultdict(dict)   # set -> {power: its weights' power, None if shared}
     for *_, p_dbm, sel in grid:
         if sel is not None:
             rated[sel][p_dbm] = p_dbm if config.use_estimation else None
-    receivers, inputs = {}, defaultdict(dict)   # K_s -> {(set, power): ZF input}
+    weights, inputs = {}, defaultdict(dict)   # K_s -> {(set, power): ZF input}
     for sel, powers in rated.items():
         covariances = channel_covariances(scen, sel) if config.use_estimation else None
         for p_dbm in dict.fromkeys(powers.values()):
@@ -217,17 +216,17 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
                     _estimate_selected_channel(scen, sel, h_of(sel), power(p_dbm, len(sel)),
                                                covariances)
             except RankDeficiencyError:   # a singular MMSE system
-                receivers[sel, p_dbm] = None
+                weights[sel, p_dbm] = None
     for same_size in inputs.values():
-        receivers.update(zip(same_size, zf_weights(np.stack(list(same_size.values())))))
+        weights.update(zip(same_size, zf_weights(np.stack(list(same_size.values())))))
     rates = {}
     for sel, powers in rated.items():
-        usable = [p for p, rx_p in powers.items() if receivers[sel, rx_p] is not None]
+        usable = [p for p, w_p in powers.items() if weights[sel, w_p] is not None]
         if usable:
-            weights = [receivers[sel, powers[p]].weights for p in usable]
-            rx = ZfReceiver(np.stack(weights) if config.use_estimation else weights[0])
+            w = [weights[sel, powers[p]] for p in usable]
             rates.update(zip(((sel, p) for p in usable), sum_rate(
-                h_of(sel), rx, [power(p, len(sel)) for p in usable], config.mode).tolist()))
+                h_of(sel), np.stack(w) if config.use_estimation else w[0],
+                [power(p, len(sel)) for p in usable], config.mode).tolist()))
 
     rows = []
     for ks, omega, alg, p_dbm, sel in grid:
@@ -353,12 +352,7 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_yaml(path, "config"))
 
 
 def config_hash(config: ExperimentConfig) -> str:

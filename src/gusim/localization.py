@@ -194,13 +194,15 @@ def _elementwise(fn, x: np.ndarray) -> np.ndarray:
 
 def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
                                params: CrlbParams) -> tuple[PerturbedGeometry, ...]:
-    """``perturb_and_rebuild`` at every error scale in ``omegas``: one result
-    per omega, in input order, each bitwise equal to its own call.
+    """Perturb each cluster's measured delay/elevation/azimuth by
+    +- omega * sqrt(variance bound) with seeded equiprobable signs and
+    rebuild the cluster geometry and the V the scheduler will use, for each
+    omega in ``omegas``: one result each, in input order, bitwise as alone.
 
-    The observables, bounds, signs and VR-centre geometry do not depend on
-    omega and are computed once; the perturbations and the ellipse inversion
-    run on (omega, cluster) arrays over the positive omegas. A zero omega is
-    the exact no-op of ``perturb_and_rebuild``.
+    ``omega == 0`` is an exact no-op. A cluster with no admissible bounce
+    distance keeps its true geometry and V column and counts in
+    ``fallback_count``. The perturbations and the ellipse inversion run on
+    (omega, cluster) arrays; the rest does not depend on omega.
     """
     if any(o < 0 for o in omegas):
         raise ConfigurationError("omega must be a nonnegative integer")
@@ -251,26 +253,7 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     gains = gscm.large_scale_gains(scenario, new_vr_centers.reshape(-1, 2),
                                    new_delays.reshape(-1), include_shadowing=False)
     v_tildes = np.ascontiguousarray(gains.reshape(-1, n_w, n_c).transpose(1, 0, 2))
-    return tuple(
-        PerturbedGeometry(
-            v_tilde=v_tilde,
-            perturbations=LocalizationError(omega, *step),
-            cluster_positions=position,
-            fallback_count=int(fb.sum()),
-        )
-        for omega, step, position, v_tilde, fb in zip(
-            omegas, steps, new_positions, v_tildes, fallback))
-
-
-def perturb_and_rebuild(scenario: Scenario, omega: int,
-                        params: CrlbParams) -> PerturbedGeometry:
-    """Perturb each cluster's measured delay/elevation/azimuth by
-    +- omega * sqrt(variance bound) with seeded equiprobable signs, rebuild
-    the cluster geometry and the user-cluster matrix the scheduler will use.
-
-    ``omega == 0`` is an exact no-op. Clusters whose perturbed geometry has
-    no admissible bounce distance fall back to their true geometry, so
-    their column of ``v_tilde`` is the true V column, and are counted in
-    ``fallback_count``. The one-omega case of ``perturb_and_rebuild_omegas``.
-    """
-    return perturb_and_rebuild_omegas(scenario, (omega,), params)[0]
+    return tuple(PerturbedGeometry(v_tilde, LocalizationError(omega, *step), position,
+                                   int(fb.sum()))
+                 for omega, step, position, v_tilde, fb in zip(
+                     omegas, steps, new_positions, v_tildes, fallback))

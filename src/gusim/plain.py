@@ -10,8 +10,18 @@ from dataclasses import MISSING, field, fields, is_dataclass
 from functools import cache
 
 import numpy as np
+import yaml
 
 from .errors import ConfigurationError
+
+
+def read_yaml(path, what: str):
+    """The YAML document (a ``what``) at ``path``, or ``ConfigurationError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def to_plain(value):
@@ -94,6 +104,11 @@ def _typed(hint, value, where: str):
     return value
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
     """A finite real number, not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) \
@@ -102,8 +117,7 @@ def _is_finite(value) -> bool:
 
 # annotation: (test, what a value must be, what grid entries must be, allowed under a bound)
 _KINDS = {
-    int: (lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-          "integer", "integers", "{} integers"),
+    int: (_is_integer, "integer", "integers", "{} integers"),
     float: (_is_finite, "finite", "finite numbers", "finite and {} numbers"),
     bool: (lambda value: isinstance(value, bool), "a bool", "bools", None),
     str: (lambda value: isinstance(value, str), "a string", "strings", None),

@@ -17,23 +17,6 @@ BOLTZMANN = 1.381e-23
 ZF_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class PilotConfig:
-    """Uplink training configuration: pilot matrix (K_s x tau_p) and the
-    receiver noise variance in watts."""
-
-    matrix: np.ndarray
-    noise_variance: float
-
-    @property
-    def pilot_length(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def num_users(self) -> int:
-        return self.matrix.shape[0]
-
-
 def unitary_pilots(num_users: int, pilot_length: int | None = None) -> np.ndarray:
     """Default pilot book: DFT rows of unit-modulus symbols, mutually
     orthogonal with squared norm tau_p."""
@@ -66,13 +49,6 @@ class PowerConfig:
         return self.total_power / self.num_users
 
 
-@dataclass(frozen=True)
-class ZfReceiver:
-    """Zero-forcing weights; rows are per-user combining vectors."""
-
-    weights: np.ndarray  # (K_s, M)
-
-
 def noise_power(bandwidth: float, temperature: float = 290.0,
                 noise_figure_db: float = 9.0) -> float:
     """Thermal noise power BW * k_B * T0 * noise factor, in watts. Raises
@@ -87,11 +63,11 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
         f"temperature={temperature!r}, noise_figure_db={noise_figure_db!r}")
 
 
-def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
-                           covariances: np.ndarray) -> np.ndarray:
+def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
+                           noise_variance: float, covariances: np.ndarray) -> np.ndarray:
     """MMSE estimate (M x K_s) of the channel of users with mutually
-    orthogonal pilots and independent channels of covariances R_k
-    (K_s x M x M).
+    orthogonal pilots (K_s x tau_p), receiver noise variance sigma_n^2 in
+    watts and independent channels of covariances R_k (K_s x M x M).
 
     Projecting the received block onto pilot phi_k gives
     z_k = Y phi_k^H / ||phi_k||^2 = h_k + n_k with n_k ~ CN(0, s_k I),
@@ -101,33 +77,33 @@ def mmse_estimate_per_user(received: np.ndarray, pilot: PilotConfig,
     """
     received = np.asarray(received)
     m, tau_p = received.shape
-    k_s = pilot.num_users
-    if tau_p != pilot.pilot_length:
-        raise ConfigurationError("received pilot block width must equal pilot_length")
+    k_s = pilots.shape[0]
+    if tau_p != pilots.shape[1]:
+        raise ConfigurationError("received pilot block width must equal the pilot length")
     if covariances.shape != (k_s, m, m):
         raise ConfigurationError(f"covariances must be {k_s} x {m} x {m}")
-    gram = pilot.matrix @ pilot.matrix.conj().T
+    gram = pilots @ pilots.conj().T
     energy = gram.diagonal().real
     if not np.all(energy > 0):
         raise ConfigurationError("every pilot must have positive energy")
     if not np.allclose(gram, np.diag(energy), rtol=0.0, atol=1e-9 * energy.max()):
         raise ConfigurationError("per-user MMSE needs mutually orthogonal pilots")
-    z = (received @ pilot.matrix.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
-    inner = covariances + (pilot.noise_variance / energy)[:, None, None] * np.eye(m)
+    z = (received @ pilots.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
+    inner = covariances + (noise_variance / energy)[:, None, None] * np.eye(m)
     try:
         sol = np.linalg.solve(inner, z)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            f"MMSE inner matrix is singular (sigma_n^2={pilot.noise_variance}): {exc}"
-        ) from exc
+        raise RankDeficiencyError(f"MMSE inner matrix is singular "
+                                  f"(sigma_n^2={noise_variance}): {exc}") from exc
     return (covariances @ sol)[:, :, 0].T
 
 
 def zf_weights(h: np.ndarray):
-    """Pseudo-inverse receiver W = (H^H H)^{-1} H^H; requires M >= K_s and
-    a condition number of at most ``ZF_COND_LIMIT``. An (n, M, K_s) stack
-    gives one receiver per entry from one stacked SVD, None where the entry
-    is rank deficient; one H raises ``RankDeficiencyError`` instead."""
+    """Pseudo-inverse weights W = (H^H H)^{-1} H^H, shape (K_s, M), a row
+    per user; requires M >= K_s and a condition number of at most
+    ``ZF_COND_LIMIT``. An (n, M, K_s) stack gives a tuple of weight arrays
+    from one stacked SVD, None where the entry is rank deficient; one H
+    raises ``RankDeficiencyError`` instead."""
     h = np.asarray(h)
     m, k_s = h.shape[-2:]
     if m < k_s:
@@ -136,26 +112,25 @@ def zf_weights(h: np.ndarray):
     cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], math.inf),
                      where=s[..., -1] > 0)
     if h.ndim == 2 and cond > ZF_COND_LIMIT:
-        raise RankDeficiencyError(
-            f"channel matrix is numerically rank deficient (condition number {cond:.3e})"
-        )
+        raise RankDeficiencyError(f"channel matrix is numerically rank deficient "
+                                  f"(condition number {cond:.3e})")
     s[cond > ZF_COND_LIMIT] = 1.0   # their weights are dropped; no division by zero
     w = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return ZfReceiver(weights=w) if h.ndim == 2 else tuple(
-        None if c > ZF_COND_LIMIT else ZfReceiver(weights=w_e) for c, w_e in zip(cond, w))
+    return w if h.ndim == 2 else tuple(
+        None if c > ZF_COND_LIMIT else w_e for c, w_e in zip(cond, w))
 
 
-def sum_rate(h: np.ndarray, receiver: ZfReceiver, power, mode: str = "physical"):
+def sum_rate(h: np.ndarray, w: np.ndarray, power, mode: str = "physical"):
     """Achievable uplink sum-rate in bits/s/Hz.
 
     ``physical`` puts amplified thermal noise P_n ||w_k||^2 plus residual
     interference in the SINR denominator; ``paper-literal`` uses
-    1 + interference with no noise amplification term. A sequence of P
-    powers gives P rates from one |W H|^2 product, with one receiver for
-    all or a (P, K_s, M) stack of weights, one per power.
+    1 + interference with no noise amplification term. ``w`` holds the
+    (K_s, M) combining weights, a row per user. A sequence of P powers
+    gives P rates from one |W H|^2 product, with one ``w`` for all or a
+    (P, K_s, M) stack of weights, one per power.
     """
-    h = np.asarray(h)
-    w = receiver.weights
+    h, w = np.asarray(h), np.asarray(w)
     powers = [power] if isinstance(power, PowerConfig) else list(power)
     k_s = h.shape[1]
     if w.shape[-2:] != (k_s, h.shape[0]) or w.ndim == 3 and len(w) != len(powers):

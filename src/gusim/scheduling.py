@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gscm
 from .errors import ConfigurationError, SelectionError
-from .rx import ZF_COND_LIMIT, PowerConfig
+from .rx import ZF_COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -180,25 +180,13 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     return tuple(ScheduleResult(tuple(sel), tuple(sc), "GWC") for sel, sc in found)
 
 
-def gwc_select(h_all: np.ndarray, num_selected: int,
-               power: PowerConfig) -> ScheduleResult:
-    """``gwc_select_powers`` for one power, which must reach ``num_selected``."""
-    result, = gwc_select_powers(h_all, num_selected, [power])
-    if len(result.selected) < num_selected:
-        raise SelectionError("zero-forcing is undefined for every remaining candidate")
-    return result
-
-
 def random_select(num_users: int, num_selected: int,
                   rng: np.random.Generator | int | None = None) -> ScheduleResult:
     """Uniform subset baseline, deterministic for a given generator/seed."""
-    if num_selected > num_users:
-        raise ConfigurationError("num_selected must be <= num_users")
-    if num_selected < 1 or num_users < 1:
-        raise ConfigurationError("counts must be positive")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    picks = rng.choice(num_users, size=num_selected, replace=False)
+    if not 1 <= num_selected <= num_users:
+        raise ConfigurationError(f"need 1 <= num_selected <= num_users, got "
+                                 f"{num_selected} of {num_users}")
+    picks = np.random.default_rng(rng).choice(num_users, size=num_selected, replace=False)
     return ScheduleResult(tuple(int(i) for i in picks),
                           tuple(0.0 for _ in range(num_selected)), "RANDOM")
 

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gusim import gscm, harness, localization, scheduling
+from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
-from gusim.rx import ZF_COND_LIMIT, PilotConfig
+from gusim.rx import ZF_COND_LIMIT
 from gusim.scheduling import ScheduleResult
 
 
@@ -131,32 +131,32 @@ def ergodic_capacity(h_samples, power):
     return total / len(mats)
 
 
-def mmse_estimate(received: np.ndarray, pilot: PilotConfig,
+def mmse_estimate(received: np.ndarray, pilots: np.ndarray, noise_variance: float,
                   covariance: np.ndarray) -> np.ndarray:
     """Oracle for ``rx.mmse_estimate_per_user``: the dense Bayesian MMSE
     estimate of the vectorized channel from received pilots ``received``
-    (M x tau_p), for any pilots and any joint covariance.
+    (M x tau_p), for any pilots (K_s x tau_p), receiver noise variance and
+    joint covariance.
 
     Uses h_hat = R Phi~^H (Phi~ R Phi~^H + sigma_n^2 I)^{-1} y~ with
     Phi~ = Phi^T (x) I_M and y~ = vec(received).
     """
     received = np.asarray(received)
     m, tau_p = received.shape
-    if tau_p != pilot.pilot_length:
-        raise ConfigurationError("received pilot block width must equal pilot_length")
-    if covariance.shape != (m * pilot.num_users,) * 2:
-        raise ConfigurationError(
-            f"covariance must be {m * pilot.num_users} x {m * pilot.num_users}"
-        )
-    phi_tilde = np.kron(pilot.matrix.T, np.eye(m))
+    k_s = pilots.shape[0]
+    if tau_p != pilots.shape[1]:
+        raise ConfigurationError("received pilot block width must equal the pilot length")
+    if covariance.shape != (m * k_s,) * 2:
+        raise ConfigurationError(f"covariance must be {m * k_s} x {m * k_s}")
+    phi_tilde = np.kron(pilots.T, np.eye(m))
     y = received.reshape(-1, order="F")
     inner = phi_tilde @ covariance @ phi_tilde.conj().T
-    inner = inner + pilot.noise_variance * np.eye(inner.shape[0])
+    inner = inner + noise_variance * np.eye(inner.shape[0])
     try:
         sol = np.linalg.solve(inner, y)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
-            f"MMSE inner matrix is singular (sigma_n^2={pilot.noise_variance}): {exc}"
+            f"MMSE inner matrix is singular (sigma_n^2={noise_variance}): {exc}"
         ) from exc
     return covariance @ phi_tilde.conj().T @ sol
 
@@ -221,9 +221,9 @@ def einsum_covariances(scen, selected) -> np.ndarray:
     return np.einsum("kj,jmn->kmn", power, gram)
 
 
-def sum_rate_loop(h, receiver, power, mode="physical") -> float:
-    """Oracle for ``rx.sum_rate``: the SINR of each user in turn."""
-    w = receiver.weights
+def sum_rate_loop(h, w, power, mode="physical") -> float:
+    """Oracle for ``rx.sum_rate``: the SINR of each user in turn under the
+    (K_s, M) weights ``w``."""
     p_k = power.per_user
     g = w @ h  # (K_s, K_s); entry [k, i] = w_k h_i
     total = 0.0
@@ -275,9 +275,10 @@ def rebuild_cluster(scen, cluster, tau, elevation, azimuth):
 
 
 def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
-    """Oracle for one column of ``perturb_and_rebuild``: rebuild one cluster
-    from measured (delay, elevation, azimuth) and return the per-user column
-    of the rebuilt user-cluster matrix with the rebuilt 3D cluster position."""
+    """Oracle for one column of a ``perturb_and_rebuild_omegas`` result:
+    rebuild one cluster from measured (delay, elevation, azimuth) and return
+    the per-user column of the rebuilt user-cluster matrix with the rebuilt
+    3D cluster position."""
     position, vr_center = rebuild_cluster(scen, cluster, tau, elevation, azimuth)
     column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]),
                                     include_shadowing=False)[:, 0]
@@ -288,10 +289,11 @@ def naive_trial_rows(config):
     """Oracle for ``run_experiment(config).trial_rows``: every row of every
     trial selects, zero-forces and rates from scratch, with no reuse across
     K_s, omega, algorithms or powers: H holds every user's column, GWC
-    searches once per power with ``scheduling.gwc_select`` and GUS rebuilds V
-    once per row with the one-omega ``localization.perturb_and_rebuild``. The
-    other harness functions are looked up on ``gusim.harness``, so a test that
-    patches one there patches both."""
+    searches once per row with the independent one-power oracle
+    ``gwc_select_single`` and GUS rebuilds V once per row with a one-omega
+    ``localization.perturb_and_rebuild_omegas`` call. The other harness
+    functions are looked up on ``gusim.harness``, so a test that patches one
+    there patches both."""
     h = harness
     k_total = config.scenario.num_users
     m = config.scenario.antenna_count
@@ -310,11 +312,11 @@ def naive_trial_rows(config):
                         try:
                             if alg == "GUS":
                                 v = h.build_v_matrix(scen) if omega == 0 else \
-                                    localization.perturb_and_rebuild(
-                                        scen, omega, config.crlb).v_tilde
+                                    localization.perturb_and_rebuild_omegas(
+                                        scen, (omega,), config.crlb)[0].v_tilde
                                 sel = h.gus_select(v, ks, config.gus_variant).selected
                             elif alg == "GWC":
-                                sel = scheduling.gwc_select(h_all, ks, power).selected
+                                sel = gwc_select_single(h_all, ks, power).selected
                             else:
                                 rng = h._stream(seed, h._STREAM_SELECT, ks)
                                 sel = h.random_select(k_total, ks, rng).selected

@@ -20,8 +20,8 @@ from gusim.harness import (ExperimentConfig, figure2_sweep, figure3_load,
                            figure4_robustness, run_experiment, save_config)
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_delay, solve_cluster_distance)
-from gusim.rx import PilotConfig, PowerConfig, sum_rate, unitary_pilots, zf_weights
-from gusim.scheduling import gwc_select
+from gusim.rx import PowerConfig, sum_rate, unitary_pilots, zf_weights
+from gusim.scheduling import gwc_select_powers
 
 from conftest import ergodic_capacity, mmse_estimate
 
@@ -46,7 +46,7 @@ def test_criterion_01_zf_identity(capsys):
         m = int(rng.integers(4, 65))
         ks = int(rng.integers(1, min(m, 10) + 1))
         h = _gaussian_channel(rng, m, ks)
-        w = zf_weights(h).weights
+        w = zf_weights(h)
         residual = np.linalg.norm(w @ h - np.eye(ks)) / np.linalg.norm(np.eye(ks))
         worst = max(worst, residual)
     elapsed = time.perf_counter() - start
@@ -66,7 +66,7 @@ def test_criterion_02_mmse_oracle_equivalence(capsys):
         sigma2 = float(rng.uniform(0.1, 2.0))
         pilots = math.sqrt(float(rng.uniform(0.5, 4.0))) * unitary_pilots(k, tau_p)
         received = _gaussian_channel(rng, m, tau_p)
-        est = mmse_estimate(received, PilotConfig(pilots, sigma2), cov)
+        est = mmse_estimate(received, pilots, sigma2, cov)
 
         phi_tilde = np.kron(pilots.T, np.eye(m))
         lhs = np.linalg.inv(cov) + phi_tilde.conj().T @ phi_tilde / sigma2
@@ -75,8 +75,7 @@ def test_criterion_02_mmse_oracle_equivalence(capsys):
         worst = max(worst, float(np.max(np.abs(est - ref))))
 
     y = np.array([[0.3 + 0.4j]])
-    scalar = mmse_estimate(y, PilotConfig(np.array([[1.0]]), 1.0),
-                           np.array([[1.0]]))
+    scalar = mmse_estimate(y, np.array([[1.0]]), 1.0, np.array([[1.0]]))
     scalar_exact = scalar[0] == y[0, 0] / 2.0
     ok = worst < 1e-8 and scalar_exact
     _report(capsys, 2, "MMSE oracle equivalence",
@@ -212,7 +211,7 @@ def test_criterion_08_scheduling_oracle(capsys):
     worst = 1.0
     for _ in range(200):
         h = _gaussian_channel(rng, 4, 5)
-        greedy = gwc_select(h, 2, power).selected
+        greedy = gwc_select_powers(h, 2, [power])[0].selected
         rates = {
             subset: sum_rate(h[:, list(subset)],
                              zf_weights(h[:, list(subset)]), power)

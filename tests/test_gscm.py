@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -388,6 +389,24 @@ class TestChannelMatrix:
         with pytest.raises(ConfigurationError):
             channel_matrix(small_scenario, [0, 0])
 
+    @pytest.mark.parametrize("selected", [[1.7], [True], np.array([1.0]), ["1"], [0, 2.9]],
+                             ids=["float", "bool", "float-array", "string", "mixed"])
+    def test_non_integer_selection_rejected(self, selected):
+        # each used to pass through int() and give user 1's column (or 2's)
+        scen = generate_scenario(ScenarioConfig(num_users=4, rng_seed=9))
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            channel_matrix(scen, selected)
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            channel_covariances(scen, selected)
+
+    def test_numpy_integer_selection_accepted(self):
+        scen = generate_scenario(ScenarioConfig(num_users=4, rng_seed=9))
+        for selected in (np.array([3, 1], dtype=np.int64), [np.int32(3), np.uint8(1)]):
+            np.testing.assert_array_equal(channel_matrix(scen, selected).entries,
+                                          channel_matrix(scen, [3, 1]).entries)
+            np.testing.assert_array_equal(channel_covariances(scen, selected),
+                                          channel_covariances(scen, [3, 1]))
+
     def test_deterministic(self):
         cfg = ScenarioConfig(num_users=5, rng_seed=9)
         a = channel_matrix(generate_scenario(cfg), [0, 2, 4]).entries
@@ -667,3 +686,35 @@ class TestScenarioSerialization:
         del data["users"]
         with pytest.raises(ConfigurationError, match="missing key.*users"):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(users=[u[:2] for u in d["users"]]), "users must have shape"),
+        (lambda d: d["clusters"][1].update(vr_center=[1.0, 2.0, 3.0]), "vr_center must have"),
+        (lambda d: d["clusters"][0].update(position=[1.0, 2.0]), "position must have"),
+        (lambda d: d.update(bs_position=[0.0, 0.0]), "bs_position must have"),
+        (lambda d: d["config"].update(vr_radius=-5.0), "vr_radius must be positive"),
+        (lambda d: d["config"].update(num_users=2), r"users must have shape \(2, 3\)"),
+        (lambda d: d["config"].update(num_clusters=3), r"clusters must have shape \(3,\)"),
+        (lambda d: d.update(clusters=d["clusters"][:1]), r"clusters must have shape \(2,\)"),
+    ], ids=["user-xy", "vr-center-3d", "position-2d", "bs-2d", "negative-vr-radius",
+            "fewer-users-in-config", "more-clusters-in-config", "missing-cluster"])
+    def test_inconsistent_scenario_file_rejected(self, tmp_path, edit, message):
+        # each of these used to load and then fail, if at all, deep in the
+        # channel synthesis
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=6,
+                                                                 num_clusters=2)))
+        edit(data)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(path)
+
+    def test_unreadable_scenario_file_rejected(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"cannot read scenario {missing}: ")):
+            load_scenario(missing)
+        broken = tmp_path / "broken.yaml"
+        broken.write_text("users: [1, 2\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="cannot read scenario"):
+            load_scenario(broken)

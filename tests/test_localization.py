@@ -9,8 +9,8 @@ from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
 from gusim.localization import (CrlbParams, array_angle_factor, crlb,
                                 crlb_angles, crlb_delay, cluster_observables,
-                                field_pattern, output_snr, perturb_and_rebuild,
-                                perturb_and_rebuild_omegas, solve_cluster_distance)
+                                field_pattern, output_snr, perturb_and_rebuild_omegas,
+                                solve_cluster_distance)
 from gusim.scheduling import build_v_matrix
 
 from conftest import (make_scenario, pathloss_amplitude, rebuild_cluster,
@@ -114,7 +114,7 @@ class TestPerturbAndRebuild:
 
     def test_zero_omega_is_noop(self):
         scen = self._scenario()
-        pg = perturb_and_rebuild(scen, 0, CrlbParams())
+        pg = perturb_and_rebuild_omegas(scen, (0,), CrlbParams())[0]
         np.testing.assert_array_equal(pg.v_tilde, build_v_matrix(scen))
         assert pg.fallback_count == 0
         assert np.all(pg.perturbations.delay == 0.0)
@@ -123,17 +123,17 @@ class TestPerturbAndRebuild:
     def test_does_not_build_the_true_v(self, monkeypatch, omega):
         # the caller already holds V; the rebuild scores its own geometry
         def refuse(scenario):
-            raise AssertionError("perturb_and_rebuild built the true V")
+            raise AssertionError("the rebuild built the true V")
 
         monkeypatch.setattr(gusim.scheduling, "build_v_matrix", refuse)
         scen = generate_scenario(ScenarioConfig(rng_seed=10))
-        pg = perturb_and_rebuild(scen, omega, CrlbParams())
+        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())[0]
         assert pg.v_tilde.shape == (scen.num_users, scen.num_clusters)
 
     def test_deterministic_per_seed(self):
         scen = self._scenario()
-        a = perturb_and_rebuild(scen, 3, CrlbParams())
-        b = perturb_and_rebuild(scen, 3, CrlbParams())
+        a = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())[0]
+        b = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())[0]
         np.testing.assert_array_equal(a.v_tilde, b.v_tilde)
         np.testing.assert_array_equal(a.perturbations.delay, b.perturbations.delay)
 
@@ -141,7 +141,7 @@ class TestPerturbAndRebuild:
         scen = self._scenario()
         omega = 2
         params = CrlbParams()
-        pg = perturb_and_rebuild(scen, omega, params)
+        pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
         for j in range(scen.num_clusters):
             _, el, az = cluster_observables(scen, j)
             bounds = crlb(params, az, el)
@@ -179,7 +179,7 @@ class TestPerturbAndRebuild:
         scen = self._scenario()
         params = CrlbParams(input_snr=1e4)  # small errors: smooth regime
         omega = 2
-        pg = perturb_and_rebuild(scen, omega, params)
+        pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
         assert pg.fallback_count == 0
         for j in range(scen.num_clusters):
             tau, el, az = cluster_observables(scen, j)
@@ -203,7 +203,7 @@ class TestPerturbAndRebuild:
         # perturbations; a cluster whose rebuild fails keeps its true V
         # column and position.
         scen = generate_scenario(ScenarioConfig(rng_seed=seed))
-        pg = perturb_and_rebuild(scen, omega, CrlbParams())
+        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())[0]
         p = pg.perturbations
         v = build_v_matrix(scen)
         fallbacks = 0
@@ -226,7 +226,7 @@ class TestPerturbAndRebuild:
 
     def test_negative_omega_rejected(self):
         with pytest.raises(ConfigurationError):
-            perturb_and_rebuild(self._scenario(), -1, CrlbParams())
+            perturb_and_rebuild_omegas(self._scenario(), (-1,), CrlbParams())
 
     def test_signs_drawn_once_match_per_cluster_draws(self):
         # Oracle: one three-sign draw per cluster from the same stream, then
@@ -237,7 +237,7 @@ class TestPerturbAndRebuild:
             scen = generate_scenario(ScenarioConfig(rng_seed=seed))
             for omega in range(1, 6):
                 expected = per_cluster_perturb_and_rebuild(scen, omega, params)
-                pg = perturb_and_rebuild(scen, omega, params)
+                pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
                 for field in ("delay", "elevation", "azimuth"):
                     np.testing.assert_array_equal(
                         getattr(pg.perturbations, field),
@@ -293,8 +293,9 @@ class TestPerturbAndRebuildOmegas:
 
 
 def per_cluster_perturb_and_rebuild(scen, omega, params):
-    """``perturb_and_rebuild`` with one ``rng.choice`` sign draw per cluster
-    and one scalar rebuild per cluster; omega = 0 rebuilds nothing."""
+    """``perturb_and_rebuild_omegas`` at one omega, with one ``rng.choice``
+    sign draw per cluster and one scalar rebuild per cluster; omega = 0
+    rebuilds nothing."""
     rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
     positions = np.stack([cl.position for cl in scen.clusters])
     vr_centers = np.stack([cl.vr_center for cl in scen.clusters])

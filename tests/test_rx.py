@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (PilotConfig, PowerConfig, ZfReceiver, mmse_estimate_per_user,
-                      noise_power, sum_rate, unitary_pilots, zf_weights)
+from gusim.rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
+                      unitary_pilots, zf_weights)
 
 from conftest import channel_covariance, ergodic_capacity, mmse_estimate, sum_rate_loop
 
@@ -61,10 +61,9 @@ class TestChannelCovariance:
 
 class TestMmseEstimate:
     def test_scalar_case(self):
-        pilot = PilotConfig(matrix=np.array([[1.0 + 0j]]), noise_variance=1.0)
         r = np.array([[1.0 + 0j]])
         y = np.array([[0.8 - 0.4j]])
-        est = mmse_estimate(y, pilot, r)
+        est = mmse_estimate(y, np.array([[1.0 + 0j]]), 1.0, r)
         assert est[0] == pytest.approx((0.8 - 0.4j) / 2.0, abs=1e-14)
 
     def test_noiseless_limit_inverts_pilots(self):
@@ -75,8 +74,7 @@ class TestMmseEstimate:
         y = h @ phi
         a = random_channel(rng, m * k, m * k)
         r = a @ a.conj().T + np.eye(m * k)
-        pilot = PilotConfig(matrix=phi, noise_variance=1e-14)
-        est = mmse_estimate(y, pilot, r).reshape(m, k, order="F")
+        est = mmse_estimate(y, phi, 1e-14, r).reshape(m, k, order="F")
         np.testing.assert_allclose(est, h, rtol=1e-5, atol=1e-8)
 
     def test_matches_normal_equations_oracle(self):
@@ -89,8 +87,7 @@ class TestMmseEstimate:
             r = a @ a.conj().T + 0.5 * np.eye(m * k)
             s2 = 0.3
             y = random_channel(rng, m, tau_p)
-            pilot = PilotConfig(matrix=phi, noise_variance=s2)
-            est = mmse_estimate(y, pilot, r)
+            est = mmse_estimate(y, phi, s2, r)
             phi_t = np.kron(phi.T, np.eye(m))
             lhs = np.linalg.inv(r) + phi_t.conj().T @ phi_t / s2
             oracle = np.linalg.solve(lhs, phi_t.conj().T @ y.reshape(-1, order="F") / s2)
@@ -108,7 +105,6 @@ class TestMmseEstimate:
         phi = unitary_pilots(k)
         phi_t = np.kron(phi.T, np.eye(m))
         s2 = 0.5
-        pilot = PilotConfig(matrix=phi, noise_variance=s2)
         cross = np.zeros((n, n), dtype=complex)
         est_cov = np.zeros((n, n), dtype=complex)
         trials = 10_000
@@ -116,16 +112,16 @@ class TestMmseEstimate:
             h = l @ random_channel(rng, n, 1).ravel()
             noise = math.sqrt(s2) * random_channel(rng, phi_t.shape[0], 1).ravel()
             y = (phi_t @ h + noise).reshape(m, k, order="F")
-            hat = mmse_estimate(y, pilot, r)
+            hat = mmse_estimate(y, phi, s2, r)
             cross += np.outer(h - hat, hat.conj())
             est_cov += np.outer(hat, hat.conj())
         rel = np.linalg.norm(cross) / np.linalg.norm(est_cov)
         assert rel < 0.02
 
     def test_singular_inner_matrix_reported(self):
-        pilot = PilotConfig(matrix=np.zeros((1, 1), dtype=complex), noise_variance=0.0)
         with pytest.raises(RankDeficiencyError):
-            mmse_estimate(np.zeros((1, 1)), pilot, np.eye(1, dtype=complex))
+            mmse_estimate(np.zeros((1, 1)), np.zeros((1, 1), dtype=complex), 0.0,
+                          np.eye(1, dtype=complex))
 
 
 def random_covariances(rng, k, m, rank):
@@ -148,10 +144,10 @@ class TestMmseEstimatePerUser:
         for _ in range(10):
             r = random_covariances(rng, k, m, rank)
             pilots = math.sqrt(float(rng.uniform(0.1, 5.0))) * unitary_pilots(k, tau_p)
-            pilot = PilotConfig(pilots, noise_variance=float(rng.uniform(0.01, 2.0)))
+            s2 = float(rng.uniform(0.01, 2.0))
             y = random_channel(rng, m, tau_p)
-            dense = mmse_estimate(y, pilot, block_diagonal(r)).reshape(m, k, order="F")
-            fast = mmse_estimate_per_user(y, pilot, r)
+            dense = mmse_estimate(y, pilots, s2, block_diagonal(r)).reshape(m, k, order="F")
+            fast = mmse_estimate_per_user(y, pilots, s2, r)
             assert fast.shape == (m, k)
             assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -160,44 +156,40 @@ class TestMmseEstimatePerUser:
         m, k = 3, 3
         r = random_covariances(rng, k, m, m)
         pilots = np.diag([0.5, 1.0, 3.0]) @ unitary_pilots(k)
-        pilot = PilotConfig(pilots, noise_variance=0.7)
         y = random_channel(rng, m, k)
-        dense = mmse_estimate(y, pilot, block_diagonal(r)).reshape(m, k, order="F")
-        np.testing.assert_allclose(mmse_estimate_per_user(y, pilot, r), dense,
+        dense = mmse_estimate(y, pilots, 0.7, block_diagonal(r)).reshape(m, k, order="F")
+        np.testing.assert_allclose(mmse_estimate_per_user(y, pilots, 0.7, r), dense,
                                    rtol=1e-10, atol=1e-12)
 
     def test_scalar_case(self):
-        pilot = PilotConfig(matrix=np.array([[1.0 + 0j]]), noise_variance=1.0)
-        est = mmse_estimate_per_user(np.array([[0.8 - 0.4j]]), pilot,
+        est = mmse_estimate_per_user(np.array([[0.8 - 0.4j]]), np.array([[1.0 + 0j]]), 1.0,
                                      np.array([[[1.0 + 0j]]]))
         assert est[0, 0] == pytest.approx((0.8 - 0.4j) / 2.0, abs=1e-14)
 
     def test_non_orthogonal_pilots_rejected(self):
-        pilot = PilotConfig(matrix=np.array([[1.0, 0.0], [1.0, 1.0]]),
-                            noise_variance=1.0)
+        pilots = np.array([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((2, 2)), pilot,
+            mmse_estimate_per_user(np.zeros((2, 2)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
 
     def test_shape_mismatch_rejected(self):
-        pilot = PilotConfig(matrix=unitary_pilots(2), noise_variance=1.0)
+        pilots = unitary_pilots(2)
         with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((3, 2)), pilot,
+            mmse_estimate_per_user(np.zeros((3, 2)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
         with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((2, 3)), pilot,
+            mmse_estimate_per_user(np.zeros((2, 3)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
 
     def test_singular_inner_matrix_reported(self):
-        pilot = PilotConfig(matrix=np.ones((1, 1), dtype=complex), noise_variance=0.0)
         with pytest.raises(RankDeficiencyError):
-            mmse_estimate_per_user(np.zeros((1, 1)), pilot,
+            mmse_estimate_per_user(np.zeros((1, 1)), np.ones((1, 1), dtype=complex), 0.0,
                                    np.zeros((1, 1, 1), dtype=complex))
 
 
 class TestZfWeights:
     def test_identity_channel(self):
-        w = zf_weights(np.eye(3, dtype=complex)).weights
+        w = zf_weights(np.eye(3, dtype=complex))
         np.testing.assert_allclose(w, np.eye(3), atol=1e-12)
 
     def test_orthogonal_columns(self):
@@ -205,14 +197,14 @@ class TestZfWeights:
         h = np.zeros((4, 2), dtype=complex)
         h[0, 0] = c
         h[2, 1] = 1j * c
-        w = zf_weights(h).weights
+        w = zf_weights(h)
         np.testing.assert_allclose(w @ h, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(w, h.conj().T / c**2, atol=1e-12)
 
     def test_random_residual(self):
         rng = np.random.default_rng(6)
         h = random_channel(rng, 8, 3)
-        w = zf_weights(h).weights
+        w = zf_weights(h)
         assert np.linalg.norm(w @ h - np.eye(3)) < 1e-9
 
     def test_rank_deficient_raises_with_conditioning(self):
@@ -234,16 +226,16 @@ class TestZfWeights:
         h[1] = np.ones((m, k_s))                       # rank 1
         h[4, :, -1] = 0.0                              # a zero column
         h[5, :, 0] = h[5, :, -1] * (1 + 1e-14)         # conditioned beyond the limit
-        receivers = zf_weights(h)
-        assert len(receivers) == len(h)
-        for entry, rx in zip(h, receivers):
+        weights = zf_weights(h)
+        assert len(weights) == len(h)
+        for entry, w in zip(h, weights):
             try:
                 alone = zf_weights(entry)
             except RankDeficiencyError:
-                assert rx is None
+                assert w is None
             else:
-                assert np.array_equal(rx.weights, alone.weights)
-        deficient = [rx is None for rx in receivers]
+                assert np.array_equal(w, alone)
+        deficient = [w is None for w in weights]
         assert deficient == [False, k_s > 1, False, False, True, k_s > 1]
 
 
@@ -282,11 +274,11 @@ class TestSumRate:
         for k_s in (1, 2, 5, 10):
             h = random_channel(rng, 16, k_s)
             # ZF leaves no interference; random weights leave plenty
-            for rx in (zf_weights(h), ZfReceiver(random_channel(rng, 16, k_s).T)):
+            for w in (zf_weights(h), random_channel(rng, 16, k_s).T):
                 for p in (1e-3, 1.0, 1e3):
                     power = PowerConfig(p, k_s, 1e-2)
-                    assert sum_rate(h, rx, power, mode) == pytest.approx(
-                        sum_rate_loop(h, rx, power, mode), rel=1e-12, abs=0)
+                    assert sum_rate(h, w, power, mode) == pytest.approx(
+                        sum_rate_loop(h, w, power, mode), rel=1e-12, abs=0)
 
 
     @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
@@ -299,23 +291,22 @@ class TestSumRate:
             h = random_channel(rng, m, k_s)
             powers = [PowerConfig(p, k_s, n) for p, n in
                       ((1e-3, 1e-2), (1.0, 1e-2), (1e3, 1e-2), (1.0, 5.0), (0.0, 1.0))]
-            receivers = [ZfReceiver(random_channel(rng, m, k_s).T) if per_power
+            receivers = [random_channel(rng, m, k_s).T if per_power
                          else zf_weights(h + 0.1 * random_channel(rng, m, k_s))
                          for _ in powers]
             if not per_power:
                 receivers = receivers[:1] * len(powers)
-            weights = np.stack([rx.weights for rx in receivers]) if per_power \
-                else receivers[0].weights
-            rates = sum_rate(h, ZfReceiver(weights), powers, mode)
+            weights = np.stack(receivers) if per_power else receivers[0]
+            rates = sum_rate(h, weights, powers, mode)
             assert rates.shape == (len(powers),)
-            assert rates.tolist() == [sum_rate(h, rx, p, mode)
-                                      for rx, p in zip(receivers, powers)]
-            assert sum_rate(h, ZfReceiver(weights), powers[:1] * (1 + per_power * 4),
+            assert rates.tolist() == [sum_rate(h, w, p, mode)
+                                      for w, p in zip(receivers, powers)]
+            assert sum_rate(h, weights, powers[:1] * (1 + per_power * 4),
                             mode)[0] == sum_rate(h, receivers[0], powers[0], mode)
 
     def test_receiver_stack_must_match_the_powers(self):
         h = np.eye(4, dtype=complex)
-        stack = ZfReceiver(np.stack([np.eye(4)] * 3))
+        stack = np.stack([np.eye(4)] * 3)
         with pytest.raises(ConfigurationError, match="receiver shape"):
             sum_rate(h, stack, [PowerConfig(1.0, 4, 1.0)] * 2)
         with pytest.raises(ConfigurationError, match="receiver shape"):

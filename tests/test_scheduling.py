@@ -10,10 +10,10 @@ import gusim.gscm as gscm
 import gusim.scheduling as scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
-from gusim.localization import perturb_and_rebuild
+from gusim.localization import perturb_and_rebuild_omegas
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.scheduling import (build_v_matrix, estimation_load, gus_select,
-                              gwc_select, gwc_select_powers, random_select)
+                              gwc_select_powers, random_select)
 
 from conftest import (correlation_metric, gwc_select_single, make_scenario,
                       pathloss_amplitude, reference_delay)
@@ -276,8 +276,8 @@ class TestGusMatchesPairwiseOracle:
         # the stack the harness selects on: V and its rebuilds for omega 1..5
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=4))
         stack = np.stack([build_v_matrix(scen)] + [
-            perturb_and_rebuild(scen, omega, ExperimentConfig().crlb).v_tilde
-            for omega in range(1, 6)])
+            pg.v_tilde for pg in perturb_and_rebuild_omegas(scen, range(1, 6),
+                                                            ExperimentConfig().crlb)])
         for ks in (1, 5, 10, 40):
             self._check_stack(stack, ks, variant)
 
@@ -295,7 +295,7 @@ class TestGusMatchesPairwiseOracle:
 def gwc_oracle(h_all, num_selected, power):
     """Reference greedy: one ``zf_weights`` + ``sum_rate`` per candidate
     and step, with the same first pick, tie and skip rules as
-    ``gwc_select``. Returns (selected, per-step objective)."""
+    ``gwc_select_powers``. Returns (selected, per-step objective)."""
     def set_rate(members):
         h = h_all[:, members]
         p = PowerConfig(power.total_power, len(members), power.noise_power)
@@ -321,8 +321,16 @@ def gwc_oracle(h_all, num_selected, power):
     return tuple(selected), tuple(scores)
 
 
+def gwc_full(h_all, num_selected, power):
+    """The result of ``gwc_select_powers`` for one power, which must reach
+    ``num_selected`` picks."""
+    result, = gwc_select_powers(h_all, num_selected, [power])
+    assert len(result.selected) == num_selected
+    return result
+
+
 def assert_matches_oracle(h, num_selected, power):
-    result = gwc_select(h, num_selected, power)
+    result = gwc_full(h, num_selected, power)
     selected, scores = gwc_oracle(h, num_selected, power)
     assert result.selected == selected
     np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-9, atol=0)
@@ -333,13 +341,13 @@ class TestGwcSelect:
         rng = np.random.default_rng(3)
         h = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
         power = PowerConfig(4.0, 1, 1e-2)
-        pick = gwc_select(h, 1, power).selected[0]
+        pick = gwc_full(h, 1, power).selected[0]
         assert pick == int(np.argmax(np.linalg.norm(h, axis=0)))
 
     def test_orthogonal_equal_norm_tie_break(self):
         h = np.eye(4, dtype=complex) * 2.0
         power = PowerConfig(4.0, 2, 1e-2)
-        assert gwc_select(h, 2, power).selected == (0, 1)
+        assert gwc_full(h, 2, power).selected == (0, 1)
 
     def test_greedy_near_exhaustive(self):
         rng = np.random.default_rng(4)
@@ -352,7 +360,7 @@ class TestGwcSelect:
         for _ in range(40):
             h = (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))
             best = max(set_rate(h, list(c)) for c in itertools.combinations(range(5), 2))
-            greedy = set_rate(h, list(gwc_select(h, 2, power).selected))
+            greedy = set_rate(h, list(gwc_full(h, 2, power).selected))
             assert greedy >= 0.9 * best
 
     def test_matches_oracle_on_gaussian_channels(self):
@@ -384,18 +392,23 @@ class TestGwcSelect:
         power = PowerConfig(4.0, 4, 1e-2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert gwc_select(h, 4, power).selected == (0, 1, 2, 3)
-            with pytest.raises(SelectionError):
-                gwc_select(h, 5, power)
+            assert gwc_full(h, 4, power).selected == (0, 1, 2, 3)
+            with pytest.raises(SelectionError):   # five users on four antennas
+                gwc_select_powers(h, 5, [power])
+            # with a fifth antenna, a fifth pick has no candidate: the result
+            # stops at four
+            tall = np.vstack([h, np.zeros(5)])
+            assert gwc_select_powers(tall, 5, [power])[0].selected == (0, 1, 2, 3)
 
-    def test_collinear_pool_raises(self):
+    def test_collinear_pool_gives_a_short_result(self):
+        # every column lies in the span of the strongest one, column 1
         rng = np.random.default_rng(8)
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         h = np.outer(v, [1.0, 2.0, -0.5, 1j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SelectionError):
-                gwc_select(h, 2, PowerConfig(1.0, 2, 1e-2))
+            result, = gwc_select_powers(h, 2, [PowerConfig(1.0, 2, 1e-2)])
+        assert result.selected == (1,) and len(result.per_step_scores) == 1
 
     def test_near_collinear_candidate_skipped_like_zf_weights(self):
         # Column 1 is off the span of column 0 (rho^2 = 1e-26 > 0) and
@@ -408,7 +421,7 @@ class TestGwcSelect:
             zf_weights(h[:, [0, 1]])
         h_02 = h[:, [0, 2]]
         assert sum_rate(h_02, zf_weights(h_02), power) < math.log2(1.0 + 1e4)
-        assert gwc_select(h, 2, power).selected == (0, 2)
+        assert gwc_full(h, 2, power).selected == (0, 2)
         assert gwc_oracle(h, 2, power)[0] == (0, 2)
 
     def test_more_users_than_antennas_raises(self):
@@ -416,7 +429,7 @@ class TestGwcSelect:
         h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         power = PowerConfig(1.0, 4, 1e-2)
         with pytest.raises(SelectionError):
-            gwc_select(h, 4, power)
+            gwc_select_powers(h, 4, [power])
         with pytest.raises(SelectionError):
             gwc_oracle(h, 4, power)
 
@@ -424,7 +437,7 @@ class TestGwcSelect:
         rng = np.random.default_rng(5)
         h = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
         power = PowerConfig(3.0, 3, 1e-2)
-        result = gwc_select(h, 3, power)
+        result = gwc_full(h, 3, power)
         assert len(result.per_step_scores) == 3
         assert all(np.isfinite(result.per_step_scores))
 
@@ -500,10 +513,10 @@ class TestGwcSelectPowers:
         results = assert_matches_single(h, m, powers)
         lengths = [len(r.selected) for r in results]
         assert min(lengths) < m and m in lengths
+        # each power alone gets the same length as in the shared search
         short = powers[lengths.index(min(lengths))]
-        with pytest.raises(SelectionError):
-            gwc_select(h, m, short)
-        assert gwc_select(h, m, powers[lengths.index(m)]).selected
+        assert len(gwc_select_powers(h, m, [short])[0].selected) == min(lengths)
+        assert gwc_full(h, m, powers[lengths.index(m)]).selected
         # a duplicated column never extends a prefix holding its twin
         assert_matches_single(np.column_stack([h, h[:, ::2]]), m, powers)
 
@@ -537,8 +550,8 @@ class TestGreedyPrefixes:
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed))
         v = build_v_matrix(scen)
         for omega in range(6):
-            v_omega = v if omega == 0 else \
-                perturb_and_rebuild(scen, omega, ExperimentConfig().crlb).v_tilde
+            v_omega = v if omega == 0 else perturb_and_rebuild_omegas(
+                scen, (omega,), ExperimentConfig().crlb)[0].v_tilde
             for variant in ("last", "set"):
                 full = gus_select(v_omega, 10, variant)
                 for ks in range(1, 10):
@@ -553,9 +566,9 @@ class TestGreedyPrefixes:
         h = gscm.channel_matrix(scen, range(scen.num_users)).entries
         for p_dbm in cfg.powers_dbm:
             power = PowerConfig(dbm_to_watts(p_dbm), 10, cfg.noise_power)
-            full = gwc_select(h, 10, power)
+            full = gwc_full(h, 10, power)
             for ks in (1, 2, 5, 9):
-                short = gwc_select(h, ks, power)
+                short = gwc_full(h, ks, power)
                 assert short.selected == full.selected[:ks]
                 assert short.per_step_scores == full.per_step_scores[:ks]
 
