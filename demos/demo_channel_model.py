@@ -28,10 +28,10 @@ for d in (10.0, 100.0, 1000.0):
     print(f"NLoS path loss at {d:6.0f} m : {loss:6.2f} dB")
 
 # Cluster delay attenuation decays exponentially and floors at the cut-off.
-cl = scenario.clusters[0]
-print(f"\ncluster 0 delay: {cl.delay * 1e6:.3f} us, "
+delay = scenario.delays[0]
+print(f"\ncluster 0 delay: {delay * 1e6:.3f} us, "
       f"attenuation vs tau_0=delay: "
-      f"{cluster_attenuation(cl.delay, cl.delay, cfg.cutoff_delay, cfg.power_decay):.3f}")
+      f"{cluster_attenuation(delay, delay, cfg.cutoff_delay, cfg.power_decay):.3f}")
 
 # Large-scale user-cluster coupling factors (amplitude scale).
 factors = large_scale_gains(scenario)

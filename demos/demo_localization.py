@@ -43,11 +43,12 @@ scenario = generate_scenario(ScenarioConfig(num_users=20, rng_seed=5))
 v_true = build_v_matrix(scenario)
 print("\nOmega sweep (relative error in V, and whether GUS picks change):")
 baseline = gus_select(v_true, 5).selected
-# one rebuild covers every error scale; each result equals the one a
-# call with that omega alone gives
+# one rebuild covers every error scale: entry i of each array is omegas[i]'s,
+# equal to what a call with that omega alone gives
 omegas = range(6)
-for omega, pg in zip(omegas, perturb_and_rebuild_omegas(scenario, omegas, params)):
-    rel = np.linalg.norm(v_true - pg.v_tilde) / np.linalg.norm(v_true)
-    picks = gus_select(pg.v_tilde, 5).selected
-    print(f"  Omega={omega}: |E|/|V| = {rel:.3e}, picks "
+rebuilt = perturb_and_rebuild_omegas(scenario, omegas, params)
+for omega, v_tilde, fallbacks in zip(omegas, rebuilt.v_tilde, rebuilt.fallbacks.sum(axis=1)):
+    rel = np.linalg.norm(v_true - v_tilde) / np.linalg.norm(v_true)
+    picks = gus_select(v_tilde, 5).selected
+    print(f"  Omega={omega}: |E|/|V| = {rel:.3e}, {fallbacks} fallback(s), picks "
           f"{'unchanged' if picks == baseline else f'changed -> {picks}'}")

@@ -4,7 +4,7 @@ massive MIMO uplink."""
 __version__ = "0.1.0"
 
 from .errors import ConfigurationError, GeometryError, RankDeficiencyError, SelectionError
-from .gscm import (ChannelMatrix, Cluster, Scenario, ScenarioConfig,
+from .gscm import (ChannelMatrix, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
                    cluster_attenuation, generate_scenario, load_scenario,
                    path_loss_nlos, save_scenario, vr_gain)
@@ -12,7 +12,7 @@ from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
 from .scheduling import (ScheduleResult, build_v_matrix, estimation_load,
                          gus_select, gwc_select_powers, random_select)
-from .localization import (CrlbParams, LocalizationError, PerturbedGeometry, crlb, field_pattern,
+from .localization import (CrlbParams, PerturbedGeometry, crlb, field_pattern,
                            perturb_and_rebuild_omegas, solve_cluster_distance)
 from .harness import (AggregateStats, ExperimentConfig, TrialResult,
                       figure2_sweep, figure3_load, figure4_robustness,

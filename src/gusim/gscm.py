@@ -28,7 +28,7 @@ DEFAULT_VISIBILITY_FLOOR = 1e-6
 # rejection-sampling draws allowed per user outside the BS exclusion disk
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
-_SCENARIO_SCHEMA_VERSION = 1
+_SCENARIO_SCHEMA_VERSION = 2
 
 # salts for the per-purpose random streams derived from the scenario seed
 _STREAM_ANGLES = 101
@@ -87,43 +87,31 @@ class ScenarioConfig:
                                      f"with 0 <= lo <= hi, got {heights!r}")
 
 
-def _equal_by_value(self, other) -> bool:
-    """Field-wise dataclass equality that compares array fields by value."""
-    if type(other) is not type(self):
-        return NotImplemented
-    values = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in values)
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """One scatterer cluster with its visibility region.
-
-    ``delay`` is the single-bounce propagation delay BS -> cluster -> VR
-    centre; ``shadow_gain`` is a linear power factor applied to the fading
-    channel (not to the geometry matrix used by the scheduler).
-    """
-
-    position: np.ndarray       # (3,) meters
-    vr_center: np.ndarray      # (2,) meters
-    delay: float               # seconds
-    shadow_gain: float         # linear power factor
-
-    __eq__ = _equal_by_value
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable world state: BS, user positions and clusters. The channel
-    geometry is built on first use and cached, read-only; it is not a field,
-    so equality and serialization ignore it."""
+    """Immutable world state: BS, user positions and the scatterer clusters,
+    one array per cluster quantity. A cluster's delay is the single-bounce
+    propagation delay BS -> cluster -> VR centre; its shadow gain is a
+    linear power factor applied to the fading channel, not to the geometry
+    matrix used by the scheduler. The channel geometry is built on first
+    use and cached, read-only; it is not a field, so equality and
+    serialization ignore it."""
 
     config: ScenarioConfig
-    bs_position: np.ndarray    # (3,)
-    users: np.ndarray          # (K, 3)
-    clusters: tuple[Cluster, ...]
+    bs_position: np.ndarray         # (3,)
+    users: np.ndarray               # (K, 3)
+    cluster_positions: np.ndarray   # (N_C, 3) meters
+    vr_centers: np.ndarray          # (N_C, 2) meters
+    delays: np.ndarray              # (N_C,) seconds
+    shadow_gains: np.ndarray        # (N_C,) linear power factors
 
-    __eq__ = _equal_by_value
+    def __eq__(self, other) -> bool:
+        """Field-wise equality that compares the array fields by value."""
+        if type(other) is not type(self):
+            return NotImplemented
+        values = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in values)
 
     @property
     def num_users(self) -> int:
@@ -131,7 +119,7 @@ class Scenario:
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.delays)
 
     @cached_property
     def steering(self) -> np.ndarray:
@@ -199,22 +187,21 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     z_lo, z_hi = config.cluster_height_range
     lows = np.array([-half, -half, z_lo, -half, -half])   # cluster x, y, z, VR centre x, y
     highs = np.array([half, half, z_hi, half, half])
-    clusters = []
-    for _ in range(config.num_clusters):
-        draw = rng.uniform(lows, highs)
+    # per cluster: five uniforms, then one normal; a 1-D norm per delay and
+    # Python's power per gain, as their array forms differ in the last bit
+    draws, delays, shadow_gains = np.empty((config.num_clusters, 5)), [], []
+    for draw in draws:
+        draw[:] = rng.uniform(lows, highs)
         pos, vr = draw[:3], draw[3:]
         vr3 = np.array([vr[0], vr[1], config.ms_height])
-        delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
-        shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
-        clusters.append(Cluster(
-            position=_read_only(pos),
-            vr_center=_read_only(vr),
-            delay=float(delay),
-            shadow_gain=float(10.0 ** (shadow_db / 10.0)),
-        ))
+        delays.append((np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT)
+        shadow_gains.append(10.0 ** (rng.normal(0.0, config.shadowing_sigma_db) / 10.0))
 
     return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
-                    clusters=tuple(clusters))
+                    cluster_positions=_read_only(draws[:, :3].copy()),
+                    vr_centers=_read_only(draws[:, 3:].copy()),
+                    delays=_read_only(np.array(delays)),
+                    shadow_gains=_read_only(np.array(shadow_gains)))
 
 
 def vr_gain(d_ms_vr, vr_radius: float, transition_size: float,
@@ -264,7 +251,7 @@ def _vr_gains(scenario: Scenario, vr_centers=None) -> np.ndarray:
     """(K, N_C) visibility gains A_VR of every user at every VR centre."""
     cfg = scenario.config
     if vr_centers is None:
-        vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
+        vr_centers = scenario.vr_centers
     d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
     return vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
 
@@ -274,20 +261,25 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
     """(K, N_C) large-scale amplitudes L_p * A_VR * sqrt(A_C [* shadow])
     tying every user to every cluster.
 
-    ``vr_centers`` (N_C, 2) and ``delays`` (N_C,) replace the clusters' own
+    ``vr_centers`` (n, 2) and ``delays`` (n,) replace the clusters' own
     VR centres and delays, which is how a rebuilt geometry is scored; one
-    column comes out per row of the overrides.
+    column comes out per row of the overrides, and n = N_C with shadowing.
     """
     cfg = scenario.config
-    if delays is None:
-        delays = np.array([cl.delay for cl in scenario.clusters])
+    vr_centers = np.asarray(scenario.vr_centers if vr_centers is None else vr_centers)
+    delays = np.asarray(scenario.delays if delays is None else delays)
+    n = scenario.num_clusters if include_shadowing else len(np.atleast_1d(delays))
+    if vr_centers.shape != (n, 2) or delays.shape != (n,):
+        raise ConfigurationError(f"vr_centers and delays must have shapes ({n}, 2) and ({n},)"
+                                 f"{' with shadowing' if include_shadowing else ''}, got "
+                                 f"{vr_centers.shape} and {delays.shape}")
     d_bs = np.linalg.norm(scenario.users - scenario.bs_position, axis=1)
     _, path_gain = path_loss_nlos(d_bs, cfg.wavelength)
     tau_0 = d_bs / SPEED_OF_LIGHT if cfg.reference_delay is None else cfg.reference_delay
     a_c = cluster_attenuation(np.asarray(delays), np.reshape(tau_0, (-1, 1)),
                               cfg.cutoff_delay, cfg.power_decay)
     if include_shadowing:
-        a_c = a_c * np.array([cl.shadow_gain for cl in scenario.clusters])
+        a_c = a_c * scenario.shadow_gains
     return np.sqrt(path_gain)[:, None] * _vr_gains(scenario, vr_centers) * np.sqrt(a_c)
 
 
@@ -300,9 +292,9 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
     # Laplace with std sigma has scale sigma/sqrt(2)
     scale = math.radians(cfg.angular_spread_deg) / math.sqrt(2.0)
     azimuths = np.array([
-        math.atan2(cl.position[1] - bs[1], cl.position[0] - bs[0])
+        math.atan2(y - bs[1], x - bs[0])
         + _stream(cfg.rng_seed, _STREAM_ANGLES, j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
-        for j, cl in enumerate(scenario.clusters)])
+        for j, (x, y, _) in enumerate(scenario.cluster_positions.tolist())])
     alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
     return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
 
@@ -485,7 +477,7 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scenario serialization (YAML: config block + user coordinates + clusters)
+# Scenario serialization (YAML: config block, user coordinates, cluster arrays)
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -493,18 +485,25 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """The scenario ``data`` holds, with a valid config and the shapes it sets."""
-    scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION)
+    """The scenario ``data`` holds, with a valid config, the shapes it sets,
+    finite coordinates and positive delays and shadow gains."""
+    scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION, {
+        1: " (version 2 holds the clusters as the arrays cluster_positions, vr_centers,"
+           " delays and shadow_gains, row j being cluster j's position, vr_center,"
+           " delay and shadow_gain)"})
     cfg = scenario.config
     cfg.validate()
-    shapes = [("bs_position", scenario.bs_position.shape, (3,)),
-              ("users", scenario.users.shape, (cfg.num_users, 3)),
-              ("clusters", (len(scenario.clusters),), (cfg.num_clusters,)),
-              *(("cluster position", cl.position.shape, (3,)) for cl in scenario.clusters),
-              *(("vr_center", cl.vr_center.shape, (2,)) for cl in scenario.clusters)]
-    for name, shape, wanted in shapes:
-        if shape != wanted:
-            raise ConfigurationError(f"scenario {name} must have shape {wanted}, got {shape}")
+    n_c = cfg.num_clusters
+    for name, wanted in [("bs_position", (3,)), ("users", (cfg.num_users, 3)),
+                         ("cluster_positions", (n_c, 3)), ("vr_centers", (n_c, 2)),
+                         ("delays", (n_c,)), ("shadow_gains", (n_c,))]:
+        value, positive = getattr(scenario, name), name in ("delays", "shadow_gains")
+        if value.shape != wanted:
+            raise ConfigurationError(
+                f"scenario {name} must have shape {wanted}, got {value.shape}")
+        if not np.all(np.isfinite(value) & (value > 0 if positive else True)):
+            raise ConfigurationError(f"scenario {name} must be finite"
+                                     + (" and positive" if positive else ""))
     return scenario
 
 

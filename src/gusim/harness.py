@@ -28,8 +28,7 @@ from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
 from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
-from .scheduling import (build_v_matrix, estimation_load, gus_select,
-                         gwc_select_powers, random_select)
+from .scheduling import estimation_load, gus_select, gwc_select_powers, random_select
 
 CONFIG_SCHEMA_VERSION = 2
 
@@ -147,9 +146,9 @@ def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
     function of (config, base seed, trial). GUS (on the V of every omega,
-    one rebuild serving every positive omega) and GWC (for every power) run
-    once at the largest K_s, and each K_s takes the first picks; H holds only
-    the columns of users some row rates, unless GWC runs. Each set size is
+    all from one rebuild) and GWC (for every power) run once at the largest
+    K_s, and each K_s takes the first picks; H holds only the columns of
+    users some row rates, unless GWC runs. Each set size is
     zero-forced in one stacked call, per ordered set, or per (set, power)
     with estimation, and each set is rated at all its powers at once."""
     seed = config.base_seed + trial
@@ -171,14 +170,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
                   for ks in config.ks_values}
     gus = {}
     if "GUS" in config.algorithms:
-        v_of = {0: build_v_matrix(scen)} if 0 in config.omegas else {}
-        positive = [o for o in config.omegas if o > 0]
-        if positive:   # the rebuilt V depends on omega only: one rebuild for all
-            v_of.update(zip(positive, (pg.v_tilde for pg in perturb_and_rebuild_omegas(
-                scen, positive, config.crlb))))
-        results = gus_select(np.stack([v_of[o] for o in config.omegas]), top,
-                             config.gus_variant)
-        gus = {omega: prefixes(r) for omega, r in zip(config.omegas, results)}
+        v = perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde
+        gus = {omega: prefixes(r) for omega, r in zip(config.omegas, gus_select(
+            v, top, config.gus_variant))}
 
     # one channel synthesis per trial, of the users some row rates: a column
     # depends only on its own (scenario, user) streams. GWC reads all of H.

@@ -39,25 +39,15 @@ class CrlbParams:
 
 
 @dataclass(frozen=True)
-class LocalizationError:
-    """Per-cluster signed perturbations, each of magnitude
-    omega * sqrt(bound)."""
-
-    omega: int
-    delay: np.ndarray       # (N_C,) seconds
-    elevation: np.ndarray   # (N_C,) radians
-    azimuth: np.ndarray     # (N_C,) radians
-
-
-@dataclass(frozen=True)
 class PerturbedGeometry:
-    """Rebuilt geometry after localization-error injection. The error
-    matrix the scheduler suffers is ``build_v_matrix(scenario) - v_tilde``."""
+    """Rebuilt geometry after localization-error injection, with one entry
+    per omega along each array's leading axis. The error matrix the
+    scheduler suffers at entry i is ``build_v_matrix(scenario) - v_tilde[i]``."""
 
-    v_tilde: np.ndarray             # rebuilt K x N_C matrix
-    perturbations: LocalizationError
-    cluster_positions: np.ndarray   # (N_C, 3) rebuilt positions
-    fallback_count: int             # clusters kept unperturbed (infeasible geometry)
+    v_tilde: np.ndarray             # (n_omega, K, N_C) rebuilt V
+    perturbations: np.ndarray       # (n_omega, 3, N_C) signed delay, elevation, azimuth steps
+    cluster_positions: np.ndarray   # (n_omega, N_C, 3) rebuilt positions
+    fallbacks: np.ndarray           # (n_omega, N_C) bool: kept unperturbed (infeasible geometry)
 
 
 def field_pattern(phi: float) -> float:
@@ -178,44 +168,37 @@ def solve_cluster_distance(tau: float, elevation: float, azimuth: float,
 
 def cluster_observables(scenario: Scenario, cluster: int) -> tuple[float, float, float]:
     """(delay, elevation, global azimuth) of a cluster as seen by the BS."""
-    cl = scenario.clusters[cluster]
-    dvec = cl.position - scenario.bs_position
+    dvec = scenario.cluster_positions[cluster] - scenario.bs_position
     d = float(np.linalg.norm(dvec))
-    elevation = math.asin((cl.position[2] - scenario.bs_position[2]) / d)
+    elevation = math.asin(dvec[2] / d)
     azimuth = math.atan2(dvec[1], dvec[0])
-    return cl.delay, elevation, azimuth
-
-
-def _elementwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` of every entry of ``x`` in Python floats. numpy's transcendental
-    ufuncs may differ from ``math`` in the last bit; this keeps ``math``'s."""
-    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
+    return float(scenario.delays[cluster]), elevation, azimuth
 
 
 def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
-                               params: CrlbParams) -> tuple[PerturbedGeometry, ...]:
+                               params: CrlbParams) -> PerturbedGeometry:
     """Perturb each cluster's measured delay/elevation/azimuth by
     +- omega * sqrt(variance bound) with seeded equiprobable signs and
     rebuild the cluster geometry and the V the scheduler will use, for each
-    omega in ``omegas``: one result each, in input order, bitwise as alone.
+    omega in ``omegas``: entry i of every array is omegas[i]'s, bitwise as
+    alone.
 
-    ``omega == 0`` is an exact no-op. A cluster with no admissible bounce
-    distance keeps its true geometry and V column and counts in
-    ``fallback_count``. The perturbations and the ellipse inversion run on
-    (omega, cluster) arrays; the rest does not depend on omega.
+    ``omega == 0`` is an exact no-op: its ``v_tilde`` is the true V. A
+    cluster with no admissible bounce distance keeps its true geometry and
+    V column and is marked in ``fallbacks``. The perturbations and the
+    ellipse inversion run on (omega, cluster) arrays; the rest does not
+    depend on omega.
     """
     if any(o < 0 for o in omegas):
         raise ConfigurationError("omega must be a nonnegative integer")
-    n_c = scenario.num_clusters
-    positions = np.stack([cl.position for cl in scenario.clusters])
-    vr_centers = np.stack([cl.vr_center for cl in scenario.clusters])
-    delays = np.array([cl.delay for cl in scenario.clusters])
-    n_w = len(omegas)
+    n_w, n_c = len(omegas), scenario.num_clusters
+    positions, vr_centers, delays = (scenario.cluster_positions, scenario.vr_centers,
+                                     scenario.delays)
     steps = np.zeros((n_w, 3, n_c))   # delay, elevation, azimuth perturbations
     new_positions = np.repeat(positions[None], n_w, axis=0)
     new_vr_centers = np.repeat(vr_centers[None], n_w, axis=0)
     new_delays = np.repeat(delays[None], n_w, axis=0)
-    fallback = np.zeros((n_w, n_c), dtype=bool)
+    fallbacks = np.zeros((n_w, n_c), dtype=bool)
     live = np.array([o > 0 for o in omegas], dtype=bool)
     if live.any():
         cfg, bs = scenario.config, scenario.bs_position
@@ -233,27 +216,24 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
         d_bs_vr = np.array([float(np.linalg.norm(v)) for v in vr_vec])
         az_vr = np.array([math.atan2(v[1], v[0]) for v in vr_vec])
         dh = cfg.bs_height - cfg.ms_height
-        se, ce = _elementwise(math.sin, el), _elementwise(math.cos, el)
+        se, ce = np.sin(el), np.cos(el)
         d_bs_c, failure = _ellipse_distance(
-            SPEED_OF_LIGHT * tau, se, ce, _elementwise(math.cos, az - az_vr), dh,
+            SPEED_OF_LIGHT * tau, se, ce, np.cos(az - az_vr), dh,
             d_bs_vr, np.array([math.hypot(dh, d) for d in d_bs_vr]))
         rebuilt = bs + d_bs_c[..., None] * np.stack(
-            [ce * _elementwise(math.cos, az), ce * _elementwise(math.sin, az), se], axis=-1)
+            [ce * np.cos(az), ce * np.sin(az), se], axis=-1)
         # a nonpositive perturbed delay fails the first check; a cluster with
         # no admissible bounce distance keeps its true geometry, and the
         # robustness study continues with the remaining clusters perturbed
         failed = failure > 0
-        fallback[live] = failed
+        fallbacks[live] = failed
         new_positions[live] = np.where(failed[..., None], positions, rebuilt)
         new_vr_centers[live] = np.where(
             failed[..., None], vr_centers, vr_centers + (rebuilt[..., :2] - positions[:, :2]))
         new_delays[live] = np.where(failed, delays, tau)
 
-    # one gain-kernel call for every omega; each v_tilde is C-contiguous (K, N_C)
+    # one gain-kernel call for every omega, C-contiguous (n_omega, K, N_C)
     gains = gscm.large_scale_gains(scenario, new_vr_centers.reshape(-1, 2),
                                    new_delays.reshape(-1), include_shadowing=False)
-    v_tildes = np.ascontiguousarray(gains.reshape(-1, n_w, n_c).transpose(1, 0, 2))
-    return tuple(PerturbedGeometry(v_tilde, LocalizationError(omega, *step), position,
-                                   int(fb.sum()))
-                 for omega, step, position, v_tilde, fb in zip(
-                     omegas, steps, new_positions, v_tildes, fallback))
+    v_tilde = np.ascontiguousarray(gains.reshape(-1, n_w, n_c).transpose(1, 0, 2))
+    return PerturbedGeometry(v_tilde, steps, new_positions, fallbacks)

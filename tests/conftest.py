@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gusim import gscm, harness, localization
+from gusim import gscm, harness, localization, scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
-from gusim.gscm import Cluster, Scenario, ScenarioConfig, SPEED_OF_LIGHT
+from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
 from gusim.rx import ZF_COND_LIMIT
 from gusim.scheduling import ScheduleResult
 
@@ -26,16 +26,15 @@ def make_scenario(users_xy, cluster_specs, **config_overrides):
     cfg = ScenarioConfig(**defaults)
     bs = np.array([0.0, 0.0, cfg.bs_height])
     users = np.array([[x, y, cfg.ms_height] for x, y in users_xy])
-    clusters = []
-    for pos, vr in cluster_specs:
-        pos = np.asarray(pos, dtype=float)
-        vr = np.asarray(vr, dtype=float)
+    positions = np.array([pos for pos, _ in cluster_specs], dtype=float)
+    vr_centers = np.array([vr for _, vr in cluster_specs], dtype=float)
+    delays = []
+    for pos, vr in zip(positions, vr_centers):
         vr3 = np.array([vr[0], vr[1], cfg.ms_height])
-        delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
-        clusters.append(Cluster(position=pos, vr_center=vr, delay=float(delay),
-                                shadow_gain=1.0))
-    return Scenario(config=cfg, bs_position=bs, users=users,
-                    clusters=tuple(clusters))
+        delays.append((np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT)
+    return Scenario(config=cfg, bs_position=bs, users=users, cluster_positions=positions,
+                    vr_centers=vr_centers, delays=np.array(delays),
+                    shadow_gains=np.ones(len(delays)))
 
 
 @pytest.fixture
@@ -62,9 +61,9 @@ def cluster_azimuths(scenario, cluster):
     drawn from the cluster's own ``SeedSequence([seed, 101, cluster])``
     stream."""
     cfg = scenario.config
-    cl = scenario.clusters[cluster]
-    center = math.atan2(cl.position[1] - scenario.bs_position[1],
-                        cl.position[0] - scenario.bs_position[0])
+    position = scenario.cluster_positions[cluster]
+    center = math.atan2(position[1] - scenario.bs_position[1],
+                        position[0] - scenario.bs_position[0])
     rng = gscm._stream(cfg.rng_seed, gscm._STREAM_ANGLES, cluster)
     sigma = math.radians(cfg.angular_spread_deg)
     # Laplace with std sigma has scale sigma/sqrt(2)
@@ -96,7 +95,7 @@ def generate_scenario_loop(config):
             )
 
     z_lo, z_hi = config.cluster_height_range
-    clusters = []
+    positions, vr_centers, delays, shadow_gains = [], [], [], []
     for _ in range(config.num_clusters):
         pos = np.array([
             rng.uniform(-half, half),
@@ -107,9 +106,14 @@ def generate_scenario_loop(config):
         vr3 = np.array([vr[0], vr[1], config.ms_height])
         delay = (np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT
         shadow_db = rng.normal(0.0, config.shadowing_sigma_db)
-        clusters.append(Cluster(position=pos, vr_center=vr, delay=float(delay),
-                                shadow_gain=float(10.0 ** (shadow_db / 10.0))))
-    return Scenario(config=config, bs_position=bs, users=users, clusters=tuple(clusters))
+        positions.append(pos)
+        vr_centers.append(vr)
+        delays.append(float(delay))
+        shadow_gains.append(float(10.0 ** (shadow_db / 10.0)))
+    return Scenario(config=config, bs_position=bs, users=users,
+                    cluster_positions=np.array(positions).reshape(-1, 3),
+                    vr_centers=np.array(vr_centers).reshape(-1, 2),
+                    delays=np.array(delays), shadow_gains=np.array(shadow_gains))
 
 
 def ergodic_capacity(h_samples, power):
@@ -182,15 +186,14 @@ def scalar_gain(scen, user, cluster, vr_center=None, delay=None,
     of one user-cluster pair composed from the scalar gain functions, with
     optional VR-centre and delay overrides."""
     cfg = scen.config
-    cl = scen.clusters[cluster]
-    vr_center = cl.vr_center if vr_center is None else vr_center
-    delay = cl.delay if delay is None else delay
+    vr_center = scen.vr_centers[cluster] if vr_center is None else vr_center
+    delay = float(scen.delays[cluster]) if delay is None else delay
     d_vr = float(np.linalg.norm(scen.users[user, :2] - vr_center))
     a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
     a_c = gscm.cluster_attenuation(delay, reference_delay(scen, user),
                                    cfg.cutoff_delay, cfg.power_decay)
     if include_shadowing:
-        a_c = a_c * cl.shadow_gain
+        a_c = a_c * float(scen.shadow_gains[cluster])
     return pathloss_amplitude(scen, user) * a_vr * math.sqrt(a_c)
 
 
@@ -259,9 +262,9 @@ def rebuild_cluster(scen, cluster, tau, elevation, azimuth):
     VR centre; the VR centre is translated together with the cluster.
     """
     cfg = scen.config
-    cl = scen.clusters[cluster]
     bs = scen.bs_position
-    vr_vec = cl.vr_center - bs[:2]
+    vr_center = scen.vr_centers[cluster]
+    vr_vec = vr_center - bs[:2]
     d_bs_vr = float(np.linalg.norm(vr_vec))
     az_vr = math.atan2(vr_vec[1], vr_vec[0])
     d_bs_c, _ = localization.solve_cluster_distance(
@@ -271,7 +274,7 @@ def rebuild_cluster(scen, cluster, tau, elevation, azimuth):
         math.cos(elevation) * math.sin(azimuth),
         math.sin(elevation),
     ])
-    return position, cl.vr_center + (position[:2] - cl.position[:2])
+    return position, vr_center + (position[:2] - scen.cluster_positions[cluster, :2])
 
 
 def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
@@ -290,7 +293,8 @@ def naive_trial_rows(config):
     trial selects, zero-forces and rates from scratch, with no reuse across
     K_s, omega, algorithms or powers: H holds every user's column, GWC
     searches once per row with the independent one-power oracle
-    ``gwc_select_single`` and GUS rebuilds V once per row with a one-omega
+    ``gwc_select_single`` and GUS builds V once per row: the true V from
+    ``scheduling.build_v_matrix`` at omega = 0, else a one-omega
     ``localization.perturb_and_rebuild_omegas`` call. The other harness
     functions are looked up on ``gusim.harness``, so a test that patches one
     there patches both."""
@@ -311,9 +315,9 @@ def naive_trial_rows(config):
                                               config.noise_power)
                         try:
                             if alg == "GUS":
-                                v = h.build_v_matrix(scen) if omega == 0 else \
+                                v = scheduling.build_v_matrix(scen) if omega == 0 else \
                                     localization.perturb_and_rebuild_omegas(
-                                        scen, (omega,), config.crlb)[0].v_tilde
+                                        scen, (omega,), config.crlb).v_tilde[0]
                                 sel = h.gus_select(v, ks, config.gus_variant).selected
                             elif alg == "GWC":
                                 sel = gwc_select_single(h_all, ks, power).selected

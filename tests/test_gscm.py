@@ -35,10 +35,8 @@ def per_pair_batch(scen, users, clusters):
 
 def field_bytes(scen):
     """Every array and float field of a scenario, as shapes and bytes."""
-    arrays = [scen.bs_position, scen.users]
-    for cl in scen.clusters:
-        arrays += [cl.position, cl.vr_center, np.array([cl.delay, cl.shadow_gain])]
-    assert all(type(x) is float for cl in scen.clusters for x in (cl.delay, cl.shadow_gain))
+    arrays = [scen.bs_position, scen.users, scen.cluster_positions, scen.vr_centers,
+              scen.delays, scen.shadow_gains]
     return scen.config, [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
@@ -67,27 +65,26 @@ class TestGenerateScenario:
         a = generate_scenario(cfg)
         b = generate_scenario(cfg)
         np.testing.assert_array_equal(a.users, b.users)
-        for ca, cb in zip(a.clusters, b.clusters):
-            np.testing.assert_array_equal(ca.position, cb.position)
-            np.testing.assert_array_equal(ca.vr_center, cb.vr_center)
-            assert ca.delay == cb.delay
-            assert ca.shadow_gain == cb.shadow_gain
+        np.testing.assert_array_equal(a.cluster_positions, b.cluster_positions)
+        np.testing.assert_array_equal(a.vr_centers, b.vr_centers)
+        np.testing.assert_array_equal(a.delays, b.delays)
+        np.testing.assert_array_equal(a.shadow_gains, b.shadow_gains)
 
     def test_independent_equal_draws_compare_equal(self):
         cfg = ScenarioConfig(num_users=6, rng_seed=11)
         a, b = generate_scenario(cfg), generate_scenario(cfg)
         assert a.users is not b.users
         assert a == b and not a != b
-        assert a.clusters[0] == b.clusters[0]
+        assert a.cluster_positions is not b.cluster_positions
 
     def test_one_user_coordinate_makes_scenarios_differ(self):
         a = generate_scenario(ScenarioConfig(num_users=6, rng_seed=11))
         users = a.users.copy()
         users[3, 1] += 1e-6
         assert replace(a, users=users) != a
-        moved = replace(a.clusters[2], vr_center=a.clusters[2].vr_center + 1e-6)
-        assert moved != a.clusters[2]
-        assert replace(a, clusters=(*a.clusters[:2], moved, *a.clusters[3:])) != a
+        vr_centers = a.vr_centers.copy()
+        vr_centers[2] += 1e-6
+        assert replace(a, vr_centers=vr_centers) != a
 
     def test_invalid_exclusion_fraction(self):
         with pytest.raises(ConfigurationError):
@@ -96,10 +93,9 @@ class TestGenerateScenario:
     def test_cluster_count_and_delay_bound(self):
         scen = generate_scenario(ScenarioConfig(num_clusters=4, rng_seed=2))
         assert scen.num_clusters == 4
-        for cl in scen.clusters:
-            los = np.linalg.norm(cl.position - scen.bs_position)
-            assert cl.delay >= los / gscm.SPEED_OF_LIGHT
-            assert cl.shadow_gain > 0
+        for position, delay in zip(scen.cluster_positions, scen.delays):
+            assert delay >= np.linalg.norm(position - scen.bs_position) / gscm.SPEED_OF_LIGHT
+        assert np.all(scen.shadow_gains > 0)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.9])
     def test_matches_the_per_draw_loop(self, fraction):
@@ -243,10 +239,8 @@ class TestLargeScaleGains:
             num_users=6, num_clusters=4, reference_delay=reference_delay,
             rng_seed=5))
         rng = np.random.default_rng(5)
-        vr = np.stack([cl.vr_center for cl in scen.clusters]) \
-            + rng.normal(0.0, 40.0, size=(4, 2))
-        delays = np.array([cl.delay for cl in scen.clusters]) \
-            * rng.uniform(0.95, 1.05, size=4)
+        vr = scen.vr_centers + rng.normal(0.0, 40.0, size=(4, 2))
+        delays = scen.delays * rng.uniform(0.95, 1.05, size=4)
         for shadowing in (True, False):
             gains = gscm.large_scale_gains(scen, vr, delays,
                                            include_shadowing=shadowing)
@@ -263,6 +257,25 @@ class TestLargeScaleGains:
             column[:, 0],
             [scalar_gain(scen, k, 2, vr[2], delays[2], False) for k in range(6)],
             rtol=1e-12)
+
+    def test_overrides_tiled_over_omegas_need_shadowing_off(self):
+        # the rebuild tiles every omega's clusters into one call; shadowing
+        # holds one gain per cluster of the scenario, so it cannot score them
+        scen = generate_scenario(ScenarioConfig(rng_seed=5))
+        vr, delays = np.tile(scen.vr_centers, (2, 1)), np.tile(scen.delays, 2)
+        assert gscm.large_scale_gains(scen, vr, delays, include_shadowing=False).shape \
+            == (40, 24)
+        with pytest.raises(ConfigurationError, match=r"shapes \(12, 2\) and \(12,\)"):
+            gscm.large_scale_gains(scen, vr, delays)
+
+    @pytest.mark.parametrize("vr_rows,delay_shape,vr_columns", [
+        (4, (3,), 2), (3, (3, 1), 2), (3, (3,), 3), (1, (), 2)],
+        ids=["row-counts-differ", "delays-2d", "vr-centers-3d", "scalar-delay"])
+    def test_mismatched_override_shapes_rejected(self, vr_rows, delay_shape, vr_columns):
+        scen = generate_scenario(ScenarioConfig(num_users=6, num_clusters=4, rng_seed=5))
+        with pytest.raises(ConfigurationError, match="vr_centers and delays must have shapes"):
+            gscm.large_scale_gains(scen, np.zeros((vr_rows, vr_columns)),
+                                   np.full(delay_shape, 1e-6), include_shadowing=False)
 
 
 class TestSteeringVector:
@@ -341,7 +354,7 @@ class TestChannelMatrix:
         for col, user in enumerate([0, 1]):
             for j in range(scen.num_clusters):
                 d_vr = float(np.linalg.norm(scen.users[user, :2]
-                                            - scen.clusters[j].vr_center))
+                                            - scen.vr_centers[j]))
                 if vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
                            cfg.wavelength) <= gscm.DEFAULT_VISIBILITY_FLOOR:
                     continue
@@ -607,7 +620,7 @@ class TestScenarioCache:
         save_scenario(scen, tmp_path / "scenario.yaml")
         for s in (scen, load_scenario(tmp_path / "scenario.yaml")):
             arrays = [s.bs_position, s.users, *(getattr(s, n) for n in self.CACHED)]
-            arrays += [a for cl in s.clusters for a in (cl.position, cl.vr_center)]
+            arrays += [s.cluster_positions, s.vr_centers, s.delays, s.shadow_gains]
             assert not any(a.flags.writeable for a in arrays)
 
     def test_equality_and_serialization_ignore_the_cache(self, tmp_path):
@@ -632,6 +645,9 @@ class TestScenarioCache:
         assert not np.array_equal(moved.steering, warm)
 
 
+CLUSTER_KEYS = ("cluster_positions", "vr_centers", "delays", "shadow_gains")
+
+
 class TestScenarioSerialization:
     def test_round_trip(self, tmp_path):
         scen = generate_scenario(ScenarioConfig(num_users=4, rng_seed=5))
@@ -641,9 +657,9 @@ class TestScenarioSerialization:
         np.testing.assert_array_equal(loaded.users, scen.users)
         np.testing.assert_array_equal(loaded.bs_position, scen.bs_position)
         assert loaded.config == scen.config
-        for a, b in zip(loaded.clusters, scen.clusters):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert a.delay == b.delay
+        np.testing.assert_array_equal(loaded.cluster_positions, scen.cluster_positions)
+        np.testing.assert_array_equal(loaded.delays, scen.delays)
+        assert loaded == scen
 
     def test_rejects_unknown_schema(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -669,8 +685,8 @@ class TestScenarioSerialization:
         (("config", "num_users"), "3"),
         (("config", "cluster_height_range"), [5.0]),
         (("users",), "everywhere"),
-        (("clusters", 0, "delay"), None),
-        (("clusters", 0, "position"), [1.0, "2", 3.0]),
+        (("delays", 0), None),
+        (("cluster_positions", 0), [1.0, "2", 3.0]),
     ])
     def test_wrongly_typed_value_rejected(self, path, value):
         data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=3)))
@@ -689,13 +705,17 @@ class TestScenarioSerialization:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d.update(users=[u[:2] for u in d["users"]]), "users must have shape"),
-        (lambda d: d["clusters"][1].update(vr_center=[1.0, 2.0, 3.0]), "vr_center must have"),
-        (lambda d: d["clusters"][0].update(position=[1.0, 2.0]), "position must have"),
+        (lambda d: d.update(vr_centers=[[*v, 3.0] for v in d["vr_centers"]]),
+         "vr_centers must have shape"),
+        (lambda d: d.update(cluster_positions=[p[:2] for p in d["cluster_positions"]]),
+         "cluster_positions must have shape"),
         (lambda d: d.update(bs_position=[0.0, 0.0]), "bs_position must have"),
         (lambda d: d["config"].update(vr_radius=-5.0), "vr_radius must be positive"),
         (lambda d: d["config"].update(num_users=2), r"users must have shape \(2, 3\)"),
-        (lambda d: d["config"].update(num_clusters=3), r"clusters must have shape \(3,\)"),
-        (lambda d: d.update(clusters=d["clusters"][:1]), r"clusters must have shape \(2,\)"),
+        (lambda d: d["config"].update(num_clusters=3),
+         r"cluster_positions must have shape \(3, 3\)"),
+        (lambda d: d.update({k: d[k][:1] for k in CLUSTER_KEYS}),
+         r"cluster_positions must have shape \(2, 3\)"),
     ], ids=["user-xy", "vr-center-3d", "position-2d", "bs-2d", "negative-vr-radius",
             "fewer-users-in-config", "more-clusters-in-config", "missing-cluster"])
     def test_inconsistent_scenario_file_rejected(self, tmp_path, edit, message):
@@ -707,6 +727,45 @@ class TestScenarioSerialization:
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         with pytest.raises(ConfigurationError, match=message):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("delays", 1), math.nan, "delays must be finite and positive"),
+        (("delays", 0), 0.0, "delays must be finite and positive"),
+        (("shadow_gains", 0), -3.0, "shadow_gains must be finite and positive"),
+        (("shadow_gains", 1), math.inf, "shadow_gains must be finite and positive"),
+        (("users", 2, 0), math.inf, "users must be finite"),
+        (("bs_position", 2), math.nan, "bs_position must be finite"),
+        (("cluster_positions", 1, 2), -math.inf, "cluster_positions must be finite"),
+        (("vr_centers", 0, 1), math.nan, "vr_centers must be finite"),
+    ], ids=["nan-delay", "zero-delay", "negative-shadow-gain", "infinite-shadow-gain",
+            "infinite-user-coordinate", "nan-bs-coordinate", "infinite-cluster-coordinate",
+            "nan-vr-centre-coordinate"])
+    def test_nonfinite_or_nonpositive_value_rejected(self, tmp_path, path, value, message):
+        # a NaN delay or a negative shadow gain used to load, and then gave
+        # a NaN column of V and non-finite covariances; an infinite user
+        # coordinate failed later with a misleading attenuation error
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=6,
+                                                                 num_clusters=2)))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        file = tmp_path / "scenario.yaml"
+        file.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(file)
+
+    def test_version_1_file_rejected_naming_the_new_keys(self, tmp_path):
+        scen = generate_scenario(ScenarioConfig(num_users=3, num_clusters=2))
+        data = {k: v for k, v in scenario_to_dict(scen).items() if k not in CLUSTER_KEYS}
+        data.update(schema_version=1, clusters=[
+            {"position": p, "vr_center": v, "delay": d, "shadow_gain": g}
+            for p, v, d, g in zip(*(scenario_to_dict(scen)[k] for k in CLUSTER_KEYS))])
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="schema_version 1.*"
+                           + ".*".join(CLUSTER_KEYS)):
             load_scenario(path)
 
     def test_unreadable_scenario_file_rejected(self, tmp_path):

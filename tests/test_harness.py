@@ -183,17 +183,24 @@ class TestRunExperiment:
     @pytest.mark.parametrize("ks_values", [(2,), (2, 3, 4)])
     def test_perturbation_once_per_trial_and_positive_omega(self, monkeypatch,
                                                             ks_values):
-        # one rebuild per trial carries every positive omega, in grid order
+        # one rebuild per trial carries every omega of the grid, 0 included,
+        # in grid order
         calls = self.count_rebuilds(monkeypatch)
         cfg = tiny_config(algorithms=("GUS", "RANDOM"), ks_values=ks_values,
                           omegas=(3, 0, 1))
         stats = run_experiment(cfg)
-        assert calls == [(3 + t, (3, 1)) for t in range(2)]
+        assert calls == [(3 + t, (3, 0, 1)) for t in range(2)]
         assert len(stats.trial_rows) == 2 * len(ks_values) * 3 * 2 * 2
 
-    def test_no_rebuild_without_a_positive_omega(self, monkeypatch):
+    def test_rebuild_at_omega_zero_alone(self, monkeypatch):
+        # GUS takes even omega = 0's true V from the rebuild
         calls = self.count_rebuilds(monkeypatch)
         run_experiment(tiny_config(algorithms=("GUS", "RANDOM"), omegas=(0,)))
+        assert calls == [(3 + t, (0,)) for t in range(2)]
+
+    def test_no_rebuild_without_gus(self, monkeypatch):
+        calls = self.count_rebuilds(monkeypatch)
+        run_experiment(tiny_config(algorithms=("GWC", "RANDOM"), omegas=(0, 2)))
         assert calls == []
 
     def test_covariances_once_per_distinct_selection(self, monkeypatch):
@@ -229,9 +236,15 @@ class TestRunExperiment:
         assert len({(r.trial, r.selected) for r in rows}) > 2 * cfg.trials
 
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
-        # a V of zero rows leaves GUS no usable candidate
-        monkeypatch.setattr(harness, "build_v_matrix",
-                            lambda scen: np.zeros((scen.num_users, scen.num_clusters)))
+        # a V of zero rows leaves GUS no usable candidate; the unshadowed
+        # kernel is what builds V, and the shadowed one the channel
+        kernel = gscm.large_scale_gains
+
+        def zero_v(scen, *overrides, include_shadowing=True):
+            gains = kernel(scen, *overrides, include_shadowing=include_shadowing)
+            return gains if include_shadowing else np.zeros_like(gains)
+
+        monkeypatch.setattr(gscm, "large_scale_gains", zero_v)
         with pytest.warns(UserWarning, match="zero-norm"):
             stats = run_experiment(tiny_config(algorithms=("GUS", "RANDOM")))
         for cell in stats.cells:
@@ -478,15 +491,17 @@ class TestTrialRowsMatchNaiveOracle:
 
     def test_largest_ks_infeasible_for_gus(self, monkeypatch):
         # a V with two nonzero rows: the stacked selection stops after two
-        # picks, where one V raises for K_s = 3
-        build = harness.build_v_matrix
+        # picks, where one V raises for K_s = 3; the harness and the oracle
+        # both build V with the unshadowed kernel
+        kernel = gscm.large_scale_gains
 
-        def two_rows(scen):
-            v = build(scen)
-            v[np.argsort(-np.linalg.norm(v, axis=1))[2:]] = 0.0
+        def two_rows(scen, *overrides, include_shadowing=True):
+            v = kernel(scen, *overrides, include_shadowing=include_shadowing)
+            if not include_shadowing:
+                v[np.argsort(-np.linalg.norm(v, axis=1))[2:]] = 0.0
             return v
 
-        monkeypatch.setattr(harness, "build_v_matrix", two_rows)
+        monkeypatch.setattr(gscm, "large_scale_gains", two_rows)
         cfg = tiny_config(algorithms=("GUS",), ks_values=(3, 1, 2))
         with pytest.warns(UserWarning, match="zero-norm"):
             rows = run_experiment(cfg).trial_rows

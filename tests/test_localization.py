@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -114,10 +115,11 @@ class TestPerturbAndRebuild:
 
     def test_zero_omega_is_noop(self):
         scen = self._scenario()
-        pg = perturb_and_rebuild_omegas(scen, (0,), CrlbParams())[0]
-        np.testing.assert_array_equal(pg.v_tilde, build_v_matrix(scen))
-        assert pg.fallback_count == 0
-        assert np.all(pg.perturbations.delay == 0.0)
+        pg = perturb_and_rebuild_omegas(scen, (0,), CrlbParams())
+        np.testing.assert_array_equal(pg.v_tilde[0], build_v_matrix(scen))
+        np.testing.assert_array_equal(pg.cluster_positions[0], scen.cluster_positions)
+        assert not pg.fallbacks.any()
+        assert np.all(pg.perturbations == 0.0)
 
     @pytest.mark.parametrize("omega", [0, 3])
     def test_does_not_build_the_true_v(self, monkeypatch, omega):
@@ -127,29 +129,30 @@ class TestPerturbAndRebuild:
 
         monkeypatch.setattr(gusim.scheduling, "build_v_matrix", refuse)
         scen = generate_scenario(ScenarioConfig(rng_seed=10))
-        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())[0]
-        assert pg.v_tilde.shape == (scen.num_users, scen.num_clusters)
+        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())
+        assert pg.v_tilde.shape == (1, scen.num_users, scen.num_clusters)
 
     def test_deterministic_per_seed(self):
         scen = self._scenario()
-        a = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())[0]
-        b = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())[0]
+        a = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())
+        b = perturb_and_rebuild_omegas(scen, (3,), CrlbParams())
         np.testing.assert_array_equal(a.v_tilde, b.v_tilde)
-        np.testing.assert_array_equal(a.perturbations.delay, b.perturbations.delay)
+        np.testing.assert_array_equal(a.perturbations, b.perturbations)
 
     def test_perturbation_magnitudes(self):
         scen = self._scenario()
         omega = 2
         params = CrlbParams()
-        pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
+        delay, elevation, azimuth = perturb_and_rebuild_omegas(
+            scen, (omega,), params).perturbations[0]
         for j in range(scen.num_clusters):
             _, el, az = cluster_observables(scen, j)
             bounds = crlb(params, az, el)
-            assert abs(pg.perturbations.delay[j]) == pytest.approx(
+            assert abs(delay[j]) == pytest.approx(
                 omega * math.sqrt(bounds[0]), rel=1e-12)
-            assert abs(pg.perturbations.elevation[j]) == pytest.approx(
+            assert abs(elevation[j]) == pytest.approx(
                 omega * math.sqrt(bounds[1]), rel=1e-12)
-            assert abs(pg.perturbations.azimuth[j]) == pytest.approx(
+            assert abs(azimuth[j]) == pytest.approx(
                 omega * math.sqrt(bounds[2]), rel=1e-12)
 
     def test_hand_perturbed_entry_matches_factor_recomposition(self):
@@ -162,8 +165,8 @@ class TestPerturbAndRebuild:
                                              az - 0.02)
         import gusim.gscm as gscm
         cfg = scen.config
-        vr_shift = pos[:2] - scen.clusters[0].position[:2]
-        vr_new = scen.clusters[0].vr_center + vr_shift
+        vr_shift = pos[:2] - scen.cluster_positions[0, :2]
+        vr_new = scen.vr_centers[0] + vr_shift
         lp = pathloss_amplitude(scen, 0)
         a_vr = gscm.vr_gain(float(np.linalg.norm(scen.users[0, :2] - vr_new)),
                             cfg.vr_radius, cfg.transition_size, cfg.wavelength)
@@ -179,21 +182,19 @@ class TestPerturbAndRebuild:
         scen = self._scenario()
         params = CrlbParams(input_snr=1e4)  # small errors: smooth regime
         omega = 2
-        pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
-        assert pg.fallback_count == 0
+        pg = perturb_and_rebuild_omegas(scen, (omega,), params)
+        assert not pg.fallbacks.any()
         for j in range(scen.num_clusters):
             tau, el, az = cluster_observables(scen, j)
             base, _ = rebuild_cluster_column(scen, j, tau, el, az)
-            steps = (pg.perturbations.delay[j],
-                     pg.perturbations.elevation[j],
-                     pg.perturbations.azimuth[j])
+            steps = pg.perturbations[0, :, j]
             bound = np.zeros(scen.num_users)
             for axis, step in enumerate(steps):
                 args = [tau, el, az]
                 args[axis] += step
                 shifted, _ = rebuild_cluster_column(scen, j, *args)
                 bound += np.abs(shifted - base)
-            observed = np.abs(pg.v_tilde[:, j] - base)
+            observed = np.abs(pg.v_tilde[0, :, j] - base)
             assert np.all(observed <= 2.0 * bound + 1e-15)
 
     @pytest.mark.parametrize("seed,omega,has_fallback",
@@ -203,26 +204,25 @@ class TestPerturbAndRebuild:
         # perturbations; a cluster whose rebuild fails keeps its true V
         # column and position.
         scen = generate_scenario(ScenarioConfig(rng_seed=seed))
-        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())[0]
-        p = pg.perturbations
+        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())
+        delay, elevation, azimuth = pg.perturbations[0]
         v = build_v_matrix(scen)
-        fallbacks = 0
+        fallbacks = []
         for j in range(scen.num_clusters):
             tau, el, az = cluster_observables(scen, j)
             try:
-                if tau + p.delay[j] <= 0:
+                if tau + delay[j] <= 0:
                     raise GeometryError("nonpositive delay")
                 column, pos = rebuild_cluster_column(
-                    scen, j, tau + p.delay[j], el + p.elevation[j],
-                    az + p.azimuth[j])
+                    scen, j, tau + delay[j], el + elevation[j], az + azimuth[j])
             except GeometryError:
-                fallbacks += 1
-                column, pos = v[:, j], scen.clusters[j].position
-                np.testing.assert_array_equal(pg.v_tilde[:, j], column)
-            np.testing.assert_allclose(pg.v_tilde[:, j], column, rtol=1e-12)
-            np.testing.assert_allclose(pg.cluster_positions[j], pos, rtol=1e-12)
-        assert pg.fallback_count == fallbacks
-        assert (fallbacks > 0) == has_fallback
+                fallbacks.append(j)
+                column, pos = v[:, j], scen.cluster_positions[j]
+                np.testing.assert_array_equal(pg.v_tilde[0, :, j], column)
+            np.testing.assert_allclose(pg.v_tilde[0, :, j], column, rtol=1e-12)
+            np.testing.assert_allclose(pg.cluster_positions[0, j], pos, rtol=1e-12)
+        assert np.flatnonzero(pg.fallbacks[0]).tolist() == fallbacks
+        assert (len(fallbacks) > 0) == has_fallback
 
     def test_negative_omega_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -237,30 +237,13 @@ class TestPerturbAndRebuild:
             scen = generate_scenario(ScenarioConfig(rng_seed=seed))
             for omega in range(1, 6):
                 expected = per_cluster_perturb_and_rebuild(scen, omega, params)
-                pg = perturb_and_rebuild_omegas(scen, (omega,), params)[0]
-                for field in ("delay", "elevation", "azimuth"):
-                    np.testing.assert_array_equal(
-                        getattr(pg.perturbations, field),
-                        getattr(expected.perturbations, field))
-                np.testing.assert_array_equal(pg.v_tilde, expected.v_tilde)
-                np.testing.assert_array_equal(pg.cluster_positions,
-                                              expected.cluster_positions)
-                assert pg.fallback_count == expected.fallback_count
-                fallbacks += pg.fallback_count
+                pg = perturb_and_rebuild_omegas(scen, (omega,), params)
+                assert_same(pg, 0, expected)
+                fallbacks += pg.fallbacks.sum()
         assert fallbacks > 0
 
 
 class TestPerturbAndRebuildOmegas:
-    @staticmethod
-    def assert_same(pg, expected):
-        for field in ("delay", "elevation", "azimuth"):
-            np.testing.assert_array_equal(getattr(pg.perturbations, field),
-                                          getattr(expected.perturbations, field))
-        assert pg.perturbations.omega == expected.perturbations.omega
-        np.testing.assert_array_equal(pg.v_tilde, expected.v_tilde)
-        np.testing.assert_array_equal(pg.cluster_positions, expected.cluster_positions)
-        assert pg.fallback_count == expected.fallback_count
-
     @pytest.mark.parametrize("params", [CrlbParams(), CrlbParams(sensors_per_axis=1)],
                              ids=["planar", "single-sensor"])
     def test_each_omega_matches_the_per_cluster_rebuild(self, params):
@@ -270,19 +253,20 @@ class TestPerturbAndRebuildOmegas:
         fallbacks = 0
         for seed in range(1, 21):
             scen = generate_scenario(ScenarioConfig(rng_seed=seed))
-            results = perturb_and_rebuild_omegas(scen, omegas, params)
-            assert len(results) == len(omegas)
-            for omega, pg in zip(omegas, results):
-                expected = per_cluster_perturb_and_rebuild(scen, omega, params)
-                self.assert_same(pg, expected)
-                fallbacks += pg.fallback_count
+            pg = perturb_and_rebuild_omegas(scen, omegas, params)
+            for i, omega in enumerate(omegas):
+                assert_same(pg, i, per_cluster_perturb_and_rebuild(scen, omega, params))
+            fallbacks += pg.fallbacks.sum()
         assert fallbacks > 0
 
     def test_v_tilde_is_c_contiguous(self):
-        # GUS takes row norms of it
+        # GUS takes row norms of each V; every array leads with the omega axis
         scen = generate_scenario(ScenarioConfig(rng_seed=2))
-        for pg in perturb_and_rebuild_omegas(scen, (0, 2, 5), CrlbParams()):
-            assert pg.v_tilde.shape == (40, 12) and pg.v_tilde.flags.c_contiguous
+        pg = perturb_and_rebuild_omegas(scen, (0, 2, 5), CrlbParams())
+        assert pg.v_tilde.shape == (3, 40, 12) and pg.v_tilde.flags.c_contiguous
+        assert pg.perturbations.shape == (3, 3, 12)
+        assert pg.cluster_positions.shape == (3, 12, 3)
+        assert pg.fallbacks.shape == (3, 12) and pg.fallbacks.dtype == bool
 
     def test_invalid_params_rejected(self):
         scen = generate_scenario(ScenarioConfig(rng_seed=4))
@@ -292,16 +276,23 @@ class TestPerturbAndRebuildOmegas:
             crlb(CrlbParams(input_snr=0.0), 0.2, 0.1)
 
 
+def assert_same(pg, i, expected):
+    """Entry i of every array of ``pg`` equals the one entry of ``expected``."""
+    for field in fields(localization.PerturbedGeometry):
+        np.testing.assert_array_equal(getattr(pg, field.name)[i],
+                                      getattr(expected, field.name)[0])
+
+
 def per_cluster_perturb_and_rebuild(scen, omega, params):
     """``perturb_and_rebuild_omegas`` at one omega, with one ``rng.choice``
-    sign draw per cluster and one scalar rebuild per cluster; omega = 0
-    rebuilds nothing."""
+    sign draw per cluster and one scalar rebuild per cluster, in ``math``
+    sines and cosines; omega = 0 rebuilds nothing."""
     rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
-    positions = np.stack([cl.position for cl in scen.clusters])
-    vr_centers = np.stack([cl.vr_center for cl in scen.clusters])
-    delays = np.array([cl.delay for cl in scen.clusters])
+    positions = scen.cluster_positions.copy()
+    vr_centers = scen.vr_centers.copy()
+    delays = scen.delays.copy()
     d = np.zeros((3, scen.num_clusters))
-    fallbacks = 0
+    fallbacks = np.zeros(scen.num_clusters, dtype=bool)
     for j in range(scen.num_clusters if omega else 0):
         tau, el, az = cluster_observables(scen, j)
         signs = rng.choice([-1.0, 1.0], size=3)
@@ -314,8 +305,8 @@ def per_cluster_perturb_and_rebuild(scen, omega, params):
                 scen, j, tau + d[0, j], el + d[1, j], az + d[2, j])
             delays[j] = tau + d[0, j]
         except GeometryError:
-            fallbacks += 1
+            fallbacks[j] = True
     v_tilde = gscm.large_scale_gains(scen, vr_centers, delays,
                                      include_shadowing=False)
-    return localization.PerturbedGeometry(
-        v_tilde, localization.LocalizationError(omega, *d), positions, fallbacks)
+    return localization.PerturbedGeometry(v_tilde[None], d[None], positions[None],
+                                          fallbacks[None])

@@ -57,11 +57,11 @@ class TestBuildVMatrix:
                     float(np.linalg.norm(scen.users[i] - scen.bs_position)),
                     cfg.wavelength)
                 d_vr = float(np.linalg.norm(
-                    scen.users[i, :2] - scen.clusters[j].vr_center))
+                    scen.users[i, :2] - scen.vr_centers[j]))
                 a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
                                     cfg.wavelength)
                 a_c = gscm.cluster_attenuation(
-                    scen.clusters[j].delay,
+                    scen.delays[j],
                     reference_delay(scen, i),
                     cfg.cutoff_delay, cfg.power_decay)
                 assert v[i, j] == pytest.approx(
@@ -73,10 +73,7 @@ class TestBuildVMatrix:
             cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
         )
         # same geometry, different shadow gain
-        cl = scen_a.clusters[0]
-        shadowed = gscm.Cluster(cl.position, cl.vr_center, cl.delay, 7.5)
-        scen_b = gscm.Scenario(scen_a.config, scen_a.bs_position, scen_a.users,
-                               (shadowed,))
+        scen_b = replace(scen_a, shadow_gains=np.array([7.5]))
         np.testing.assert_array_equal(build_v_matrix(scen_a), build_v_matrix(scen_b))
 
 
@@ -275,9 +272,8 @@ class TestGusMatchesPairwiseOracle:
     def test_desk_scale_omega_stacks(self, variant):
         # the stack the harness selects on: V and its rebuilds for omega 1..5
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=4))
-        stack = np.stack([build_v_matrix(scen)] + [
-            pg.v_tilde for pg in perturb_and_rebuild_omegas(scen, range(1, 6),
-                                                            ExperimentConfig().crlb)])
+        stack = np.concatenate([build_v_matrix(scen)[None], perturb_and_rebuild_omegas(
+            scen, range(1, 6), ExperimentConfig().crlb).v_tilde])
         for ks in (1, 5, 10, 40):
             self._check_stack(stack, ks, variant)
 
@@ -551,7 +547,7 @@ class TestGreedyPrefixes:
         v = build_v_matrix(scen)
         for omega in range(6):
             v_omega = v if omega == 0 else perturb_and_rebuild_omegas(
-                scen, (omega,), ExperimentConfig().crlb)[0].v_tilde
+                scen, (omega,), ExperimentConfig().crlb).v_tilde[0]
             for variant in ("last", "set"):
                 full = gus_select(v_omega, 10, variant)
                 for ks in range(1, 10):
