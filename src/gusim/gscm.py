@@ -10,6 +10,7 @@ module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
@@ -22,8 +23,11 @@ from .plain import (_is_finite, _is_integer, check_fields, checked, from_version
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-# A_VR never reaches 0 exactly; cluster membership uses this floor.
-DEFAULT_VISIBILITY_FLOOR = 1e-6
+# numpy's normal draw returns |x| < r + sqrt(106 ln 2) ~ 12.23: its ziggurat
+# tail (r = 3.6541528853610088) returns r + a only if a^2 < 2 b, and
+# b = -log1p(-u) <= 53 ln 2. Above this sigma a shadow gain 10^(x/10) could overflow.
+_MAX_SHADOWING_SIGMA_DB = 10.0 * math.log10(sys.float_info.max) / (
+    3.6541528853610088 + math.sqrt(106.0 * math.log(2.0)))
 
 # rejection-sampling draws allowed per user outside the BS exclusion disk
 _MAX_PLACEMENT_ATTEMPTS = 10_000
@@ -78,8 +82,20 @@ class ScenarioConfig:
         if self.vr_radius <= self.transition_size:
             raise ConfigurationError(f"vr_radius {self.vr_radius} must exceed "
                                      f"transition_size {self.transition_size}")
+        if self.shadowing_sigma_db > _MAX_SHADOWING_SIGMA_DB:
+            raise ConfigurationError(
+                f"shadowing_sigma_db must be <= {_MAX_SHADOWING_SIGMA_DB:.1f}, above which "
+                f"a shadow gain can overflow, got {self.shadowing_sigma_db}")
         if self.reference_delay is not None and self.cutoff_delay < self.reference_delay:
             raise ConfigurationError("cutoff_delay must be >= reference_delay")
+        # without a reference delay, a user's own line-of-sight delay is its reference
+        corner_delay = math.hypot(math.sqrt(2.0) * self.cell_half_side,
+                                  self.bs_height - self.ms_height) / SPEED_OF_LIGHT
+        if self.reference_delay is None and self.cutoff_delay < corner_delay:
+            raise ConfigurationError(
+                f"cutoff_delay {self.cutoff_delay} is below the {corner_delay:.6g} s "
+                f"line-of-sight delay to the corner of a cell of cell_half_side "
+                f"{self.cell_half_side}; raise cutoff_delay or set reference_delay")
         heights = self.cluster_height_range
         if not (isinstance(heights, tuple) and len(heights) == 2
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
@@ -135,10 +151,8 @@ class Scenario:
 
     @cached_property
     def channel_gains(self) -> np.ndarray:
-        """(K, N_C) ``large_scale_gains``, 0 where the VR gain is at most
-        ``DEFAULT_VISIBILITY_FLOOR``."""
-        visible = _vr_gains(self) > DEFAULT_VISIBILITY_FLOOR
-        return _read_only(np.where(visible, large_scale_gains(self), 0.0))
+        """(K, N_C) ``large_scale_gains`` of every user at every cluster."""
+        return _read_only(large_scale_gains(self))
 
 
 @dataclass(frozen=True)
@@ -247,15 +261,6 @@ def path_loss_nlos(d_bs_ms, wavelength: float):
     return loss_db, 10.0 ** (-loss_db / 10.0)
 
 
-def _vr_gains(scenario: Scenario, vr_centers=None) -> np.ndarray:
-    """(K, N_C) visibility gains A_VR of every user at every VR centre."""
-    cfg = scenario.config
-    if vr_centers is None:
-        vr_centers = scenario.vr_centers
-    d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
-    return vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
-
-
 def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
                       include_shadowing: bool = True) -> np.ndarray:
     """(K, N_C) large-scale amplitudes L_p * A_VR * sqrt(A_C [* shadow])
@@ -280,7 +285,9 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
                               cfg.cutoff_delay, cfg.power_decay)
     if include_shadowing:
         a_c = a_c * scenario.shadow_gains
-    return np.sqrt(path_gain)[:, None] * _vr_gains(scenario, vr_centers) * np.sqrt(a_c)
+    d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
+    a_vr = vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
+    return np.sqrt(path_gain)[:, None] * a_vr * np.sqrt(a_c)
 
 
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
@@ -439,8 +446,7 @@ def _check_selected(scenario: Scenario, selected) -> list[int]:
 def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     """Synthesize the M x K_s channel of the selected users.
 
-    Column k sums, over the clusters visible to user k (VR gain above
-    ``DEFAULT_VISIBILITY_FLOOR``), the per-MPC complex gains times the
+    Column k sums, over every cluster, the per-MPC complex gains times the
     array steering vectors at the MPC azimuths. Each gain is circular
     Gaussian with variance f_kj^2 / N_p, f_kj the ``large_scale_gains``
     entry, drawn from the (user, cluster) pair's own stream, so a column
@@ -448,11 +454,10 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     """
     selected = _check_selected(scenario, selected)
     gains = scenario.channel_gains[selected]
-    # each visible pair's fading comes from the pair's own stream
-    n_p = scenario.config.mpcs_per_cluster
-    normals = np.zeros(gains.shape + (2 * n_p,))
-    rows, cols = np.nonzero(gains)
-    normals[rows, cols] = _fading_normals_batch(scenario, np.array(selected)[rows], cols)
+    # each (user, cluster) pair's fading comes from the pair's own stream
+    (k_s, n_c), n_p = gains.shape, scenario.config.mpcs_per_cluster
+    normals = _fading_normals_batch(scenario, np.repeat(selected, n_c),
+                                    np.tile(np.arange(n_c), k_s)).reshape(k_s, n_c, 2 * n_p)
     fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
     h = np.einsum("kjp,jpm->mk", gains[..., None] * fading, scenario.steering)
     if not np.all(np.isfinite(h)):
@@ -464,9 +469,8 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
     """Exact fading covariances E{h_k h_k^H} of the selected users' columns
     of ``channel_matrix``, shape (K_s, M, M), over the fading draw.
 
-    Each MPC gain has variance f_kj^2 / N_p, so
-    R_k = sum_j f_kj^2 G_j over the clusters visible to user k, with the
-    cluster's steering Gram G_j (``Scenario.cluster_grams``).
+    Each MPC gain has variance f_kj^2 / N_p, so R_k = sum_j f_kj^2 G_j
+    over every cluster j, G_j its steering Gram (``Scenario.cluster_grams``).
     """
     selected = _check_selected(scenario, selected)
     grams = scenario.cluster_grams.view(float)   # real and imaginary parts
@@ -486,7 +490,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """The scenario ``data`` holds, with a valid config, the shapes it sets,
-    finite coordinates and positive delays and shadow gains."""
+    finite coordinates, users in the cell and positive delays and shadow gains."""
     scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION, {
         1: " (version 2 holds the clusters as the arrays cluster_positions, vr_centers,"
            " delays and shadow_gains, row j being cluster j's position, vr_center,"
@@ -504,6 +508,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not np.all(np.isfinite(value) & (value > 0 if positive else True)):
             raise ConfigurationError(f"scenario {name} must be finite"
                                      + (" and positive" if positive else ""))
+    users = scenario.users
+    if np.any(np.abs(users[:, :2]) > cfg.cell_half_side) or np.any(users[:, 2] != cfg.ms_height):
+        raise ConfigurationError("scenario users must lie in the cell: |x|, |y| <= "
+                                 "cell_half_side and z = ms_height")
     return scenario
 
 

@@ -217,7 +217,6 @@ def einsum_covariances(scen, selected) -> np.ndarray:
     the whole set in one einsum, with the steering tensor and the Grams
     rebuilt from the scenario."""
     power = gscm.large_scale_gains(scen)[list(selected)] ** 2
-    power[gscm._vr_gains(scen)[list(selected)] <= gscm.DEFAULT_VISIBILITY_FLOOR] = 0.0
     steer = gscm._steering_tensor(scen)
     gram = np.einsum("jpm,jpn->jmn", steer, steer.conj(),
                      optimize=True) / scen.config.mpcs_per_cluster

@@ -50,6 +50,21 @@ def mpc_gains(scen, user, cluster):
     return scalar_gain(scen, user, cluster) * unit
 
 
+def brute_force_channel(scen, users):
+    """Oracle for ``channel_matrix``: each column the double sum, over every
+    cluster and its MPCs, of the MPC gain times the array response."""
+    cfg = scen.config
+    m = cfg.antenna_count
+    alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
+    h = np.zeros((m, len(users)), dtype=complex)
+    for col, user in enumerate(users):
+        for j in range(scen.num_clusters):
+            for gain, phi in zip(mpc_gains(scen, user, j), cluster_azimuths(scen, j)):
+                for i in range(m):
+                    h[i, col] += gain * np.exp(1j * alpha * i * math.sin(phi))
+    return h
+
+
 class TestGenerateScenario:
     def test_users_respect_exclusion_and_cell_bounds(self):
         cfg = ScenarioConfig(num_users=10, cell_half_side=1000.0, rng_seed=7)
@@ -143,6 +158,50 @@ class TestVrGain:
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigurationError):
             vr_gain(10.0, 20.0, 50.0, WAVELENGTH_2GHZ)
+
+    def test_smallest_gain_over_default_scenarios(self):
+        # every user sees every cluster through the transition tail: over 200
+        # default scenarios no VR gain falls below 7.3e-5 (README, "Visibility")
+        smallest = math.inf
+        for seed in range(200):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            cfg = scen.config
+            d = np.linalg.norm(scen.users[:, None, :2] - scen.vr_centers[None], axis=-1)
+            smallest = min(smallest, vr_gain(d, cfg.vr_radius, cfg.transition_size,
+                                             cfg.wavelength).min())
+        assert 7.3e-5 < smallest < 7.4e-5
+
+
+class TestScenarioConfigBounds:
+    """Every config that ``validate`` accepts generates and loads."""
+
+    @pytest.mark.parametrize("half,ok", [(2119.8, True), (2119.9, False)])
+    def test_cutoff_delay_covers_the_cell(self, half, ok):
+        # at the default 1e-5 s cutoff the corner user's line-of-sight delay
+        # reaches the cutoff at cell_half_side ~ 2119.85 m
+        cfg = ScenarioConfig(cell_half_side=half, num_users=400)
+        if ok:
+            cfg.validate()
+            gscm.large_scale_gains(generate_scenario(cfg))
+        else:
+            with pytest.raises(ConfigurationError, match="cutoff_delay.*cell_half_side"):
+                cfg.validate()
+        ScenarioConfig(cell_half_side=half, reference_delay=1e-6).validate()
+
+    def test_shadowing_sigma_at_the_bound_generates_and_loads(self, tmp_path):
+        # the bound takes r = 3.6541528853610088 for the start of the
+        # ziggurat's tail, the edge of its widest layer in numpy's table
+        assert gscm._ziggurat()[0][255] * 2.0**52 == pytest.approx(3.6541528853610088,
+                                                                   rel=1e-15)
+        bound = gscm._MAX_SHADOWING_SIGMA_DB
+        assert 252.1 < bound < 252.2
+        for seed in range(1, 8):
+            scen = generate_scenario(ScenarioConfig(shadowing_sigma_db=bound, rng_seed=seed))
+            save_scenario(scen, tmp_path / "scenario.yaml")
+            assert load_scenario(tmp_path / "scenario.yaml") == scen
+        for sigma in (bound * (1 + 1e-12), 3000.0):
+            with pytest.raises(ConfigurationError, match="shadowing_sigma_db must be <="):
+                ScenarioConfig(shadowing_sigma_db=sigma).validate()
 
 
 class TestClusterAttenuation:
@@ -347,24 +406,8 @@ class TestChannelMatrix:
             ],
             mpcs_per_cluster=2, antenna_count=4,
         )
-        cfg = scen.config
-        h = channel_matrix(scen, [0, 1]).entries
-        alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
-        expected = np.zeros((4, 2), dtype=complex)
-        for col, user in enumerate([0, 1]):
-            for j in range(scen.num_clusters):
-                d_vr = float(np.linalg.norm(scen.users[user, :2]
-                                            - scen.vr_centers[j]))
-                if vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
-                           cfg.wavelength) <= gscm.DEFAULT_VISIBILITY_FLOOR:
-                    continue
-                gains = mpc_gains(scen, user, j)
-                azimuths = cluster_azimuths(scen, j)
-                for i in range(cfg.mpcs_per_cluster):
-                    for m in range(4):
-                        expected[m, col] += gains[i] * np.exp(
-                            1j * alpha * m * math.sin(azimuths[i]))
-        np.testing.assert_allclose(h, expected, rtol=1e-12)
+        np.testing.assert_allclose(channel_matrix(scen, [0, 1]).entries,
+                                   brute_force_channel(scen, [0, 1]), rtol=1e-12)
 
     def test_linearity_via_shared_scaling(self, small_scenario):
         # doubling every MPC gain of a user doubles that column: verified
@@ -569,33 +612,23 @@ class TestChannelCovariances:
         assert np.all(np.linalg.eigvalsh(r) > -1e-12 * np.abs(r).max())
         np.testing.assert_array_equal(r[0], channel_covariances(scen, [3])[0])
 
-    def test_invisible_cluster_contributes_nothing(self):
-        # the second cluster's VR centre is ~300 km from the user, so its
-        # VR gain falls below the default visibility floor of 1e-6
-        far_vr = np.array([-3.0e5, 0.0])
-        assert vr_gain(float(np.linalg.norm(far_vr - [200.0, 0.0])), 50.0, 20.0,
-                       WAVELENGTH_2GHZ) < gscm.DEFAULT_VISIBILITY_FLOOR
-        scen = make_scenario(
-            users_xy=[(200.0, 0.0)],
-            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0])),
-                           (np.array([-400.0, 0.0, 20.0]), far_vr)],
-            antenna_count=4)
-        alone = make_scenario(
-            users_xy=[(200.0, 0.0)],
-            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
-            antenna_count=4)
-        np.testing.assert_allclose(channel_covariances(scen, [0]),
-                                   channel_covariances(alone, [0]), rtol=1e-12)
-
-    def test_no_visible_cluster_gives_zero(self):
-        scen = make_scenario(
-            users_xy=[(200.0, 0.0)],
-            cluster_specs=[(np.array([-400.0, 0.0, 20.0]), np.array([-3.0e5, 0.0]))],
-            antenna_count=4)
-        np.testing.assert_array_equal(channel_covariances(scen, [0]),
-                                      np.zeros((1, 4, 4)))
-        np.testing.assert_array_equal(channel_matrix(scen, [0]).entries,
-                                      np.zeros((4, 1)))
+    def test_far_cluster_adds_its_tail_term(self):
+        # the user stands 10 km from the first VR centre and 300 km from the
+        # second, whose VR gain (~6.5e-7) is small but not zero: every
+        # cluster counts, so R_k gains f^2 G_j and H the cluster's MPC sum
+        near = (np.array([150.0, 50.0, 20.0]), np.array([1.02e4, 0.0]))
+        far = (np.array([-400.0, 0.0, 20.0]), np.array([-3.0e5, 0.0]))
+        scen = make_scenario(users_xy=[(200.0, 0.0)], cluster_specs=[near, far],
+                             antenna_count=4)
+        alone = make_scenario(users_xy=[(200.0, 0.0)], cluster_specs=[near],
+                              antenna_count=4)
+        steer = np.array([steering_vector(phi, 4, 0.5) for phi in cluster_azimuths(scen, 1)])
+        tail = scalar_gain(scen, 0, 1) ** 2 * steer.T @ steer.conj() / len(steer)
+        r = channel_covariances(scen, [0])[0]
+        assert np.abs(tail).max() > 1e-6 * np.abs(r).max()   # far above the tolerance
+        np.testing.assert_allclose(r, channel_covariances(alone, [0])[0] + tail, rtol=1e-12)
+        np.testing.assert_allclose(channel_matrix(scen, [0]).entries,
+                                   brute_force_channel(scen, [0]), rtol=1e-12)
 
     def test_selection_checked(self, small_scenario):
         with pytest.raises(ConfigurationError):
@@ -755,6 +788,20 @@ class TestScenarioSerialization:
         file.write_text(yaml.safe_dump(data), encoding="utf-8")
         with pytest.raises(ConfigurationError, match=message):
             load_scenario(file)
+
+    @pytest.mark.parametrize("path,value", [
+        (("users", 0, 0), 4000.0), (("users", 1, 1), -1000.5), (("users", 2, 2), 2.0)],
+        ids=["x-outside", "y-outside", "z-off-ms-height"])
+    def test_user_outside_the_cell_rejected(self, tmp_path, path, value):
+        # such a user loaded, and then failed in the attenuation of V
+        data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=4)))
+        data["users"][path[1]][path[2]] = value
+        file = tmp_path / "scenario.yaml"
+        file.write_text(yaml.safe_dump(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="users must lie in the cell"):
+            load_scenario(file)
+        data["users"][path[1]][path[2]] = 1000.0 if path[2] < 2 else 1.5   # on the edge
+        scenario_from_dict(data)
 
     def test_version_1_file_rejected_naming_the_new_keys(self, tmp_path):
         scen = generate_scenario(ScenarioConfig(num_users=3, num_clusters=2))

@@ -376,6 +376,8 @@ class TestValidateHoles:
         ("scenario", dict(cluster_height_range=(5.0,)), "cluster_height_range"),
         ("scenario", dict(cluster_height_range=5.0), "cluster_height_range"),
         ("config", dict(algorithms=(["GUS"],)), "algorithms"),
+        ("scenario", dict(cell_half_side=2500.0), "cutoff_delay .* cell_half_side 2500"),
+        ("scenario", dict(shadowing_sigma_db=3000.0), "shadowing_sigma_db must be <="),
     ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
     def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
         base = tiny_config()
