@@ -48,6 +48,8 @@ CONFIGS = {
     "cli_run": ("cli", ExperimentConfig(omegas=(0, 2), ks_values=(5,))),
 }
 
+ENTRIES = [(name, seed) for name in CONFIGS for seed in SEEDS]
+
 
 def environment() -> dict:
     """What the output bytes depend on besides gusim."""
@@ -59,10 +61,10 @@ def environment() -> dict:
             "cpu_features": sorted(info["SIMD Extensions"]["found"])}
 
 
-def rows_text(stats) -> str:
+def rows_text(rows) -> str:
     """One line per trial row; floats by repr, which round-trips exactly."""
     return "".join(f"{r.trial},{r.algorithm},{r.ks},{r.p_dbm!r},{r.omega},{r.sum_rate!r},"
-                   f"{r.load},{' '.join(map(str, r.selected))}\n" for r in stats.trial_rows)
+                   f"{r.load},{' '.join(map(str, r.selected))}\n" for r in rows)
 
 
 def _sha256(data: bytes) -> str:
@@ -79,26 +81,16 @@ def entry_hashes(name: str, seed: int) -> dict:
         if sweep == "cli":
             harness.save_config(config, Path(tmp) / "config.yaml")
             cli.main(["run", "--config", str(Path(tmp) / "config.yaml"), "--out", str(out)])
-            result = None
+            rows = None
         else:
-            result = sweep(config, out)
+            rows = getattr(sweep(config, out), "trial_rows", None)
         manifest = Path(f"{out}.manifest.txt")
-        rows = getattr(result, "trial_rows", None)
         return {"csv": _sha256(out.read_bytes()), "manifest": _sha256(manifest.read_bytes()),
-                "trial_rows": None if rows is None else _sha256(rows_text(result).encode())}
-
-
-def entry_keys() -> list[tuple[str, int]]:
-    return [(name, seed) for name in CONFIGS for seed in SEEDS]
-
-
-def record() -> dict:
-    return {"environment": environment(),
-            "entries": {f"{name}@{seed}": entry_hashes(name, seed)
-                        for name, seed in entry_keys()}}
+                "trial_rows": None if rows is None else _sha256(rows_text(rows).encode())}
 
 
 if __name__ == "__main__":
-    table = record()
+    table = {"environment": environment(),
+             "entries": {f"{name}@{seed}": entry_hashes(name, seed) for name, seed in ENTRIES}}
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(table['entries'])} entries to {TABLE}", file=sys.stderr)

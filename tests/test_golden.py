@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from record_golden import TABLE, entry_hashes, entry_keys, environment
+from record_golden import ENTRIES, TABLE, entry_hashes, environment
 
 GOLDEN = json.loads(TABLE.read_text(encoding="utf-8"))
 
@@ -23,9 +23,9 @@ def same_environment():
 
 
 def test_table_covers_every_config():
-    assert sorted(GOLDEN["entries"]) == sorted(f"{n}@{s}" for n, s in entry_keys())
+    assert sorted(GOLDEN["entries"]) == sorted(f"{n}@{s}" for n, s in ENTRIES)
 
 
-@pytest.mark.parametrize("name,seed", entry_keys(), ids=[f"{n}@{s}" for n, s in entry_keys()])
+@pytest.mark.parametrize("name,seed", ENTRIES, ids=[f"{n}@{s}" for n, s in ENTRIES])
 def test_outputs_match_golden_hashes(same_environment, name, seed):
     assert entry_hashes(name, seed) == GOLDEN["entries"][f"{name}@{seed}"]
