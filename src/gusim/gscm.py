@@ -32,7 +32,7 @@ _MAX_SHADOWING_SIGMA_DB = 10.0 * math.log10(sys.float_info.max) / (
 # rejection-sampling draws allowed per user outside the BS exclusion disk
 _MAX_PLACEMENT_ATTEMPTS = 10_000
 
-_SCENARIO_SCHEMA_VERSION = 2
+_SCENARIO_SCHEMA_VERSION = 3
 
 # salts for the per-purpose random streams derived from the scenario seed
 _STREAM_ANGLES = 101
@@ -105,20 +105,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable world state: BS, user positions and the scatterer clusters,
-    one array per cluster quantity. A cluster's delay is the single-bounce
-    propagation delay BS -> cluster -> VR centre; its shadow gain is a
-    linear power factor applied to the fading channel, not to the geometry
-    matrix used by the scheduler. The channel geometry is built on first
-    use and cached, read-only; it is not a field, so equality and
-    serialization ignore it."""
+    """Immutable world state: user positions and the scatterer clusters,
+    one array per cluster quantity. A cluster's shadow gain is a linear
+    power factor applied to the fading channel, not to the geometry matrix
+    used by the scheduler. The BS position, the cluster delays and the
+    channel geometry follow from these fields; each is built on first use
+    and cached, read-only. They are not fields, so equality and
+    serialization ignore them."""
 
     config: ScenarioConfig
-    bs_position: np.ndarray         # (3,)
     users: np.ndarray               # (K, 3)
     cluster_positions: np.ndarray   # (N_C, 3) meters
     vr_centers: np.ndarray          # (N_C, 2) meters
-    delays: np.ndarray              # (N_C,) seconds
     shadow_gains: np.ndarray        # (N_C,) linear power factors
 
     def __eq__(self, other) -> bool:
@@ -135,7 +133,22 @@ class Scenario:
 
     @property
     def num_clusters(self) -> int:
-        return len(self.delays)
+        return len(self.shadow_gains)
+
+    @cached_property
+    def bs_position(self) -> np.ndarray:
+        """(3,) the BS at the cell centre, (0, 0, bs_height)."""
+        return _read_only(np.array([0.0, 0.0, self.config.bs_height]))
+
+    @cached_property
+    def delays(self) -> np.ndarray:
+        """(N_C,) single-bounce delays (|BS -> cluster| + |cluster -> VR
+        centre|) / c, the VR centre at ms_height; a 1-D norm per cluster,
+        as the array form differs in the last bit."""
+        bs, ms_height = self.bs_position, self.config.ms_height
+        return _read_only(np.array([
+            (np.linalg.norm(pos - bs) + np.linalg.norm(np.array([*vr, ms_height]) - pos))
+            / SPEED_OF_LIGHT for pos, vr in zip(self.cluster_positions, self.vr_centers)]))
 
     @cached_property
     def steering(self) -> np.ndarray:
@@ -182,7 +195,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     config.validate()
     rng = np.random.default_rng(config.rng_seed)
     half = config.cell_half_side
-    bs = np.array([0.0, 0.0, config.bs_height])
 
     # rounds of exactly the users still missing, so user k is the k-th
     # accepted draw and nothing is drawn past the last one
@@ -201,20 +213,16 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     z_lo, z_hi = config.cluster_height_range
     lows = np.array([-half, -half, z_lo, -half, -half])   # cluster x, y, z, VR centre x, y
     highs = np.array([half, half, z_hi, half, half])
-    # per cluster: five uniforms, then one normal; a 1-D norm per delay and
-    # Python's power per gain, as their array forms differ in the last bit
-    draws, delays, shadow_gains = np.empty((config.num_clusters, 5)), [], []
+    # per cluster: five uniforms, then one normal; Python's power per gain,
+    # as its array form differs in the last bit
+    draws, shadow_gains = np.empty((config.num_clusters, 5)), []
     for draw in draws:
         draw[:] = rng.uniform(lows, highs)
-        pos, vr = draw[:3], draw[3:]
-        vr3 = np.array([vr[0], vr[1], config.ms_height])
-        delays.append((np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT)
         shadow_gains.append(10.0 ** (rng.normal(0.0, config.shadowing_sigma_db) / 10.0))
 
-    return Scenario(config=config, bs_position=_read_only(bs), users=_read_only(users),
+    return Scenario(config=config, users=_read_only(users),
                     cluster_positions=_read_only(draws[:, :3].copy()),
                     vr_centers=_read_only(draws[:, 3:].copy()),
-                    delays=_read_only(np.array(delays)),
                     shadow_gains=_read_only(np.array(shadow_gains)))
 
 
@@ -490,28 +498,33 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """The scenario ``data`` holds, with a valid config, the shapes it sets,
-    finite coordinates, users in the cell and positive delays and shadow gains."""
+    finite coordinates, positive shadow gains and users where
+    ``generate_scenario`` places them."""
+    derived = "bs_position and delays are gone: they follow from the config and the cluster arrays"
     scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION, {
-        1: " (version 2 holds the clusters as the arrays cluster_positions, vr_centers,"
-           " delays and shadow_gains, row j being cluster j's position, vr_center,"
-           " delay and shadow_gain)"})
+        1: " (version 3 holds the clusters as the arrays cluster_positions, vr_centers"
+           " and shadow_gains, row j being cluster j's position, vr_center and"
+           f" shadow_gain; {derived})",
+        2: f" ({derived})"})
     cfg = scenario.config
     cfg.validate()
     n_c = cfg.num_clusters
-    for name, wanted in [("bs_position", (3,)), ("users", (cfg.num_users, 3)),
-                         ("cluster_positions", (n_c, 3)), ("vr_centers", (n_c, 2)),
-                         ("delays", (n_c,)), ("shadow_gains", (n_c,))]:
-        value, positive = getattr(scenario, name), name in ("delays", "shadow_gains")
+    for name, wanted in [("users", (cfg.num_users, 3)), ("cluster_positions", (n_c, 3)),
+                         ("vr_centers", (n_c, 2)), ("shadow_gains", (n_c,))]:
+        value, positive = getattr(scenario, name), name == "shadow_gains"
         if value.shape != wanted:
             raise ConfigurationError(
                 f"scenario {name} must have shape {wanted}, got {value.shape}")
         if not np.all(np.isfinite(value) & (value > 0 if positive else True)):
             raise ConfigurationError(f"scenario {name} must be finite"
                                      + (" and positive" if positive else ""))
-    users = scenario.users
+    users, r_min = scenario.users, cfg.bs_exclusion_fraction * cfg.cell_half_side
     if np.any(np.abs(users[:, :2]) > cfg.cell_half_side) or np.any(users[:, 2] != cfg.ms_height):
         raise ConfigurationError("scenario users must lie in the cell: |x|, |y| <= "
                                  "cell_half_side and z = ms_height")
+    if not all(math.hypot(x, y) >= r_min for x, y, _ in users.tolist()):
+        raise ConfigurationError("scenario users must lie outside the BS exclusion disk: "
+                                 "hypot(x, y) >= bs_exclusion_fraction * cell_half_side")
     return scenario
 
 

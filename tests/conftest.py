@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gusim.scheduling import ScheduleResult
 
 def make_scenario(users_xy, cluster_specs, **config_overrides):
     """Hand-built scenario: explicit user xy positions and cluster
-    (position, vr_center) pairs; delays follow the single-bounce rule."""
+    (position, vr_center) pairs, with unit shadow gains."""
     defaults = dict(
         cell_half_side=1000.0,
         num_users=len(users_xy),
@@ -24,17 +25,11 @@ def make_scenario(users_xy, cluster_specs, **config_overrides):
     )
     defaults.update(config_overrides)
     cfg = ScenarioConfig(**defaults)
-    bs = np.array([0.0, 0.0, cfg.bs_height])
     users = np.array([[x, y, cfg.ms_height] for x, y in users_xy])
     positions = np.array([pos for pos, _ in cluster_specs], dtype=float)
     vr_centers = np.array([vr for _, vr in cluster_specs], dtype=float)
-    delays = []
-    for pos, vr in zip(positions, vr_centers):
-        vr3 = np.array([vr[0], vr[1], cfg.ms_height])
-        delays.append((np.linalg.norm(pos - bs) + np.linalg.norm(vr3 - pos)) / SPEED_OF_LIGHT)
-    return Scenario(config=cfg, bs_position=bs, users=users, cluster_positions=positions,
-                    vr_centers=vr_centers, delays=np.array(delays),
-                    shadow_gains=np.ones(len(delays)))
+    return Scenario(config=cfg, users=users, cluster_positions=positions,
+                    vr_centers=vr_centers, shadow_gains=np.ones(len(positions)))
 
 
 @pytest.fixture
@@ -73,7 +68,9 @@ def cluster_azimuths(scenario, cluster):
 
 def generate_scenario_loop(config):
     """Oracle for ``gscm.generate_scenario``: one draw per user attempt and
-    one per cluster coordinate, from the scenario seed's generator."""
+    one per cluster coordinate, from the scenario seed's generator. Returns
+    every array of the scenario by name, with the BS at the cell centre and
+    each cluster's single-bounce delay computed here, not by ``Scenario``."""
     config.validate()
     rng = np.random.default_rng(config.rng_seed)
     half = config.cell_half_side
@@ -110,10 +107,10 @@ def generate_scenario_loop(config):
         vr_centers.append(vr)
         delays.append(float(delay))
         shadow_gains.append(float(10.0 ** (shadow_db / 10.0)))
-    return Scenario(config=config, bs_position=bs, users=users,
-                    cluster_positions=np.array(positions).reshape(-1, 3),
-                    vr_centers=np.array(vr_centers).reshape(-1, 2),
-                    delays=np.array(delays), shadow_gains=np.array(shadow_gains))
+    return SimpleNamespace(config=config, bs_position=bs, users=users,
+                           cluster_positions=np.array(positions).reshape(-1, 3),
+                           vr_centers=np.array(vr_centers).reshape(-1, 2),
+                           delays=np.array(delays), shadow_gains=np.array(shadow_gains))
 
 
 def ergodic_capacity(h_samples, power):

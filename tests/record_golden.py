@@ -1,14 +1,15 @@
 """Golden output hashes: the SHA-256 of each reference config's CSV, its
-manifest and a canonical text form of its per-trial rows, at base seeds 1
-and 7, stored with the environment that produced them.
+manifest and a canonical text form of its per-trial rows, and of the
+``save_scenario`` file of the default scenario, at base seeds 1 and 7,
+stored with the environment that produced them.
 
 Record the table (after a change that is meant to move an output):
 
     PYTHONPATH=src python tests/record_golden.py
 
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
-on Python, numpy, its BLAS and the CPU features numpy dispatches on, so the
-test skips on any other environment.
+on Python, numpy, its BLAS, the CPU features numpy dispatches on and, for
+the scenario file, PyYAML, so the test skips on any other environment.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from gusim import cli, harness
+from gusim.gscm import generate_scenario, save_scenario
 from gusim.harness import ExperimentConfig
 
 TABLE = Path(__file__).resolve().parent / "golden_hashes.json"
@@ -32,8 +35,9 @@ TRIALS = 3
 
 _ESTIMATED = dict(use_estimation=True, powers_dbm=(10.0, 30.0))
 
-# name: (sweep, config); the sweep is a harness function, or "cli" for the
-# CLI's run subcommand on the config saved as YAML
+# name: (sweep, config); the sweep is a harness function, "cli" for the
+# CLI's run subcommand on the config saved as YAML, or "scenario" for the
+# scenario file of the config's scenario at the seed
 CONFIGS = {
     "fig2": (harness.figure2_sweep, ExperimentConfig()),
     "fig3": (harness.figure3_load, ExperimentConfig()),
@@ -46,6 +50,7 @@ CONFIGS = {
     "paper_literal_estimated": (harness.run_sweep, ExperimentConfig(
         mode="paper-literal", algorithms=("GUS", "RANDOM"), **_ESTIMATED)),
     "cli_run": ("cli", ExperimentConfig(omegas=(0, 2), ks_values=(5,))),
+    "scenario_file": ("scenario", ExperimentConfig()),
 }
 
 ENTRIES = [(name, seed) for name in CONFIGS for seed in SEEDS]
@@ -57,7 +62,7 @@ def environment() -> dict:
     blas = info["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine(),
+            "machine": platform.machine(), "pyyaml": yaml.__version__,
             "cpu_features": sorted(info["SIMD Extensions"]["found"])}
 
 
@@ -73,11 +78,16 @@ def _sha256(data: bytes) -> str:
 
 def entry_hashes(name: str, seed: int) -> dict:
     """The hashes of config ``name`` at ``seed``; ``trial_rows`` is None for
-    the outputs that have no trial rows (fig3 and the CLI)."""
+    the outputs that have no trial rows (fig3 and the CLI), and a scenario
+    file has only its own hash."""
     sweep, config = CONFIGS[name]
     config = replace(config, trials=TRIALS, base_seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
+        if sweep == "scenario":
+            path = Path(tmp) / "scenario.yaml"
+            save_scenario(generate_scenario(replace(config.scenario, rng_seed=seed)), path)
+            return {"yaml": _sha256(path.read_bytes())}
         if sweep == "cli":
             harness.save_config(config, Path(tmp) / "config.yaml")
             cli.main(["run", "--config", str(Path(tmp) / "config.yaml"), "--out", str(out)])

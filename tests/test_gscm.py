@@ -34,7 +34,8 @@ def per_pair_batch(scen, users, clusters):
 
 
 def field_bytes(scen):
-    """Every array and float field of a scenario, as shapes and bytes."""
+    """The config and every array of a scenario, the BS position and the
+    delays included, as shapes and bytes."""
     arrays = [scen.bs_position, scen.users, scen.cluster_positions, scen.vr_centers,
               scen.delays, scen.shadow_gains]
     return scen.config, [(a.shape, a.dtype, a.tobytes()) for a in arrays]
@@ -638,7 +639,7 @@ class TestChannelCovariances:
 
 
 class TestScenarioCache:
-    CACHED = {"steering", "cluster_grams", "channel_gains"}
+    CACHED = {"bs_position", "delays", "steering", "cluster_grams", "channel_gains"}
 
     def test_covariances_match_einsum_oracle(self):
         for seed in range(1, 21):
@@ -652,8 +653,8 @@ class TestScenarioCache:
         scen = generate_scenario(ScenarioConfig(num_users=6, rng_seed=4))
         save_scenario(scen, tmp_path / "scenario.yaml")
         for s in (scen, load_scenario(tmp_path / "scenario.yaml")):
-            arrays = [s.bs_position, s.users, *(getattr(s, n) for n in self.CACHED)]
-            arrays += [s.cluster_positions, s.vr_centers, s.delays, s.shadow_gains]
+            arrays = [s.users, s.cluster_positions, s.vr_centers, s.shadow_gains,
+                      *(getattr(s, n) for n in self.CACHED)]
             assert not any(a.flags.writeable for a in arrays)
 
     def test_equality_and_serialization_ignore_the_cache(self, tmp_path):
@@ -677,8 +678,29 @@ class TestScenarioCache:
         np.testing.assert_array_equal(moved.steering, gscm._steering_tensor(moved))
         assert not np.array_equal(moved.steering, warm)
 
+    def test_replaced_heights_move_the_bs_and_the_delays(self):
+        # both follow the config, so a new height moves them on a fresh object
+        cfg = ScenarioConfig(num_users=6, rng_seed=4)
+        scen = generate_scenario(cfg)
+        delays = scen.delays
+        moved = replace(scen, config=replace(cfg, bs_height=20.0, ms_height=2.0))
+        oracle = generate_scenario_loop(moved.config)
+        np.testing.assert_array_equal(moved.bs_position, [0.0, 0.0, 20.0])
+        assert moved.delays.tobytes() == oracle.delays.tobytes()
+        assert np.all(moved.delays != delays)
 
-CLUSTER_KEYS = ("cluster_positions", "vr_centers", "delays", "shadow_gains")
+    def test_only_the_draws_are_fields(self):
+        scen = generate_scenario(ScenarioConfig(num_users=6, rng_seed=4))
+        assert [f.name for f in fields(scen)] == [
+            "config", "users", "cluster_positions", "vr_centers", "shadow_gains"]
+        for name in ("bs_position", "delays"):
+            with pytest.raises(AttributeError):
+                setattr(scen, name, np.zeros(3))
+            with pytest.raises(TypeError):
+                replace(scen, **{name: np.zeros(3)})
+
+
+CLUSTER_KEYS = ("cluster_positions", "vr_centers", "shadow_gains")
 
 
 class TestScenarioSerialization:
@@ -718,7 +740,7 @@ class TestScenarioSerialization:
         (("config", "num_users"), "3"),
         (("config", "cluster_height_range"), [5.0]),
         (("users",), "everywhere"),
-        (("delays", 0), None),
+        (("shadow_gains", 0), None),
         (("cluster_positions", 0), [1.0, "2", 3.0]),
     ])
     def test_wrongly_typed_value_rejected(self, path, value):
@@ -742,14 +764,13 @@ class TestScenarioSerialization:
          "vr_centers must have shape"),
         (lambda d: d.update(cluster_positions=[p[:2] for p in d["cluster_positions"]]),
          "cluster_positions must have shape"),
-        (lambda d: d.update(bs_position=[0.0, 0.0]), "bs_position must have"),
         (lambda d: d["config"].update(vr_radius=-5.0), "vr_radius must be positive"),
         (lambda d: d["config"].update(num_users=2), r"users must have shape \(2, 3\)"),
         (lambda d: d["config"].update(num_clusters=3),
          r"cluster_positions must have shape \(3, 3\)"),
         (lambda d: d.update({k: d[k][:1] for k in CLUSTER_KEYS}),
          r"cluster_positions must have shape \(2, 3\)"),
-    ], ids=["user-xy", "vr-center-3d", "position-2d", "bs-2d", "negative-vr-radius",
+    ], ids=["user-xy", "vr-center-3d", "position-2d", "negative-vr-radius",
             "fewer-users-in-config", "more-clusters-in-config", "missing-cluster"])
     def test_inconsistent_scenario_file_rejected(self, tmp_path, edit, message):
         # each of these used to load and then fail, if at all, deep in the
@@ -763,21 +784,17 @@ class TestScenarioSerialization:
             load_scenario(path)
 
     @pytest.mark.parametrize("path,value,message", [
-        (("delays", 1), math.nan, "delays must be finite and positive"),
-        (("delays", 0), 0.0, "delays must be finite and positive"),
         (("shadow_gains", 0), -3.0, "shadow_gains must be finite and positive"),
         (("shadow_gains", 1), math.inf, "shadow_gains must be finite and positive"),
         (("users", 2, 0), math.inf, "users must be finite"),
-        (("bs_position", 2), math.nan, "bs_position must be finite"),
         (("cluster_positions", 1, 2), -math.inf, "cluster_positions must be finite"),
         (("vr_centers", 0, 1), math.nan, "vr_centers must be finite"),
-    ], ids=["nan-delay", "zero-delay", "negative-shadow-gain", "infinite-shadow-gain",
-            "infinite-user-coordinate", "nan-bs-coordinate", "infinite-cluster-coordinate",
-            "nan-vr-centre-coordinate"])
+    ], ids=["negative-shadow-gain", "infinite-shadow-gain", "infinite-user-coordinate",
+            "infinite-cluster-coordinate", "nan-vr-centre-coordinate"])
     def test_nonfinite_or_nonpositive_value_rejected(self, tmp_path, path, value, message):
-        # a NaN delay or a negative shadow gain used to load, and then gave
-        # a NaN column of V and non-finite covariances; an infinite user
-        # coordinate failed later with a misleading attenuation error
+        # a negative shadow gain used to load, and then gave non-finite
+        # covariances; an infinite user coordinate failed later with a
+        # misleading attenuation error
         data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=6,
                                                                  num_clusters=2)))
         target = data
@@ -803,16 +820,48 @@ class TestScenarioSerialization:
         data["users"][path[1]][path[2]] = 1000.0 if path[2] < 2 else 1.5   # on the edge
         scenario_from_dict(data)
 
+    def test_user_inside_the_exclusion_disk_rejected(self):
+        # at the BS, d_bs_ms is 0 and V and H would raise GeometryError
+        cfg = ScenarioConfig(num_users=4, rng_seed=3, bs_height=1.5)
+        data = scenario_to_dict(generate_scenario(cfg))
+        data["users"][0] = [0.0, 0.0, 1.5]
+        with pytest.raises(ConfigurationError, match="outside the BS exclusion disk"):
+            scenario_from_dict(data)
+        data["users"][0] = [0.0, -100.0, 1.5]   # on the disk's edge
+        scenario_from_dict(data)
+
+    def test_every_generated_scenario_loads(self):
+        # 0.9 puts many users near the disk's edge
+        for seed in range(1, 21):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9))
+            assert scenario_from_dict(scenario_to_dict(scen)) == scen
+
+    @pytest.mark.parametrize("key", ["bs_position", "delays"])
+    def test_derived_key_rejected_as_unknown(self, key):
+        scen = generate_scenario(ScenarioConfig(num_users=4, rng_seed=3))
+        data = {**scenario_to_dict(scen), key: getattr(scen, key).tolist()}
+        with pytest.raises(ConfigurationError, match=f"unknown key.*scenario: {key}$"):
+            scenario_from_dict(data)
+
+    def test_version_2_file_rejected_naming_the_derived_keys(self):
+        scen = generate_scenario(ScenarioConfig(num_users=3, num_clusters=2))
+        data = {**scenario_to_dict(scen), "schema_version": 2,
+                "bs_position": scen.bs_position.tolist(), "delays": scen.delays.tolist()}
+        with pytest.raises(ConfigurationError,
+                           match="schema_version 2, expected 3.*bs_position and delays"):
+            scenario_from_dict(data)
+
     def test_version_1_file_rejected_naming_the_new_keys(self, tmp_path):
         scen = generate_scenario(ScenarioConfig(num_users=3, num_clusters=2))
         data = {k: v for k, v in scenario_to_dict(scen).items() if k not in CLUSTER_KEYS}
-        data.update(schema_version=1, clusters=[
+        data.update(schema_version=1, bs_position=scen.bs_position.tolist(), clusters=[
             {"position": p, "vr_center": v, "delay": d, "shadow_gain": g}
-            for p, v, d, g in zip(*(scenario_to_dict(scen)[k] for k in CLUSTER_KEYS))])
+            for p, v, d, g in zip(scen.cluster_positions.tolist(), scen.vr_centers.tolist(),
+                                  scen.delays.tolist(), scen.shadow_gains.tolist())])
         path = tmp_path / "old.yaml"
         path.write_text(yaml.safe_dump(data), encoding="utf-8")
         with pytest.raises(ConfigurationError, match="schema_version 1.*"
-                           + ".*".join(CLUSTER_KEYS)):
+                           + ".*".join(CLUSTER_KEYS) + ".*bs_position and delays"):
             load_scenario(path)
 
     def test_unreadable_scenario_file_rejected(self, tmp_path):
