@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -100,6 +99,11 @@ def _gwc_node(h_all: np.ndarray, q: np.ndarray, r_inv: np.ndarray, remaining):
     return c, resid, scored, rho2, x, gain
 
 
+# a candidate whose Frobenius bound on cond(H') is at most this needs no SVD:
+# 100x inside ZF_COND_LIMIT, so rounding cannot accept what the rule rejects
+_CERTIFIED_COND = 1e10
+
+
 def gwc_select_powers(h_all: np.ndarray, num_selected: int,
                       powers) -> tuple[ScheduleResult, ...]:
     """Full-CSI greedy baseline, one result per power in input order: start
@@ -119,11 +123,14 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     and the first that ``zf_weights``' condition rule accepts, applied to
     the tentative factor R'^-1 as cond(H') = cond(R') = cond(R'^-1), is
     added; a candidate in the span of the selected columns (rho^2 = 0) gets
-    no score. A step that cannot improve the objective still takes the best
-    available candidate, and no pick depends on how many picks follow. A
-    power left with no acceptable candidate gets a shorter result. C, E, X,
-    the gains and the condition tests run once per ordered prefix that some
-    power reaches, and there one (P, s, n) pass rates every power it serves.
+    no score. The rule runs as an SVD only where the bound
+    ||H'||_F ||R'^-1||_F >= cond(H') exceeds 1e10 or is not finite, at most
+    once per candidate of a prefix. A step that cannot improve the
+    objective still takes the best available candidate, and no pick depends
+    on how many picks follow. A power left with no acceptable candidate
+    gets a shorter result. C, E, X, the gains and the condition tests run
+    once per ordered prefix that some power reaches, and there one
+    (P, s, n) pass rates every power it serves.
     """
     h_all = np.asarray(h_all)
     m, k = h_all.shape
@@ -141,17 +148,15 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
                                 (-1, 2)).T[:, :, None]   # (P, 1) each
 
     # depth first: a child writes only its own column of the factors, so
-    # siblings share them uncopied
-    def walk(s: int, remaining: np.ndarray, group: list[int]) -> None:
+    # siblings share them uncopied; fro2 is the prefix's ||H_S||_F^2
+    def walk(s: int, remaining: np.ndarray, group: list[int], fro2: float) -> None:
         q, r_inv = q_all[:, :s], r_inv_all[:s, :s]
         c, resid, scored, rho2, x, gain = _gwc_node(h_all, q, r_inv, remaining)
-
-        @cache
-        def acceptable(j) -> bool:
-            rho = math.sqrt(rho2[j])   # R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
-            r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
-            sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
-            return not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
+        # cond(R') <= ||R'||_F ||R'^-1||_F with ||R'||_F = ||H'||_F; None marks
+        # a candidate whose SVD rule has not run yet
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound2 = (fro2 + norms[remaining[scored]] ** 2) * (gain.sum(axis=0) + 1.0 / rho2)
+        accepted = [True if ok else None for ok in (bound2 <= _CERTIFIED_COND ** 2).tolist()]
 
         # (P, s, n) rates of every power of the group, then one visiting order each
         p, p_n = totals[group] / (s + 1), noises[group]
@@ -161,11 +166,17 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
         order = np.argsort(-key, axis=-1, kind="stable").tolist()
         children: dict[int, list[int]] = {}
         for i, row, visit in zip(group, rates.tolist(), order if s else [order] * len(group)):
-            j = next((j for j in visit if acceptable(j)), None)
-            if j is not None:
-                found[i][0].append(int(remaining[scored[j]]))
-                found[i][1].append(row[j])
-                children.setdefault(scored[j], []).append(i)
+            for j in visit:
+                if accepted[j] is None:   # on R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
+                    rho = math.sqrt(rho2[j])
+                    r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
+                    sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
+                    accepted[j] = not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
+                if accepted[j]:
+                    found[i][0].append(int(remaining[scored[j]]))
+                    found[i][1].append(row[j])
+                    children.setdefault(scored[j], []).append(i)
+                    break
         for w, sub in children.items() if s + 1 < num_selected else ():
             # append the winner's column, re-orthogonalized once against Q
             delta = q.conj().T @ resid[:, w]
@@ -174,9 +185,10 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
             q_all[:, s] = e / rho
             r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
             r_inv_all[s, s] = 1.0 / rho
-            walk(s + 1, np.concatenate((remaining[:w], remaining[w + 1:])), sub)
+            walk(s + 1, np.concatenate((remaining[:w], remaining[w + 1:])), sub,
+                 fro2 + norms[remaining[w]] ** 2)
 
-    walk(0, np.arange(k), list(range(len(powers))))
+    walk(0, np.arange(k), list(range(len(powers))), 0.0)
     return tuple(ScheduleResult(tuple(sel), tuple(sc), "GWC") for sel, sc in found)
 
 

@@ -332,6 +332,14 @@ def assert_matches_oracle(h, num_selected, power):
     np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-9, atol=0)
 
 
+# Column 1 is off the span of column 0 (rho^2 = 1e-26 > 0) and outscores
+# column 2, but [h0 h1] has condition number 1e13. Column 2 is nearly
+# parallel to column 0 (condition number about 2e10) and is the one
+# zero-forcing accepts.
+NEAR_COLLINEAR = np.array([[1.0, 0.0, 0.999], [0.0, 1e-13, 1e-10]], dtype=complex)
+NEAR_COLLINEAR_POWER = PowerConfig(2e4, 2, 1.0)
+
+
 class TestGwcSelect:
     def test_single_slot_max_column_norm(self):
         rng = np.random.default_rng(3)
@@ -407,12 +415,7 @@ class TestGwcSelect:
         assert result.selected == (1,) and len(result.per_step_scores) == 1
 
     def test_near_collinear_candidate_skipped_like_zf_weights(self):
-        # Column 1 is off the span of column 0 (rho^2 = 1e-26 > 0) and
-        # outscores column 2, but [h0 h1] has condition number 1e13.
-        # Column 2 is nearly parallel to column 0 (condition number about
-        # 2e10) and is the one zero-forcing accepts.
-        h = np.array([[1.0, 0.0, 0.999], [0.0, 1e-13, 1e-10]], dtype=complex)
-        power = PowerConfig(2e4, 2, 1.0)
+        h, power = NEAR_COLLINEAR, NEAR_COLLINEAR_POWER
         with pytest.raises(RankDeficiencyError):
             zf_weights(h[:, [0, 1]])
         h_02 = h[:, [0, 2]]
@@ -535,6 +538,61 @@ class TestGwcSelectPowers:
                     for s in range(min(len(r.selected) + 1, num_selected))}
         assert sorted(depths) == sorted(map(len, prefixes))
         assert len(depths) < num_selected * len(powers)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrix of each ``np.linalg.svd`` call, in order; read it before
+    an oracle runs, since the oracles take SVDs too."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestConditionCertificate:
+    """A candidate whose bound ||H'||_F ||R'^-1||_F on cond(H') is at most
+    1e10 is accepted without an SVD; any other runs the condition rule."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_no_svd_on_desk_channels(self, svd_calls, seed):
+        gwc_select_powers(desk_channel(seed), 10, desk_powers(ExperimentConfig().powers_dbm))
+        assert len(svd_calls) == 0
+
+    @pytest.mark.parametrize("h,num_selected,powers", [
+        (near_planar_pool(1807, 3, 6), 3, desk_powers(range(-40, 91, 5), 3, 1e-3)),
+        (NEAR_COLLINEAR, 2, [NEAR_COLLINEAR_POWER]),
+    ], ids=["near-planar", "near-collinear"])
+    def test_ill_conditioned_candidates_take_the_svd(self, svd_calls, h, num_selected,
+                                                      powers):
+        gwc_select_powers(h, num_selected, powers)
+        assert len(svd_calls) >= 1
+        assert_matches_single(h, num_selected, powers)
+
+    def test_infinite_bound_takes_the_svd(self, svd_calls):
+        # column 1's rho^2 = 1e-320 > 0 makes 1 / rho^2 overflow; its
+        # condition number 1e160 fails the rule, so the result stops at one
+        h = np.array([[1.0, 0.0], [0.0, 1e-160]], dtype=complex)
+        power = PowerConfig(1.0, 2, 1e-2)
+        result, = gwc_select_powers(h, 2, [power])
+        assert [a.shape for a in svd_calls] == [(2, 2)]
+        assert result.selected == (0,)
+        assert_matches_single(h, 2, [power])
+
+    def test_nan_bound_takes_the_svd(self, svd_calls):
+        # column 0's squared norm overflows, so its bound is inf * 0: the
+        # SVD of R'^-1 = [[0]] rejects it and column 1 is picked
+        h = np.array([[1e155, 1.0], [0.0, 1.0]], dtype=complex)
+        power = PowerConfig(1.0, 1, 1e-2)
+        with np.errstate(over="ignore"):
+            result, = gwc_select_powers(h, 1, [power])
+            assert [a.tolist() for a in svd_calls] == [[[0j]]]
+            assert result.selected == (1,)
+            assert_matches_single(h, 1, [power])
 
 
 class TestGreedyPrefixes:
