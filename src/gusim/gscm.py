@@ -467,7 +467,10 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
     normals = _fading_normals_batch(scenario, np.repeat(selected, n_c),
                                     np.tile(np.arange(n_c), k_s)).reshape(k_s, n_c, 2 * n_p)
     fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
-    h = np.einsum("kjp,jpm->mk", gains[..., None] * fading, scenario.steering)
+    # one (1, N_C N_p) @ (N_C N_p, M) product per user: a single 2-D product
+    # over the set would let BLAS blocking tie a column's last bits to K_s
+    h = ((gains[..., None] * fading).reshape(k_s, 1, n_c * n_p)
+         @ scenario.steering.reshape(n_c * n_p, -1))[:, 0].T
     if not np.all(np.isfinite(h)):
         raise ConfigurationError("channel matrix contains non-finite entries")
     return ChannelMatrix(entries=h)

@@ -220,6 +220,20 @@ def einsum_covariances(scen, selected) -> np.ndarray:
     return np.einsum("kj,jmn->kmn", power, gram)
 
 
+def einsum_channel(scen, users) -> np.ndarray:
+    """Oracle for ``gscm.channel_matrix``: the MPC gains of the whole set
+    against the steering tensor in one einsum, with the large-scale gains
+    and the steering rebuilt from the scenario and the fading taken from
+    ``gscm._fading_normals_batch``."""
+    users = list(users)
+    gains = gscm.large_scale_gains(scen)[users]
+    (k_s, n_c), n_p = gains.shape, scen.config.mpcs_per_cluster
+    normals = gscm._fading_normals_batch(scen, np.repeat(users, n_c),
+                                         np.tile(np.arange(n_c), k_s)).reshape(k_s, n_c, -1)
+    fading = (normals[..., :n_p] + 1j * normals[..., n_p:]) / math.sqrt(2.0 * n_p)
+    return np.einsum("kjp,jpm->mk", gains[..., None] * fading, gscm._steering_tensor(scen))
+
+
 def sum_rate_loop(h, w, power, mode="physical") -> float:
     """Oracle for ``rx.sum_rate``: the SINR of each user in turn under the
     (K_s, M) weights ``w``."""

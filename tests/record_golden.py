@@ -7,6 +7,9 @@ Record the table (after a change that is meant to move an output):
 
     PYTHONPATH=src python tests/record_golden.py
 
+It prints each entry and hash kind that moved against the table it
+replaces, and each entry added or removed.
+
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
 on Python, numpy, its BLAS, the CPU features numpy dispatches on and, for
 the scenario file, PyYAML, so the test skips on any other environment.
@@ -14,6 +17,7 @@ the scenario file, PyYAML, so the test skips on any other environment.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import platform
@@ -99,8 +103,27 @@ def entry_hashes(name: str, seed: int) -> dict:
                 "trial_rows": None if rows is None else _sha256(rows_text(rows).encode())}
 
 
+def table_changes(old: dict, new: dict) -> list[str]:
+    """One line per entry added or removed and per (entry, hash kind) whose
+    hash moved from table ``old`` to table ``new``, in ``new``'s order."""
+    before, after, env = old.get("entries", {}), new["entries"], old.get("environment", {})
+    lines = [f"environment {key}: {env.get(key)!r} -> {value!r}"
+             for key, value in new["environment"].items() if env.get(key) != value]
+    for entry, hashes in after.items():
+        if entry not in before:
+            lines.append(f"added {entry}")
+            continue
+        lines += [f"changed {entry} {kind}" for kind in hashes
+                  if hashes[kind] != before[entry].get(kind)]
+    return lines + [f"removed {entry}" for entry in before if entry not in after]
+
+
 if __name__ == "__main__":
-    table = {"environment": environment(),
-             "entries": {f"{name}@{seed}": entry_hashes(name, seed) for name, seed in ENTRIES}}
+    with contextlib.redirect_stdout(sys.stderr):   # the sweeps report their files
+        table = {"environment": environment(), "entries": {
+            f"{name}@{seed}": entry_hashes(name, seed) for name, seed in ENTRIES}}
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else {}
+    for line in table_changes(old, table) or ["no hash changed"]:
+        print(line)
     TABLE.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(table['entries'])} entries to {TABLE}", file=sys.stderr)

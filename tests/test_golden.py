@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from record_golden import ENTRIES, TABLE, entry_hashes, environment
+from record_golden import ENTRIES, TABLE, entry_hashes, environment, table_changes
 
 GOLDEN = json.loads(TABLE.read_text(encoding="utf-8"))
 
@@ -29,3 +29,13 @@ def test_table_covers_every_config():
 @pytest.mark.parametrize("name,seed", ENTRIES, ids=[f"{n}@{s}" for n, s in ENTRIES])
 def test_outputs_match_golden_hashes(same_environment, name, seed):
     assert entry_hashes(name, seed) == GOLDEN["entries"][f"{name}@{seed}"]
+
+
+def test_recorder_names_every_moved_hash():
+    old = {"environment": {"numpy": "1"},
+           "entries": {"a@1": {"csv": "x", "manifest": "y"}, "gone@1": {"yaml": "z"}}}
+    new = {"environment": {"numpy": "2"},
+           "entries": {"a@1": {"csv": "x", "manifest": "w"}, "new@7": {"yaml": "z"}}}
+    assert table_changes(old, new) == ["environment numpy: '1' -> '2'",
+                                       "changed a@1 manifest", "added new@7", "removed gone@1"]
+    assert table_changes(GOLDEN, GOLDEN) == []

@@ -14,8 +14,9 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         path_loss_nlos, save_scenario, scenario_from_dict,
                         scenario_to_dict, vr_gain)
-from conftest import (channel_covariance, cluster_azimuths, einsum_covariances,
-                      generate_scenario_loop, make_scenario, scalar_gain, steering_vector)
+from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
+                      einsum_covariances, generate_scenario_loop, make_scenario,
+                      scalar_gain, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -437,6 +438,16 @@ class TestChannelMatrix:
                 subset = rng.permutation(scen.num_users)[:size]
                 np.testing.assert_array_equal(channel_matrix(scen, subset).entries,
                                               h[:, subset])
+
+    @pytest.mark.parametrize("seed", [1, 7, 1001])
+    def test_matches_the_einsum_form(self, seed):
+        # the one-einsum synthesis that the per-user products replaced
+        scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+        rng = np.random.default_rng(seed)
+        for size in range(1, scen.num_users + 1):
+            users = rng.permutation(scen.num_users)[:size]
+            np.testing.assert_allclose(channel_matrix(scen, users).entries,
+                                       einsum_channel(scen, users), rtol=1e-12, atol=0)
 
     def test_empty_selection_rejected(self, small_scenario):
         with pytest.raises(ConfigurationError):
