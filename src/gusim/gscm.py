@@ -156,11 +156,10 @@ class Scenario:
         return _read_only(_steering_tensor(self))
 
     @cached_property
-    def cluster_grams(self) -> np.ndarray:
-        """(N_C, M*M) steering Grams (1/N_p) sum_p a(phi_jp) a(phi_jp)^H."""
-        steer = self.steering
-        gram = (steer.transpose(0, 2, 1) / self.config.mpcs_per_cluster) @ steer.conj()
-        return _read_only(gram.reshape(len(steer), -1))
+    def cluster_lags(self) -> np.ndarray:
+        """(N_C, M) lags g_j[d] = (1/N_p) sum_p exp(j*alpha*d*sin(phi_jp)) of
+        the steering Grams: G_j[m, n] = g_j[m - n], g_j[-d] = conj(g_j[d])."""
+        return _read_only(self.steering.mean(axis=1))
 
     @cached_property
     def channel_gains(self) -> np.ndarray:
@@ -318,7 +317,6 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
 _PCG64_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
-_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 2**128)
 
 
 def _seed_hash(words: np.ndarray, steps, init: int, mult: int) -> np.ndarray:
@@ -354,14 +352,6 @@ def _set_pcg64(gen: np.random.Generator, state: int, inc: int) -> np.random.Gene
     return gen
 
 
-def _set_next_word(gen: np.random.Generator, word: int, then=None) -> np.random.Generator:
-    """``gen`` set so that its next PCG64 outputs are ``word``, then ``then``
-    of the other parity (0 or 1 by default): a state with a zero high half
-    outputs its low half, and inc = then - word * MULT is odd."""
-    inc = (1 - (word & 1) if then is None else then) - word * _PCG64_MULT & _MASK128
-    return _set_pcg64(gen, (word - inc) * _PCG64_MULT_INV & _MASK128, inc)
-
-
 @cache
 def _pcg64_jumps(n_draws: int) -> np.ndarray:
     """(4, n_draws) uint64 (hi, lo) halves of a = MULT^(t+1) and
@@ -389,11 +379,20 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     +-rabs wi[idx] (idx = w & 0xff, sign bit 8, rabs = bits 9-60), accepted
     at once if rabs < ki[idx]. So the word with rabs = 1 draws wi[idx]; at
     layer 1 the wedge test then takes the uniform 0, which accepts."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    # a state per pair of layers, but layer 1's wedge test reads the next word
-    layers = [(0,), (1,), *zip(range(2, 256, 2), range(3, 256, 2))]
-    wi = np.concatenate([_set_next_word(gen, *(1 << 9 | i for i in pair))
-                         .standard_normal(len(pair)) for pair in layers])
+    # MT19937 at pos 0 outputs its key words tempered, untwisted, and numpy's
+    # uint64 is first << 32 | second: word 1 << 9 | i for layer i, and two
+    # zero words (the uniform 0) after layer 1's; untempered, they are the key
+    out = np.zeros(624, np.uint32)
+    out[[1, 3]], out[7:514:2] = (1 << 9, 1 << 9 | 1), 1 << 9 | np.arange(2, 256)
+    y = out ^ out >> 18   # each step below undoes one of MT19937's tempering steps
+    y ^= y << 15 & 0xEFC60000
+    key = y
+    for _ in range(4):   # the << 7 step, seven more low bits per pass
+        key = y ^ key << 7 & 0x9D2C5680
+    gen = np.random.Generator(np.random.MT19937(0))
+    gen.bit_generator.state = {"bit_generator": "MT19937",
+                               "state": {"key": key ^ key >> 11 ^ key >> 22, "pos": 0}}
+    wi = gen.standard_normal(256)
     thresholds = np.floor(2.0**52 * np.roll(wi, 1) / wi).astype(np.uint64)
     thresholds[1] = 0
     return _read_only(wi), _read_only(thresholds)
@@ -480,15 +479,20 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
     """Exact fading covariances E{h_k h_k^H} of the selected users' columns
     of ``channel_matrix``, shape (K_s, M, M), over the fading draw.
 
-    Each MPC gain has variance f_kj^2 / N_p, so R_k = sum_j f_kj^2 G_j
-    over every cluster j, G_j its steering Gram (``Scenario.cluster_grams``).
+    Each MPC gain has variance f_kj^2 / N_p, so R_k = sum_j f_kj^2 G_j over
+    every cluster j, G_j its steering Gram. At a uniform linear array G_j is
+    Hermitian Toeplitz, so R_k[a, b] = r_k[a - b], r_k = sum_j f_kj^2 g_j
+    with g_j the lags ``Scenario.cluster_lags``.
     """
     selected = _check_selected(scenario, selected)
-    grams = scenario.cluster_grams.view(float)   # real and imaginary parts
     m = scenario.config.antenna_count
-    # one product per user, so that R_k does not depend on the rest of the set
-    return np.stack([p @ grams for p in scenario.channel_gains[selected] ** 2]
-                    ).view(complex).reshape(-1, m, m)
+    # one (1, N_C) @ (N_C, 2M) product per user, so that R_k does not depend
+    # on the rest of the set; the lags' real and imaginary parts side by side
+    lags = (scenario.channel_gains[selected, None] ** 2
+            @ scenario.cluster_lags.view(float))[:, 0].view(complex)
+    # R_k[a, b] is entry M - 1 + a - b of [conj(r_k[M-1..1]), r_k[0..M-1]]
+    both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
+    return both[:, m - 1 + np.arange(m)[:, None] - np.arange(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
     if not np.allclose(gram, np.diag(energy), rtol=0.0, atol=1e-9 * energy.max()):
         raise ConfigurationError("per-user MMSE needs mutually orthogonal pilots")
     z = (received @ pilots.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
-    inner = covariances + (noise_variance / energy)[:, None, None] * np.eye(m)
+    inner = covariances.astype(np.result_type(covariances, float))   # R_k + s_k I
+    inner.reshape(k_s, -1)[:, ::m + 1] += (noise_variance / energy)[:, None]
     try:
         sol = np.linalg.solve(inner, z)
     except np.linalg.LinAlgError as exc:

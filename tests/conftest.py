@@ -234,6 +234,16 @@ def einsum_channel(scen, users) -> np.ndarray:
     return np.einsum("kjp,jpm->mk", gains[..., None] * fading, gscm._steering_tensor(scen))
 
 
+def set_next_word(gen: np.random.Generator, word: int, then=None) -> np.random.Generator:
+    """``gen`` (a PCG64 generator) set so that its next outputs are ``word``,
+    then ``then`` of the other parity (0 or 1 by default): a state with a
+    zero high half outputs its low half, and inc = then - word * MULT is odd.
+    The layer-by-layer oracle of ``gscm._ziggurat``'s table."""
+    mult, mask = gscm._PCG64_MULT, gscm._MASK128
+    inc = (1 - (word & 1) if then is None else then) - word * mult & mask
+    return gscm._set_pcg64(gen, (word - inc) * pow(mult, -1, 2**128) & mask, inc)
+
+
 def sum_rate_loop(h, w, power, mode="physical") -> float:
     """Oracle for ``rx.sum_rate``: the SINR of each user in turn under the
     (K_s, M) weights ``w``."""

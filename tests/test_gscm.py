@@ -16,7 +16,7 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         scenario_to_dict, vr_gain)
 from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
                       einsum_covariances, generate_scenario_loop, make_scenario,
-                      scalar_gain, steering_vector)
+                      scalar_gain, set_next_word, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -543,15 +543,15 @@ class TestZigguratKernel:
         # least rabs whose draw consumes more than one word
         gen = np.random.Generator(np.random.PCG64(0))
         for word in (0, 1 << 9 | 1, 0x0123_4567_89AB_CDEF, 2**64 - 1):
-            raw = gscm._set_next_word(gen, word).bit_generator.random_raw(2).tolist()
+            raw = set_next_word(gen, word).bit_generator.random_raw(2).tolist()
             assert raw in ([word, 0], [word, 1])
         wi, ki = np.empty(256), np.empty(256, np.uint64)
         for layer in range(256):
-            wi[layer] = gscm._set_next_word(gen, 1 << 9 | layer).standard_normal()
+            wi[layer] = set_next_word(gen, 1 << 9 | layer).standard_normal()
             lo, hi = 0, 2**52
             while lo < hi:
                 mid = (lo + hi) // 2
-                gscm._set_next_word(gen, mid << 9 | layer).standard_normal()
+                set_next_word(gen, mid << 9 | layer).standard_normal()
                 if gen.bit_generator.state["state"]["state"] == mid << 9 | layer:
                     lo = mid + 1   # one word consumed: the fast path accepted
                 else:
@@ -624,6 +624,27 @@ class TestChannelCovariances:
         assert np.all(np.linalg.eigvalsh(r) > -1e-12 * np.abs(r).max())
         np.testing.assert_array_equal(r[0], channel_covariances(scen, [3])[0])
 
+    def test_exactly_hermitian_toeplitz(self):
+        # R_k[m, n] = r_k[m - n] at a uniform linear array: every diagonal
+        # holds one value bit for bit, R_k == R_k^H and the diagonal is real
+        for seed in range(1, 21):
+            r = channel_covariances(generate_scenario(ScenarioConfig(rng_seed=seed)), range(40))
+            m = r.shape[1]
+            for d in range(1 - m, m):
+                diagonal = np.diagonal(r, offset=d, axis1=1, axis2=2)
+                assert np.all(diagonal == diagonal[:, :1])
+            assert np.all(r == r.conj().transpose(0, 2, 1))
+            assert np.all(np.diagonal(r, axis1=1, axis2=2).imag == 0)
+
+    @pytest.mark.parametrize("antennas", [1, 2, 64])
+    def test_matches_einsum_oracle_at_any_array_size(self, antennas):
+        # M = 1 has no lag but r_k[0], so the conjugate half is empty
+        scen = generate_scenario(ScenarioConfig(rng_seed=3, antenna_count=antennas))
+        got, want = channel_covariances(scen, range(40)), einsum_covariances(scen, range(40))
+        assert got.shape == (40, antennas, antennas)
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+
     def test_far_cluster_adds_its_tail_term(self):
         # the user stands 10 km from the first VR centre and 300 km from the
         # second, whose VR gain (~6.5e-7) is small but not zero: every
@@ -650,7 +671,7 @@ class TestChannelCovariances:
 
 
 class TestScenarioCache:
-    CACHED = {"bs_position", "delays", "steering", "cluster_grams", "channel_gains"}
+    CACHED = {"bs_position", "delays", "steering", "cluster_lags", "channel_gains"}
 
     def test_covariances_match_einsum_oracle(self):
         for seed in range(1, 21):

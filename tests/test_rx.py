@@ -181,6 +181,18 @@ class TestMmseEstimatePerUser:
             mmse_estimate_per_user(np.zeros((2, 3)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
 
+    def test_covariances_left_unmodified(self):
+        # R_k + s_k I is built in a copy, so the caller's R_k keep their bits
+        rng = np.random.default_rng(11)
+        m, k = 5, 3
+        r = random_covariances(rng, k, m, m)
+        before = r.copy()
+        y = random_channel(rng, m, k)
+        est = mmse_estimate_per_user(y, unitary_pilots(k), 0.3, r)
+        assert r.tobytes() == before.tobytes()
+        r.setflags(write=False)
+        np.testing.assert_array_equal(mmse_estimate_per_user(y, unitary_pilots(k), 0.3, r), est)
+
     def test_singular_inner_matrix_reported(self):
         with pytest.raises(RankDeficiencyError):
             mmse_estimate_per_user(np.zeros((1, 1)), np.ones((1, 1), dtype=complex), 0.0,
