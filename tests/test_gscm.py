@@ -636,9 +636,10 @@ class TestChannelCovariances:
             assert np.all(r == r.conj().transpose(0, 2, 1))
             assert np.all(np.diagonal(r, axis1=1, axis2=2).imag == 0)
 
-    @pytest.mark.parametrize("antennas", [1, 2, 64])
-    def test_matches_einsum_oracle_at_any_array_size(self, antennas):
-        # M = 1 has no lag but r_k[0], so the conjugate half is empty
+    @pytest.mark.parametrize("antennas", [1, 2])
+    def test_matches_einsum_oracle_on_small_arrays(self, antennas):
+        # M = 1 has no lag but r_k[0], so the conjugate half is empty; the
+        # default M = 64 is TestScenarioCache::test_covariances_match_einsum_oracle
         scen = generate_scenario(ScenarioConfig(rng_seed=3, antenna_count=antennas))
         got, want = channel_covariances(scen, range(40)), einsum_covariances(scen, range(40))
         assert got.shape == (40, antennas, antennas)
