@@ -20,7 +20,7 @@ import numpy as np
 from . import gscm
 from .errors import ConfigurationError, GeometryError
 from .gscm import SPEED_OF_LIGHT, Scenario
-from .plain import check_fields, checked
+from .plain import _is_integer, check_fields, checked
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,13 @@ class PerturbedGeometry:
     fallbacks: np.ndarray           # (n_omega, N_C) bool: kept unperturbed (infeasible geometry)
 
 
-def field_pattern(phi: float) -> float:
+def field_pattern(phi):
     """Sounder antenna electric field pattern, a cubic in the azimuth.
 
     The published polynomial carries two cubic terms, 5.7 phi^3 and
     -1.71 phi^3; they are summed into the net coefficient 3.99.
     """
     return 0.67 + 2.67 * phi - 6.79 * phi**2 + 3.99 * phi**3
-
-
-def output_snr(params: CrlbParams, phi: float) -> float:
-    """Post-processing SNR: M * I * N_c * |f(phi)|^2 * input SNR."""
-    params.validate()
-    f = field_pattern(phi)
-    return params.num_antennas * params.signal_periods * params.pn_length \
-        * f * f * params.input_snr
 
 
 def array_angle_factor(sensors_per_axis: int, d_over_lambda: float) -> float:
@@ -75,41 +67,38 @@ def array_angle_factor(sensors_per_axis: int, d_over_lambda: float) -> float:
     return 4.0 * math.pi**2 * d_over_lambda**2 * poly
 
 
-def crlb_delay(gamma_o: float, bandwidth: float) -> float:
+def crlb_delay(gamma_o, bandwidth: float):
     """Delay estimation variance bound 1 / (gamma_o * 8 pi^2 * BW)."""
-    if gamma_o <= 0 or bandwidth <= 0:
+    if np.any(gamma_o <= 0) or bandwidth <= 0:
         raise ConfigurationError("gamma_o and bandwidth must be positive")
     return 1.0 / (gamma_o * 8.0 * math.pi**2 * bandwidth)
 
 
-def crlb_angles(gamma_o: float, num_antennas: int, delta: float,
-                theta: float) -> tuple[float, float]:
-    """Elevation and azimuth variance bounds (in that order).
+def crlb(params: CrlbParams, phi, theta) -> tuple:
+    """(delay, elevation, azimuth) estimation variance bounds for paths
+    arriving at azimuth ``phi`` and elevation ``theta``, which broadcast
+    together; each bound has their broadcast shape.
 
-    Returns infinities when the array factor ``delta`` vanishes (single
-    sensor per axis). Elevation at +-pi/2 is singular.
+    The output SNR is M * I * N_c * |f(phi)|^2 * input SNR. The angle
+    bounds are infinite for a single sensor per axis, at any elevation;
+    otherwise every elevation must have |theta| < pi/2.
     """
-    if gamma_o <= 0:
-        raise ConfigurationError("gamma_o must be positive")
-    if delta == 0.0:
-        return math.inf, math.inf
-    cos_t = math.cos(theta)
-    if abs(cos_t) < 1e-12:
-        raise GeometryError("elevation bound is singular at theta = pi/2")
-    if cos_t < 0:
-        raise GeometryError("elevation bound requires |theta| < pi/2")
-    bound_phi = num_antennas / (gamma_o * 2.0 * delta)
-    bound_theta = num_antennas / (gamma_o * 2.0 * delta * cos_t)
-    return bound_theta, bound_phi
-
-
-def crlb(params: CrlbParams, phi: float, theta: float) -> tuple[float, float, float]:
-    """(delay, elevation, azimuth) estimation variance bounds for a path
-    arriving at azimuth ``phi`` and elevation ``theta``."""
-    gamma_o = output_snr(params, phi)   # validates params
-    delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
+    params.validate()
+    phi, theta = np.broadcast_arrays(phi, theta)
+    f = field_pattern(phi)
+    gamma_o = params.num_antennas * params.signal_periods * params.pn_length \
+        * f * f * params.input_snr
     bound_tau = crlb_delay(gamma_o, params.bandwidth)
-    bound_theta, bound_phi = crlb_angles(gamma_o, params.num_antennas, delta, theta)
+    delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
+    if delta == 0.0:
+        return bound_tau, *np.full((2, *phi.shape), math.inf)
+    cos_t = np.cos(theta)
+    if np.any(np.abs(cos_t) < 1e-12):
+        raise GeometryError("elevation bound is singular at theta = pi/2")
+    if np.any(cos_t < 0):
+        raise GeometryError("elevation bound requires |theta| < pi/2")
+    bound_phi = params.num_antennas / (gamma_o * 2.0 * delta)
+    bound_theta = params.num_antennas / (gamma_o * 2.0 * delta * cos_t)
     return bound_tau, bound_theta, bound_phi
 
 
@@ -166,13 +155,12 @@ def solve_cluster_distance(tau: float, elevation: float, azimuth: float,
     return float(d_bs_c), r - float(d_bs_c)
 
 
-def cluster_observables(scenario: Scenario, cluster: int) -> tuple[float, float, float]:
-    """(delay, elevation, global azimuth) of a cluster as seen by the BS."""
-    dvec = scenario.cluster_positions[cluster] - scenario.bs_position
-    d = float(np.linalg.norm(dvec))
-    elevation = math.asin(dvec[2] / d)
-    azimuth = math.atan2(dvec[1], dvec[0])
-    return float(scenario.delays[cluster]), elevation, azimuth
+def cluster_observables(scenario: Scenario) -> np.ndarray:
+    """(3, N_C) delay, elevation and global azimuth of every cluster as
+    seen by the BS."""
+    x, y, z = (scenario.cluster_positions - scenario.bs_position).T
+    return np.array([scenario.delays, np.arcsin(z / np.sqrt(x * x + y * y + z * z)),
+                     np.arctan2(y, x)])
 
 
 def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
@@ -189,8 +177,9 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     ellipse inversion run on (omega, cluster) arrays; the rest does not
     depend on omega.
     """
-    if any(o < 0 for o in omegas):
-        raise ConfigurationError("omega must be a nonnegative integer")
+    omegas = tuple(omegas)
+    if not omegas or not all(_is_integer(o) and o >= 0 for o in omegas):
+        raise ConfigurationError(f"omegas must be nonempty nonnegative integers, got {omegas!r}")
     n_w, n_c = len(omegas), scenario.num_clusters
     positions, vr_centers, delays = (scenario.cluster_positions, scenario.vr_centers,
                                      scenario.delays)
@@ -199,27 +188,26 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     new_vr_centers = np.repeat(vr_centers[None], n_w, axis=0)
     new_delays = np.repeat(delays[None], n_w, axis=0)
     fallbacks = np.zeros((n_w, n_c), dtype=bool)
-    live = np.array([o > 0 for o in omegas], dtype=bool)
+    scale = np.array(omegas, dtype=float)
+    live = scale > 0
     if live.any():
         cfg, bs = scenario.config, scenario.bs_position
         rng = gscm._stream(cfg.rng_seed, gscm._STREAM_PERTURB)
         signs = rng.choice([-1.0, 1.0], size=(n_c, 3)).T
-        observed = [cluster_observables(scenario, j) for j in range(n_c)]
-        bounds = np.array([crlb(params, az, el) for _, el, az in observed]).T
-        scale = np.array([o for o in omegas if o > 0], dtype=float)[:, None, None]
+        observed = cluster_observables(scenario)
+        bounds = np.array(crlb(params, observed[2], observed[1]))
         # the angle bounds are infinite for a single sensor per axis
-        steps[live] = np.where(np.isfinite(bounds), signs * scale * np.sqrt(bounds), 0.0)
-        tau, el, az = np.array(observed).T[:, None] + steps[live].transpose(1, 0, 2)
+        steps[live] = np.where(np.isfinite(bounds),
+                               signs * scale[live, None, None] * np.sqrt(bounds), 0.0)
+        tau, el, az = observed[:, None] + steps[live].transpose(1, 0, 2)
 
         # the ellipse is anchored at the VR centre, which moves with the cluster
-        vr_vec = vr_centers - bs[:2]
-        d_bs_vr = np.array([float(np.linalg.norm(v)) for v in vr_vec])
-        az_vr = np.array([math.atan2(v[1], v[0]) for v in vr_vec])
-        dh = cfg.bs_height - cfg.ms_height
+        x, y = (vr_centers - bs[:2]).T
+        d_bs_vr, dh = np.hypot(x, y), cfg.bs_height - cfg.ms_height
         se, ce = np.sin(el), np.cos(el)
         d_bs_c, failure = _ellipse_distance(
-            SPEED_OF_LIGHT * tau, se, ce, np.cos(az - az_vr), dh,
-            d_bs_vr, np.array([math.hypot(dh, d) for d in d_bs_vr]))
+            SPEED_OF_LIGHT * tau, se, ce, np.cos(az - np.arctan2(y, x)), dh,
+            d_bs_vr, np.hypot(dh, d_bs_vr))
         rebuilt = bs + d_bs_c[..., None] * np.stack(
             [ce * np.cos(az), ce * np.sin(az), se], axis=-1)
         # a nonpositive perturbed delay fails the first check; a cluster with

@@ -273,22 +273,32 @@ def correlation_metric(v_k, v_j) -> float:
     return min(1.0, float(abs(np.vdot(v_j, v_k))) / (nk * nj))
 
 
+def observe_cluster(scen, cluster):
+    """Oracle for one column of ``localization.cluster_observables``: the
+    (delay, elevation, global azimuth) of one cluster as seen by the BS, from
+    numpy's elementwise ``np.arcsin`` and ``np.arctan2`` on scalars."""
+    dx, dy, dz = scen.cluster_positions[cluster] - scen.bs_position
+    elevation = np.arcsin(dz / math.sqrt(dx * dx + dy * dy + dz * dz))
+    return scen.delays[cluster], elevation, np.arctan2(dy, dx)
+
+
 def rebuild_cluster(scen, cluster, tau, elevation, azimuth):
     """Oracle for one cluster of ``perturb_and_rebuild_omegas``: the rebuilt
     3D position and VR centre of a cluster measured at (delay, elevation,
     azimuth), from the scalar ``solve_cluster_distance``.
 
     The bounce distance comes from the ellipse inversion anchored at the
-    VR centre; the VR centre is translated together with the cluster.
+    VR centre; the VR centre is translated together with the cluster. The
+    VR centre's distance and azimuth from the BS are numpy's elementwise
+    ``np.hypot`` and ``np.arctan2`` on scalars.
     """
     cfg = scen.config
     bs = scen.bs_position
     vr_center = scen.vr_centers[cluster]
-    vr_vec = vr_center - bs[:2]
-    d_bs_vr = float(np.linalg.norm(vr_vec))
-    az_vr = math.atan2(vr_vec[1], vr_vec[0])
+    vr_x, vr_y = vr_center - bs[:2]
     d_bs_c, _ = localization.solve_cluster_distance(
-        tau, elevation, azimuth - az_vr, cfg.bs_height, cfg.ms_height, d_bs_vr)
+        tau, elevation, azimuth - np.arctan2(vr_y, vr_x), cfg.bs_height, cfg.ms_height,
+        np.hypot(vr_x, vr_y))
     position = bs + d_bs_c * np.array([
         math.cos(elevation) * math.cos(azimuth),
         math.cos(elevation) * math.sin(azimuth),

@@ -8,13 +8,13 @@ import gusim.scheduling
 from gusim import gscm, localization
 from gusim.errors import ConfigurationError, GeometryError
 from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
-from gusim.localization import (CrlbParams, array_angle_factor, crlb,
-                                crlb_angles, crlb_delay, cluster_observables,
-                                field_pattern, output_snr, perturb_and_rebuild_omegas,
-                                solve_cluster_distance)
+from gusim.localization import (CrlbParams, array_angle_factor, crlb, crlb_delay,
+                                cluster_observables, field_pattern,
+                                perturb_and_rebuild_omegas, solve_cluster_distance)
+from gusim.plain import check_fields
 from gusim.scheduling import build_v_matrix
 
-from conftest import (make_scenario, pathloss_amplitude, rebuild_cluster,
+from conftest import (make_scenario, observe_cluster, pathloss_amplitude, rebuild_cluster,
                       rebuild_cluster_column, reference_delay)
 
 
@@ -43,8 +43,9 @@ class TestCrlb:
 
     def test_single_sensor_axis_infinite_angles(self):
         assert array_angle_factor(1, 0.5) == pytest.approx(0.0, abs=1e-12)
-        theta, phi = crlb_angles(1.0, 4, 0.0, 0.0)
+        tau, theta, phi = crlb(CrlbParams(sensors_per_axis=1), 0.3, 0.0)
         assert math.isinf(theta) and math.isinf(phi)
+        assert tau == crlb(CrlbParams(), 0.3, 0.0)[0]
 
     def test_inverse_snr_scaling(self):
         p1 = CrlbParams(input_snr=10.0)
@@ -55,19 +56,78 @@ class TestCrlb:
             assert x / y == pytest.approx(10.0, rel=1e-12)
 
     def test_singular_elevation(self):
-        with pytest.raises(GeometryError):
-            crlb_angles(1.0, 4, 100.0, math.pi / 2)
+        with pytest.raises(GeometryError, match="singular"):
+            crlb(CrlbParams(), 0.2, math.pi / 2)
 
     def test_output_snr_composition(self):
+        # each bound through the output SNR
+        # gamma_o = M * I * N_c * |f(phi)|^2 * input SNR
         p = CrlbParams(num_antennas=8, signal_periods=2, pn_length=31,
-                       input_snr=5.0)
+                       input_snr=5.0, bandwidth=1e6)
         f = field_pattern(0.4)
-        assert output_snr(p, 0.4) == pytest.approx(8 * 2 * 31 * f * f * 5.0,
-                                                   rel=1e-12)
+        gamma_o = 8 * 2 * 31 * f * f * 5.0
+        delta = array_angle_factor(5, 0.5)
+        expected = (1.0 / (gamma_o * 8 * math.pi**2 * 1e6),
+                    8 / (gamma_o * 2 * delta * math.cos(0.3)), 8 / (gamma_o * 2 * delta))
+        for bound, value in zip(crlb(p, 0.4, 0.3), expected):
+            assert bound == pytest.approx(value, rel=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
             CrlbParams(input_snr=0.0).validate()
+
+
+class TestArrayContract:
+    """``crlb`` and ``cluster_observables`` on arrays are their elementwise
+    scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("params", [CrlbParams(), CrlbParams(sensors_per_axis=1)],
+                             ids=["planar", "single-sensor"])
+    def test_crlb_grid_equals_scalar_calls(self, params):
+        phi = np.linspace(-math.pi, math.pi, 37)
+        theta = np.linspace(-1.5, 1.5, 31)
+        bounds = crlb(params, phi, theta[:, None])
+        for i, t in enumerate(theta):
+            for j, p in enumerate(phi):
+                for bound, scalar in zip(bounds, crlb(params, float(p), float(t))):
+                    np.testing.assert_array_equal(bound[i, j], scalar)
+
+    def test_observables_and_bounds_equal_scalar_calls(self):
+        params = CrlbParams()
+        for seed in range(1, 21):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            observed = cluster_observables(scen)
+            assert observed.shape == (3, scen.num_clusters)
+            bounds = crlb(params, observed[2], observed[1])
+            for j in range(scen.num_clusters):
+                tau, el, az = observe_cluster(scen, j)
+                np.testing.assert_array_equal(observed[:, j], [tau, el, az])
+                np.testing.assert_array_equal([b[j] for b in bounds], crlb(params, az, el))
+
+    @pytest.mark.parametrize("params", [CrlbParams(), CrlbParams(sensors_per_axis=1)],
+                             ids=["planar", "single-sensor"])
+    @pytest.mark.parametrize("phi_shape,theta_shape,shape", [
+        ((), (), ()), ((5,), (), (5,)), ((), (5,), (5,)), ((4, 1), (3,), (4, 3)),
+        ((2, 1, 3), (4, 1), (2, 4, 3))])
+    def test_broadcast_shapes(self, params, phi_shape, theta_shape, shape):
+        bounds = crlb(params, np.full(phi_shape, 0.3), np.full(theta_shape, 0.1))
+        assert len(bounds) == 3
+        assert all(np.shape(b) == shape for b in bounds)
+
+    def test_single_sensor_gives_infinite_angle_bounds(self):
+        # no angle resolution at any elevation, so no elevation check
+        theta = np.array([-3.0, -math.pi / 2, 0.0, 0.4, math.pi / 2, 2.0])
+        tau, theta_bound, phi_bound = crlb(CrlbParams(sensors_per_axis=1), 0.3, theta)
+        assert np.all(np.isposinf(theta_bound)) and np.all(np.isposinf(phi_bound))
+        assert np.all(np.isfinite(tau)) and tau.shape == theta.shape
+
+    @pytest.mark.parametrize("bad", [math.pi / 2, -math.pi / 2, 2.0, -3.0, math.pi])
+    def test_any_elevation_at_or_past_pi_over_2_raises(self, bad):
+        theta = np.array([0.0, 0.4, bad, -0.2])
+        with pytest.raises(GeometryError, match="elevation bound"):
+            crlb(CrlbParams(), 0.3, theta)
+        with pytest.raises(GeometryError, match="elevation bound"):
+            crlb(CrlbParams(), np.zeros((2, 1)), theta)
 
 
 class TestSolveClusterDistance:
@@ -143,24 +203,17 @@ class TestPerturbAndRebuild:
         scen = self._scenario()
         omega = 2
         params = CrlbParams()
-        delay, elevation, azimuth = perturb_and_rebuild_omegas(
-            scen, (omega,), params).perturbations[0]
-        for j in range(scen.num_clusters):
-            _, el, az = cluster_observables(scen, j)
-            bounds = crlb(params, az, el)
-            assert abs(delay[j]) == pytest.approx(
-                omega * math.sqrt(bounds[0]), rel=1e-12)
-            assert abs(elevation[j]) == pytest.approx(
-                omega * math.sqrt(bounds[1]), rel=1e-12)
-            assert abs(azimuth[j]) == pytest.approx(
-                omega * math.sqrt(bounds[2]), rel=1e-12)
+        steps = perturb_and_rebuild_omegas(scen, (omega,), params).perturbations[0]
+        _, el, az = cluster_observables(scen)
+        np.testing.assert_allclose(np.abs(steps), omega * np.sqrt(crlb(params, az, el)),
+                                   rtol=1e-12)
 
     def test_hand_perturbed_entry_matches_factor_recomposition(self):
         scen = make_scenario(
             users_xy=[(300.0, 50.0)],
             cluster_specs=[(np.array([200.0, 100.0, 20.0]), np.array([320.0, 60.0]))],
         )
-        tau, el, az = cluster_observables(scen, 0)
+        tau, el, az = cluster_observables(scen)[:, 0]
         column, pos = rebuild_cluster_column(scen, 0, tau * 1.01, el + 0.01,
                                              az - 0.02)
         import gusim.gscm as gscm
@@ -184,8 +237,9 @@ class TestPerturbAndRebuild:
         omega = 2
         pg = perturb_and_rebuild_omegas(scen, (omega,), params)
         assert not pg.fallbacks.any()
+        observables = cluster_observables(scen)
         for j in range(scen.num_clusters):
-            tau, el, az = cluster_observables(scen, j)
+            tau, el, az = observables[:, j]
             base, _ = rebuild_cluster_column(scen, j, tau, el, az)
             steps = pg.perturbations[0, :, j]
             bound = np.zeros(scen.num_users)
@@ -208,8 +262,9 @@ class TestPerturbAndRebuild:
         delay, elevation, azimuth = pg.perturbations[0]
         v = build_v_matrix(scen)
         fallbacks = []
+        observables = cluster_observables(scen)
         for j in range(scen.num_clusters):
-            tau, el, az = cluster_observables(scen, j)
+            tau, el, az = observables[:, j]
             try:
                 if tau + delay[j] <= 0:
                     raise GeometryError("nonpositive delay")
@@ -268,6 +323,36 @@ class TestPerturbAndRebuildOmegas:
         assert pg.cluster_positions.shape == (3, 12, 3)
         assert pg.fallbacks.shape == (3, 12) and pg.fallbacks.dtype == bool
 
+    def test_params_validated_once_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(params):
+            calls.append(params)
+            check_fields(params)
+
+        monkeypatch.setattr(CrlbParams, "validate", spy)
+        scen = generate_scenario(ScenarioConfig(rng_seed=1))
+        assert scen.num_clusters == 12
+        perturb_and_rebuild_omegas(scen, (0, 1, 3), CrlbParams())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("omegas", [
+        (math.nan,), (1.5,), (True,), (math.inf,), (), ("2",), (2, 2.0)],
+        ids=["nan", "fraction", "bool", "inf", "empty", "string", "float"])
+    def test_bad_omegas_rejected(self, omegas):
+        scen = generate_scenario(ScenarioConfig(rng_seed=4))
+        with pytest.raises(ConfigurationError, match="omegas must be"):
+            perturb_and_rebuild_omegas(scen, omegas, CrlbParams())
+
+    def test_any_integer_sequence_accepted(self):
+        scen = generate_scenario(ScenarioConfig(rng_seed=4))
+        expected = perturb_and_rebuild_omegas(scen, (0, 1, 2), CrlbParams())
+        for omegas in (range(3), [0, 1, 2], np.arange(3)):
+            pg = perturb_and_rebuild_omegas(scen, omegas, CrlbParams())
+            for field in fields(localization.PerturbedGeometry):
+                np.testing.assert_array_equal(getattr(pg, field.name),
+                                              getattr(expected, field.name))
+
     def test_invalid_params_rejected(self):
         scen = generate_scenario(ScenarioConfig(rng_seed=4))
         with pytest.raises(ConfigurationError, match="input_snr"):
@@ -285,8 +370,9 @@ def assert_same(pg, i, expected):
 
 def per_cluster_perturb_and_rebuild(scen, omega, params):
     """``perturb_and_rebuild_omegas`` at one omega, with one ``rng.choice``
-    sign draw per cluster and one scalar rebuild per cluster, in ``math``
-    sines and cosines; omega = 0 rebuilds nothing."""
+    sign draw per cluster, the scalar observables and bounds of each cluster
+    and one scalar rebuild per cluster, in ``math`` sines and cosines;
+    omega = 0 rebuilds nothing."""
     rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
     positions = scen.cluster_positions.copy()
     vr_centers = scen.vr_centers.copy()
@@ -294,7 +380,7 @@ def per_cluster_perturb_and_rebuild(scen, omega, params):
     d = np.zeros((3, scen.num_clusters))
     fallbacks = np.zeros(scen.num_clusters, dtype=bool)
     for j in range(scen.num_clusters if omega else 0):
-        tau, el, az = cluster_observables(scen, j)
+        tau, el, az = observe_cluster(scen, j)
         signs = rng.choice([-1.0, 1.0], size=3)
         d[:, j] = [sign * omega * math.sqrt(b) if math.isfinite(b) else 0.0
                    for sign, b in zip(signs, crlb(params, az, el))]
