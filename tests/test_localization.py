@@ -41,11 +41,15 @@ class TestCrlb:
         assert theta == phi
         assert tau > 0
 
-    def test_single_sensor_axis_infinite_angles(self):
+    @pytest.mark.parametrize("theta", [
+        0.0, np.array([-3.0, -math.pi / 2, 0.0, 0.4, math.pi / 2, 2.0])], ids=["scalar", "array"])
+    def test_single_sensor_axis_infinite_angles(self, theta):
+        # no angle resolution at any elevation, so no elevation check
         assert array_angle_factor(1, 0.5) == pytest.approx(0.0, abs=1e-12)
-        tau, theta, phi = crlb(CrlbParams(sensors_per_axis=1), 0.3, 0.0)
-        assert math.isinf(theta) and math.isinf(phi)
-        assert tau == crlb(CrlbParams(), 0.3, 0.0)[0]
+        tau, theta_bound, phi_bound = crlb(CrlbParams(sensors_per_axis=1), 0.3, theta)
+        assert np.all(np.isposinf(theta_bound)) and np.all(np.isposinf(phi_bound))
+        np.testing.assert_array_equal(tau, np.broadcast_to(crlb(CrlbParams(), 0.3, 0.0)[0],
+                                                           np.shape(theta)))
 
     def test_inverse_snr_scaling(self):
         p1 = CrlbParams(input_snr=10.0)
@@ -55,9 +59,15 @@ class TestCrlb:
         for x, y in zip(b1, b2):
             assert x / y == pytest.approx(10.0, rel=1e-12)
 
-    def test_singular_elevation(self):
-        with pytest.raises(GeometryError, match="singular"):
-            crlb(CrlbParams(), 0.2, math.pi / 2)
+    @pytest.mark.parametrize("phi", [0.2, np.zeros((2, 1))], ids=["scalar", "column"])
+    @pytest.mark.parametrize("bad,message", [
+        (math.pi / 2, "singular"), (-math.pi / 2, "singular"),
+        (2.0, "requires"), (-3.0, "requires"), (math.pi, "requires")])
+    def test_singular_elevation(self, phi, bad, message):
+        # any entry with |theta| >= pi/2, alone or among good elevations
+        for theta in (bad, np.array([0.0, 0.4, bad, -0.2])):
+            with pytest.raises(GeometryError, match=message):
+                crlb(CrlbParams(), phi, theta)
 
     def test_output_snr_composition(self):
         # each bound through the output SNR
@@ -69,8 +79,7 @@ class TestCrlb:
         delta = array_angle_factor(5, 0.5)
         expected = (1.0 / (gamma_o * 8 * math.pi**2 * 1e6),
                     8 / (gamma_o * 2 * delta * math.cos(0.3)), 8 / (gamma_o * 2 * delta))
-        for bound, value in zip(crlb(p, 0.4, 0.3), expected):
-            assert bound == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(crlb(p, 0.4, 0.3), expected, rtol=1e-12, atol=0)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigurationError):
@@ -113,21 +122,7 @@ class TestArrayContract:
         bounds = crlb(params, np.full(phi_shape, 0.3), np.full(theta_shape, 0.1))
         assert len(bounds) == 3
         assert all(np.shape(b) == shape for b in bounds)
-
-    def test_single_sensor_gives_infinite_angle_bounds(self):
-        # no angle resolution at any elevation, so no elevation check
-        theta = np.array([-3.0, -math.pi / 2, 0.0, 0.4, math.pi / 2, 2.0])
-        tau, theta_bound, phi_bound = crlb(CrlbParams(sensors_per_axis=1), 0.3, theta)
-        assert np.all(np.isposinf(theta_bound)) and np.all(np.isposinf(phi_bound))
-        assert np.all(np.isfinite(tau)) and tau.shape == theta.shape
-
-    @pytest.mark.parametrize("bad", [math.pi / 2, -math.pi / 2, 2.0, -3.0, math.pi])
-    def test_any_elevation_at_or_past_pi_over_2_raises(self, bad):
-        theta = np.array([0.0, 0.4, bad, -0.2])
-        with pytest.raises(GeometryError, match="elevation bound"):
-            crlb(CrlbParams(), 0.3, theta)
-        with pytest.raises(GeometryError, match="elevation bound"):
-            crlb(CrlbParams(), np.zeros((2, 1)), theta)
+        assert all(isinstance(b, float) == (shape == ()) for b in bounds)   # scalars stay scalars
 
 
 class TestSolveClusterDistance:
