@@ -7,8 +7,7 @@ Run:  python3 demos/demo_channel_model.py
 import numpy as np
 
 from gusim import (ScenarioConfig, channel_matrix, cluster_attenuation,
-                   generate_scenario, path_loss_nlos, vr_gain)
-from gusim.gscm import large_scale_gains
+                   generate_scenario, large_scale_gains, path_loss_nlos, vr_gain)
 
 cfg = ScenarioConfig(num_users=10, num_clusters=4, antenna_count=16, rng_seed=42)
 scenario = generate_scenario(cfg)
@@ -33,7 +32,8 @@ print(f"\ncluster 0 delay: {delay * 1e6:.3f} us, "
       f"attenuation vs tau_0=delay: "
       f"{cluster_attenuation(delay, delay, cfg.cutoff_delay, cfg.power_decay):.3f}")
 
-# Large-scale user-cluster coupling factors (amplitude scale).
+# Large-scale user-cluster coupling factors (amplitude scale): the geometric
+# V; the channel scales each cluster's column by its shadowing amplitude.
 factors = large_scale_gains(scenario)
 print("\nstrongest user-cluster couplings (log10 amplitude):")
 for k in range(3):

@@ -9,9 +9,8 @@ import math
 
 import numpy as np
 
-from gusim import (CrlbParams, ScenarioConfig, build_v_matrix, crlb,
-                   generate_scenario, gus_select, perturb_and_rebuild_omegas,
-                   solve_cluster_distance)
+from gusim import (CrlbParams, ScenarioConfig, crlb, generate_scenario, gus_select,
+                   large_scale_gains, perturb_and_rebuild_omegas, solve_cluster_distance)
 from gusim.gscm import SPEED_OF_LIGHT
 
 params = CrlbParams()  # M=64, 5x5 planar sensors, N_c=127, 20 dB input SNR
@@ -40,7 +39,7 @@ print(f"\nellipse inversion: true BS-cluster distance {d_true:.1f} m, "
 # End to end: perturb the measured cluster parameters by Omega * sqrt(CRLB)
 # and rebuild the scheduler's V matrix from the erroneous positions.
 scenario = generate_scenario(ScenarioConfig(num_users=20, rng_seed=5))
-v_true = build_v_matrix(scenario)
+v_true = large_scale_gains(scenario)
 print("\nOmega sweep (relative error in V, and whether GUS picks change):")
 baseline = gus_select(v_true, 5).selected
 # one rebuild covers every error scale: entry i of each array is omegas[i]'s,

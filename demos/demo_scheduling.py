@@ -6,15 +6,15 @@ Run:  python3 demos/demo_scheduling.py
 
 import numpy as np
 
-from gusim import (PowerConfig, ScenarioConfig, build_v_matrix, channel_matrix,
-                   estimation_load, generate_scenario, gus_select, gwc_select_powers,
+from gusim import (PowerConfig, ScenarioConfig, channel_matrix, estimation_load,
+                   generate_scenario, gus_select, gwc_select_powers, large_scale_gains,
                    noise_power, random_select, sum_rate, zf_weights)
 
 cfg = ScenarioConfig(num_users=40, antenna_count=64, rng_seed=7)
 scenario = generate_scenario(cfg)
 k_s = 8
 
-v = build_v_matrix(scenario)
+v = large_scale_gains(scenario)
 print(f"user-cluster matrix V: {v.shape}, row norms in "
       f"[{np.linalg.norm(v, axis=1).min():.2e}, {np.linalg.norm(v, axis=1).max():.2e}]")
 

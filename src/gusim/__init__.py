@@ -6,12 +6,12 @@ __version__ = "0.1.0"
 from .errors import ConfigurationError, GeometryError, RankDeficiencyError, SelectionError
 from .gscm import (ChannelMatrix, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
-                   cluster_attenuation, generate_scenario, load_scenario,
-                   path_loss_nlos, save_scenario, vr_gain)
+                   cluster_attenuation, generate_scenario, large_scale_gains,
+                   load_scenario, path_loss_nlos, save_scenario, vr_gain)
 from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
-from .scheduling import (ScheduleResult, build_v_matrix, estimation_load,
-                         gus_select, gwc_select_powers, random_select)
+from .scheduling import (ScheduleResult, estimation_load, gus_select,
+                         gwc_select_powers, random_select)
 from .localization import (CrlbParams, PerturbedGeometry, crlb, field_pattern,
                            perturb_and_rebuild_omegas, solve_cluster_distance)
 from .harness import (AggregateStats, ExperimentConfig, TrialResult,

@@ -4,7 +4,7 @@ Random scenario generation (users, scatterer clusters, circular visibility
 regions) and synthesis of the uplink channel matrix at a uniform linear
 array. The large-scale user-cluster gains come from one array function,
 ``large_scale_gains``, shared with the scheduler and the localization
-module.
+module; the channel scales them by each cluster's shadowing.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ class Scenario:
     """Immutable world state: user positions and the scatterer clusters,
     one array per cluster quantity. A cluster's shadow gain is a linear
     power factor applied to the fading channel, not to the geometry matrix
-    used by the scheduler. The BS position, the cluster delays and the
-    channel geometry follow from these fields; each is built on first use
-    and cached, read-only. They are not fields, so equality and
-    serialization ignore them."""
+    used by the scheduler. The BS position, the cluster delays and
+    observables and the channel geometry follow from these fields; each is
+    built on first use and cached, read-only. They are not fields, so
+    equality and serialization ignore them."""
 
     config: ScenarioConfig
     users: np.ndarray               # (K, 3)
@@ -143,12 +143,18 @@ class Scenario:
     @cached_property
     def delays(self) -> np.ndarray:
         """(N_C,) single-bounce delays (|BS -> cluster| + |cluster -> VR
-        centre|) / c, the VR centre at ms_height; a 1-D norm per cluster,
-        as the array form differs in the last bit."""
-        bs, ms_height = self.bs_position, self.config.ms_height
-        return _read_only(np.array([
-            (np.linalg.norm(pos - bs) + np.linalg.norm(np.array([*vr, ms_height]) - pos))
-            / SPEED_OF_LIGHT for pos, vr in zip(self.cluster_positions, self.vr_centers)]))
+        centre|) / c, the VR centre at ms_height."""
+        pos = self.cluster_positions
+        vr = np.column_stack([self.vr_centers, np.full(self.num_clusters, self.config.ms_height)])
+        return _read_only((np.linalg.norm(pos - self.bs_position, axis=1)
+                           + np.linalg.norm(vr - pos, axis=1)) / SPEED_OF_LIGHT)
+
+    @cached_property
+    def observables(self) -> np.ndarray:
+        """(3, N_C) delay, elevation and global azimuth of each cluster at the BS."""
+        x, y, z = (self.cluster_positions - self.bs_position).T
+        return _read_only(np.array([self.delays, np.arcsin(z / np.sqrt(x * x + y * y + z * z)),
+                                    np.arctan2(y, x)]))
 
     @cached_property
     def steering(self) -> np.ndarray:
@@ -163,8 +169,8 @@ class Scenario:
 
     @cached_property
     def channel_gains(self) -> np.ndarray:
-        """(K, N_C) ``large_scale_gains`` of every user at every cluster."""
-        return _read_only(large_scale_gains(self))
+        """(K, N_C) ``large_scale_gains`` times each cluster's shadow amplitude."""
+        return _read_only(large_scale_gains(self) * np.sqrt(self.shadow_gains))
 
 
 @dataclass(frozen=True)
@@ -268,30 +274,26 @@ def path_loss_nlos(d_bs_ms, wavelength: float):
     return loss_db, 10.0 ** (-loss_db / 10.0)
 
 
-def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
-                      include_shadowing: bool = True) -> np.ndarray:
-    """(K, N_C) large-scale amplitudes L_p * A_VR * sqrt(A_C [* shadow])
-    tying every user to every cluster.
+def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None) -> np.ndarray:
+    """(K, n) amplitudes L_p * A_VR * sqrt(A_C) of every user at every
+    cluster: the geometric V, which the BS computes without shadowing.
 
     ``vr_centers`` (n, 2) and ``delays`` (n,) replace the clusters' own
     VR centres and delays, which is how a rebuilt geometry is scored; one
-    column comes out per row of the overrides, and n = N_C with shadowing.
+    column comes out per row of the overrides.
     """
     cfg = scenario.config
     vr_centers = np.asarray(scenario.vr_centers if vr_centers is None else vr_centers)
     delays = np.asarray(scenario.delays if delays is None else delays)
-    n = scenario.num_clusters if include_shadowing else len(np.atleast_1d(delays))
+    n = len(np.atleast_1d(delays))
     if vr_centers.shape != (n, 2) or delays.shape != (n,):
-        raise ConfigurationError(f"vr_centers and delays must have shapes ({n}, 2) and ({n},)"
-                                 f"{' with shadowing' if include_shadowing else ''}, got "
-                                 f"{vr_centers.shape} and {delays.shape}")
+        raise ConfigurationError(f"vr_centers and delays must have shapes ({n}, 2) and ({n},), "
+                                 f"got {vr_centers.shape} and {delays.shape}")
     d_bs = np.linalg.norm(scenario.users - scenario.bs_position, axis=1)
     _, path_gain = path_loss_nlos(d_bs, cfg.wavelength)
     tau_0 = d_bs / SPEED_OF_LIGHT if cfg.reference_delay is None else cfg.reference_delay
-    a_c = cluster_attenuation(np.asarray(delays), np.reshape(tau_0, (-1, 1)),
+    a_c = cluster_attenuation(delays, np.reshape(tau_0, (-1, 1)),
                               cfg.cutoff_delay, cfg.power_decay)
-    if include_shadowing:
-        a_c = a_c * scenario.shadow_gains
     d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
     a_vr = vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
     return np.sqrt(path_gain)[:, None] * a_vr * np.sqrt(a_c)
@@ -300,15 +302,14 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None,
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
     """(N_C, N_p, M) uniform-linear-array responses: element [j, p, m] is
     exp(j*alpha*m*sin(phi_jp)) at cluster j's MPC azimuth phi_jp, with
-    alpha = -2*pi*d/lambda. phi_jp is the BS-to-cluster azimuth plus
+    alpha = -2*pi*d/lambda. phi_jp is the cluster's observed azimuth plus
     Laplacian offsets, deterministic per (scenario seed, cluster)."""
-    cfg, bs = scenario.config, scenario.bs_position
+    cfg = scenario.config
     # Laplace with std sigma has scale sigma/sqrt(2)
     scale = math.radians(cfg.angular_spread_deg) / math.sqrt(2.0)
-    azimuths = np.array([
-        math.atan2(y - bs[1], x - bs[0])
-        + _stream(cfg.rng_seed, _STREAM_ANGLES, j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
-        for j, (x, y, _) in enumerate(scenario.cluster_positions.tolist())])
+    azimuths = scenario.observables[2][:, None] + np.array([
+        _stream(cfg.rng_seed, _STREAM_ANGLES, j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
+        for j in range(scenario.num_clusters)])
     alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
     return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
 
@@ -455,7 +456,7 @@ def channel_matrix(scenario: Scenario, selected) -> ChannelMatrix:
 
     Column k sums, over every cluster, the per-MPC complex gains times the
     array steering vectors at the MPC azimuths. Each gain is circular
-    Gaussian with variance f_kj^2 / N_p, f_kj the ``large_scale_gains``
+    Gaussian with variance f_kj^2 / N_p, f_kj the ``Scenario.channel_gains``
     entry, drawn from the (user, cluster) pair's own stream, so a column
     does not depend on which other users are selected.
     """

@@ -311,6 +311,9 @@ def figure4_robustness(config: ExperimentConfig, out_path=None) -> AggregateStat
     full-CSI scheduling is unaffected by localization error."""
     omegas = tuple(range(6)) if config.omegas == (0,) else config.omegas
     algorithms = tuple(a for a in config.algorithms if a != "GWC")
+    if "GWC" in config.algorithms and not algorithms:
+        raise ConfigurationError("fig4 drops GWC, which localization error does not reach, so it "
+                                 f"needs GUS or RANDOM too, got {config.algorithms!r}")
     return run_sweep(replace(config, omegas=omegas, algorithms=algorithms), out_path, "fig4")
 
 

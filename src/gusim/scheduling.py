@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gscm
 from .errors import ConfigurationError, SelectionError
 from .rx import ZF_COND_LIMIT
 
@@ -27,17 +26,6 @@ class ScheduleResult:
     selected: tuple[int, ...]
     per_step_scores: tuple[float, ...]
     algorithm: str
-
-
-def build_v_matrix(scenario: gscm.Scenario) -> np.ndarray:
-    """K x N_C matrix of large-scale user-cluster gains.
-
-    Entry (k, j) is sqrt(path gain of user k) * A_VR(user k, VR j) *
-    sqrt(A_C(cluster j, user k)). Purely geometric: no fast fading and no
-    shadowing enters, since the base station computes it from positions
-    alone.
-    """
-    return gscm.large_scale_gains(scenario, include_shadowing=False)
 
 
 def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gusim import gscm, harness, localization, scheduling
+from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
 from gusim.rx import ZF_COND_LIMIT
@@ -50,20 +50,23 @@ def steering_vector(azimuth: float, num_antennas: int,
     return np.exp(1j * alpha * np.arange(num_antennas) * math.sin(azimuth))
 
 
-def cluster_azimuths(scenario, cluster):
-    """Oracle for the azimuths inside ``Scenario.steering``: the BS-to-cluster
-    azimuth plus Laplacian intra-cluster offsets of std angular_spread_deg,
-    drawn from the cluster's own ``SeedSequence([seed, 101, cluster])``
-    stream."""
+def laplace_offsets(scenario, cluster):
+    """A cluster's Laplacian intra-cluster azimuth offsets of std
+    angular_spread_deg, drawn from its own ``SeedSequence([seed, 101,
+    cluster])`` stream."""
     cfg = scenario.config
-    position = scenario.cluster_positions[cluster]
-    center = math.atan2(position[1] - scenario.bs_position[1],
-                        position[0] - scenario.bs_position[0])
     rng = gscm._stream(cfg.rng_seed, gscm._STREAM_ANGLES, cluster)
     sigma = math.radians(cfg.angular_spread_deg)
     # Laplace with std sigma has scale sigma/sqrt(2)
-    offsets = rng.laplace(0.0, sigma / math.sqrt(2.0), size=cfg.mpcs_per_cluster)
-    return center + offsets
+    return rng.laplace(0.0, sigma / math.sqrt(2.0), size=cfg.mpcs_per_cluster)
+
+
+def cluster_azimuths(scenario, cluster):
+    """Oracle for the azimuths inside ``Scenario.steering``: the BS-to-cluster
+    azimuth, numpy's elementwise ``np.arctan2`` on scalars, plus the
+    cluster's ``laplace_offsets``."""
+    x, y, _ = scenario.cluster_positions[cluster] - scenario.bs_position
+    return np.arctan2(y, x) + laplace_offsets(scenario, cluster)
 
 
 def generate_scenario_loop(config):
@@ -179,7 +182,8 @@ def reference_delay(scen, user):
 
 def scalar_gain(scen, user, cluster, vr_center=None, delay=None,
                 include_shadowing=True):
-    """Oracle for ``gscm.large_scale_gains``: L_p * A_VR * sqrt(A_C [* shadow])
+    """Oracle for ``gscm.large_scale_gains`` (without shadowing) and for
+    ``Scenario.channel_gains`` (with it): L_p * A_VR * sqrt(A_C [* shadow])
     of one user-cluster pair composed from the scalar gain functions, with
     optional VR-centre and delay overrides."""
     cfg = scen.config
@@ -211,9 +215,9 @@ def channel_covariance(samples) -> np.ndarray:
 
 def einsum_covariances(scen, selected) -> np.ndarray:
     """Oracle for ``gscm.channel_covariances``: R_k = sum_j f_kj^2 G_j for
-    the whole set in one einsum, with the steering tensor and the Grams
-    rebuilt from the scenario."""
-    power = gscm.large_scale_gains(scen)[list(selected)] ** 2
+    the whole set in one einsum, from the scenario's ``channel_gains`` and
+    with the steering tensor and the Grams rebuilt from the scenario."""
+    power = scen.channel_gains[list(selected)] ** 2
     steer = gscm._steering_tensor(scen)
     gram = np.einsum("jpm,jpn->jmn", steer, steer.conj(),
                      optimize=True) / scen.config.mpcs_per_cluster
@@ -222,11 +226,11 @@ def einsum_covariances(scen, selected) -> np.ndarray:
 
 def einsum_channel(scen, users) -> np.ndarray:
     """Oracle for ``gscm.channel_matrix``: the MPC gains of the whole set
-    against the steering tensor in one einsum, with the large-scale gains
-    and the steering rebuilt from the scenario and the fading taken from
-    ``gscm._fading_normals_batch``."""
+    against the steering tensor in one einsum, from the scenario's
+    ``channel_gains``, with the steering rebuilt from the scenario and the
+    fading taken from ``gscm._fading_normals_batch``."""
     users = list(users)
-    gains = gscm.large_scale_gains(scen)[users]
+    gains = scen.channel_gains[users]
     (k_s, n_c), n_p = gains.shape, scen.config.mpcs_per_cluster
     normals = gscm._fading_normals_batch(scen, np.repeat(users, n_c),
                                          np.tile(np.arange(n_c), k_s)).reshape(k_s, n_c, -1)
@@ -274,7 +278,7 @@ def correlation_metric(v_k, v_j) -> float:
 
 
 def observe_cluster(scen, cluster):
-    """Oracle for one column of ``localization.cluster_observables``: the
+    """Oracle for one column of ``Scenario.observables``: the
     (delay, elevation, global azimuth) of one cluster as seen by the BS, from
     numpy's elementwise ``np.arcsin`` and ``np.arctan2`` on scalars."""
     dx, dy, dz = scen.cluster_positions[cluster] - scen.bs_position
@@ -313,8 +317,7 @@ def rebuild_cluster_column(scen, cluster, tau, elevation, azimuth):
     the per-user column of the rebuilt user-cluster matrix with the rebuilt
     3D cluster position."""
     position, vr_center = rebuild_cluster(scen, cluster, tau, elevation, azimuth)
-    column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]),
-                                    include_shadowing=False)[:, 0]
+    column = gscm.large_scale_gains(scen, vr_center[None], np.array([tau]))[:, 0]
     return column, position
 
 
@@ -324,7 +327,7 @@ def naive_trial_rows(config):
     K_s, omega, algorithms or powers: H holds every user's column, GWC
     searches once per row with the independent one-power oracle
     ``gwc_select_single`` and GUS builds V once per row: the true V from
-    ``scheduling.build_v_matrix`` at omega = 0, else a one-omega
+    ``gscm.large_scale_gains`` at omega = 0, else a one-omega
     ``localization.perturb_and_rebuild_omegas`` call. The other harness
     functions are looked up on ``gusim.harness``, so a test that patches one
     there patches both."""
@@ -345,7 +348,7 @@ def naive_trial_rows(config):
                                               config.noise_power)
                         try:
                             if alg == "GUS":
-                                v = scheduling.build_v_matrix(scen) if omega == 0 else \
+                                v = gscm.large_scale_gains(scen) if omega == 0 else \
                                     localization.perturb_and_rebuild_omegas(
                                         scen, (omega,), config.crlb).v_tilde[0]
                                 sel = h.gus_select(v, ks, config.gus_variant).selected

@@ -15,8 +15,8 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         path_loss_nlos, save_scenario, scenario_from_dict,
                         scenario_to_dict, vr_gain)
 from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
-                      einsum_covariances, generate_scenario_loop, make_scenario,
-                      scalar_gain, set_next_word, steering_vector)
+                      einsum_covariances, generate_scenario_loop, laplace_offsets,
+                      make_scenario, scalar_gain, set_next_word, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -35,11 +35,19 @@ def per_pair_batch(scen, users, clusters):
 
 
 def field_bytes(scen):
-    """The config and every array of a scenario, the BS position and the
-    delays included, as shapes and bytes."""
+    """The config and every drawn array of a scenario, the BS position
+    included, as shapes and bytes."""
     arrays = [scen.bs_position, scen.users, scen.cluster_positions, scen.vr_centers,
-              scen.delays, scen.shadow_gains]
+              scen.shadow_gains]
     return scen.config, [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+def assert_matches_the_loop(scen, oracle):
+    """``scen`` holds the draws of ``oracle`` (``generate_scenario_loop``) bit
+    for bit; its delays, two array norms over all clusters, are within 2 ulp
+    of the oracle's per-cluster norms."""
+    assert field_bytes(scen) == field_bytes(oracle)
+    np.testing.assert_array_max_ulp(scen.delays, oracle.delays, maxulp=2)
 
 
 def mpc_gains(scen, user, cluster):
@@ -119,8 +127,7 @@ class TestGenerateScenario:
         # 0.9 rejects about two draws in three
         for seed in [*range(1, 301), 2**32 - 1, 2**32, 2**40 + 3]:
             cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=fraction)
-            assert field_bytes(generate_scenario(cfg)) == \
-                field_bytes(generate_scenario_loop(cfg))
+            assert_matches_the_loop(generate_scenario(cfg), generate_scenario_loop(cfg))
 
     def test_attempt_cap_matches_the_per_draw_loop(self, monkeypatch):
         monkeypatch.setattr(gscm, "_MAX_PLACEMENT_ATTEMPTS", 8)
@@ -128,13 +135,13 @@ class TestGenerateScenario:
         for seed in range(1, 41):
             cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9)
             try:
-                expected = field_bytes(generate_scenario_loop(cfg))
+                expected = generate_scenario_loop(cfg)
             except ConfigurationError as exc:
                 raised += 1
                 with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
                     generate_scenario(cfg)
             else:
-                assert field_bytes(generate_scenario(cfg)) == expected
+                assert_matches_the_loop(generate_scenario(cfg), expected)
         assert 0 < raised < 40
 
 
@@ -280,19 +287,18 @@ class TestBroadcasting:
 class TestLargeScaleGains:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("reference_delay", [None, 2e-6])
-    @pytest.mark.parametrize("include_shadowing", [True, False])
-    def test_matches_scalar_composition(self, seed, reference_delay,
-                                        include_shadowing):
+    @pytest.mark.parametrize("shadowing", [True, False])
+    def test_matches_scalar_composition(self, seed, reference_delay, shadowing):
+        # the kernel is V, with no shadowing; the channel's gains add it
         scen = generate_scenario(ScenarioConfig(
             num_users=7, num_clusters=5, reference_delay=reference_delay,
             rng_seed=seed))
-        gains = gscm.large_scale_gains(scen, include_shadowing=include_shadowing)
+        gains = scen.channel_gains if shadowing else gscm.large_scale_gains(scen)
         assert gains.shape == (7, 5)
         for k in range(7):
             for j in range(5):
                 assert gains[k, j] == pytest.approx(
-                    scalar_gain(scen, k, j, include_shadowing=include_shadowing),
-                    rel=1e-12)
+                    scalar_gain(scen, k, j, include_shadowing=shadowing), rel=1e-12)
 
     @pytest.mark.parametrize("reference_delay", [None, 2e-6])
     def test_overrides_match_scalar_composition(self, reference_delay):
@@ -302,32 +308,24 @@ class TestLargeScaleGains:
         rng = np.random.default_rng(5)
         vr = scen.vr_centers + rng.normal(0.0, 40.0, size=(4, 2))
         delays = scen.delays * rng.uniform(0.95, 1.05, size=4)
-        for shadowing in (True, False):
-            gains = gscm.large_scale_gains(scen, vr, delays,
-                                           include_shadowing=shadowing)
-            for k in range(6):
-                for j in range(4):
-                    assert gains[k, j] == pytest.approx(
-                        scalar_gain(scen, k, j, vr[j], delays[j], shadowing),
-                        rel=1e-12)
+        gains = gscm.large_scale_gains(scen, vr, delays)
+        for k in range(6):
+            for j in range(4):
+                assert gains[k, j] == pytest.approx(
+                    scalar_gain(scen, k, j, vr[j], delays[j], False), rel=1e-12)
         # a single overridden column, as a cluster rebuild scores it
-        column = gscm.large_scale_gains(scen, vr[2:3], delays[2:3],
-                                        include_shadowing=False)
+        column = gscm.large_scale_gains(scen, vr[2:3], delays[2:3])
         assert column.shape == (6, 1)
         np.testing.assert_allclose(
             column[:, 0],
             [scalar_gain(scen, k, 2, vr[2], delays[2], False) for k in range(6)],
             rtol=1e-12)
 
-    def test_overrides_tiled_over_omegas_need_shadowing_off(self):
-        # the rebuild tiles every omega's clusters into one call; shadowing
-        # holds one gain per cluster of the scenario, so it cannot score them
+    def test_overrides_tiled_over_omegas(self):
+        # the rebuild tiles every omega's clusters into one call
         scen = generate_scenario(ScenarioConfig(rng_seed=5))
         vr, delays = np.tile(scen.vr_centers, (2, 1)), np.tile(scen.delays, 2)
-        assert gscm.large_scale_gains(scen, vr, delays, include_shadowing=False).shape \
-            == (40, 24)
-        with pytest.raises(ConfigurationError, match=r"shapes \(12, 2\) and \(12,\)"):
-            gscm.large_scale_gains(scen, vr, delays)
+        assert gscm.large_scale_gains(scen, vr, delays).shape == (40, 24)
 
     @pytest.mark.parametrize("vr_rows,delay_shape,vr_columns", [
         (4, (3,), 2), (3, (3, 1), 2), (3, (3,), 3), (1, (), 2)],
@@ -336,7 +334,7 @@ class TestLargeScaleGains:
         scen = generate_scenario(ScenarioConfig(num_users=6, num_clusters=4, rng_seed=5))
         with pytest.raises(ConfigurationError, match="vr_centers and delays must have shapes"):
             gscm.large_scale_gains(scen, np.zeros((vr_rows, vr_columns)),
-                                   np.full(delay_shape, 1e-6), include_shadowing=False)
+                                   np.full(delay_shape, 1e-6))
 
 
 class TestSteeringVector:
@@ -362,6 +360,20 @@ class TestSteeringVector:
                               for phi in cluster_azimuths(scen, j)]
                              for j in range(scen.num_clusters)])
             np.testing.assert_array_equal(gscm._steering_tensor(scen), loop)
+
+    def test_mpc_azimuths_centre_on_the_observed_azimuth(self):
+        # the steering and the localization rebuild read one azimuth per
+        # cluster: each cluster's MPC azimuths are observables[2] plus its
+        # Laplace offsets, bit for bit
+        for seed in range(1, 21):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+            cfg = scen.config
+            for j in range(scen.num_clusters):
+                azimuths = scen.observables[2, j] + laplace_offsets(scen, j)
+                np.testing.assert_array_equal(
+                    scen.steering[j], [steering_vector(phi, cfg.antenna_count,
+                                                       cfg.antenna_spacing_fraction)
+                                       for phi in azimuths])
 
 
 class TestMpcAmplitudes:
@@ -672,7 +684,8 @@ class TestChannelCovariances:
 
 
 class TestScenarioCache:
-    CACHED = {"bs_position", "delays", "steering", "cluster_lags", "channel_gains"}
+    CACHED = {"bs_position", "delays", "observables", "steering", "cluster_lags",
+              "channel_gains"}
 
     def test_covariances_match_einsum_oracle(self):
         for seed in range(1, 21):

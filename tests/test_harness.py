@@ -236,15 +236,14 @@ class TestRunExperiment:
         assert len({(r.trial, r.selected) for r in rows}) > 2 * cfg.trials
 
     def test_failed_gus_selection_excludes_every_power(self, monkeypatch):
-        # a V of zero rows leaves GUS no usable candidate; the unshadowed
-        # kernel is what builds V, and the shadowed one the channel
-        kernel = gscm.large_scale_gains
+        # a V of zero rows leaves GUS no usable candidate; the channel keeps
+        # its gains, since only the selection sees the zeroed V
+        select = harness.gus_select
 
-        def zero_v(scen, *overrides, include_shadowing=True):
-            gains = kernel(scen, *overrides, include_shadowing=include_shadowing)
-            return gains if include_shadowing else np.zeros_like(gains)
+        def zero_v(v, *args):
+            return select(np.zeros_like(v), *args)
 
-        monkeypatch.setattr(gscm, "large_scale_gains", zero_v)
+        monkeypatch.setattr(harness, "gus_select", zero_v)
         with pytest.warns(UserWarning, match="zero-norm"):
             stats = run_experiment(tiny_config(algorithms=("GUS", "RANDOM")))
         for cell in stats.cells:
@@ -494,16 +493,15 @@ class TestTrialRowsMatchNaiveOracle:
     def test_largest_ks_infeasible_for_gus(self, monkeypatch):
         # a V with two nonzero rows: the stacked selection stops after two
         # picks, where one V raises for K_s = 3; the harness and the oracle
-        # both build V with the unshadowed kernel
-        kernel = gscm.large_scale_gains
+        # both select through harness.gus_select
+        select = harness.gus_select
 
-        def two_rows(scen, *overrides, include_shadowing=True):
-            v = kernel(scen, *overrides, include_shadowing=include_shadowing)
-            if not include_shadowing:
-                v[np.argsort(-np.linalg.norm(v, axis=1))[2:]] = 0.0
-            return v
+        def two_rows(v, *args):
+            norms = np.linalg.norm(v, axis=-1, keepdims=True)
+            second = -np.sort(-norms, axis=-2)[..., 1:2, :]
+            return select(np.where(norms >= second, v, 0.0), *args)
 
-        monkeypatch.setattr(gscm, "large_scale_gains", two_rows)
+        monkeypatch.setattr(harness, "gus_select", two_rows)
         cfg = tiny_config(algorithms=("GUS",), ks_values=(3, 1, 2))
         with pytest.warns(UserWarning, match="zero-norm"):
             rows = run_experiment(cfg).trial_rows
@@ -561,6 +559,10 @@ class TestFigureSweeps:
         cfg = tiny_config(powers_dbm=(30.0,), omegas=(0, 1))
         stats = figure4_robustness(cfg)
         assert all(c.algorithm != "GWC" for c in stats.cells)
+
+    def test_fig4_with_only_gwc_rejected_before_any_trial(self, no_trials):
+        with pytest.raises(ConfigurationError, match=r"fig4 drops GWC.*\('GWC',\)"):
+            figure4_robustness(tiny_config(algorithms=("GWC",)))
 
 
 class TestConfigFile:
@@ -783,6 +785,17 @@ class TestCli:
         out = tmp_path / "f3.csv"
         cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
         assert out.exists()
+
+    def test_fig4_with_only_gwc_is_a_usage_error(self, tmp_path, no_trials, capsys):
+        cfg_path = tmp_path / "c.yaml"
+        save_config(tiny_config(algorithms=("GWC",)), cfg_path)
+        out = tmp_path / "f4.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig4", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: fig4 drops GWC") and "Traceback" not in err
+        assert not out.exists()
 
     def test_fig4_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

@@ -4,15 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import gusim.scheduling
 from gusim import gscm, localization
 from gusim.errors import ConfigurationError, GeometryError
-from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario
+from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario, large_scale_gains
 from gusim.localization import (CrlbParams, array_angle_factor, crlb, crlb_delay,
-                                cluster_observables, field_pattern,
-                                perturb_and_rebuild_omegas, solve_cluster_distance)
+                                field_pattern, perturb_and_rebuild_omegas,
+                                solve_cluster_distance)
 from gusim.plain import check_fields
-from gusim.scheduling import build_v_matrix
 
 from conftest import (make_scenario, observe_cluster, pathloss_amplitude, rebuild_cluster,
                       rebuild_cluster_column, reference_delay)
@@ -28,6 +26,20 @@ class TestFieldPattern:
     def test_continuity(self):
         for phi in np.linspace(-math.pi, math.pi, 101):
             assert abs(field_pattern(phi + 1e-9) - field_pattern(phi)) < 1e-6
+
+    def test_ranging_spread_at_the_global_azimuth(self):
+        # crlb evaluates the cubic over the whole (-pi, pi], across its zero
+        # near -0.17 rad, so the ranging step of omega = 1 spans six decades
+        assert field_pattern(-0.171) < 0.0 < field_pattern(-0.170)
+        ranging = np.concatenate([
+            SPEED_OF_LIGHT * np.sqrt(crlb(CrlbParams(), *scen.observables[[2, 1]])[0])
+            for scen in (generate_scenario(ScenarioConfig(rng_seed=seed))
+                         for seed in range(1, 201))])
+        assert ranging.size == 2400
+        assert ranging.min() == pytest.approx(0.0424, abs=5e-5)
+        assert np.median(ranging) == pytest.approx(0.655, abs=5e-4)
+        assert ranging.max() == pytest.approx(14193.0, abs=0.5)
+        assert np.count_nonzero(ranging > 10.0) == 426
 
 
 class TestCrlb:
@@ -87,7 +99,7 @@ class TestCrlb:
 
 
 class TestArrayContract:
-    """``crlb`` and ``cluster_observables`` on arrays are their elementwise
+    """``crlb`` and ``Scenario.observables`` on arrays are their elementwise
     scalar calls, bit for bit."""
 
     @pytest.mark.parametrize("params", [CrlbParams(), CrlbParams(sensors_per_axis=1)],
@@ -105,7 +117,7 @@ class TestArrayContract:
         params = CrlbParams()
         for seed in range(1, 21):
             scen = generate_scenario(ScenarioConfig(rng_seed=seed))
-            observed = cluster_observables(scen)
+            observed = scen.observables
             assert observed.shape == (3, scen.num_clusters)
             bounds = crlb(params, observed[2], observed[1])
             for j in range(scen.num_clusters):
@@ -171,7 +183,7 @@ class TestPerturbAndRebuild:
     def test_zero_omega_is_noop(self):
         scen = self._scenario()
         pg = perturb_and_rebuild_omegas(scen, (0,), CrlbParams())
-        np.testing.assert_array_equal(pg.v_tilde[0], build_v_matrix(scen))
+        np.testing.assert_array_equal(pg.v_tilde[0], large_scale_gains(scen))
         np.testing.assert_array_equal(pg.cluster_positions[0], scen.cluster_positions)
         assert not pg.fallbacks.any()
         assert np.all(pg.perturbations == 0.0)
@@ -179,10 +191,14 @@ class TestPerturbAndRebuild:
     @pytest.mark.parametrize("omega", [0, 3])
     def test_does_not_build_the_true_v(self, monkeypatch, omega):
         # the caller already holds V; the rebuild scores its own geometry
-        def refuse(scenario):
-            raise AssertionError("the rebuild built the true V")
+        kernel = gscm.large_scale_gains
 
-        monkeypatch.setattr(gusim.scheduling, "build_v_matrix", refuse)
+        def refuse(scenario, *overrides):
+            if not overrides:
+                raise AssertionError("the rebuild built the true V")
+            return kernel(scenario, *overrides)
+
+        monkeypatch.setattr(gscm, "large_scale_gains", refuse)
         scen = generate_scenario(ScenarioConfig(rng_seed=10))
         pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())
         assert pg.v_tilde.shape == (1, scen.num_users, scen.num_clusters)
@@ -199,7 +215,7 @@ class TestPerturbAndRebuild:
         omega = 2
         params = CrlbParams()
         steps = perturb_and_rebuild_omegas(scen, (omega,), params).perturbations[0]
-        _, el, az = cluster_observables(scen)
+        _, el, az = scen.observables
         np.testing.assert_allclose(np.abs(steps), omega * np.sqrt(crlb(params, az, el)),
                                    rtol=1e-12)
 
@@ -208,7 +224,7 @@ class TestPerturbAndRebuild:
             users_xy=[(300.0, 50.0)],
             cluster_specs=[(np.array([200.0, 100.0, 20.0]), np.array([320.0, 60.0]))],
         )
-        tau, el, az = cluster_observables(scen)[:, 0]
+        tau, el, az = scen.observables[:, 0]
         column, pos = rebuild_cluster_column(scen, 0, tau * 1.01, el + 0.01,
                                              az - 0.02)
         import gusim.gscm as gscm
@@ -232,7 +248,7 @@ class TestPerturbAndRebuild:
         omega = 2
         pg = perturb_and_rebuild_omegas(scen, (omega,), params)
         assert not pg.fallbacks.any()
-        observables = cluster_observables(scen)
+        observables = scen.observables
         for j in range(scen.num_clusters):
             tau, el, az = observables[:, j]
             base, _ = rebuild_cluster_column(scen, j, tau, el, az)
@@ -255,9 +271,9 @@ class TestPerturbAndRebuild:
         scen = generate_scenario(ScenarioConfig(rng_seed=seed))
         pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())
         delay, elevation, azimuth = pg.perturbations[0]
-        v = build_v_matrix(scen)
+        v = large_scale_gains(scen)
         fallbacks = []
-        observables = cluster_observables(scen)
+        observables = scen.observables
         for j in range(scen.num_clusters):
             tau, el, az = observables[:, j]
             try:
@@ -387,7 +403,6 @@ def per_cluster_perturb_and_rebuild(scen, omega, params):
             delays[j] = tau + d[0, j]
         except GeometryError:
             fallbacks[j] = True
-    v_tilde = gscm.large_scale_gains(scen, vr_centers, delays,
-                                     include_shadowing=False)
+    v_tilde = gscm.large_scale_gains(scen, vr_centers, delays)
     return localization.PerturbedGeometry(v_tilde[None], d[None], positions[None],
                                           fallbacks[None])

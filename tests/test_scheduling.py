@@ -12,8 +12,8 @@ from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.localization import perturb_and_rebuild_omegas
 from gusim.rx import PowerConfig, sum_rate, zf_weights
-from gusim.scheduling import (build_v_matrix, estimation_load, gus_select,
-                              gwc_select_powers, random_select)
+from gusim.scheduling import (estimation_load, gus_select, gwc_select_powers,
+                              random_select)
 
 from conftest import (correlation_metric, gwc_select_single, make_scenario,
                       pathloss_amplitude, reference_delay)
@@ -28,7 +28,7 @@ class TestBuildVMatrix:
             cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([230.0, 0.0]))],
             power_decay=0.0,
         )
-        v = build_v_matrix(scen)
+        v = gscm.large_scale_gains(scen)
         lp = pathloss_amplitude(scen, 0)
         assert v[0, 0] == pytest.approx(0.5 * lp, rel=1e-12)
 
@@ -37,7 +37,7 @@ class TestBuildVMatrix:
             users_xy=[(950.0, 950.0)],
             cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([-950.0, -950.0]))],
         )
-        v = build_v_matrix(scen)
+        v = gscm.large_scale_gains(scen)
         lp = pathloss_amplitude(scen, 0)
         assert v[0, 0] < 1e-4 * lp
 
@@ -50,7 +50,7 @@ class TestBuildVMatrix:
             ],
         )
         cfg = scen.config
-        v = build_v_matrix(scen)
+        v = gscm.large_scale_gains(scen)
         for i in range(2):
             for j in range(2):
                 _, gain = gscm.path_loss_nlos(
@@ -74,7 +74,8 @@ class TestBuildVMatrix:
         )
         # same geometry, different shadow gain
         scen_b = replace(scen_a, shadow_gains=np.array([7.5]))
-        np.testing.assert_array_equal(build_v_matrix(scen_a), build_v_matrix(scen_b))
+        np.testing.assert_array_equal(gscm.large_scale_gains(scen_a),
+                                      gscm.large_scale_gains(scen_b))
 
 
 class TestCorrelationMetric:
@@ -218,7 +219,7 @@ class TestGusMatchesPairwiseOracle:
     @pytest.mark.parametrize("variant", ["last", "set"])
     def test_desk_scale_v_matrices(self, variant):
         for seed in (1, 2, 3):
-            v = build_v_matrix(gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed)))
+            v = gscm.large_scale_gains(gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed)))
             for ks in (5, 10, 20):
                 self._check(v, ks, variant)
 
@@ -272,7 +273,7 @@ class TestGusMatchesPairwiseOracle:
     def test_desk_scale_omega_stacks(self, variant):
         # the stack the harness selects on: V and its rebuilds for omega 1..5
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=4))
-        stack = np.concatenate([build_v_matrix(scen)[None], perturb_and_rebuild_omegas(
+        stack = np.concatenate([gscm.large_scale_gains(scen)[None], perturb_and_rebuild_omegas(
             scen, range(1, 6), ExperimentConfig().crlb).v_tilde])
         for ks in (1, 5, 10, 40):
             self._check_stack(stack, ks, variant)
@@ -602,7 +603,7 @@ class TestGreedyPrefixes:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_gus_prefixes(self, seed):
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed))
-        v = build_v_matrix(scen)
+        v = gscm.large_scale_gains(scen)
         for omega in range(6):
             v_omega = v if omega == 0 else perturb_and_rebuild_omegas(
                 scen, (omega,), ExperimentConfig().crlb).v_tilde[0]
