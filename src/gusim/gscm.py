@@ -107,11 +107,11 @@ class ScenarioConfig:
 class Scenario:
     """Immutable world state: user positions and the scatterer clusters,
     one array per cluster quantity. A cluster's shadow gain is a linear
-    power factor applied to the fading channel, not to the geometry matrix
-    used by the scheduler. The BS position, the cluster delays and
-    observables and the channel geometry follow from these fields; each is
-    built on first use and cached, read-only. They are not fields, so
-    equality and serialization ignore them."""
+    power factor applied to the fading channel, not to the V the scheduler
+    uses. The BS position, the cluster delays and observables and the
+    channel geometry follow from these fields, each built on first use and
+    cached, read-only; equality and serialization ignore them, and
+    ``dataclasses.replace`` starts with an empty cache."""
 
     config: ScenarioConfig
     users: np.ndarray               # (K, 3)

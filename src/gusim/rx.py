@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficiencyError
+from .plain import _is_finite, _is_integer
 
 BOLTZMANN = 1.381e-23
 
@@ -19,10 +20,11 @@ ZF_COND_LIMIT = 1e12
 
 def unitary_pilots(num_users: int, pilot_length: int | None = None) -> np.ndarray:
     """Default pilot book: DFT rows of unit-modulus symbols, mutually
-    orthogonal with squared norm tau_p."""
+    orthogonal with squared norm tau_p; both counts are integers, not bools."""
     tau_p = num_users if pilot_length is None else pilot_length
-    if tau_p < num_users:
-        raise ConfigurationError("pilot_length must be >= num_users for orthogonality")
+    if not (_is_integer(num_users) and _is_integer(tau_p) and 1 <= num_users <= tau_p):
+        raise ConfigurationError(f"pilot counts must be integers with 1 <= num_users <= "
+                                 f"pilot_length, got {num_users!r} and {pilot_length!r}")
     k = np.arange(num_users)[:, None]
     t = np.arange(tau_p)[None, :]
     return np.exp(-2j * math.pi * k * t / tau_p)
@@ -30,19 +32,20 @@ def unitary_pilots(num_users: int, pilot_length: int | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """Equal-split uplink power: each of the K_s users transmits P/K_s."""
+    """Equal-split uplink power: each of the K_s users transmits P/K_s. P is
+    finite and nonnegative, K_s an integer (not a bool), P_n finite and positive."""
 
     total_power: float
     num_users: int
     noise_power: float
 
     def __post_init__(self):
-        if self.total_power < 0:
-            raise ConfigurationError("total_power must be nonnegative")
-        if self.num_users < 1:
-            raise ConfigurationError("num_users must be >= 1")
-        if self.noise_power <= 0:
-            raise ConfigurationError("noise_power must be positive")
+        if not (_is_finite(self.total_power) and self.total_power >= 0):
+            raise ConfigurationError(f"need a finite total_power >= 0, got {self.total_power!r}")
+        if not (_is_integer(self.num_users) and self.num_users >= 1):
+            raise ConfigurationError(f"need an integer num_users >= 1, got {self.num_users!r}")
+        if not (_is_finite(self.noise_power) and self.noise_power > 0):
+            raise ConfigurationError(f"need a finite noise_power > 0, got {self.noise_power!r}")
 
     @property
     def per_user(self) -> float:
@@ -129,13 +132,16 @@ def sum_rate(h: np.ndarray, w: np.ndarray, power, mode: str = "physical"):
     1 + interference with no noise amplification term. ``w`` holds the
     (K_s, M) combining weights, a row per user. A sequence of P powers
     gives P rates from one |W H|^2 product, with one ``w`` for all or a
-    (P, K_s, M) stack of weights, one per power.
+    (P, K_s, M) stack of weights, one per power; each rate is bitwise its
+    one-power call. Every power's ``num_users`` must be K_s.
     """
     h, w = np.asarray(h), np.asarray(w)
     powers = [power] if isinstance(power, PowerConfig) else list(power)
     k_s = h.shape[1]
     if w.shape[-2:] != (k_s, h.shape[0]) or w.ndim == 3 and len(w) != len(powers):
         raise ConfigurationError("receiver shape does not match channel")
+    if any(p.num_users != k_s for p in powers):
+        raise ConfigurationError(f"every power must split over the channel's {k_s} users")
     if mode not in ("physical", "paper-literal"):
         raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
     p_k = np.array([p.per_user for p in powers])[:, None]

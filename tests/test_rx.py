@@ -324,6 +324,29 @@ class TestSumRate:
         with pytest.raises(ConfigurationError, match="receiver shape"):
             sum_rate(h, stack, PowerConfig(1.0, 4, 1.0))
 
+    def test_power_split_must_match_the_channel(self):
+        # a split over 5 users would rate this 8 x 3 channel at P/5 per user
+        h = random_channel(np.random.default_rng(11), 8, 3)
+        w = zf_weights(h)
+        with pytest.raises(ConfigurationError, match="3 users"):
+            sum_rate(h, w, PowerConfig(1.0, 5, 1e-3))
+        with pytest.raises(ConfigurationError, match="3 users"):
+            sum_rate(h, w, [PowerConfig(1.0, 3, 1e-3), PowerConfig(2.0, 2, 1e-3)])
+
+
+class TestPowerConfig:
+    @pytest.mark.parametrize("args", [
+        (math.nan, 3, 1e-3), (math.inf, 3, 1e-3), ("1", 3, 1e-3), (True, 3, 1e-3),
+        (1.0, 2.5, 1e-3), (1.0, True, 1e-3), (1.0, 3.0, 1e-3),
+        (1.0, 3, math.nan), (1.0, 3, math.inf)])
+    def test_rejects_values_outside_the_contract(self, args):
+        with pytest.raises(ConfigurationError):
+            PowerConfig(*args)
+
+    def test_accepts_numpy_scalars(self):
+        power = PowerConfig(np.float64(2.0), np.int64(4), np.float32(1e-3))
+        assert power.per_user == 0.5
+
 
 class TestErgodicCapacity:
     def test_zero_power(self):

@@ -11,7 +11,7 @@ import gusim.scheduling as scheduling
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.localization import perturb_and_rebuild_omegas
-from gusim.rx import PowerConfig, sum_rate, zf_weights
+from gusim.rx import PowerConfig, sum_rate, unitary_pilots, zf_weights
 from gusim.scheduling import (estimation_load, gus_select, gwc_select_powers,
                               random_select)
 
@@ -658,3 +658,21 @@ class TestEstimationLoad:
     def test_invalid_counts(self):
         with pytest.raises(ConfigurationError):
             estimation_load(0, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gus_select(np.ones((6, 4)), True),
+    lambda: gus_select(np.ones((6, 4)), 2.0),
+    lambda: random_select(6, 2.0),
+    lambda: random_select(6.0, 2),
+    lambda: gwc_select_powers(np.eye(8, 6), 2.0, [PowerConfig(1.0, 2, 1e-2)]),
+    lambda: gwc_select_powers(np.eye(8, 6), True, [PowerConfig(1.0, 1, 1e-2)]),
+    lambda: estimation_load(64.5, 5),
+    lambda: estimation_load(64, True),
+    lambda: unitary_pilots(2.5),
+    lambda: unitary_pilots(2, 3.0),
+], ids=["gus-bool", "gus-float", "random-float", "random-pool-float", "gwc-float",
+        "gwc-bool", "load-float", "load-bool", "pilots-float", "pilots-length-float"])
+def test_selection_counts_must_be_integers(call):
+    with pytest.raises(ConfigurationError):
+        call()
