@@ -25,9 +25,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="YAML experiment config (defaults used if omitted)")
-        p.add_argument("--seed", type=int, help="override the base seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", required=True, help="output CSV path")
+        if name == "fig3":   # pure arithmetic: no trials, seeds or rates
+            continue
+        p.add_argument("--seed", type=int, dest="base_seed", help="override the base seed")
+        p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--mode", choices=["physical", "paper-literal"],
                        help="sum-rate noise model")
         p.add_argument("--gus-variant", choices=["last", "set"],
@@ -38,8 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config) if args.config \
         else harness.ExperimentConfig()
-    overrides = {"base_seed": args.seed, "trials": args.trials, "mode": args.mode,
-                 "gus_variant": args.gus_variant}
+    overrides = {k: getattr(args, k, None) for k in ("base_seed", "trials", "mode", "gus_variant")}
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 

@@ -29,9 +29,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 _MAX_SHADOWING_SIGMA_DB = 10.0 * math.log10(sys.float_info.max) / (
     3.6541528853610088 + math.sqrt(106.0 * math.log(2.0)))
 
-# rejection-sampling draws allowed per user outside the BS exclusion disk
-_MAX_PLACEMENT_ATTEMPTS = 10_000
-
 _SCENARIO_SCHEMA_VERSION = 3
 
 # salts for the per-purpose random streams derived from the scenario seed
@@ -203,16 +200,10 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
 
     # rounds of exactly the users still missing, so user k is the k-th
     # accepted draw and nothing is drawn past the last one
-    r_min, placed, misses = config.bs_exclusion_fraction * half, [], 0
+    r_min, placed = config.bs_exclusion_fraction * half, []
     while len(placed) < config.num_users:
-        for x, y in rng.uniform(-half, half, size=(config.num_users - len(placed), 2)).tolist():
-            if math.hypot(x, y) >= r_min:
-                placed.append((x, y))
-                misses = 0
-            elif (misses := misses + 1) == _MAX_PLACEMENT_ATTEMPTS:
-                raise ConfigurationError(
-                    f"could not place user {len(placed)} outside the exclusion disk "
-                    f"after {_MAX_PLACEMENT_ATTEMPTS} attempts")
+        draws = rng.uniform(-half, half, size=(config.num_users - len(placed), 2)).tolist()
+        placed += [(x, y) for x, y in draws if math.hypot(x, y) >= r_min]
     users = np.column_stack([placed, np.full(config.num_users, config.ms_height)])
 
     z_lo, z_hi = config.cluster_height_range

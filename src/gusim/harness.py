@@ -71,6 +71,13 @@ class ExperimentConfig:
         self.scenario.validate()
         self.crlb.validate()
         check_fields(self)
+        if self.scenario.rng_seed != 0:   # trial t replaces it with base_seed + t
+            raise ConfigurationError("scenario.rng_seed must be 0: set base_seed instead")
+        with np.errstate(over="ignore"):   # 10**(p/10) is inf, not an OverflowError
+            watts = dbm_to_watts(np.array(self.powers_dbm, dtype=float)).tolist()
+        if not all(0.0 < w < math.inf for w in watts):
+            raise ConfigurationError("powers_dbm must give finite, positive watts (about "
+                                     f"-3,206 to 3,082 dBm), got {self.powers_dbm!r}")
         if self.mode == "paper-literal" and not self.use_estimation:
             raise ConfigurationError(
                 "mode 'paper-literal' needs use_estimation: with perfect CSI, "

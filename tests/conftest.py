@@ -82,17 +82,12 @@ def generate_scenario_loop(config):
     users = np.empty((config.num_users, 3))
     r_min = config.bs_exclusion_fraction * half
     for k in range(config.num_users):
-        for _ in range(gscm._MAX_PLACEMENT_ATTEMPTS):
+        while True:
             xy = rng.uniform(-half, half, size=2)
             if math.hypot(xy[0], xy[1]) >= r_min:
                 users[k, :2] = xy
                 users[k, 2] = config.ms_height
                 break
-        else:
-            raise ConfigurationError(
-                f"could not place user {k} outside the exclusion disk after "
-                f"{gscm._MAX_PLACEMENT_ATTEMPTS} attempts"
-            )
 
     z_lo, z_hi = config.cluster_height_range
     positions, vr_centers, delays, shadow_gains = [], [], [], []

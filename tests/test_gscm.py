@@ -16,7 +16,8 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         scenario_to_dict, vr_gain)
 from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
                       einsum_covariances, generate_scenario_loop, laplace_offsets,
-                      make_scenario, scalar_gain, set_next_word, steering_vector)
+                      make_scenario, pathloss_amplitude, reference_delay, scalar_gain,
+                      set_next_word, steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -128,21 +129,6 @@ class TestGenerateScenario:
         for seed in [*range(1, 301), 2**32 - 1, 2**32, 2**40 + 3]:
             cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=fraction)
             assert_matches_the_loop(generate_scenario(cfg), generate_scenario_loop(cfg))
-
-    def test_attempt_cap_matches_the_per_draw_loop(self, monkeypatch):
-        monkeypatch.setattr(gscm, "_MAX_PLACEMENT_ATTEMPTS", 8)
-        raised = 0
-        for seed in range(1, 41):
-            cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9)
-            try:
-                expected = generate_scenario_loop(cfg)
-            except ConfigurationError as exc:
-                raised += 1
-                with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
-                    generate_scenario(cfg)
-            else:
-                assert_matches_the_loop(generate_scenario(cfg), expected)
-        assert 0 < raised < 40
 
 
 class TestVrGain:
@@ -275,6 +261,19 @@ class TestBroadcasting:
         np.testing.assert_allclose(loss.ravel(), [lo for lo, _ in scalar], rtol=1e-13)
         np.testing.assert_allclose(gain.ravel(), [g for _, g in scalar], rtol=1e-13)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: vr_gain(10.0, 20.0, 20.0, WAVELENGTH_2GHZ), "vr_radius > transition_size > 0"),
+        (lambda: vr_gain(10.0, 50.0, 0.0, WAVELENGTH_2GHZ), "vr_radius > transition_size > 0"),
+        (lambda: vr_gain(10.0, 50.0, 20.0, 0.0), "wavelength must be positive"),
+        (lambda: cluster_attenuation(1e-6, 1e-6, 5e-6, -1.0), "power_decay must be nonnegative"),
+        (lambda: path_loss_nlos(10.0, -WAVELENGTH_2GHZ), "wavelength must be positive"),
+    ], ids=["vr-radius-at-transition", "zero-transition", "vr-wavelength", "negative-decay",
+            "loss-wavelength"])
+    def test_argument_checks(self, call, match):
+        # the distance and delay checks are in test_input_checks_see_every_element
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
     def test_input_checks_see_every_element(self):
         with pytest.raises(ConfigurationError):
             vr_gain(np.array([10.0, -1.0]), 50.0, 20.0, WAVELENGTH_2GHZ)
@@ -335,6 +334,63 @@ class TestLargeScaleGains:
         with pytest.raises(ConfigurationError, match="vr_centers and delays must have shapes"):
             gscm.large_scale_gains(scen, np.zeros((vr_rows, vr_columns)),
                                    np.full(delay_shape, 1e-6))
+
+    def test_inner_edge_entry(self):
+        # user exactly at the inner VR edge with no delay decay: entry is
+        # half the path-loss amplitude
+        scen = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([230.0, 0.0]))],
+            power_decay=0.0,
+        )
+        v = gscm.large_scale_gains(scen)
+        lp = pathloss_amplitude(scen, 0)
+        assert v[0, 0] == pytest.approx(0.5 * lp, rel=1e-12)
+
+    def test_far_user_row_vanishes(self):
+        scen = make_scenario(
+            users_xy=[(950.0, 950.0)],
+            cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([-950.0, -950.0]))],
+        )
+        v = gscm.large_scale_gains(scen)
+        lp = pathloss_amplitude(scen, 0)
+        assert v[0, 0] < 1e-4 * lp
+
+    def test_matches_factor_composition(self):
+        scen = make_scenario(
+            users_xy=[(300.0, 100.0), (-250.0, 400.0)],
+            cluster_specs=[
+                (np.array([200.0, 150.0, 25.0]), np.array([310.0, 90.0])),
+                (np.array([-200.0, 350.0, 10.0]), np.array([-260.0, 420.0])),
+            ],
+        )
+        cfg = scen.config
+        v = gscm.large_scale_gains(scen)
+        for i in range(2):
+            for j in range(2):
+                _, gain = gscm.path_loss_nlos(
+                    float(np.linalg.norm(scen.users[i] - scen.bs_position)),
+                    cfg.wavelength)
+                d_vr = float(np.linalg.norm(
+                    scen.users[i, :2] - scen.vr_centers[j]))
+                a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
+                                    cfg.wavelength)
+                a_c = gscm.cluster_attenuation(
+                    scen.delays[j],
+                    reference_delay(scen, i),
+                    cfg.cutoff_delay, cfg.power_decay)
+                assert v[i, j] == pytest.approx(
+                    math.sqrt(gain) * a_vr * math.sqrt(a_c), rel=1e-12)
+
+    def test_no_shadowing_in_v(self):
+        scen_a = make_scenario(
+            users_xy=[(200.0, 0.0)],
+            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
+        )
+        # same geometry, different shadow gain
+        scen_b = replace(scen_a, shadow_gains=np.array([7.5]))
+        np.testing.assert_array_equal(gscm.large_scale_gains(scen_a),
+                                      gscm.large_scale_gains(scen_b))
 
 
 class TestSteeringVector:
@@ -460,6 +516,14 @@ class TestChannelMatrix:
             users = rng.permutation(scen.num_users)[:size]
             np.testing.assert_allclose(channel_matrix(scen, users).entries,
                                        einsum_channel(scen, users), rtol=1e-12, atol=0)
+
+    def test_non_finite_channel_rejected(self):
+        # power_decay = 1e9 overflows the attenuation of a cluster whose
+        # delay falls below the user's line-of-sight delay
+        scen = generate_scenario(ScenarioConfig(power_decay=1e9, rng_seed=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConfigurationError, match="non-finite entries"):
+                channel_matrix(scen, range(scen.num_users))
 
     def test_empty_selection_rejected(self, small_scenario):
         with pytest.raises(ConfigurationError):
@@ -788,6 +852,7 @@ class TestScenarioSerialization:
         (("users",), "everywhere"),
         (("shadow_gains", 0), None),
         (("cluster_positions", 0), [1.0, "2", 3.0]),
+        (("users", 0), [1.0, 2.0]),   # ragged: one user without a height
     ])
     def test_wrongly_typed_value_rejected(self, path, value):
         data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=3)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gusim import cli, gscm, harness
-from gusim.errors import ConfigurationError
+from gusim.errors import ConfigurationError, RankDeficiencyError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import zf_weights
 from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
@@ -277,10 +277,32 @@ class TestRunExperiment:
             run_experiment(cfg)
         tiny_config(use_estimation=True).validate()
 
-    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 4000.0, -4000.0])
     def test_nonfinite_power_rejected_before_any_trial(self, no_trials, power):
+        # 4000 dBm overflows dbm_to_watts; -4000 dBm is 0 W, a pilot with no energy
         with pytest.raises(ConfigurationError, match="powers_dbm"):
             run_experiment(tiny_config(powers_dbm=(0.0, power)))
+        tiny_config(powers_dbm=(-3200.0, 3080.0)).validate()
+
+    def test_singular_mmse_excludes_only_its_power(self, monkeypatch):
+        # a RankDeficiencyError at 20 dBm drops each set's 20 dBm row; the
+        # same sets are still rated at 0 dBm, with the same rates
+        estimate = harness.mmse_estimate_per_user
+
+        def singular_at_20_dbm(received, pilots, noise, covariances):
+            if np.linalg.norm(pilots[0]) ** 2 > 1e-2:   # 0.05 W per user, not 5e-4 W
+                raise RankDeficiencyError("singular MMSE system")
+            return estimate(received, pilots, noise, covariances)
+
+        cfg = tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM"))
+        plain = run_experiment(cfg)
+        monkeypatch.setattr(harness, "mmse_estimate_per_user", singular_at_20_dbm)
+        stats = run_experiment(cfg)
+        for row, before in zip(stats.trial_rows, plain.trial_rows, strict=True):
+            assert row == (replace(before, sum_rate=None, selected=())
+                           if row.p_dbm == 20.0 else before)
+        assert [(c.p_dbm, c.trials_used, c.excluded) for c in stats.cells] == \
+            [(0.0, 2, 0), (20.0, 0, 2)] * 2
 
     @pytest.mark.parametrize("sweep", [run_sweep, figure2_sweep, figure3_load,
                                        figure4_robustness])
@@ -377,6 +399,9 @@ class TestValidateHoles:
         ("config", dict(algorithms=(["GUS"],)), "algorithms"),
         ("scenario", dict(cell_half_side=2500.0), "cutoff_delay .* cell_half_side 2500"),
         ("scenario", dict(shadowing_sigma_db=3000.0), "shadowing_sigma_db must be <="),
+        ("scenario", dict(vr_radius=20.0), "vr_radius 20.0 must exceed transition_size 20.0"),
+        ("scenario", dict(reference_delay=2e-5), "cutoff_delay must be >= reference_delay"),
+        ("scenario", dict(rng_seed=5), "scenario.rng_seed must be 0: set base_seed"),
     ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
     def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
         base = tiny_config()
@@ -418,6 +443,14 @@ class TestAggregate:
                             float(np.std(ok, ddof=1) / math.sqrt(len(ok))),
                             len(ok), len(group) - len(ok), group[0].load))
         assert stats.cells == tuple(expected)
+
+    def test_missing_cell_raises_key_error(self):
+        stats = run_experiment(tiny_config(trials=1, algorithms=("RANDOM",)))
+        assert stats.cell("RANDOM", 2, 20.0).p_dbm == 20.0
+        for key in [("GUS", 2, 20.0, 0), ("RANDOM", 3, 20.0, 0), ("RANDOM", 2, 10.0, 0),
+                    ("RANDOM", 2, 20.0, 1)]:
+            with pytest.raises(KeyError, match="RANDOM|GUS"):
+                stats.cell(*key)
 
 
 class TestTrialRowsMatchNaiveOracle:
@@ -610,6 +643,12 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             config_hash(tiny_config(**overrides))
 
+    def test_config_file_must_hold_a_mapping(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("- 1\n- 2\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=r"config must be a mapping, got \[1, 2\]"):
+            load_config(path)
+
     def test_schema_version_required(self):
         data = config_to_dict(tiny_config())
         data["schema_version"] = 42
@@ -778,6 +817,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"gusim: error: cannot write {out}") and "Traceback" not in err
         assert not out.exists() and not out.parent.exists()
+
+    def test_overflowing_power_is_a_usage_error(self, tmp_path, no_trials, capsys):
+        cfg_path = tmp_path / "c.yaml"
+        save_config(tiny_config(powers_dbm=(4000.0,)), cfg_path)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: powers_dbm") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "9"], ["--trials", "3"],
+                                      ["--mode", "paper-literal"], ["--gus-variant", "set"]])
+    def test_fig3_takes_only_config_and_out(self, tmp_path, capsys, flag):
+        # fig3 is arithmetic on the config: no trial, seed or rate to set
+        out = tmp_path / "f3.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig3", *flag, "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"gusim: error: unrecognized arguments: {' '.join(flag)}" in err
+        assert not out.exists()
+
+    def test_fig3_without_config_uses_the_defaults(self, tmp_path):
+        out, expected = tmp_path / "f3.csv", tmp_path / "expected.csv"
+        assert cli.main(["fig3", "--out", str(out)]) == 0
+        figure3_load(ExperimentConfig(), expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert (tmp_path / "f3.csv.manifest.txt").read_bytes() == \
+            (tmp_path / "expected.csv.manifest.txt").read_bytes()
 
     def test_fig3_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

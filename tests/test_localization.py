@@ -47,6 +47,12 @@ class TestCrlb:
         assert crlb_delay(1.0, 1.0) == pytest.approx(1.0 / (8 * math.pi**2),
                                                      rel=1e-12)
 
+    @pytest.mark.parametrize("gamma_o,bandwidth", [(0.0, 20e6), (np.array([1.0, -1.0]), 20e6),
+                                                   (1.0, 0.0)])
+    def test_delay_bound_needs_positive_snr_and_bandwidth(self, gamma_o, bandwidth):
+        with pytest.raises(ConfigurationError, match="gamma_o and bandwidth must be positive"):
+            crlb_delay(gamma_o, bandwidth)
+
     def test_elevation_equals_azimuth_at_zero(self):
         params = CrlbParams()
         tau, theta, phi = crlb(params, 0.3, 0.0)

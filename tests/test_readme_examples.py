@@ -1,6 +1,7 @@
 """The README's examples run: its ``python`` blocks in order, then each
-``gusim`` line of its shell blocks through ``cli.main`` with one trial, so
-that the documented calls and commands keep working as written."""
+``gusim`` line of its shell blocks through ``cli.main``, with one trial
+where the command takes ``--trials``, so that the documented calls and
+commands keep working as written."""
 
 import re
 import shlex
@@ -26,6 +27,7 @@ def test_readme_examples_run(tmp_path, monkeypatch):
                 for line in block.splitlines() if line.startswith("gusim ")]
     assert sorted(argv[1] for argv in commands) == ["fig2", "fig3", "fig4", "run"]
     for argv in commands:
-        assert cli.main([*argv[1:], "--trials", "1"]) == 0
+        trials = [] if argv[1] == "fig3" else ["--trials", "1"]   # fig3 runs no trials
+        assert cli.main([*argv[1:], *trials]) == 0
         out = Path(argv[argv.index("--out") + 1])
         assert out.is_file() and Path(f"{out}.manifest.txt").is_file()

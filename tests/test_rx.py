@@ -172,6 +172,12 @@ class TestMmseEstimatePerUser:
             mmse_estimate_per_user(np.zeros((2, 2)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
 
+    def test_zero_pilot_row_rejected(self):
+        pilots = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ConfigurationError, match="every pilot must have positive energy"):
+            mmse_estimate_per_user(np.zeros((2, 2)), pilots, 1.0,
+                                   np.stack([np.eye(2)] * 2).astype(complex))
+
     def test_shape_mismatch_rejected(self):
         pilots = unitary_pilots(2)
         with pytest.raises(ConfigurationError):
@@ -323,6 +329,11 @@ class TestSumRate:
             sum_rate(h, stack, [PowerConfig(1.0, 4, 1.0)] * 2)
         with pytest.raises(ConfigurationError, match="receiver shape"):
             sum_rate(h, stack, PowerConfig(1.0, 4, 1.0))
+
+    def test_unknown_mode_rejected(self):
+        h = np.eye(2, dtype=complex)
+        with pytest.raises(ConfigurationError, match="unknown sum-rate mode 'ideal'"):
+            sum_rate(h, zf_weights(h), PowerConfig(1.0, 2, 1.0), "ideal")
 
     def test_power_split_must_match_the_channel(self):
         # a split over 5 users would rate this 8 x 3 channel at P/5 per user

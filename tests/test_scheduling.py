@@ -15,67 +15,7 @@ from gusim.rx import PowerConfig, sum_rate, unitary_pilots, zf_weights
 from gusim.scheduling import (estimation_load, gus_select, gwc_select_powers,
                               random_select)
 
-from conftest import (correlation_metric, gwc_select_single, make_scenario,
-                      pathloss_amplitude, reference_delay)
-
-
-class TestBuildVMatrix:
-    def test_inner_edge_entry(self):
-        # user exactly at the inner VR edge with no delay decay: entry is
-        # half the path-loss amplitude
-        scen = make_scenario(
-            users_xy=[(200.0, 0.0)],
-            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([230.0, 0.0]))],
-            power_decay=0.0,
-        )
-        v = gscm.large_scale_gains(scen)
-        lp = pathloss_amplitude(scen, 0)
-        assert v[0, 0] == pytest.approx(0.5 * lp, rel=1e-12)
-
-    def test_far_user_row_vanishes(self):
-        scen = make_scenario(
-            users_xy=[(950.0, 950.0)],
-            cluster_specs=[(np.array([100.0, 0.0, 20.0]), np.array([-950.0, -950.0]))],
-        )
-        v = gscm.large_scale_gains(scen)
-        lp = pathloss_amplitude(scen, 0)
-        assert v[0, 0] < 1e-4 * lp
-
-    def test_matches_factor_composition(self):
-        scen = make_scenario(
-            users_xy=[(300.0, 100.0), (-250.0, 400.0)],
-            cluster_specs=[
-                (np.array([200.0, 150.0, 25.0]), np.array([310.0, 90.0])),
-                (np.array([-200.0, 350.0, 10.0]), np.array([-260.0, 420.0])),
-            ],
-        )
-        cfg = scen.config
-        v = gscm.large_scale_gains(scen)
-        for i in range(2):
-            for j in range(2):
-                _, gain = gscm.path_loss_nlos(
-                    float(np.linalg.norm(scen.users[i] - scen.bs_position)),
-                    cfg.wavelength)
-                d_vr = float(np.linalg.norm(
-                    scen.users[i, :2] - scen.vr_centers[j]))
-                a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size,
-                                    cfg.wavelength)
-                a_c = gscm.cluster_attenuation(
-                    scen.delays[j],
-                    reference_delay(scen, i),
-                    cfg.cutoff_delay, cfg.power_decay)
-                assert v[i, j] == pytest.approx(
-                    math.sqrt(gain) * a_vr * math.sqrt(a_c), rel=1e-12)
-
-    def test_no_shadowing_in_v(self):
-        scen_a = make_scenario(
-            users_xy=[(200.0, 0.0)],
-            cluster_specs=[(np.array([150.0, 50.0, 20.0]), np.array([210.0, 0.0]))],
-        )
-        # same geometry, different shadow gain
-        scen_b = replace(scen_a, shadow_gains=np.array([7.5]))
-        np.testing.assert_array_equal(gscm.large_scale_gains(scen_a),
-                                      gscm.large_scale_gains(scen_b))
+from conftest import correlation_metric, gwc_select_single
 
 
 class TestCorrelationMetric:
@@ -160,6 +100,10 @@ class TestGusSelect:
         with pytest.warns(UserWarning):
             with pytest.raises(SelectionError):
                 gus_select(v, 2)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown variant 'first'"):
+            gus_select(np.eye(3), 2, variant="first")
 
     def test_set_variant_uses_worst_case(self):
         # candidate 3 is orthogonal to the last pick but identical to the
