@@ -28,6 +28,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 # b = -log1p(-u) <= 53 ln 2. Above this sigma a shadow gain 10^(x/10) could overflow.
 _MAX_SHADOWING_SIGMA_DB = 10.0 * math.log10(sys.float_info.max) / (
     3.6541528853610088 + math.sqrt(106.0 * math.log(2.0)))
+_MAX_EXP_ARG = math.log(sys.float_info.max)   # exp of more overflows
 
 _SCENARIO_SCHEMA_VERSION = 3
 
@@ -36,6 +37,7 @@ _STREAM_ANGLES = 101
 _STREAM_GAINS = 202
 _STREAM_PERTURB = 303
 _STREAM_SELECT = 404
+_STREAM_PILOT_NOISE = 505
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,11 @@ class ScenarioConfig:
                 f"cutoff_delay {self.cutoff_delay} is below the {corner_delay:.6g} s "
                 f"line-of-sight delay to the corner of a cell of cell_half_side "
                 f"{self.cell_half_side}; raise cutoff_delay or set reference_delay")
+        # A_C <= exp(power_decay * tau_0) for any cluster delay tau_c > 0
+        tau_0 = corner_delay if self.reference_delay is None else self.reference_delay
+        if self.power_decay * tau_0 > _MAX_EXP_ARG:
+            raise ConfigurationError(f"power_decay must be <= {_MAX_EXP_ARG / tau_0:.6g}, above "
+                                     f"which A_C can overflow, got {self.power_decay}")
         heights = self.cluster_height_range
         if not (isinstance(heights, tuple) and len(heights) == 2
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):

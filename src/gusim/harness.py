@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .errors import ConfigurationError, RankDeficiencyError
-from .gscm import (ScenarioConfig, _stream, _STREAM_SELECT,
+from .gscm import (ScenarioConfig, _stream, _STREAM_PILOT_NOISE, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
@@ -38,8 +38,6 @@ RESULT_HEADER = ("figure", "algorithm", "K_s", "P_dbm", "P_watts", "omega",
                  "mean_sum_rate_bps_hz", "std_err", "trials_used", "excluded",
                  "load")
 LOAD_HEADER = ("figure", "M", "K", "K_s", "load_selected", "load_full", "ratio")
-
-_STREAM_FADING = 505
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -141,7 +139,7 @@ def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
                                covariances: np.ndarray) -> np.ndarray:
     """MMSE-estimate the selected users' channel from one block of
     orthogonal pilots, given their exact per-user covariances."""
-    rng = _stream(scenario.config.rng_seed, _STREAM_FADING, len(selected))
+    rng = _stream(scenario.config.rng_seed, _STREAM_PILOT_NOISE, len(selected))
     pilots = math.sqrt(power.per_user) * unitary_pilots(len(selected))
     m, tau_p = h_true.shape[0], pilots.shape[1]
     noise = math.sqrt(power.noise_power / 2.0) * (
@@ -238,21 +236,17 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     return rows
 
 
-def _aggregate(config: ExperimentConfig, rows, figure: str) -> tuple[CellStats, ...]:
-    """One cell per (K_s, omega, algorithm, power) of the grid, in that
-    order, from one pass over the rows; a cell keeps its rows' order."""
-    groups = defaultdict(list)
-    for r in rows:
-        groups[r.ks, r.omega, r.algorithm, r.p_dbm].append(r)
+def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
+    """One cell per column of the trials' rows, each trial's rows in the
+    grid order ``_run_trial`` emits; a cell keeps the trial order."""
     cells = []
-    for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
-                                         config.algorithms, config.powers_dbm):
-        group = groups[ks, omega, alg, p_dbm]
+    for group in zip(*trials):
         ok = [r.sum_rate for r in group if r.sum_rate is not None]
         mean = float(np.mean(ok)) if ok else math.nan
         se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else 0.0
-        cells.append(CellStats(figure, alg, ks, p_dbm, omega, mean, se, len(ok),
-                               len(group) - len(ok), group[0].load))
+        first = group[0]
+        cells.append(CellStats(figure, first.algorithm, first.ks, first.p_dbm, first.omega,
+                               mean, se, len(ok), len(group) - len(ok), first.load))
     return tuple(cells)
 
 
@@ -264,9 +258,8 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
     in the aggregate rows.
     """
     config.validate()
-    rows = [row for trial in range(config.trials)
-            for row in _run_trial(config, trial)]
-    return AggregateStats(_aggregate(config, rows, figure), tuple(rows))
+    trials = [_run_trial(config, trial) for trial in range(config.trials)]
+    return AggregateStats(_aggregate(trials, figure), tuple(r for rows in trials for r in rows))
 
 
 def _check_out_path(out_path) -> None:

@@ -20,7 +20,7 @@ def read_yaml(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:   # ValueError: bad UTF-8, huge int
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -98,7 +98,10 @@ def _typed(hint, value, where: str):
                      for i, (t, x) in enumerate(zip(args, value)))
     is_bool = isinstance(value, bool)
     if hint is float and isinstance(value, int) and not is_bool:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError(f"{where} is an integer too large for a float") from None
     if not isinstance(value, hint) or (is_bool and hint is not bool):
         raise ConfigurationError(f"{where} must be {hint.__name__}, got {value!r}")
     return value
@@ -107,6 +110,12 @@ def _typed(hint, value, where: str):
 def _is_integer(value) -> bool:
     """An int or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, high=math.inf) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is an integer, not a bool, in [1, high]."""
+    if not (_is_integer(value) and 1 <= value <= high):
+        raise ConfigurationError(f"{name} must be an integer in [1, {high}], got {value!r}")
 
 
 def _is_finite(value) -> bool:

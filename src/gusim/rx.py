@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, RankDeficiencyError
-from .plain import _is_finite, _is_integer
+from .plain import _is_finite, check_count
 
 BOLTZMANN = 1.381e-23
 
@@ -21,10 +21,10 @@ ZF_COND_LIMIT = 1e12
 def unitary_pilots(num_users: int, pilot_length: int | None = None) -> np.ndarray:
     """Default pilot book: DFT rows of unit-modulus symbols, mutually
     orthogonal with squared norm tau_p; both counts are integers, not bools."""
+    if pilot_length is not None:
+        check_count("pilot_length", pilot_length)
     tau_p = num_users if pilot_length is None else pilot_length
-    if not (_is_integer(num_users) and _is_integer(tau_p) and 1 <= num_users <= tau_p):
-        raise ConfigurationError(f"pilot counts must be integers with 1 <= num_users <= "
-                                 f"pilot_length, got {num_users!r} and {pilot_length!r}")
+    check_count("num_users", num_users, tau_p)
     k = np.arange(num_users)[:, None]
     t = np.arange(tau_p)[None, :]
     return np.exp(-2j * math.pi * k * t / tau_p)
@@ -42,8 +42,7 @@ class PowerConfig:
     def __post_init__(self):
         if not (_is_finite(self.total_power) and self.total_power >= 0):
             raise ConfigurationError(f"need a finite total_power >= 0, got {self.total_power!r}")
-        if not (_is_integer(self.num_users) and self.num_users >= 1):
-            raise ConfigurationError(f"need an integer num_users >= 1, got {self.num_users!r}")
+        check_count("num_users", self.num_users)
         if not (_is_finite(self.noise_power) and self.noise_power > 0):
             raise ConfigurationError(f"need a finite noise_power > 0, got {self.noise_power!r}")
 

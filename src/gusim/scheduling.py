@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SelectionError
-from .plain import _is_integer
+from .plain import check_count
 from .rx import ZF_COND_LIMIT
 
 
@@ -42,8 +42,7 @@ def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
     """
     v = np.asarray(v, dtype=float)
     stack, k = v.reshape(-1, *v.shape[-2:]), v.shape[-2]
-    if not (_is_integer(num_selected) and 1 <= num_selected <= k):
-        raise ConfigurationError(f"num_selected must be an integer in [1, {k}]")
+    check_count("num_selected", num_selected, k)
     if variant not in ("last", "set"):
         raise ConfigurationError(f"unknown variant {variant!r}")
 
@@ -123,8 +122,7 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     """
     h_all = np.asarray(h_all)
     m, k = h_all.shape
-    if not (_is_integer(num_selected) and 1 <= num_selected <= k):
-        raise ConfigurationError(f"num_selected must be an integer in [1, {k}]")
+    check_count("num_selected", num_selected, k)
     if num_selected > m:
         raise SelectionError(f"zero-forcing needs num_selected <= M = {m}")
 
@@ -184,10 +182,8 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
 def random_select(num_users: int, num_selected: int,
                   rng: np.random.Generator | int | None = None) -> ScheduleResult:
     """Uniform subset baseline, deterministic for a given generator/seed."""
-    if not (_is_integer(num_selected) and _is_integer(num_users)
-            and 1 <= num_selected <= num_users):
-        raise ConfigurationError(f"need integers 1 <= num_selected <= num_users, got "
-                                 f"{num_selected} of {num_users}")
+    check_count("num_users", num_users)
+    check_count("num_selected", num_selected, num_users)
     picks = np.random.default_rng(rng).choice(num_users, size=num_selected, replace=False)
     return ScheduleResult(tuple(int(i) for i in picks),
                           tuple(0.0 for _ in range(num_selected)), "RANDOM")
@@ -197,8 +193,6 @@ def estimation_load(num_antennas: int, num_estimated_users: int) -> int:
     """Channel-estimation load 2 * M * (users whose channels are estimated):
     the selected-set size for the geometry scheduler, the full pool for a
     full-CSI scheme."""
-    if not (_is_integer(num_antennas) and _is_integer(num_estimated_users)
-            and min(num_antennas, num_estimated_users) >= 1):
-        raise ConfigurationError(f"counts must be positive integers, got "
-                                 f"{num_antennas!r} and {num_estimated_users!r}")
+    check_count("num_antennas", num_antennas)
+    check_count("num_estimated_users", num_estimated_users)
     return 2 * num_antennas * num_estimated_users

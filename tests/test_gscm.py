@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +169,15 @@ class TestVrGain:
         assert 7.3e-5 < smallest < 7.4e-5
 
 
+def test_gscm_owns_every_stream_salt():
+    # one table of distinct salts; a salt defined elsewhere could repeat one
+    found = {path.name: re.findall(r"^(_STREAM_\w+) = (\d+)$", path.read_text(), re.M)
+             for path in Path(gscm.__file__).parent.glob("*.py")}
+    salts = found.pop("gscm.py")
+    assert not any(found.values()), found
+    assert len(salts) == 5 and len({value for _, value in salts}) == 5
+
+
 class TestScenarioConfigBounds:
     """Every config that ``validate`` accepts generates and loads."""
 
@@ -182,6 +193,24 @@ class TestScenarioConfigBounds:
             with pytest.raises(ConfigurationError, match="cutoff_delay.*cell_half_side"):
                 cfg.validate()
         ScenarioConfig(cell_half_side=half, reference_delay=1e-6).validate()
+
+    @pytest.mark.parametrize("reference_delay", [None, 1e-5])
+    def test_power_decay_at_the_bound_gives_finite_gains(self, reference_delay):
+        # A_C <= exp(power_decay * tau_0) for any cluster delay > 0, with
+        # tau_0 the reference delay, or else the cell corner's line-of-sight
+        # delay: about 1.5e8 /s for the default cell
+        cfg = ScenarioConfig(reference_delay=reference_delay, rng_seed=1)
+        corner = math.hypot(math.sqrt(2.0) * 1000.0, 5.0 - 1.5) / gscm.SPEED_OF_LIGHT
+        bound = math.log(sys.float_info.max) / (reference_delay or corner)
+        assert 1.50e8 < bound < 1.51e8 if reference_delay is None else bound < 1e8
+        message = re.escape(f"power_decay must be <= {bound:.6g},")
+        for decay in (bound * (1 + 1e-12), 1e9):
+            with pytest.raises(ConfigurationError, match=message):
+                replace(cfg, power_decay=decay).validate()
+        scen = generate_scenario(replace(cfg, power_decay=bound * (1 - 1e-12)))
+        with np.errstate(over="raise", invalid="raise"):
+            h = channel_matrix(scen, range(scen.num_users)).entries
+        assert np.all(np.isfinite(h))
 
     def test_shadowing_sigma_at_the_bound_generates_and_loads(self, tmp_path):
         # the bound takes r = 3.6541528853610088 for the start of the
@@ -519,8 +548,10 @@ class TestChannelMatrix:
 
     def test_non_finite_channel_rejected(self):
         # power_decay = 1e9 overflows the attenuation of a cluster whose
-        # delay falls below the user's line-of-sight delay
-        scen = generate_scenario(ScenarioConfig(power_decay=1e9, rng_seed=1))
+        # delay falls below the user's line-of-sight delay; validate() rejects
+        # it, so the draws of seed 1 get that config past generate_scenario
+        scen = replace(generate_scenario(ScenarioConfig(rng_seed=1)),
+                       config=ScenarioConfig(power_decay=1e9, rng_seed=1))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConfigurationError, match="non-finite entries"):
                 channel_matrix(scen, range(scen.num_users))

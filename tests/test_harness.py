@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -668,6 +669,7 @@ class TestConfigFile:
         ("trials", "5"), ("trials", 2.0), ("trials", True),
         ("use_estimation", 1), ("mode", 3), ("powers_dbm", 30.0),
         ("powers_dbm", [30.0, "40"]), ("scenario", [1, 2]),
+        pytest.param("bandwidth", 10**400, id="bandwidth-int-too-large-for-a-float"),
     ])
     def test_wrongly_typed_values_rejected(self, key, value):
         data = dict(config_to_dict(tiny_config()), **{key: value})
@@ -679,7 +681,8 @@ class TestConfigFile:
         for block, key, value in (("scenario", "antenna_count", "8"),
                                   ("scenario", "cluster_height_range", [5.0]),
                                   ("scenario", "reference_delay", "soon"),
-                                  ("crlb", "input_snr", None)):
+                                  ("crlb", "input_snr", None),
+                                  ("scenario", "cell_half_side", -10**400)):
             bad = dict(data, **{block: dict(data[block], **{key: value})})
             with pytest.raises(ConfigurationError, match=f"config.{block}.{key}"):
                 config_from_dict(bad)
@@ -779,12 +782,15 @@ class TestCli:
 
     @pytest.mark.parametrize("content,message", [
         (None, "No such file"), ("a: [1\n", "while parsing"),
-    ], ids=["missing", "malformed"])
+        (b"trials: \xff\n", "can't decode"),
+        pytest.param(f"bandwidth: 1{'0' * 5000}\n", "digits", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no int string limit")),
+    ], ids=["missing", "malformed", "not-utf-8", "int-of-5001-digits"])
     def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys,
                                                       content, message):
         cfg_path = tmp_path / "c.yaml"
         if content is not None:
-            cfg_path.write_text(content)
+            cfg_path.write_bytes(content if isinstance(content, bytes) else content.encode())
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["fig2", "--config", str(cfg_path), "--out", str(out)])
@@ -828,6 +834,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("gusim: error: powers_dbm") and "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_power_decay_is_a_usage_error(self, tmp_path, no_trials, capsys):
+        cfg = tiny_config()
+        cfg_path = tmp_path / "c.yaml"
+        save_config(replace(cfg, scenario=replace(cfg.scenario, power_decay=1e9)), cfg_path)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: power_decay must be <=") and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "o.csv.manifest.txt").exists()
+
+    def test_integer_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump({**config_to_dict(tiny_config()),
+                                            "bandwidth": 10**400}))
+        out = tmp_path / "f3.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gusim: error: config.bandwidth is an integer too large")
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "9"], ["--trials", "3"],
                                       ["--mode", "paper-literal"], ["--gus-variant", "set"]])

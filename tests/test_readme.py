@@ -41,3 +41,9 @@ def test_readme_members_resolve():
                      if not hasattr(cls, attr)
                      and attr not in getattr(cls, "__dataclass_fields__", {}))
     assert not missing, f"README.md names members gusim does not define: {missing}"
+
+
+def test_readme_is_at_most_400_lines():
+    # the README is the user contract; run measurements go to CHANGES.md
+    lines = README.read_text(encoding="utf-8").count("\n")
+    assert lines <= 400, f"README.md has {lines} lines; cite CHANGES.md instead of repeating it"

@@ -604,19 +604,23 @@ class TestEstimationLoad:
             estimation_load(0, 10)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: gus_select(np.ones((6, 4)), True),
-    lambda: gus_select(np.ones((6, 4)), 2.0),
-    lambda: random_select(6, 2.0),
-    lambda: random_select(6.0, 2),
-    lambda: gwc_select_powers(np.eye(8, 6), 2.0, [PowerConfig(1.0, 2, 1e-2)]),
-    lambda: gwc_select_powers(np.eye(8, 6), True, [PowerConfig(1.0, 1, 1e-2)]),
-    lambda: estimation_load(64.5, 5),
-    lambda: estimation_load(64, True),
-    lambda: unitary_pilots(2.5),
-    lambda: unitary_pilots(2, 3.0),
+@pytest.mark.parametrize("call,name", [
+    (lambda: gus_select(np.ones((6, 4)), True), "num_selected"),
+    (lambda: gus_select(np.ones((6, 4)), 2.0), "num_selected"),
+    (lambda: random_select(6, 2.0), "num_selected"),
+    (lambda: random_select(6.0, 2), "num_users"),
+    (lambda: gwc_select_powers(np.eye(8, 6), 2.0, [PowerConfig(1.0, 2, 1e-2)]), "num_selected"),
+    (lambda: gwc_select_powers(np.eye(8, 6), True, [PowerConfig(1.0, 1, 1e-2)]),
+     "num_selected"),
+    (lambda: estimation_load(64.5, 5), "num_antennas"),
+    (lambda: estimation_load(64, True), "num_estimated_users"),
+    (lambda: unitary_pilots(2.5), "num_users"),
+    (lambda: unitary_pilots(2, 3.0), "pilot_length"),
+    (lambda: PowerConfig(1.0, 0, 1e-3), "num_users"),
 ], ids=["gus-bool", "gus-float", "random-float", "random-pool-float", "gwc-float",
-        "gwc-bool", "load-float", "load-bool", "pilots-float", "pilots-length-float"])
-def test_selection_counts_must_be_integers(call):
-    with pytest.raises(ConfigurationError):
+        "gwc-bool", "load-float", "load-bool", "pilots-float", "pilots-length-float",
+        "power-zero"])
+def test_selection_counts_must_be_integers(call, name):
+    # one rule, plain.check_count, whose message names the argument
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer in \\[1, "):
         call()
