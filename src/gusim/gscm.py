@@ -332,14 +332,14 @@ def _seed_words(seed: int, clusters, users) -> np.ndarray:
     SeedSequence, for key words below 2^32 (a larger word adds entropy words)."""
     with np.errstate(over="ignore"):   # uint32 products wrap, as in seed_seq
         key = np.array(np.broadcast_arrays(seed, _STREAM_GAINS, clusters, users), np.uint32)
-        pool = list(_seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A))
-        pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-        for step, (src, dst) in enumerate(pairs, 4):
+        pool = _seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A)
+        for src in range(4):   # pool[src] into the other words, steps 4 + 3 src .. 6 + 3 src
+            dst, steps = np.arange(4) != src, np.arange(4 + 3 * src, 7 + 3 * src)[:, None]
             mixed = np.uint32(_MIX_MULT_L) * pool[dst] \
-                - np.uint32(_MIX_MULT_R) * _seed_hash(pool[src], step, _INIT_A, _MULT_A)
+                - np.uint32(_MIX_MULT_R) * _seed_hash(pool[src], steps, _INIT_A, _MULT_A)
             pool[dst] = mixed ^ (mixed >> _XSHIFT)
         # generate_state(4, uint64): eight words cycling the pool, paired low-high
-        state = _seed_hash(np.array(pool)[np.arange(8) % 4], np.arange(8)[:, None],
+        state = _seed_hash(pool[np.arange(8) % 4], np.arange(8)[:, None],
                            _INIT_B, _MULT_B).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
@@ -365,8 +365,9 @@ def _pcg64_jumps(n_draws: int) -> np.ndarray:
 def _mul128(x_hi, x_lo, c_hi, c_lo) -> tuple[np.ndarray, np.ndarray]:
     """(x * c) mod 2^128 on uint64 (hi, lo) halves."""
     x1, x0, c1, c0 = x_lo >> 32, x_lo & _MASK32, c_lo >> 32, c_lo & _MASK32
-    cross = (x0 * c0 >> 32) + (x1 * c0 & _MASK32) + x0 * c1   # < 2^64
-    hi = x1 * c1 + (x1 * c0 >> 32) + (cross >> 32) + x_lo * c_hi + x_hi * c_lo
+    x1c0 = x1 * c0
+    cross = (x0 * c0 >> 32) + (x1c0 & _MASK32) + x0 * c1   # < 2^64
+    hi = x1 * c1 + (x1c0 >> 32) + (cross >> 32) + x_lo * c_hi + x_hi * c_lo
     return hi, x_lo * c_lo
 
 

@@ -13,8 +13,9 @@ import hashlib
 import math
 import os
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -153,9 +154,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     function of (config, base seed, trial). GUS (on the V of every omega,
     all from one rebuild) and GWC (for every power) run once at the largest
     K_s, and each K_s takes the first picks; H holds only the columns of
-    users some row rates, unless GWC runs. Each set size is
-    zero-forced in one stacked call, per ordered set, or per (set, power)
-    with estimation, and each set is rated at all its powers at once."""
+    users some row rates, unless GWC runs. Each set size is zero-forced in
+    one stacked call, a receiver per ordered set, or per (set, power) with
+    estimation, and one ``sum_rate`` call rates its receivers at every power."""
     seed = config.base_seed + trial
     scen = generate_scenario(replace(config.scenario, rng_seed=seed))
     k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
@@ -202,34 +203,28 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
                                       if alg == "GWC" else random)[ks])
             for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
                                                  config.algorithms, config.powers_dbm)]
-    rated = defaultdict(dict)   # set -> {power: its weights' power, None if shared}
-    for *_, p_dbm, sel in grid:
-        if sel is not None:
-            rated[sel][p_dbm] = p_dbm if config.use_estimation else None
-    weights, inputs = {}, defaultdict(dict)   # K_s -> {(set, power): ZF input}
-    for sel, powers in rated.items():
-        covariances = channel_covariances(scen, sel) if config.use_estimation else None
-        for p_dbm in dict.fromkeys(powers.values()):
-            try:
-                inputs[len(sel)][sel, p_dbm] = h_of(sel) if p_dbm is None else \
-                    _estimate_selected_channel(scen, sel, h_of(sel), power(p_dbm, len(sel)),
-                                               covariances)
-            except RankDeficiencyError:   # a singular MMSE system
-                weights[sel, p_dbm] = None
-    for same_size in inputs.values():
-        weights.update(zip(same_size, zf_weights(np.stack(list(same_size.values())))))
-    rates = {}
-    for sel, powers in rated.items():
-        usable = [p for p, w_p in powers.items() if weights[sel, w_p] is not None]
-        if usable:
-            w = [weights[sel, powers[p]] for p in usable]
-            rates.update(zip(((sel, p) for p in usable), sum_rate(
-                h_of(sel), np.stack(w) if config.use_estimation else w[0],
-                [power(p, len(sel)) for p in usable], config.mode).tolist()))
+    shared = not config.use_estimation   # a set's receiver serves every power
+    covariances = lru_cache(1)(partial(channel_covariances, scen))   # a set's rows mostly adjoin
+    inputs = defaultdict(dict)   # K_s -> {(set, its weights' power or None): ZF input}
+    for ks, *_, p_dbm, sel in grid:
+        if sel is not None and (key := (sel, None if shared else p_dbm)) not in inputs[ks]:
+            inputs[ks][key] = None   # stays None if the MMSE system is singular
+            with suppress(RankDeficiencyError):
+                inputs[ks][key] = h_of(sel) if shared else _estimate_selected_channel(
+                    scen, sel, h_of(sel), power(p_dbm, ks), covariances(sel))
+    rates = {}   # (set, weights' power, power) -> rate
+    for ks, same_size in inputs.items():
+        keys = [key for key, x in same_size.items() if x is not None]
+        weights = zf_weights(np.stack([same_size[key] for key in keys])) if keys else ()
+        if usable := {key: w for key, w in zip(keys, weights) if w is not None}:
+            table = sum_rate([h_of(sel) for sel, _ in usable], [*usable.values()],
+                             [power(p, ks) for p in config.powers_dbm], config.mode)
+            rates.update(((*key, p), r) for key, row in zip(usable, table.tolist())
+                         for p, r in zip(config.powers_dbm, row))
 
     rows = []
     for ks, omega, alg, p_dbm, sel in grid:
-        r = rates.get((sel, p_dbm))
+        r = rates.get((sel, None if shared else p_dbm, p_dbm))
         rows.append(TrialResult(trial, alg, ks, p_dbm, omega, r,
                                 estimation_load(m, k_total if alg == "GWC" else ks),
                                 () if r is None else sel))
@@ -238,16 +233,20 @@ def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
 
 def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
     """One cell per column of the trials' rows, each trial's rows in the
-    grid order ``_run_trial`` emits; a cell keeps the trial order."""
-    cells = []
-    for group in zip(*trials):
-        ok = [r.sum_rate for r in group if r.sum_rate is not None]
-        mean = float(np.mean(ok)) if ok else math.nan
-        se = float(np.std(ok, ddof=1) / math.sqrt(len(ok))) if len(ok) > 1 else 0.0
-        first = group[0]
-        cells.append(CellStats(figure, first.algorithm, first.ks, first.p_dbm, first.omega,
-                               mean, se, len(ok), len(group) - len(ok), first.load))
-    return tuple(cells)
+    grid order ``_run_trial`` emits; a cell keeps the trial order. Cells with
+    one count of usable rates take their bitwise per-cell means and standard
+    errors along the rows of one (cells, count) array."""
+    groups = list(zip(*trials))
+    ok = [[r.sum_rate for r in group if r.sum_rate is not None] for group in groups]
+    stats = {}   # cell -> (mean, std_err), absent with no usable rate
+    for count in set(map(len, ok)) - {0}:
+        index = [i for i, rates in enumerate(ok) if len(rates) == count]
+        table = np.array([ok[i] for i in index])
+        se = table.std(axis=1, ddof=1) / math.sqrt(count) if count > 1 else np.zeros(len(index))
+        stats.update(zip(index, zip(table.mean(axis=1).tolist(), se.tolist())))
+    return tuple(CellStats(figure, g[0].algorithm, g[0].ks, g[0].p_dbm, g[0].omega,
+                           *stats.get(i, (math.nan, 0.0)), len(r), len(g) - len(r), g[0].load)
+                 for i, (g, r) in enumerate(zip(groups, ok)))
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:

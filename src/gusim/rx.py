@@ -129,25 +129,25 @@ def sum_rate(h: np.ndarray, w: np.ndarray, power, mode: str = "physical"):
     ``physical`` puts amplified thermal noise P_n ||w_k||^2 plus residual
     interference in the SINR denominator; ``paper-literal`` uses
     1 + interference with no noise amplification term. ``w`` holds the
-    (K_s, M) combining weights, a row per user. A sequence of P powers
-    gives P rates from one |W H|^2 product, with one ``w`` for all or a
-    (P, K_s, M) stack of weights, one per power; each rate is bitwise its
-    one-power call. Every power's ``num_users`` must be K_s.
+    (K_s, M) combining weights, a row per user. P powers give P rates from
+    one |W H|^2 product, and an (n, M, K_s) channel stack with its (n, K_s, M)
+    weights gives (n, P) rates; each is bitwise its one-set, one-power call.
+    Every power's ``num_users`` must be K_s.
     """
     h, w = np.asarray(h), np.asarray(w)
     powers = [power] if isinstance(power, PowerConfig) else list(power)
-    k_s = h.shape[1]
-    if w.shape[-2:] != (k_s, h.shape[0]) or w.ndim == 3 and len(w) != len(powers):
+    k_s = h.shape[-1]
+    if w.shape != (*h.shape[:-2], k_s, h.shape[-2]):
         raise ConfigurationError("receiver shape does not match channel")
-    if any(p.num_users != k_s for p in powers):
-        raise ConfigurationError(f"every power must split over the channel's {k_s} users")
+    if not powers or any(p.num_users != k_s for p in powers):
+        raise ConfigurationError(f"need powers, each split over the channel's {k_s} users")
     if mode not in ("physical", "paper-literal"):
         raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
     p_k = np.array([p.per_user for p in powers])[:, None]
     g2 = np.abs(w @ h) ** 2  # (..., K_s, K_s); entry [k, i] = |w_k h_i|^2
-    own = g2.diagonal(axis1=-2, axis2=-1)
-    interference = p_k * (g2.sum(axis=-1) - own)
-    noise = np.array([[p.noise_power] for p in powers]) * np.sum(np.abs(w) ** 2, axis=-1) \
-        if mode == "physical" else 1.0
+    own = g2.diagonal(axis1=-2, axis2=-1)[..., None, :]   # (..., 1, K_s) against P powers
+    interference = p_k * (g2.sum(axis=-1)[..., None, :] - own)
+    noise = np.array([[p.noise_power] for p in powers]) * np.sum(
+        np.abs(w) ** 2, axis=-1)[..., None, :] if mode == "physical" else 1.0
     rates = np.sum(np.log2(1.0 + p_k * own / (noise + interference)), axis=-1)
-    return float(rates[0]) if isinstance(power, PowerConfig) else rates
+    return float(rates[0]) if isinstance(power, PowerConfig) and h.ndim == 2 else rates

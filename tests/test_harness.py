@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gusim import cli, gscm, harness
 from gusim.errors import ConfigurationError, RankDeficiencyError
 from gusim.gscm import ScenarioConfig, channel_covariances
-from gusim.rx import zf_weights
+from gusim.rx import sum_rate, zf_weights
 from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
@@ -147,8 +147,9 @@ class TestRunExperiment:
     def test_zf_weights_once_per_distinct_selection(self, monkeypatch, rank_limited):
         # perfect CSI: the receiver of a set, or its rank deficiency, does
         # not depend on the power. One stacked call per trial and set size
-        # zero-forces each distinct set once and reports deficiency per entry
-        calls, deficient = [], []
+        # zero-forces each distinct set once and reports deficiency per entry,
+        # and one more rates the size's usable receivers at every power
+        calls, deficient, rated = [], [], []
 
         def counting(h):
             calls.append((h.shape[2], [entry.tobytes() for entry in h]))
@@ -156,7 +157,12 @@ class TestRunExperiment:
             deficient.extend(rx is None for rx in receivers)
             return receivers
 
+        def rating(h, w, powers, mode):
+            rated.append((np.shape(h)[2], len(h), len(powers)))
+            return sum_rate(h, w, powers, mode)
+
         monkeypatch.setattr(harness, "zf_weights", counting)
+        monkeypatch.setattr(harness, "sum_rate", rating)
         cfg = tiny_config(powers_dbm=(0.0, 20.0, 40.0), ks_values=(2, 3),
                           omegas=(0, 1))
         if rank_limited:   # every channel has rank 2: K_s = 3 is rank deficient
@@ -167,6 +173,9 @@ class TestRunExperiment:
         entries = [entry for _, stack in calls for entry in stack]
         assert len(set(entries)) == len(entries)
         assert any(r.sum_rate is None for r in rows) == any(deficient) == rank_limited
+        usable = np.split(~np.array(deficient), np.cumsum([len(stack) for _, stack in calls]))
+        assert rated == [(size, n, len(cfg.powers_dbm)) for (size, _), n in
+                         zip(calls, map(np.count_nonzero, usable)) if n]
         if not rank_limited:
             assert len(entries) == len({(r.trial, r.selected) for r in rows}) < len(rows)
 
@@ -426,9 +435,16 @@ def test_every_config_field_has_a_rule_or_is_exempt(cls):
 
 
 class TestAggregate:
-    def test_cells_match_per_cell_scan(self):
+    @pytest.mark.parametrize("overrides,counts", [
+        ({}, {7}), ({"trials": 9}, {9}),   # nine rates reach numpy's unrolled summation
+        # rank 2 channels, and a shadowing that leaves one trial's K_s = 2
+        # sets rank deficient: K_s = 3 cells have no usable rate
+        ({"scenario": ScenarioConfig(num_users=8, num_clusters=2, antenna_count=8,
+                                     mpcs_per_cluster=1, shadowing_sigma_db=100.0,
+                                     rng_seed=0)}, {0, 6})])
+    def test_cells_match_per_cell_scan(self, overrides, counts):
         # Oracle: scan every row for every cell, in trial order
-        cfg = tiny_config(trials=7, ks_values=(2, 3), omegas=(0, 1))
+        cfg = tiny_config(**{"trials": 7, "ks_values": (2, 3), "omegas": (0, 1), **overrides})
         stats = run_experiment(cfg, figure="t")
         expected = []
         for ks in cfg.ks_values:
@@ -440,10 +456,14 @@ class TestAggregate:
                                  == (alg, ks, omega, p_dbm)]
                         ok = [r.sum_rate for r in group if r.sum_rate is not None]
                         expected.append(harness.CellStats(
-                            "t", alg, ks, p_dbm, omega, float(np.mean(ok)),
-                            float(np.std(ok, ddof=1) / math.sqrt(len(ok))),
+                            "t", alg, ks, p_dbm, omega,
+                            float(np.mean(ok)) if ok else math.nan,
+                            float(np.std(ok, ddof=1) / math.sqrt(len(ok)))
+                            if len(ok) > 1 else 0.0,
                             len(ok), len(group) - len(ok), group[0].load))
-        assert stats.cells == tuple(expected)
+        # repr: bitwise on floats, and a nan mean equals a nan mean
+        assert list(map(repr, stats.cells)) == list(map(repr, expected))
+        assert {c.trials_used for c in stats.cells} == counts
 
     def test_missing_cell_raises_key_error(self):
         stats = run_experiment(tiny_config(trials=1, algorithms=("RANDOM",)))

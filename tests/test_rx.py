@@ -300,35 +300,49 @@ class TestSumRate:
 
 
     @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
-    @pytest.mark.parametrize("per_power", [False, True])
-    def test_several_powers_match_one_power_calls(self, mode, per_power):
-        # bitwise: one shared receiver, or one receiver per power as with
-        # estimated CSI, and mixed noise powers
+    def test_several_powers_match_one_power_calls(self, mode):
+        # bitwise: one receiver rated at mixed total and noise powers
         rng = np.random.default_rng(10)
         for m, k_s in ((64, 10), (64, 5), (16, 1), (8, 8)):
             h = random_channel(rng, m, k_s)
             powers = [PowerConfig(p, k_s, n) for p, n in
                       ((1e-3, 1e-2), (1.0, 1e-2), (1e3, 1e-2), (1.0, 5.0), (0.0, 1.0))]
-            receivers = [random_channel(rng, m, k_s).T if per_power
-                         else zf_weights(h + 0.1 * random_channel(rng, m, k_s))
-                         for _ in powers]
-            if not per_power:
-                receivers = receivers[:1] * len(powers)
-            weights = np.stack(receivers) if per_power else receivers[0]
-            rates = sum_rate(h, weights, powers, mode)
+            w = zf_weights(h + 0.1 * random_channel(rng, m, k_s))
+            rates = sum_rate(h, w, powers, mode)
             assert rates.shape == (len(powers),)
-            assert rates.tolist() == [sum_rate(h, w, p, mode)
-                                      for w, p in zip(receivers, powers)]
-            assert sum_rate(h, weights, powers[:1] * (1 + per_power * 4),
-                            mode)[0] == sum_rate(h, receivers[0], powers[0], mode)
+            assert rates.tolist() == [sum_rate(h, w, p, mode) for p in powers]
+            assert sum_rate(h, w, powers[:1], mode)[0] == sum_rate(h, w, powers[0], mode)
 
-    def test_receiver_stack_must_match_the_powers(self):
+    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_stack_matches_one_set_calls(self, mode, estimated):
+        # bitwise, as the harness rates one set size: the ZF receiver of
+        # each true channel, or of a noisy estimate per (set, power), each
+        # receiver rated at every power
+        rng = np.random.default_rng(12)
+        for m, k_s, sets in ((64, 10, 3), (64, 5, 7), (16, 1, 2), (8, 8, 4)):
+            powers = [PowerConfig(p, k_s, n) for p, n in
+                      ((1e-3, 1e-2), (1.0, 1e-2), (1e3, 1e-2), (1.0, 5.0), (0.0, 1.0))]
+            h = np.stack([random_channel(rng, m, k_s) for _ in range(sets)])
+            if estimated:
+                h = np.repeat(h, len(powers), axis=0)
+                w = zf_weights(h + 0.1 * np.stack([random_channel(rng, m, k_s) for _ in h]))
+            else:
+                w = zf_weights(h)
+            w = np.stack(w)
+            rates = sum_rate(h, w, powers, mode)
+            assert rates.shape == (len(h), len(powers))
+            assert rates.tolist() == [[sum_rate(h_i, w_i, p, mode) for p in powers]
+                                      for h_i, w_i in zip(h, w)]
+
+    def test_receiver_stack_must_match_the_channel_stack(self):
         h = np.eye(4, dtype=complex)
         stack = np.stack([np.eye(4)] * 3)
-        with pytest.raises(ConfigurationError, match="receiver shape"):
-            sum_rate(h, stack, [PowerConfig(1.0, 4, 1.0)] * 2)
-        with pytest.raises(ConfigurationError, match="receiver shape"):
-            sum_rate(h, stack, PowerConfig(1.0, 4, 1.0))
+        for channel, weights in ((h, stack), (np.stack([h] * 2), stack),
+                                 (np.stack([h] * 3), h)):
+            for power in ([PowerConfig(1.0, 4, 1.0)] * 3, PowerConfig(1.0, 4, 1.0)):
+                with pytest.raises(ConfigurationError, match="receiver shape"):
+                    sum_rate(channel, weights, power)
 
     def test_unknown_mode_rejected(self):
         h = np.eye(2, dtype=complex)
@@ -343,6 +357,8 @@ class TestSumRate:
             sum_rate(h, w, PowerConfig(1.0, 5, 1e-3))
         with pytest.raises(ConfigurationError, match="3 users"):
             sum_rate(h, w, [PowerConfig(1.0, 3, 1e-3), PowerConfig(2.0, 2, 1e-3)])
+        with pytest.raises(ConfigurationError, match="need powers"):   # not a numpy error
+            sum_rate(h, w, [])
 
 
 class TestPowerConfig:
