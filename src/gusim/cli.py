@@ -50,9 +50,12 @@ def main(argv=None) -> int:
     try:
         sweeps = {"fig2": harness.figure2_sweep, "fig3": harness.figure3_load,
                   "fig4": harness.figure4_robustness, "run": harness.run_sweep}
-        sweeps[args.command](_load(args), args.out)
+        result = sweeps[args.command](_load(args), args.out)
     except ConfigurationError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    for c in [c for c in getattr(result, "cells", ()) if c.trials_used == 0]:   # fig3: none
+        print(f"{parser.prog}: warning: cell {c.algorithm} K_s={c.ks} P_dbm={c.p_dbm} omega="
+              f"{c.omega} has no usable trial ({c.excluded} excluded): mean nan", file=sys.stderr)
     print(f"wrote {args.out} (+ manifest)")
     return 0
 

@@ -15,7 +15,6 @@ import os
 from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -36,8 +35,7 @@ CONFIG_SCHEMA_VERSION = 2
 ALGORITHMS = ("GUS", "GWC", "RANDOM")
 
 RESULT_HEADER = ("figure", "algorithm", "K_s", "P_dbm", "P_watts", "omega",
-                 "mean_sum_rate_bps_hz", "std_err", "trials_used", "excluded",
-                 "load")
+                 "mean_sum_rate_bps_hz", "std_err", "trials_used", "excluded", "load")
 LOAD_HEADER = ("figure", "M", "K", "K_s", "load_selected", "load_full", "ratio")
 
 
@@ -136,99 +134,109 @@ class AggregateStats:
         raise KeyError((algorithm, ks, p_dbm, omega))
 
 
-def _estimate_selected_channel(scenario, selected, h_true, power: PowerConfig,
-                               covariances: np.ndarray) -> np.ndarray:
-    """MMSE-estimate the selected users' channel from one block of
-    orthogonal pilots, given their exact per-user covariances."""
-    rng = _stream(scenario.config.rng_seed, _STREAM_PILOT_NOISE, len(selected))
-    pilots = math.sqrt(power.per_user) * unitary_pilots(len(selected))
-    m, tau_p = h_true.shape[0], pilots.shape[1]
-    noise = math.sqrt(power.noise_power / 2.0) * (
-        rng.standard_normal((m, tau_p)) + 1j * rng.standard_normal((m, tau_p)))
-    received = h_true @ pilots + noise
-    return mmse_estimate_per_user(received, pilots, power.noise_power, covariances)
+def _prefix(result, ks: int) -> tuple[int, ...] | None:
+    """The first ``ks`` picks of a schedule result, None past a short one."""
+    return result.selected[:ks] if ks <= len(result.selected) else None
+
+
+def _select(config: ExperimentConfig, scen) -> list[tuple]:
+    """Select: each row's (K_s, omega, algorithm, power, set) in grid order,
+    GWC's set None until its stage; one GUS run on one rebuild's V stack."""
+    seed, k_total = scen.config.rng_seed, config.scenario.num_users
+    random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks))
+              for ks in config.ks_values} if "RANDOM" in config.algorithms else {}
+    gus = {}
+    if "GUS" in config.algorithms:
+        v = perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde
+        gus = dict(zip(config.omegas, gus_select(v, max(config.ks_values), config.gus_variant)))
+    return [(ks, omega, alg, p_dbm, None if alg == "GWC" else
+             _prefix(gus[omega] if alg == "GUS" else random[ks], ks))
+            for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
+                                                 config.algorithms, config.powers_dbm)]
+
+
+def _synthesize(config: ExperimentConfig, scen, grid: list) -> tuple:
+    """Synthesize: the users the grid rates, or all if GWC (which reads all
+    of H) runs, and their columns of H from one ``channel_matrix`` call."""
+    users = range(config.scenario.num_users) if "GWC" in config.algorithms else \
+        sorted({u for *_, sel in grid if sel is not None for u in sel})
+    return users, channel_matrix(scen, users).entries if users else None
+
+
+def _gwc(config: ExperimentConfig, h, grid: list) -> list[tuple]:
+    """GWC: the grid with GWC's sets, from one search at the largest K_s."""
+    if "GWC" not in config.algorithms:
+        return grid
+    top = max(config.ks_values)
+    gwc = dict(zip(config.powers_dbm, gwc_select_powers(h, top, [
+        PowerConfig(dbm_to_watts(p), top, config.noise_power) for p in config.powers_dbm])))
+    return [(ks, omega, alg, p_dbm, _prefix(gwc[p_dbm], ks) if alg == "GWC" else sel)
+            for ks, omega, alg, p_dbm, sel in grid]
+
+
+def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
+    """Receive: {K_s: [(set, powers it serves, true channel, ZF input)]}, set
+    first: the set's true channel for the powers of its rows, or with
+    estimation its MMSE estimate per power, none where that is singular."""
+    uses = defaultdict(dict)   # set -> {power of one of its rows: None}, in grid order
+    for *_, p_dbm, sel in grid:
+        if sel is not None:
+            uses[sel][p_dbm] = None
+    receivers, m, p_n = defaultdict(list), config.scenario.antenna_count, config.noise_power
+    for sel, powers in uses.items():
+        ks, h_sel = len(sel), h[:, [users.index(u) for u in sel]]
+        if not config.use_estimation:
+            receivers[ks].append((sel, powers, h_sel, h_sel))
+            continue
+        covariances = channel_covariances(scen, sel)
+        rng = _stream(scen.config.rng_seed, _STREAM_PILOT_NOISE, ks)   # noise is per K_s
+        noise = math.sqrt(p_n / 2.0) * (rng.standard_normal((m, ks))
+                                        + 1j * rng.standard_normal((m, ks)))
+        for p_dbm in powers:
+            pilots = math.sqrt(dbm_to_watts(p_dbm) / ks) * unitary_pilots(ks)
+            with suppress(RankDeficiencyError):
+                receivers[ks].append((sel, (p_dbm,), h_sel, mmse_estimate_per_user(
+                    h_sel @ pilots + noise, pilots, p_n, covariances)))
+    return receivers
+
+
+def _zero_force_and_rate(config: ExperimentConfig, receivers: dict) -> dict:
+    """Zero-force and rate: per K_s, one stacked ``zf_weights`` call and one
+    ``sum_rate`` call on its usable receivers; {set: {power: rate}}."""
+    rates = defaultdict(dict)
+    for ks, stack in receivers.items():
+        sets, served, h_true, inputs = zip(*stack)
+        weights = zf_weights(np.stack(inputs))
+        if usable := [i for i, w in enumerate(weights) if w is not None]:
+            table = sum_rate([h_true[i] for i in usable], [weights[i] for i in usable], [
+                PowerConfig(dbm_to_watts(p), ks, config.noise_power) for p in config.powers_dbm],
+                config.mode)
+            for i, row in zip(usable, table.tolist()):
+                rates[sets[i]].update((p, r) for p, r in zip(config.powers_dbm, row)
+                                      if p in served[i])
+    return rates
+
+
+def _rows(config: ExperimentConfig, trial: int, grid: list, rates: dict) -> list[TrialResult]:
+    """Rows: one per grid cell, excluded (rate None) where its set has no rate."""
+    k_total, m = config.scenario.num_users, config.scenario.antenna_count
+    return [TrialResult(trial, alg, ks, p_dbm, omega, (r := rates.get(sel, {}).get(p_dbm)),
+                        estimation_load(m, k_total if alg == "GWC" else ks),
+                        () if r is None else sel) for ks, omega, alg, p_dbm, sel in grid]
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
-    function of (config, base seed, trial). GUS (on the V of every omega,
-    all from one rebuild) and GWC (for every power) run once at the largest
-    K_s, and each K_s takes the first picks; H holds only the columns of
-    users some row rates, unless GWC runs. Each set size is zero-forced in
-    one stacked call, a receiver per ordered set, or per (set, power) with
-    estimation, and one ``sum_rate`` call rates its receivers at every power."""
-    seed = config.base_seed + trial
-    scen = generate_scenario(replace(config.scenario, rng_seed=seed))
-    k_total, m, p_n = (config.scenario.num_users, config.scenario.antenna_count,
-                       config.noise_power)
-    top = max(config.ks_values)
-
-    def prefixes(result) -> dict:   # None past a short result
-        return {ks: result.selected[:ks] if ks <= len(result.selected) else None
-                for ks in config.ks_values}
-
-    def power(p_dbm: float, ks: int) -> PowerConfig:
-        return PowerConfig(dbm_to_watts(p_dbm), ks, p_n)
-
-    random = {}
-    if "RANDOM" in config.algorithms:
-        random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks)).selected
-                  for ks in config.ks_values}
-    gus = {}
-    if "GUS" in config.algorithms:
-        v = perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde
-        gus = {omega: prefixes(r) for omega, r in zip(config.omegas, gus_select(
-            v, top, config.gus_variant))}
-
-    # one channel synthesis per trial, of the users some row rates: a column
-    # depends only on its own (scenario, user) streams. GWC reads all of H.
-    if "GWC" in config.algorithms:
-        needed = range(k_total)
-    else:
-        needed = sorted({u for picks in (*gus.values(), random) for sel in picks.values()
-                         if sel is not None for u in sel})
-    h_needed = channel_matrix(scen, needed).entries if needed else None
-    column = {user: i for i, user in enumerate(needed)}
-
-    @cache
-    def h_of(sel: tuple[int, ...]) -> np.ndarray:
-        return h_needed[:, [column[u] for u in sel]]
-
-    gwc = {}
-    if "GWC" in config.algorithms:
-        gwc = {p_dbm: prefixes(r) for p_dbm, r in zip(config.powers_dbm, gwc_select_powers(
-            h_needed, top, [power(p, top) for p in config.powers_dbm]))}
-
-    grid = [(ks, omega, alg, p_dbm, (gus[omega] if alg == "GUS" else gwc[p_dbm]
-                                      if alg == "GWC" else random)[ks])
-            for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
-                                                 config.algorithms, config.powers_dbm)]
-    shared = not config.use_estimation   # a set's receiver serves every power
-    covariances = lru_cache(1)(partial(channel_covariances, scen))   # a set's rows mostly adjoin
-    inputs = defaultdict(dict)   # K_s -> {(set, its weights' power or None): ZF input}
-    for ks, *_, p_dbm, sel in grid:
-        if sel is not None and (key := (sel, None if shared else p_dbm)) not in inputs[ks]:
-            inputs[ks][key] = None   # stays None if the MMSE system is singular
-            with suppress(RankDeficiencyError):
-                inputs[ks][key] = h_of(sel) if shared else _estimate_selected_channel(
-                    scen, sel, h_of(sel), power(p_dbm, ks), covariances(sel))
-    rates = {}   # (set, weights' power, power) -> rate
-    for ks, same_size in inputs.items():
-        keys = [key for key, x in same_size.items() if x is not None]
-        weights = zf_weights(np.stack([same_size[key] for key in keys])) if keys else ()
-        if usable := {key: w for key, w in zip(keys, weights) if w is not None}:
-            table = sum_rate([h_of(sel) for sel, _ in usable], [*usable.values()],
-                             [power(p, ks) for p in config.powers_dbm], config.mode)
-            rates.update(((*key, p), r) for key, row in zip(usable, table.tolist())
-                         for p, r in zip(config.powers_dbm, row))
-
-    rows = []
-    for ks, omega, alg, p_dbm, sel in grid:
-        r = rates.get((sel, None if shared else p_dbm, p_dbm))
-        rows.append(TrialResult(trial, alg, ks, p_dbm, omega, r,
-                                estimation_load(m, k_total if alg == "GWC" else ks),
-                                () if r is None else sel))
-    return rows
+    function of (config, base seed, trial): one call per stage, each stage
+    looping over the distinct sets itself. GUS and GWC run once at the
+    largest K_s, and each K_s takes their first picks."""
+    scen = generate_scenario(replace(config.scenario, rng_seed=config.base_seed + trial))
+    grid = _select(config, scen)
+    users, h = _synthesize(config, scen, grid)
+    grid = _gwc(config, h, grid)
+    receivers = _receive(config, scen, users, h, grid)
+    rates = _zero_force_and_rate(config, receivers)
+    return _rows(config, trial, grid, rates)
 
 
 def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
@@ -250,12 +258,9 @@ def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
-    """Execute the configured Monte-Carlo sweep and aggregate per cell.
-
-    Per-trial algorithm failures (rank collapse, infeasible selection) are
-    flagged and excluded from the cell mean; exclusion counts are reported
-    in the aggregate rows.
-    """
+    """Run every trial of the configured sweep and aggregate per cell. A row
+    with no rate (rank collapse, infeasible selection) is excluded from its
+    cell's mean and counted in its ``excluded``."""
     config.validate()
     trials = [_run_trial(config, trial) for trial in range(config.trials)]
     return AggregateStats(_aggregate(trials, figure), tuple(r for rows in trials for r in rows))
@@ -298,8 +303,7 @@ def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
              "ratio": ks / k}
             for m in config.fig3_m_values for ks in config.ks_values]
     if out_path is not None:
-        _write_csv(out_path, LOAD_HEADER,
-                   [[r[h] for h in LOAD_HEADER] for r in rows])
+        _write_csv(out_path, LOAD_HEADER, [[r[h] for h in LOAD_HEADER] for r in rows])
         write_manifest(config, out_path)
     return rows
 
@@ -360,11 +364,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def write_manifest(config: ExperimentConfig, csv_path) -> None:
     path = str(csv_path) + ".manifest.txt"
-    lines = [
-        f"schema_version: {CONFIG_SCHEMA_VERSION}",
-        f"config_sha256: {config_hash(config)}",
-        f"base_seed: {config.base_seed}",
-        f"code_version: {__version__}",
-    ]
+    lines = [f"schema_version: {CONFIG_SCHEMA_VERSION}", f"config_sha256: {config_hash(config)}",
+             f"base_seed: {config.base_seed}", f"code_version: {__version__}"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -42,7 +42,7 @@ class CrlbParams:
 class PerturbedGeometry:
     """Rebuilt geometry after localization-error injection, with one entry
     per omega along each array's leading axis. The error matrix the
-    scheduler suffers at entry i is ``large_scale_gains(scenario) - v_tilde[i]``."""
+    scheduler suffers at entry i is ``scenario.v - v_tilde[i]``."""
 
     v_tilde: np.ndarray             # (n_omega, K, N_C) rebuilt V
     perturbations: np.ndarray       # (n_omega, 3, N_C) signed delay, elevation, azimuth steps
@@ -166,7 +166,7 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     omega in ``omegas``: entry i of every array is omegas[i]'s, bitwise as
     alone.
 
-    ``omega == 0`` is an exact no-op: its ``v_tilde`` is the true V. A
+    ``omega == 0`` is an exact no-op: its ``v_tilde`` is ``scenario.v``. A
     cluster with no admissible bounce distance keeps its true geometry and
     V column and is marked in ``fallbacks``. The perturbations and the
     ellipse inversion run on (omega, cluster) arrays; the rest does not
@@ -176,11 +176,9 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     if not omegas or not all(_is_integer(o) and o >= 0 for o in omegas):
         raise ConfigurationError(f"omegas must be nonempty nonnegative integers, got {omegas!r}")
     n_w, n_c = len(omegas), scenario.num_clusters
-    positions, vr_centers, delays = (scenario.cluster_positions, scenario.vr_centers,
-                                     scenario.delays)
+    positions, vr_centers = scenario.cluster_positions, scenario.vr_centers
     steps = np.zeros((n_w, 3, n_c))   # delay, elevation, azimuth perturbations
-    new_positions, new_vr_centers, new_delays = (
-        np.repeat(a[None], n_w, axis=0) for a in (positions, vr_centers, delays))
+    new_positions, v_tilde = (np.repeat(a[None], n_w, axis=0) for a in (positions, scenario.v))
     fallbacks = np.zeros((n_w, n_c), dtype=bool)
     scale = np.array(omegas, dtype=float)
     live = scale > 0
@@ -209,11 +207,10 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
         failed = failure > 0
         fallbacks[live] = failed
         new_positions[live] = np.where(failed[..., None], positions, rebuilt)
-        new_vr_centers[live] = np.where(
+        new_vr_centers = np.where(
             failed[..., None], vr_centers, vr_centers + (rebuilt[..., :2] - positions[:, :2]))
-        new_delays[live] = np.where(failed, delays, tau)
-
-    # one gain-kernel call for every omega, C-contiguous (n_omega, K, N_C)
-    gains = gscm.large_scale_gains(scenario, new_vr_centers.reshape(-1, 2), new_delays.reshape(-1))
-    v_tilde = np.ascontiguousarray(gains.reshape(-1, n_w, n_c).transpose(1, 0, 2))
+        # one gain-kernel call for every omega > 0; omega = 0 keeps the true V
+        gains = gscm.large_scale_gains(scenario, new_vr_centers.reshape(-1, 2),
+                                       np.where(failed, scenario.delays, tau).reshape(-1))
+        v_tilde[live] = gains.reshape(-1, len(tau), n_c).transpose(1, 0, 2)
     return PerturbedGeometry(v_tilde, steps, new_positions, fallbacks)

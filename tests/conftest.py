@@ -323,9 +323,9 @@ def naive_trial_rows(config):
     searches once per row with the independent one-power oracle
     ``gwc_select_single`` and GUS builds V once per row: the true V from
     ``gscm.large_scale_gains`` at omega = 0, else a one-omega
-    ``localization.perturb_and_rebuild_omegas`` call. The other harness
-    functions are looked up on ``gusim.harness``, so a test that patches one
-    there patches both."""
+    ``localization.perturb_and_rebuild_omegas`` call; ``estimate_channel``
+    builds each estimate. The other harness functions are looked up on
+    ``gusim.harness``, so a test that patches one there patches both."""
     h = harness
     k_total = config.scenario.num_users
     m = config.scenario.antenna_count
@@ -355,9 +355,7 @@ def naive_trial_rows(config):
                             h_s = h_all[:, list(sel)]
                             h_est = h_s
                             if config.use_estimation:
-                                h_est = h._estimate_selected_channel(
-                                    scen, sel, h_s, power,
-                                    h.channel_covariances(scen, sel))
+                                h_est = estimate_channel(scen, sel, h_s, power)
                             rate = h.sum_rate(h_s, h.zf_weights(h_est), power,
                                               mode=config.mode)
                             rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
@@ -366,6 +364,23 @@ def naive_trial_rows(config):
                             rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
                                                       None, load, ()))
     return rows
+
+
+def estimate_channel(scen, selected, h_true, power):
+    """Oracle for the harness's receive stage with estimation: the MMSE
+    estimate of the selected users' channel ``h_true`` from one block of
+    their orthogonal pilots at ``power``, received under thermal noise from
+    the stream ``SeedSequence([seed, 505, K_s])``, given the exact
+    covariances. ``unitary_pilots``, ``channel_covariances`` and
+    ``mmse_estimate_per_user`` are looked up on ``gusim.harness``."""
+    h = harness
+    k_s, m = len(selected), h_true.shape[0]
+    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PILOT_NOISE, k_s)
+    pilots = math.sqrt(power.per_user) * h.unitary_pilots(k_s)
+    noise = math.sqrt(power.noise_power / 2.0) * (
+        rng.standard_normal((m, k_s)) + 1j * rng.standard_normal((m, k_s)))
+    return h.mmse_estimate_per_user(h_true @ pilots + noise, pilots, power.noise_power,
+                                    h.channel_covariances(scen, selected))
 
 
 def gwc_select_single(h_all, num_selected, power):

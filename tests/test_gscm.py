@@ -248,6 +248,24 @@ class TestClusterAttenuation:
         late = [v for t, v in zip(taus, vals) if t >= tb]
         assert max(late) == pytest.approx(min(late), rel=1e-15)
 
+    def test_clusters_below_the_line_of_sight_delay_amplify(self):
+        # a cluster's delay runs BS -> cluster -> VR centre, not to the user,
+        # so it can fall below the user's own line-of-sight delay, and A_C > 1
+        # exactly there (README, "cluster attenuations stay finite")
+        cfg, gains, below = ScenarioConfig(), [], []
+        for seed in range(1, 201):
+            scen = generate_scenario(replace(cfg, rng_seed=seed))
+            tau_0 = np.linalg.norm(scen.users - scen.bs_position, axis=1)[:, None] \
+                / gscm.SPEED_OF_LIGHT
+            gains.append(cluster_attenuation(scen.delays, tau_0, cfg.cutoff_delay,
+                                             cfg.power_decay))
+            below.append(scen.delays < tau_0)
+        gains = np.array(gains)
+        assert gains.size == 200 * 40 * 12 == 96_000
+        assert np.array_equal(gains > 1.0, np.array(below))
+        assert np.count_nonzero(gains > 1.0) == 5_830
+        assert round(gains.max(), 2) == 58.41
+
 
 class TestPathLoss:
     def test_one_meter(self):

@@ -179,6 +179,28 @@ class TestRunExperiment:
         if not rank_limited:
             assert len(entries) == len({(r.trial, r.selected) for r in rows}) < len(rows)
 
+    STAGES = ("_select", "_synthesize", "_gwc", "_receive", "_zero_force_and_rate", "_rows")
+
+    @pytest.mark.parametrize("overrides", [{}, dict(algorithms=("GUS", "RANDOM")),
+                                           dict(use_estimation=True)])
+    def test_each_stage_runs_once_per_trial(self, monkeypatch, overrides):
+        # a trial is one call per stage, in order, each looked up by its
+        # module-level name, whichever algorithms run
+        calls = []
+
+        def counted(name, stage):
+            def wrapper(*args):
+                calls.append(name)
+                return stage(*args)
+            return wrapper
+
+        cfg = tiny_config(ks_values=(2, 3), omegas=(0, 1), **overrides)
+        expected = run_experiment(cfg)
+        for name in self.STAGES:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        assert run_experiment(cfg) == expected
+        assert calls == list(self.STAGES) * cfg.trials
+
     @staticmethod
     def count_rebuilds(monkeypatch):
         calls = []
@@ -766,7 +788,7 @@ class TestConfigFile:
 
 
 class TestCli:
-    def test_fig2_subcommand_byte_identical(self, tmp_path):
+    def test_fig2_subcommand_byte_identical(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
         save_config(tiny_config(), cfg_path)
         out1 = tmp_path / "o1.csv"
@@ -774,6 +796,39 @@ class TestCli:
         assert cli.main(["fig2", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert cli.main(["fig2", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert capsys.readouterr().err == ""   # every cell has a usable trial
+
+    def test_cells_with_no_usable_trial_named_on_stderr(self, tmp_path, capsys):
+        # a power_decay just under its bound leaves every row of a default
+        # 2-trial run rank deficient: the run still exits 0 with the same
+        # CSV and manifest, and names each all-nan cell on standard error
+        cfg = ExperimentConfig(trials=2, scenario=ScenarioConfig(power_decay=1.5e8))
+        cfg_path, out = tmp_path / "c.yaml", tmp_path / "o.csv"
+        save_config(cfg, cfg_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        stats = run_sweep(cfg, tmp_path / "direct.csv")
+        assert out.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        assert (tmp_path / "o.csv.manifest.txt").read_bytes() == \
+            (tmp_path / "direct.csv.manifest.txt").read_bytes()
+        assert all(c.trials_used == 0 for c in stats.cells) and len(stats.cells) == 36
+        assert captured.err.splitlines() == [
+            f"gusim: warning: cell {c.algorithm} K_s={c.ks} P_dbm={c.p_dbm} omega={c.omega} "
+            "has no usable trial (2 excluded): mean nan" for c in stats.cells]
+        assert captured.out == f"wrote {out} (+ manifest)\n"
+
+    def test_only_cells_with_no_usable_trial_are_named(self, tmp_path, capsys):
+        # rank 2 channels: K_s = 3 cells have no usable trial, K_s = 2 cells do
+        cfg = tiny_config(scenario=replace(tiny_config().scenario, num_clusters=1,
+                                           mpcs_per_cluster=2), ks_values=(2, 3))
+        cfg_path, out = tmp_path / "c.yaml", tmp_path / "o.csv"
+        save_config(cfg, cfg_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        named = capsys.readouterr().err.splitlines()
+        empty = [c for c in run_experiment(cfg).cells if c.trials_used == 0]
+        assert len(named) == len(empty) > 0 and all(c.ks == 3 for c in empty)
+        assert all(f"{c.algorithm} K_s=3 P_dbm={c.p_dbm} " in line
+                   for c, line in zip(empty, named))
 
     def test_overrides_apply(self, tmp_path):
         cfg_path = tmp_path / "c.yaml"

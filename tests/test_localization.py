@@ -195,19 +195,24 @@ class TestPerturbAndRebuild:
         assert np.all(pg.perturbations == 0.0)
 
     @pytest.mark.parametrize("omega", [0, 3])
-    def test_does_not_build_the_true_v(self, monkeypatch, omega):
-        # the caller already holds V; the rebuild scores its own geometry
-        kernel = gscm.large_scale_gains
+    def test_builds_the_true_v_once_per_scenario(self, monkeypatch, omega):
+        # the rebuild's omega = 0 rows, the channel's gains and Scenario.v
+        # share one unperturbed V; the kernel scores only the rebuilt geometry
+        kernel, calls = gscm.large_scale_gains, []
 
-        def refuse(scenario, *overrides):
-            if not overrides:
-                raise AssertionError("the rebuild built the true V")
+        def counting(scenario, *overrides):
+            calls.append(len(overrides[1]) if overrides else None)
             return kernel(scenario, *overrides)
 
-        monkeypatch.setattr(gscm, "large_scale_gains", refuse)
+        monkeypatch.setattr(gscm, "large_scale_gains", counting)
         scen = generate_scenario(ScenarioConfig(rng_seed=10))
-        pg = perturb_and_rebuild_omegas(scen, (omega,), CrlbParams())
-        assert pg.v_tilde.shape == (1, scen.num_users, scen.num_clusters)
+        pg = perturb_and_rebuild_omegas(scen, (0, omega, 0), CrlbParams())
+        gscm.channel_matrix(scen, [0, 1])
+        perturb_and_rebuild_omegas(scen, (0,), CrlbParams())
+        assert calls == [None] + [scen.num_clusters] * (omega > 0)
+        np.testing.assert_array_equal(pg.v_tilde[[0, 2]], [scen.v, scen.v])
+        np.testing.assert_array_equal(scen.channel_gains,
+                                      scen.v * np.sqrt(scen.shadow_gains))
 
     def test_deterministic_per_seed(self):
         scen = self._scenario()
