@@ -35,7 +35,8 @@ CONFIG_SCHEMA_VERSION = 2
 ALGORITHMS = ("GUS", "GWC", "RANDOM")
 
 RESULT_HEADER = ("figure", "algorithm", "K_s", "P_dbm", "P_watts", "omega",
-                 "mean_sum_rate_bps_hz", "std_err", "trials_used", "excluded", "load")
+                 "mean_sum_rate_bps_hz", "std_err", "trials_used", "excluded",
+                 "load")
 LOAD_HEADER = ("figure", "M", "K", "K_s", "load_selected", "load_full", "ratio")
 
 
@@ -141,14 +142,13 @@ def _prefix(result, ks: int) -> tuple[int, ...] | None:
 
 def _select(config: ExperimentConfig, scen) -> list[tuple]:
     """Select: each row's (K_s, omega, algorithm, power, set) in grid order,
-    GWC's set None until its stage; one GUS run on one rebuild's V stack."""
+    GWC's set None until its stage; one GUS run at the largest K_s on one rebuild's V."""
     seed, k_total = scen.config.rng_seed, config.scenario.num_users
     random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks))
               for ks in config.ks_values} if "RANDOM" in config.algorithms else {}
-    gus = {}
-    if "GUS" in config.algorithms:
-        v = perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde
-        gus = dict(zip(config.omegas, gus_select(v, max(config.ks_values), config.gus_variant)))
+    gus = {} if "GUS" not in config.algorithms else dict(zip(config.omegas, gus_select(
+        perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde,
+        max(config.ks_values), config.gus_variant)))
     return [(ks, omega, alg, p_dbm, None if alg == "GWC" else
              _prefix(gus[omega] if alg == "GUS" else random[ks], ks))
             for ks, omega, alg, p_dbm in product(config.ks_values, config.omegas,
@@ -175,28 +175,22 @@ def _gwc(config: ExperimentConfig, h, grid: list) -> list[tuple]:
 
 
 def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
-    """Receive: {K_s: [(set, powers it serves, true channel, ZF input)]}, set
-    first: the set's true channel for the powers of its rows, or with
-    estimation its MMSE estimate per power, none where that is singular."""
-    uses = defaultdict(dict)   # set -> {power of one of its rows: None}, in grid order
-    for *_, p_dbm, sel in grid:
-        if sel is not None:
-            uses[sel][p_dbm] = None
+    """Receive: {K_s: [(set, its powers' columns, true channel, ZF input)]}, set first:
+    its true channel for all powers, or an MMSE estimate per power, none if singular."""
     receivers, m, p_n = defaultdict(list), config.scenario.antenna_count, config.noise_power
-    for sel, powers in uses.items():
+    for sel in dict.fromkeys(sel for *_, sel in grid if sel is not None):
         ks, h_sel = len(sel), h[:, [users.index(u) for u in sel]]
         if not config.use_estimation:
-            receivers[ks].append((sel, powers, h_sel, h_sel))
+            receivers[ks].append((sel, slice(None), h_sel, h_sel))
             continue
         covariances = channel_covariances(scen, sel)
-        rng = _stream(scen.config.rng_seed, _STREAM_PILOT_NOISE, ks)   # noise is per K_s
-        noise = math.sqrt(p_n / 2.0) * (rng.standard_normal((m, ks))
-                                        + 1j * rng.standard_normal((m, ks)))
-        for p_dbm in powers:
-            pilots = math.sqrt(dbm_to_watts(p_dbm) / ks) * unitary_pilots(ks)
-            with suppress(RankDeficiencyError):
-                receivers[ks].append((sel, (p_dbm,), h_sel, mmse_estimate_per_user(
-                    h_sel @ pilots + noise, pilots, p_n, covariances)))
+        z = _stream(scen.config.rng_seed, _STREAM_PILOT_NOISE, ks).standard_normal((2, m, ks))
+        noise = math.sqrt(p_n / 2.0) * (z[0] + 1j * z[1])   # the same for each set of a K_s
+        for j in dict.fromkeys(config.powers_dbm.index(p) for *_, p, s in grid if s == sel):
+            pilots = math.sqrt(dbm_to_watts(config.powers_dbm[j]) / ks) * unitary_pilots(ks)
+            with suppress(RankDeficiencyError):   # appends nothing for a singular system
+                estimate = mmse_estimate_per_user(h_sel @ pilots + noise, pilots, p_n, covariances)
+                receivers[ks].append((sel, slice(j, j + 1), h_sel, estimate))
     return receivers
 
 
@@ -205,15 +199,14 @@ def _zero_force_and_rate(config: ExperimentConfig, receivers: dict) -> dict:
     ``sum_rate`` call on its usable receivers; {set: {power: rate}}."""
     rates = defaultdict(dict)
     for ks, stack in receivers.items():
-        sets, served, h_true, inputs = zip(*stack)
+        sets, columns, h_true, inputs = zip(*stack)
         weights = zf_weights(np.stack(inputs))
         if usable := [i for i, w in enumerate(weights) if w is not None]:
             table = sum_rate([h_true[i] for i in usable], [weights[i] for i in usable], [
                 PowerConfig(dbm_to_watts(p), ks, config.noise_power) for p in config.powers_dbm],
                 config.mode)
             for i, row in zip(usable, table.tolist()):
-                rates[sets[i]].update((p, r) for p, r in zip(config.powers_dbm, row)
-                                      if p in served[i])
+                rates[sets[i]].update(zip(config.powers_dbm[columns[i]], row[columns[i]]))
     return rates
 
 
@@ -227,9 +220,8 @@ def _rows(config: ExperimentConfig, trial: int, grid: list, rates: dict) -> list
 
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
     """The rows of one trial in (K_s, omega, algorithm, power) order, a pure
-    function of (config, base seed, trial): one call per stage, each stage
-    looping over the distinct sets itself. GUS and GWC run once at the
-    largest K_s, and each K_s takes their first picks."""
+    function of (config, base seed, trial), as one call per stage: select,
+    synthesize, GWC, receive, zero-force and rate, rows."""
     scen = generate_scenario(replace(config.scenario, rng_seed=config.base_seed + trial))
     grid = _select(config, scen)
     users, h = _synthesize(config, scen, grid)
@@ -258,9 +250,12 @@ def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
-    """Run every trial of the configured sweep and aggregate per cell. A row
-    with no rate (rank collapse, infeasible selection) is excluded from its
-    cell's mean and counted in its ``excluded``."""
+    """Execute the configured Monte-Carlo sweep and aggregate per cell.
+
+    Per-trial algorithm failures (rank collapse, infeasible selection) are
+    flagged and excluded from the cell mean; exclusion counts are reported
+    in the aggregate rows.
+    """
     config.validate()
     trials = [_run_trial(config, trial) for trial in range(config.trials)]
     return AggregateStats(_aggregate(trials, figure), tuple(r for rows in trials for r in rows))
@@ -303,7 +298,8 @@ def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
              "ratio": ks / k}
             for m in config.fig3_m_values for ks in config.ks_values]
     if out_path is not None:
-        _write_csv(out_path, LOAD_HEADER, [[r[h] for h in LOAD_HEADER] for r in rows])
+        _write_csv(out_path, LOAD_HEADER,
+                   [[r[h] for h in LOAD_HEADER] for r in rows])
         write_manifest(config, out_path)
     return rows
 
@@ -364,7 +360,11 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def write_manifest(config: ExperimentConfig, csv_path) -> None:
     path = str(csv_path) + ".manifest.txt"
-    lines = [f"schema_version: {CONFIG_SCHEMA_VERSION}", f"config_sha256: {config_hash(config)}",
-             f"base_seed: {config.base_seed}", f"code_version: {__version__}"]
+    lines = [
+        f"schema_version: {CONFIG_SCHEMA_VERSION}",
+        f"config_sha256: {config_hash(config)}",
+        f"base_seed: {config.base_seed}",
+        f"code_version: {__version__}",
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

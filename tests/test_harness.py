@@ -316,9 +316,11 @@ class TestRunExperiment:
             run_experiment(tiny_config(powers_dbm=(0.0, power)))
         tiny_config(powers_dbm=(-3200.0, 3080.0)).validate()
 
-    def test_singular_mmse_excludes_only_its_power(self, monkeypatch):
+    @pytest.mark.parametrize("powers_dbm", [(0.0, 20.0), (20.0,)])
+    def test_singular_mmse_excludes_only_its_power(self, monkeypatch, powers_dbm):
         # a RankDeficiencyError at 20 dBm drops each set's 20 dBm row; the
-        # same sets are still rated at 0 dBm, with the same rates
+        # same sets are still rated at 0 dBm, with the same rates. With 20 dBm
+        # alone no set size has a usable receiver, and every row is excluded
         estimate = harness.mmse_estimate_per_user
 
         def singular_at_20_dbm(received, pilots, noise, covariances):
@@ -326,7 +328,8 @@ class TestRunExperiment:
                 raise RankDeficiencyError("singular MMSE system")
             return estimate(received, pilots, noise, covariances)
 
-        cfg = tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM"))
+        cfg = tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM"),
+                          powers_dbm=powers_dbm)
         plain = run_experiment(cfg)
         monkeypatch.setattr(harness, "mmse_estimate_per_user", singular_at_20_dbm)
         stats = run_experiment(cfg)
@@ -334,7 +337,7 @@ class TestRunExperiment:
             assert row == (replace(before, sum_rate=None, selected=())
                            if row.p_dbm == 20.0 else before)
         assert [(c.p_dbm, c.trials_used, c.excluded) for c in stats.cells] == \
-            [(0.0, 2, 0), (20.0, 0, 2)] * 2
+            [(0.0, 2, 0), (20.0, 0, 2)][-len(powers_dbm):] * 2
 
     @pytest.mark.parametrize("sweep", [run_sweep, figure2_sweep, figure3_load,
                                        figure4_robustness])
