@@ -501,7 +501,7 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
             @ scenario.cluster_lags.view(float))[:, 0].view(complex)
     # R_k[a, b] is entry M - 1 + a - b of [conj(r_k[M-1..1]), r_k[0..M-1]]
     both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
-    return both[:, m - 1 + np.arange(m)[:, None] - np.arange(m)]
+    return np.take(both, m - 1 + np.arange(m)[:, None] - np.arange(m), axis=1)   # C order
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import hashlib
 import math
 import os
 from collections import defaultdict
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -21,13 +20,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ConfigurationError, RankDeficiencyError
+from .errors import ConfigurationError
 from .gscm import (ScenarioConfig, _stream, _STREAM_PILOT_NOISE, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
-from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
-                 unitary_pilots, zf_weights)
+from .rx import PowerConfig, _mmse_filter, noise_power, sum_rate, unitary_pilots, zf_weights
 from .scheduling import estimation_load, gus_select, gwc_select_powers, random_select
 
 CONFIG_SCHEMA_VERSION = 2
@@ -175,22 +173,35 @@ def _gwc(config: ExperimentConfig, h, grid: list) -> list[tuple]:
 
 
 def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
-    """Receive: {K_s: [(set, its powers' columns, true channel, ZF input)]}, set first:
-    its true channel for all powers, or an MMSE estimate per power, none if singular."""
+    """Receive: {K_s: [(set, its powers' columns, true channel, ZF input)]}: a set's
+    true channel for all powers, or per power its MMSE estimate if that is finite.
+    Unitary pilots carry energy P, so R_u + (sigma^2/P) I is the same in every set:
+    one covariance stack of the rated users, and one solve per power."""
     receivers, m, p_n = defaultdict(list), config.scenario.antenna_count, config.noise_power
-    for sel in dict.fromkeys(sel for *_, sel in grid if sel is not None):
-        ks, h_sel = len(sel), h[:, [users.index(u) for u in sel]]
-        if not config.use_estimation:
-            receivers[ks].append((sel, slice(None), h_sel, h_sel))
-            continue
-        covariances = channel_covariances(scen, sel)
+    rated = {sel: h[:, [users.index(u) for u in sel]]
+             for sel in dict.fromkeys(sel for *_, sel in grid if sel is not None)}
+    if not (config.use_estimation and rated):   # true channels, or no set to estimate
+        for sel, h_sel in rated.items():
+            receivers[len(sel)].append((sel, slice(None), h_sel, h_sel))
+        return receivers
+    distinct = sorted({u for sel in rated for u in sel})
+    rows = {sel: np.searchsorted(distinct, sel) for sel in rated}   # its users' stack rows
+    covariances, noise = channel_covariances(scen, distinct), {}
+    for ks in {len(sel) for sel in rated}:   # the same for each set of a K_s
         z = _stream(scen.config.rng_seed, _STREAM_PILOT_NOISE, ks).standard_normal((2, m, ks))
-        noise = math.sqrt(p_n / 2.0) * (z[0] + 1j * z[1])   # the same for each set of a K_s
-        for j in dict.fromkeys(config.powers_dbm.index(p) for *_, p, s in grid if s == sel):
-            pilots = math.sqrt(dbm_to_watts(config.powers_dbm[j]) / ks) * unitary_pilots(ks)
-            with suppress(RankDeficiencyError):   # appends nothing for a singular system
-                estimate = mmse_estimate_per_user(h_sel @ pilots + noise, pilots, p_n, covariances)
-                receivers[ks].append((sel, slice(j, j + 1), h_sel, estimate))
+        noise[ks] = math.sqrt(p_n / 2.0) * (z[0] + 1j * z[1])
+    for j, p_dbm in enumerate(config.powers_dbm):
+        sets = list(dict.fromkeys(sel for *_, p, sel in grid if p == p_dbm and sel is not None))
+        rhs, watts = np.zeros((len(distinct), m, len(sets)), dtype=complex), dbm_to_watts(p_dbm)
+        for i, sel in enumerate(sets):   # column i: its users' z_k = Y phi_k^H / ||phi_k||^2
+            pilots = math.sqrt(watts / len(sel)) * unitary_pilots(len(sel))
+            energy = (pilots @ pilots.conj().T).diagonal().real
+            rhs[rows[sel], :, i] = ((rated[sel] @ pilots + noise[len(sel)])
+                                    @ pilots.conj().T / energy).T
+        estimates = _mmse_filter(covariances, p_n / watts, rhs)
+        for i, sel in enumerate(sets):   # NaN where one of its users' systems is singular
+            if np.isfinite(estimate := estimates[rows[sel], :, i].T).all():
+                receivers[len(sel)].append((sel, slice(j, j + 1), rated[sel], estimate))
     return receivers
 
 

@@ -68,8 +68,8 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
 def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
                            noise_variance: float, covariances: np.ndarray) -> np.ndarray:
     """MMSE estimate (M x K_s) of the channel of users with mutually
-    orthogonal pilots (K_s x tau_p), receiver noise variance sigma_n^2 in
-    watts and independent channels of covariances R_k (K_s x M x M).
+    orthogonal pilots (K_s x tau_p), receiver noise variance sigma_n^2 >= 0
+    in watts and independent channels of covariances R_k (K_s x M x M).
 
     Projecting the received block onto pilot phi_k gives
     z_k = Y phi_k^H / ||phi_k||^2 = h_k + n_k with n_k ~ CN(0, s_k I),
@@ -78,12 +78,13 @@ def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
     block-diagonal covariance.
     """
     received = np.asarray(received)
-    m, tau_p = received.shape
-    k_s = pilots.shape[0]
-    if tau_p != pilots.shape[1]:
-        raise ConfigurationError("received pilot block width must equal the pilot length")
-    if covariances.shape != (k_s, m, m):
-        raise ConfigurationError(f"covariances must be {k_s} x {m} x {m}")
+    if not (isinstance(pilots, np.ndarray) and isinstance(covariances, np.ndarray)
+            and received.ndim == pilots.ndim == 2 and received.shape[1] == pilots.shape[1]
+            and covariances.shape == (len(pilots), len(received), len(received))):
+        raise ConfigurationError("need arrays: a received block M x tau_p, pilots "
+                                 "K_s x tau_p and covariances K_s x M x M")
+    if not (_is_finite(noise_variance) and noise_variance >= 0):
+        raise ConfigurationError(f"need a finite noise_variance >= 0, got {noise_variance!r}")
     gram = pilots @ pilots.conj().T
     energy = gram.diagonal().real
     if not np.all(energy > 0):
@@ -91,14 +92,31 @@ def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
     if not np.allclose(gram, np.diag(energy), rtol=0.0, atol=1e-9 * energy.max()):
         raise ConfigurationError("per-user MMSE needs mutually orthogonal pilots")
     z = (received @ pilots.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
-    inner = covariances.astype(np.result_type(covariances, float))   # R_k + s_k I
-    inner.reshape(k_s, -1)[:, ::m + 1] += (noise_variance / energy)[:, None]
+    inner = covariances.astype(np.result_type(covariances, float))   # the caller's stay
+    estimate = _mmse_filter(inner, noise_variance / energy, z)[:, :, 0].T
+    if not np.isfinite(estimate).all():
+        raise RankDeficiencyError(f"MMSE inner matrix is singular or an input is not finite "
+                                  f"(sigma_n^2={noise_variance})")
+    return estimate
+
+
+def _mmse_filter(covariances: np.ndarray, noise, z: np.ndarray):
+    """R_k (R_k + s_k I)^{-1} z_k for covariances R_k (K x M x M), noise terms s_k
+    and right-hand sides z_k (K x M x r), from one stacked solve on R_k + s_k I built
+    in place and then restored; NaN for each k whose R_k + s_k I is singular."""
+    diagonal = np.einsum("kii->ki", covariances)   # a view
+    saved = diagonal.copy()
+    diagonal += np.reshape(noise, (-1, 1))
     try:
-        sol = np.linalg.solve(inner, z)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"MMSE inner matrix is singular "
-                                  f"(sigma_n^2={noise_variance}): {exc}") from exc
-    return (covariances @ sol)[:, :, 0].T
+        sol = np.linalg.solve(covariances, z)
+    except np.linalg.LinAlgError:   # one by one: a singular system's solution stays NaN
+        sol = np.full(z.shape, np.nan, dtype=np.result_type(covariances, z))
+        for k in range(len(z)):
+            with suppress(np.linalg.LinAlgError):
+                sol[k] = np.linalg.solve(covariances[k], z[k])
+    finally:
+        diagonal[...] = saved
+    return covariances @ sol
 
 
 def zf_weights(h: np.ndarray):

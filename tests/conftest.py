@@ -8,7 +8,7 @@ import pytest
 from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
-from gusim.rx import ZF_COND_LIMIT
+from gusim.rx import ZF_COND_LIMIT, mmse_estimate_per_user
 from gusim.scheduling import ScheduleResult
 
 
@@ -371,16 +371,19 @@ def estimate_channel(scen, selected, h_true, power):
     estimate of the selected users' channel ``h_true`` from one block of
     their orthogonal pilots at ``power``, received under thermal noise from
     the stream ``SeedSequence([seed, 505, K_s])``, given the exact
-    covariances. ``unitary_pilots``, ``channel_covariances`` and
-    ``mmse_estimate_per_user`` are looked up on ``gusim.harness``."""
+    covariances, from the one-set kernel ``rx.mmse_estimate_per_user``.
+    ``unitary_pilots`` and ``channel_covariances`` are looked up on
+    ``gusim.harness``. The kernel's s_k = sigma^2 / ||phi_k||^2 differs from
+    the harness's shared sigma^2 / P in the last bit, so the rates agree to
+    about 1e-9 relative rather than bitwise."""
     h = harness
     k_s, m = len(selected), h_true.shape[0]
     rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PILOT_NOISE, k_s)
     pilots = math.sqrt(power.per_user) * h.unitary_pilots(k_s)
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, k_s)) + 1j * rng.standard_normal((m, k_s)))
-    return h.mmse_estimate_per_user(h_true @ pilots + noise, pilots, power.noise_power,
-                                    h.channel_covariances(scen, selected))
+    return mmse_estimate_per_user(h_true @ pilots + noise, pilots, power.noise_power,
+                                  h.channel_covariances(scen, selected))
 
 
 def gwc_select_single(h_all, num_selected, power):

@@ -771,6 +771,18 @@ class TestChannelCovariances:
         err = np.abs(got - want).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
 
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_c_contiguous_and_equal_to_the_lag_gather(self, m):
+        # a sliding window over the lag row gives entry M - 1 + a - b of
+        # [conj(r_k[M-1..1]), r_k[0..M-1]] in a C-contiguous, writable stack
+        scen = generate_scenario(ScenarioConfig(rng_seed=5, antenna_count=m))
+        lags = (scen.channel_gains[[7, 0, 31], None] ** 2
+                @ scen.cluster_lags.view(float))[:, 0].view(complex)
+        both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
+        r = channel_covariances(scen, [7, 0, 31])
+        assert r.flags.owndata and r.strides == (16 * m * m, 16 * m, 16)
+        np.testing.assert_array_equal(r, both[:, m - 1 + np.arange(m)[:, None] - np.arange(m)])
+
     def test_far_cluster_adds_its_tail_term(self):
         # the user stands 10 km from the first VR centre and 300 km from the
         # second, whose VR gain (~6.5e-7) is small but not zero: every

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gusim import cli, gscm, harness
-from gusim.errors import ConfigurationError, RankDeficiencyError
+from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
-from gusim.rx import sum_rate, zf_weights
+from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
@@ -21,7 +21,7 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
                            write_results_csv)
 from gusim.scheduling import gus_select, gwc_select_powers
 
-from conftest import naive_trial_rows
+from conftest import estimate_channel, naive_trial_rows
 
 
 def config_strategy(cls, **overrides):
@@ -235,21 +235,31 @@ class TestRunExperiment:
         run_experiment(tiny_config(algorithms=("GWC", "RANDOM"), omegas=(0, 2)))
         assert calls == []
 
-    def test_covariances_once_per_distinct_selection(self, monkeypatch):
-        calls = []
+    def test_one_covariance_stack_and_one_solve_per_power(self, monkeypatch):
+        # whichever algorithm, K_s, omega or power selects a set, a trial takes
+        # the covariances of its sorted rated users once and solves once per power
+        calls, solves = [], []
+        solve = np.linalg.solve
 
         def counting(scen, selected):
-            calls.append((scen.config.rng_seed, tuple(selected)))
+            calls.append((scen.config.rng_seed, list(selected)))
             return channel_covariances(scen, selected)
 
+        def solving(a, b):
+            solves.append(a.shape[0])
+            return solve(a, b)
+
         monkeypatch.setattr(harness, "channel_covariances", counting)
+        monkeypatch.setattr(np.linalg, "solve", solving)
         cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
                           ks_values=(2, 3), omegas=(0, 1))
         rows = run_experiment(cfg).trial_rows
         assert all(r.sum_rate is not None for r in rows)
-        # whichever algorithm, K_s, omega or power selects a set
-        assert sorted(calls) == sorted({(cfg.base_seed + r.trial, r.selected)
-                                        for r in rows})
+        rated = [sorted({u for r in rows if r.trial == t for u in r.selected})
+                 for t in range(cfg.trials)]
+        assert calls == [(cfg.base_seed + t, users) for t, users in enumerate(rated)]
+        assert solves == [len(users) for users in rated for _ in cfg.powers_dbm]
+        assert len({(r.trial, r.selected) for r in rows}) > 2 * cfg.trials
 
     def test_channel_geometry_built_once_per_trial(self, monkeypatch):
         # H and the covariances of every selected set share one steering tensor
@@ -318,20 +328,19 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("powers_dbm", [(0.0, 20.0), (20.0,)])
     def test_singular_mmse_excludes_only_its_power(self, monkeypatch, powers_dbm):
-        # a RankDeficiencyError at 20 dBm drops each set's 20 dBm row; the
+        # every user singular at 20 dBm drops each set's 20 dBm row; the
         # same sets are still rated at 0 dBm, with the same rates. With 20 dBm
         # alone no set size has a usable receiver, and every row is excluded
-        estimate = harness.mmse_estimate_per_user
-
-        def singular_at_20_dbm(received, pilots, noise, covariances):
-            if np.linalg.norm(pilots[0]) ** 2 > 1e-2:   # 0.05 W per user, not 5e-4 W
-                raise RankDeficiencyError("singular MMSE system")
-            return estimate(received, pilots, noise, covariances)
-
+        mmse_filter = harness._mmse_filter
         cfg = tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM"),
                           powers_dbm=powers_dbm)
+
+        def singular_at_20_dbm(covariances, noise, z):
+            estimates = mmse_filter(covariances, noise, z)
+            return estimates * math.nan if noise < 1e2 * cfg.noise_power else estimates   # 0.1 W
+
         plain = run_experiment(cfg)
-        monkeypatch.setattr(harness, "mmse_estimate_per_user", singular_at_20_dbm)
+        monkeypatch.setattr(harness, "_mmse_filter", singular_at_20_dbm)
         stats = run_experiment(cfg)
         for row, before in zip(stats.trial_rows, plain.trial_rows, strict=True):
             assert row == (replace(before, sum_rate=None, selected=())
@@ -523,8 +532,18 @@ class TestTrialRowsMatchNaiveOracle:
     ], ids=["unsorted-ks", "omegas-last", "omegas-set", "gwc-estimated",
             "paper-literal", "fig2-grid", "fig4-grid", "estimated-csi-grid"])
     def test_rows_equal(self, overrides):
+        # estimated rates agree to 1e-9 relative: the harness shares sigma^2 / P
+        # where the oracle's one-set kernel takes sigma^2 / ||phi_k||^2
         cfg = tiny_config(**overrides)
-        assert run_experiment(cfg).trial_rows == tuple(naive_trial_rows(cfg))
+        rows, naive = run_experiment(cfg).trial_rows, tuple(naive_trial_rows(cfg))
+        if not cfg.use_estimation:
+            assert rows == naive
+            return
+        assert [replace(r, sum_rate=r.sum_rate is None) for r in rows] == \
+            [replace(r, sum_rate=r.sum_rate is None) for r in naive]
+        assert all(r.sum_rate is None or math.isclose(r.sum_rate, o.sum_rate, rel_tol=1e-9,
+                                                      abs_tol=1e-12)
+                   for r, o in zip(rows, naive))
 
     def test_fig2_grid_powers_choose_different_gwc_users(self):
         # the fig2-grid case above covers rows that differ between powers
@@ -587,6 +606,73 @@ class TestTrialRowsMatchNaiveOracle:
             assert rows == tuple(naive_trial_rows(cfg))
         assert [r.sum_rate is None for r in rows if r.trial == 0] == \
             [True, True, False, False, False, False]
+
+
+class TestEstimatedReceive:
+    """The receive stage's one solve per power over a trial's rated users,
+    against the one-set kernel ``rx.mmse_estimate_per_user``."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_each_estimate_matches_its_one_set_kernel(self, seed):
+        # each K_s rates a set and its rotation: every user in two sets of a
+        # K_s at two positions, and the users of a small K_s in the larger ones
+        cfg = ExperimentConfig(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
+                               ks_values=(2, 3, 5, 10))
+        scen = harness.generate_scenario(replace(cfg.scenario, rng_seed=seed))
+        order = np.random.default_rng(seed).permutation(cfg.scenario.num_users)[:10].tolist()
+        grid = [(ks, 0, alg, p_dbm, sel) for ks in cfg.ks_values
+                for alg, sel in (("GUS", tuple(order[:ks])),
+                                 ("RANDOM", tuple(order[1:ks] + order[:1])))
+                for p_dbm in cfg.powers_dbm]
+        users = sorted(order)
+        h = gscm.channel_matrix(scen, users).entries
+        receivers = [rx for stack in harness._receive(cfg, scen, users, h, grid).values()
+                     for rx in stack]
+        assert sorted((sel, columns.start) for sel, columns, *_ in receivers) == \
+            sorted((sel, cfg.powers_dbm.index(p)) for *_, p, sel in grid)
+        for sel, columns, h_sel, estimate in receivers:
+            power = PowerConfig(dbm_to_watts(cfg.powers_dbm[columns.start]), len(sel),
+                                cfg.noise_power)
+            want = estimate_channel(scen, sel, h_sel, power)
+            assert np.abs(estimate - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_rated_set_estimates_nothing(self, monkeypatch):
+        # GUS on a zero V selects nothing, so no set is left to estimate
+        select = harness.gus_select
+        monkeypatch.setattr(harness, "gus_select",
+                            lambda v, *args: select(np.zeros_like(v), *args))
+        cfg = tiny_config(use_estimation=True, algorithms=("GUS",))
+        with pytest.warns(UserWarning, match="zero-norm"):
+            cells = run_experiment(cfg).cells
+        assert [(c.trials_used, c.excluded) for c in cells] == [(0, 2)] * 2
+
+    def test_singular_user_excludes_exactly_its_receivers(self, monkeypatch):
+        # R_u = -(sigma^2 / P) I makes user u's inner matrix zero at 20 dBm alone:
+        # every (set, 20 dBm) receiver holding u is dropped, every other one rated
+        cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
+                          ks_values=(2, 3), omegas=(0, 1))
+        plain = run_experiment(cfg).trial_rows
+        assert all(r.sum_rate is not None for r in plain)
+        singular = {t: min(u for r in plain if r.trial == t for u in r.selected)
+                    for t in range(cfg.trials)}
+
+        def covariances(scen, selected):
+            r = channel_covariances(scen, selected)
+            user = singular[scen.config.rng_seed - cfg.base_seed]
+            r[list(selected).index(user)] = -cfg.noise_power / dbm_to_watts(20.0) * np.eye(8)
+            return r
+
+        monkeypatch.setattr(harness, "channel_covariances", covariances)
+        rows = run_experiment(cfg).trial_rows
+        holds = [singular[r.trial] in r.selected for r in plain]
+        for row, before, held in zip(rows, plain, holds, strict=True):
+            if not held:
+                assert row == before
+            elif row.p_dbm == 20.0:
+                assert row == replace(before, sum_rate=None, selected=())
+            else:
+                assert row.selected == before.selected and row.sum_rate is not None
+        assert 0 < sum(holds) < len(holds)
 
 
 class TestFigureSweeps:

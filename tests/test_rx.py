@@ -187,6 +187,19 @@ class TestMmseEstimatePerUser:
             mmse_estimate_per_user(np.zeros((2, 3)), pilots, 1.0,
                                    np.stack([np.eye(2)] * 2).astype(complex))
 
+    @pytest.mark.parametrize("received,pilots,noise,covariances", [
+        (np.zeros(2), unitary_pilots(2), 1.0, np.stack([np.eye(2)] * 2)),
+        (np.zeros((1, 2, 2)), unitary_pilots(2), 1.0, np.stack([np.eye(2)] * 2)),
+        (np.zeros((2, 2)), unitary_pilots(2)[0], 1.0, np.stack([np.eye(2)] * 2)),
+        (np.zeros((2, 2)), unitary_pilots(2), 1.0, [np.eye(2)] * 2),
+        (np.zeros((2, 2)), unitary_pilots(2), math.nan, np.stack([np.eye(2)] * 2)),
+        (np.zeros((2, 2)), unitary_pilots(2), -1.0, np.stack([np.eye(2)] * 2)),
+    ], ids=["1-D received", "3-D received", "1-D pilots", "list covariances",
+            "nan noise", "negative noise"])
+    def test_malformed_input_rejected(self, received, pilots, noise, covariances):
+        with pytest.raises(ConfigurationError):
+            mmse_estimate_per_user(received, pilots, noise, covariances)
+
     def test_covariances_left_unmodified(self):
         # R_k + s_k I is built in a copy, so the caller's R_k keep their bits
         rng = np.random.default_rng(11)
