@@ -105,6 +105,11 @@ class ScenarioConfig:
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
             raise ConfigurationError("cluster_height_range must be two finite numbers "
                                      f"with 0 <= lo <= hi, got {heights!r}")
+        levels = (*heights, self.bs_height, self.ms_height)   # clusters, BS, users, VR centres
+        span, gap = 2.0 * self.cell_half_side, max(levels) - min(levels)
+        if not math.isfinite(span * span + span * span + gap * gap):
+            raise ConfigurationError(f"cell_half_side {self.cell_half_side} and heights {levels} "
+                                     "overflow a squared distance (2 h)^2 + (2 h)^2 + span^2")
 
 
 @dataclass(frozen=True)
@@ -146,12 +151,12 @@ class Scenario:
 
     @cached_property
     def delays(self) -> np.ndarray:
-        """(N_C,) single-bounce delays (|BS -> cluster| + |cluster -> VR
-        centre|) / c, the VR centre at ms_height."""
-        pos = self.cluster_positions
-        vr = np.column_stack([self.vr_centers, np.full(self.num_clusters, self.config.ms_height)])
-        return _read_only((np.linalg.norm(pos - self.bs_position, axis=1)
-                           + np.linalg.norm(vr - pos, axis=1)) / SPEED_OF_LIGHT)
+        """(N_C,) single-bounce delays (|BS -> cluster| + |cluster -> VR centre|) / c,
+        the VR centre at ms_height; np.linalg.norm's lengths, squares summed in order."""
+        (x, y, z), (u, v) = self.cluster_positions.T, self.vr_centers.T
+        up, down = z - self.config.bs_height, self.config.ms_height - z
+        return _read_only((np.sqrt(x * x + y * y + up * up)
+                           + np.sqrt((u - x) ** 2 + (v - y) ** 2 + down * down)) / SPEED_OF_LIGHT)
 
     @cached_property
     def observables(self) -> np.ndarray:
@@ -221,12 +226,14 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     z_lo, z_hi = config.cluster_height_range
     lows = np.array([-half, -half, z_lo, -half, -half])   # cluster x, y, z, VR centre x, y
     highs = np.array([half, half, z_hi, half, half])
-    # per cluster: five uniforms, then one normal; Python's power per gain,
-    # as its array form differs in the last bit
+    # per cluster: five doubles, then one normal; Python's power per gain, as its array
+    # form differs in the last bit. The doubles are mapped after the loop as rng.uniform
+    # maps them, low + (high - low) * next_double, so its bytes come from the same words
     draws, shadow_gains = np.empty((config.num_clusters, 5)), []
     for draw in draws:
-        draw[:] = rng.uniform(lows, highs)
+        rng.random(out=draw)
         shadow_gains.append(10.0 ** (rng.normal(0.0, config.shadowing_sigma_db) / 10.0))
+    draws = lows + (highs - lows) * draws
 
     return Scenario(config=config, users=_read_only(users),
                     cluster_positions=_read_only(draws[:, :3].copy()),
@@ -296,14 +303,14 @@ def large_scale_gains(scenario: Scenario, vr_centers=None, delays=None) -> np.nd
     if vr_centers.shape != (n, 2) or delays.shape != (n,):
         raise ConfigurationError(f"vr_centers and delays must have shapes ({n}, 2) and ({n},), "
                                  f"got {vr_centers.shape} and {delays.shape}")
-    d_bs = np.linalg.norm(scenario.users - scenario.bs_position, axis=1)
+    x, y, z = scenario.users.T[..., None]   # (K, 1) each
+    d_bs = np.sqrt(x * x + y * y + (z - cfg.bs_height) ** 2)   # bitwise np.linalg.norm
     _, path_gain = path_loss_nlos(d_bs, cfg.wavelength)
     tau_0 = d_bs / SPEED_OF_LIGHT if cfg.reference_delay is None else cfg.reference_delay
-    a_c = cluster_attenuation(delays, np.reshape(tau_0, (-1, 1)),
-                              cfg.cutoff_delay, cfg.power_decay)
-    d_vr = np.linalg.norm(scenario.users[:, None, :2] - vr_centers[None], axis=-1)
+    a_c = cluster_attenuation(delays, tau_0, cfg.cutoff_delay, cfg.power_decay)
+    d_vr = np.sqrt((x - vr_centers[:, 0]) ** 2 + (y - vr_centers[:, 1]) ** 2)
     a_vr = vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
-    return np.sqrt(path_gain)[:, None] * a_vr * np.sqrt(a_c)
+    return np.sqrt(path_gain) * a_vr * np.sqrt(a_c)
 
 
 def _steering_tensor(scenario: Scenario) -> np.ndarray:
@@ -339,11 +346,12 @@ def _seed_words(seed: int, clusters, users) -> np.ndarray:
     """(n, 4) uint64 PCG64 seed words (s_hi, s_lo, q_hi, q_lo) that
     ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])`` gets from its
     SeedSequence, for key words below 2^32 (a larger word adds entropy words)."""
+    key = np.empty((4, len(users)), np.uint32)
+    key[0], key[1], key[2], key[3] = seed, _STREAM_GAINS, clusters, users
     with np.errstate(over="ignore"):   # uint32 products wrap, as in seed_seq
-        key = np.array(np.broadcast_arrays(seed, _STREAM_GAINS, clusters, users), np.uint32)
         pool = _seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A)
         for src in range(4):   # pool[src] into the other words, steps 4 + 3 src .. 6 + 3 src
-            dst, steps = np.arange(4) != src, np.arange(4 + 3 * src, 7 + 3 * src)[:, None]
+            dst, steps = [*range(src), *range(src + 1, 4)], 4 + 3 * src + np.arange(3)[:, None]
             mixed = np.uint32(_MIX_MULT_L) * pool[dst] \
                 - np.uint32(_MIX_MULT_R) * _seed_hash(pool[src], steps, _INIT_A, _MULT_A)
             pool[dst] = mixed ^ (mixed >> _XSHIFT)
@@ -407,13 +415,20 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(wi), _read_only(thresholds)
 
 
+@cache
+def _pcg64_generator() -> np.random.Generator:
+    """The process's one fallback generator; each use sets its full state first."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
     row i is bitwise ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])
-    .standard_normal(2 N_p)``. Every pair's PCG64 outputs are jumps from its
-    seed words on uint64 halves, and numpy's ziggurat fast path makes them
-    normals; a pair with a draw off it (more words consumed) is drawn by a
-    generator set to its state, and a key word of 2^32 or more takes _stream."""
+    .standard_normal(2 N_p)``: PCG64 jumps from each pair's seed words on uint64
+    halves, then numpy's ziggurat fast path, whose -x flips bit 63 alone, so the
+    sign bit 8 XOR-ed into bit 63 gives its bytes, -0.0 included. A draw off the
+    fast path (more words consumed) sets ``_pcg64_generator`` to its pair's state,
+    and a key word of 2^32 or more takes _stream."""
     seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
     if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
         return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
@@ -430,15 +445,13 @@ def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     w = xored >> rot | xored << (64 - rot & 63)
     wi, thresholds = _ziggurat()
     layer, rabs = w & 0xFF, w >> 9 & 2**52 - 1
-    out = rabs * wi[layer]
-    np.negative(out, out=out, where=(w & 0x100).astype(bool))
+    out = ((rabs * wi[layer]).view(np.uint64) ^ (w & 0x100) << 55).view(float)
     slow = np.flatnonzero(~np.all(rabs < thresholds[layer], axis=1))
-    gen = np.random.Generator(np.random.PCG64(0))
     for row, (s_hi, s_lo, q_hi, q_lo) in zip(slow, words[slow].tolist()):
         # PCG64 setseq_128_srandom: inc = 2 initseq + 1, two LCG steps from 0
         inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        _set_pcg64(gen, state, inc).standard_normal(out=out[row])
+        _set_pcg64(_pcg64_generator(), state, inc).standard_normal(out=out[row])
     return out
 
 

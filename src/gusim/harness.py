@@ -178,7 +178,7 @@ def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
     Unitary pilots carry energy P, so R_u + (sigma^2/P) I is the same in every set:
     one covariance stack of the rated users, and one solve per power."""
     receivers, m, p_n = defaultdict(list), config.scenario.antenna_count, config.noise_power
-    rated = {sel: h[:, [users.index(u) for u in sel]]
+    rated = {sel: h[:, np.searchsorted(users, sel)]   # users is sorted
              for sel in dict.fromkeys(sel for *_, sel in grid if sel is not None)}
     if not (config.use_estimation and rated):   # true channels, or no set to estimate
         for sel, h_sel in rated.items():
@@ -224,8 +224,9 @@ def _zero_force_and_rate(config: ExperimentConfig, receivers: dict) -> dict:
 def _rows(config: ExperimentConfig, trial: int, grid: list, rates: dict) -> list[TrialResult]:
     """Rows: one per grid cell, excluded (rate None) where its set has no rate."""
     k_total, m = config.scenario.num_users, config.scenario.antenna_count
+    load = {ks: estimation_load(m, ks) for ks in {*config.ks_values, k_total}}
     return [TrialResult(trial, alg, ks, p_dbm, omega, (r := rates.get(sel, {}).get(p_dbm)),
-                        estimation_load(m, k_total if alg == "GWC" else ks),
+                        load[k_total if alg == "GWC" else ks],
                         () if r is None else sel) for ks, omega, alg, p_dbm, sel in grid]
 
 

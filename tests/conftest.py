@@ -111,6 +111,55 @@ def generate_scenario_loop(config):
                            delays=np.array(delays), shadow_gains=np.array(shadow_gains))
 
 
+def generate_scenario_uniform(config):
+    """Oracle for ``gscm.generate_scenario``: the users' rounds of uniform
+    draws, then per cluster one broadcasting ``rng.uniform(lows, highs)`` for
+    its x, y, z and VR centre x, y, followed by its shadowing normal."""
+    config.validate()
+    rng = np.random.default_rng(config.rng_seed)
+    half = config.cell_half_side
+    r_min, placed = config.bs_exclusion_fraction * half, []
+    while len(placed) < config.num_users:
+        draws = rng.uniform(-half, half, size=(config.num_users - len(placed), 2)).tolist()
+        placed += [(x, y) for x, y in draws if math.hypot(x, y) >= r_min]
+    z_lo, z_hi = config.cluster_height_range
+    lows = np.array([-half, -half, z_lo, -half, -half])
+    highs = np.array([half, half, z_hi, half, half])
+    draws, shadow_gains = np.empty((config.num_clusters, 5)), []
+    for draw in draws:
+        draw[:] = rng.uniform(lows, highs)
+        shadow_gains.append(10.0 ** (rng.normal(0.0, config.shadowing_sigma_db) / 10.0))
+    users = np.column_stack([placed, np.full(config.num_users, config.ms_height)])
+    return Scenario(config=config, users=users, cluster_positions=draws[:, :3].copy(),
+                    vr_centers=draws[:, 3:].copy(), shadow_gains=np.array(shadow_gains))
+
+
+def norm_delays(scen):
+    """Oracle for ``Scenario.delays``: (|BS -> cluster| + |cluster -> VR
+    centre|) / c, each length one ``np.linalg.norm`` along the coordinate axis."""
+    pos = scen.cluster_positions
+    vr = np.column_stack([scen.vr_centers, np.full(scen.num_clusters, scen.config.ms_height)])
+    return (np.linalg.norm(pos - scen.bs_position, axis=1)
+            + np.linalg.norm(vr - pos, axis=1)) / SPEED_OF_LIGHT
+
+
+def norm_large_scale_gains(scen, vr_centers=None, delays=None):
+    """Oracle for ``gscm.large_scale_gains``: the same factors, with the
+    user-BS and user-VR-centre distances as ``np.linalg.norm`` along the
+    coordinate axis and the delays from ``norm_delays``."""
+    cfg = scen.config
+    vr_centers = scen.vr_centers if vr_centers is None else vr_centers
+    delays = norm_delays(scen) if delays is None else delays
+    d_bs = np.linalg.norm(scen.users - scen.bs_position, axis=1)
+    _, path_gain = gscm.path_loss_nlos(d_bs, cfg.wavelength)
+    tau_0 = d_bs / SPEED_OF_LIGHT if cfg.reference_delay is None else cfg.reference_delay
+    a_c = gscm.cluster_attenuation(delays, np.reshape(tau_0, (-1, 1)),
+                                   cfg.cutoff_delay, cfg.power_decay)
+    d_vr = np.linalg.norm(scen.users[:, None, :2] - vr_centers[None], axis=-1)
+    a_vr = gscm.vr_gain(d_vr, cfg.vr_radius, cfg.transition_size, cfg.wavelength)
+    return np.sqrt(path_gain)[:, None] * a_vr * np.sqrt(a_c)
+
+
 def ergodic_capacity(h_samples, power):
     """Oracle upper bound on the ZF sum-rate: the sample mean of
     log2 det(I + (P/K_s) H H^H / P_n) over channel realizations, in

@@ -16,10 +16,12 @@ from gusim.gscm import (ScenarioConfig, channel_covariances, channel_matrix,
                         cluster_attenuation, generate_scenario, load_scenario,
                         path_loss_nlos, save_scenario, scenario_from_dict,
                         scenario_to_dict, vr_gain)
+from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
 from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
-                      einsum_covariances, generate_scenario_loop, laplace_offsets,
-                      make_scenario, pathloss_amplitude, reference_delay, scalar_gain,
-                      set_next_word, steering_vector)
+                      einsum_covariances, generate_scenario_loop, generate_scenario_uniform,
+                      laplace_offsets, make_scenario, norm_delays, norm_large_scale_gains,
+                      pathloss_amplitude, reference_delay, scalar_gain, set_next_word,
+                      steering_vector)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -35,6 +37,12 @@ def per_pair_batch(scen, users, clusters):
     """``gscm._fading_normals_batch`` computed one stream per pair."""
     return np.array([fading_normals(scen, k, j) for k, j in zip(users, clusters)]
                     ).reshape(-1, 2 * scen.config.mpcs_per_cluster)
+
+
+def assert_same_bits(got, want):
+    """``got`` and ``want`` hold the same float64 bit patterns:
+    ``assert_array_equal`` takes -0.0 for 0.0."""
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def field_bytes(scen):
@@ -226,6 +234,42 @@ class TestScenarioConfigBounds:
         for sigma in (bound * (1 + 1e-12), 3000.0):
             with pytest.raises(ConfigurationError, match="shadowing_sigma_db must be <="):
                 ScenarioConfig(shadowing_sigma_db=sigma).validate()
+
+    @pytest.mark.parametrize("geometry", [
+        dict(cell_half_side=9e307), dict(cell_half_side=1e155),
+        dict(cluster_height_range=(0.0, 1e200)), dict(bs_height=1e160), dict(ms_height=-1e160)],
+        ids=["uniform-range", "cell", "cluster-heights", "bs-height", "ms-height"])
+    def test_overflowing_squared_distance_rejected(self, geometry):
+        # the first overflows numpy's uniform range 2 h, the others a squared
+        # user-VR-centre, cluster-VR-centre or BS-user distance
+        with pytest.raises(ConfigurationError, match="overflow a squared distance"):
+            ScenarioConfig(reference_delay=1e-6, **geometry).validate()
+
+    def test_largest_accepted_cell_gives_finite_geometry(self):
+        # the largest cell_half_side validate accepts, by bisection on the
+        # float's bits: (2 h)^2 + (2 h)^2 + 28.5^2 is finite, so h ~ sqrt(max / 8)
+        def half(bits):
+            return float(np.array(bits, np.int64).view(np.float64))
+
+        def accepted(bits):
+            try:
+                ScenarioConfig(cell_half_side=half(bits), reference_delay=1e-6).validate()
+            except ConfigurationError:
+                return False
+            return True
+
+        lo, hi = (int(np.array(x).view(np.int64)) for x in (1.0, 1e300))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        assert half(lo) == pytest.approx(math.sqrt(sys.float_info.max / 8.0), rel=1e-15)
+        scen = generate_scenario(ScenarioConfig(cell_half_side=half(lo), reference_delay=1e-6,
+                                                rng_seed=3))
+        with np.errstate(over="raise", invalid="raise"):
+            arrays = [scen.delays, scen.observables, gscm.large_scale_gains(scen),
+                      channel_matrix(scen, range(scen.num_users)).entries]
+        assert all(np.all(np.isfinite(a)) for a in arrays)
+        assert np.abs(scen.cluster_positions[:, :2]).max() > 0.9 * half(lo)
 
 
 class TestClusterAttenuation:
@@ -440,6 +484,37 @@ class TestLargeScaleGains:
                                       gscm.large_scale_gains(scen_b))
 
 
+class TestNumpyForms:
+    """The cluster draw and the distances are elementwise forms of numpy's
+    broadcasting ``uniform`` and of ``np.linalg.norm`` along a 2- or 3-long
+    axis, so a numpy release that changes either's arithmetic or order fails here."""
+
+    GEOMETRIES = {"default": {}, "moved": dict(
+        cell_half_side=250.0, cluster_height_range=(0.0, 80.0), bs_height=12.3,
+        ms_height=1.7, reference_delay=1e-6)}
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES.values(), ids=GEOMETRIES)
+    def test_bytes_match_the_uniform_and_norm_forms(self, geometry, monkeypatch):
+        # every large_scale_gains call: the scenario's V, then the rebuild's
+        # overridden VR centres and delays for omega = 1 and 4
+        kernel, calls = gscm.large_scale_gains, []
+
+        def checked(scen, vr_centers=None, delays=None):
+            got = kernel(scen, vr_centers, delays)
+            assert got.tobytes() == norm_large_scale_gains(scen, vr_centers, delays).tobytes()
+            calls.append(vr_centers is None)
+            return got
+
+        monkeypatch.setattr(gscm, "large_scale_gains", checked)
+        for seed in range(1, 301):
+            cfg = ScenarioConfig(rng_seed=seed, **geometry)
+            scen = generate_scenario(cfg)
+            assert field_bytes(scen) == field_bytes(generate_scenario_uniform(cfg))
+            assert scen.delays.tobytes() == norm_delays(scen).tobytes()
+            perturb_and_rebuild_omegas(scen, (0, 1, 4), CrlbParams())
+        assert calls == [True, False] * 300
+
+
 class TestSteeringVector:
     def test_broadside_all_ones(self):
         np.testing.assert_allclose(steering_vector(0.0, 8, 0.5), np.ones(8))
@@ -627,7 +702,7 @@ class TestFadingNormalsBatch:
         for users, clusters in ((self.USERS, self.CLUSTERS),
                                 (self.USERS[:8], self.CLUSTERS[:8])):
             got = gscm._fading_normals_batch(scen, users, clusters)
-            np.testing.assert_array_equal(got, per_pair_batch(scen, users, clusters))
+            assert_same_bits(got, per_pair_batch(scen, users, clusters))
 
     def test_no_pairs(self):
         got = gscm._fading_normals_batch(self._scenario(3, mpcs=4),
@@ -643,8 +718,8 @@ class TestFadingNormalsBatch:
         scen = self._scenario(seed, mpcs)
         users = np.array([k for k, _ in pairs], dtype=np.int64)
         clusters = np.array([j for _, j in pairs], dtype=np.int64)
-        np.testing.assert_array_equal(gscm._fading_normals_batch(scen, users, clusters),
-                                      per_pair_batch(scen, users, clusters))
+        assert_same_bits(gscm._fading_normals_batch(scen, users, clusters),
+                         per_pair_batch(scen, users, clusters))
 
     def test_channel_matrix_matches_per_pair_loop(self, monkeypatch):
         # every user of seeds 1-40, and two seeds that take the fallback
@@ -697,10 +772,36 @@ class TestZigguratKernel:
         for seed in (1, 2**31, 2**32 - 1):
             scen = TestFadingNormalsBatch._scenario(seed)
             users, clusters = rng.integers(0, 40, 100), rng.integers(0, 2**32, 100)
-            np.testing.assert_array_equal(gscm._fading_normals_batch(scen, users, clusters),
-                                          per_pair_batch(scen, users, clusters))
+            assert_same_bits(gscm._fading_normals_batch(scen, users, clusters),
+                             per_pair_batch(scen, users, clusters))
             assert len(fallback_rows) == 100
             fallback_rows.clear()
+
+    def test_the_shared_fallback_generator_carries_nothing_over(self, monkeypatch):
+        # scenario A, then B with another seed, N_p and pairs, then A again: A's
+        # rows are the same bytes both times, first with every row through the
+        # process's one fallback generator, then with numpy's tables, where a
+        # few rows of each call take it
+        set_pcg64, fallback_rows = gscm._set_pcg64, []
+        monkeypatch.setattr(gscm, "_set_pcg64",
+                            lambda *state: fallback_rows.append(state) or set_pcg64(*state))
+        wi, thresholds = gscm._ziggurat()
+        rng = np.random.default_rng(8)
+        scen_a, pairs_a = TestFadingNormalsBatch._scenario(7), rng.integers(0, 2**32, (2, 60))
+        scen_b = TestFadingNormalsBatch._scenario(2**31, mpcs=3)
+        pairs_b = rng.integers(0, 2**32, (2, 90))
+        taken = []   # fallback rows of A's and B's first calls
+        for table in (np.zeros(256, np.uint64), thresholds):
+            monkeypatch.setattr(gscm, "_ziggurat", lambda table=table: (wi, table))
+            fallback_rows.clear()
+            first = gscm._fading_normals_batch(scen_a, *pairs_a)
+            a_rows = len(fallback_rows)
+            gscm._fading_normals_batch(scen_b, *pairs_b)
+            taken.append((a_rows, len(fallback_rows) - a_rows))
+            assert_same_bits(gscm._fading_normals_batch(scen_a, *pairs_a), first)
+            assert_same_bits(first, per_pair_batch(scen_a, *pairs_a))
+        assert taken[0] == (60, 90) and 0 < min(taken[1]) and max(taken[1]) < 60, taken
+        assert gscm._pcg64_generator() is gscm._pcg64_generator()
 
 
 class TestChannelCovariances:
