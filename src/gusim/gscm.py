@@ -73,6 +73,15 @@ class ScenarioConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
 
+    @property
+    def box(self) -> dict[str, tuple]:
+        """Inclusive (lows, highs), per column, of each array ``generate_scenario`` draws."""
+        h, (z_lo, z_hi), ms = self.cell_half_side, self.cluster_height_range, self.ms_height
+        return {"users": ((-h, -h, ms), (h, h, ms)),
+                "cluster_positions": ((-h, -h, z_lo), (h, h, z_hi)),
+                "vr_centers": ((-h, -h), (h, h)),
+                "shadow_gains": (math.ulp(0.0), sys.float_info.max)}   # the positive doubles
+
     def validate(self) -> None:
         check_fields(self)
         if self.bs_exclusion_fraction >= 1:
@@ -105,11 +114,13 @@ class ScenarioConfig:
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
             raise ConfigurationError("cluster_height_range must be two finite numbers "
                                      f"with 0 <= lo <= hi, got {heights!r}")
-        levels = (*heights, self.bs_height, self.ms_height)   # clusters, BS, users, VR centres
-        span, gap = 2.0 * self.cell_half_side, max(levels) - min(levels)
-        if not math.isfinite(span * span + span * span + gap * gap):
-            raise ConfigurationError(f"cell_half_side {self.cell_half_side} and heights {levels} "
-                                     "overflow a squared distance (2 h)^2 + (2 h)^2 + span^2")
+        # E, the diagonal of the box and the BS (VR centres lie at ms_height), bounds each
+        # distance and the rebuild's r = c0 tau <= 2 E: b^2 - 4ac <= 40 E^2, |d_vr|^2 <= 19 E^2
+        corners = [*self.box["users"], *self.box["cluster_positions"], (0.0, 0.0, self.bs_height)]
+        reach = 7.0 * math.hypot(*(max(axis) - min(axis) for axis in zip(*corners)))
+        if not math.isfinite(reach * reach):
+            raise ConfigurationError(f"cell_half_side {self.cell_half_side}, heights {heights}, "
+                                     "bs_height and ms_height overflow a squared distance (7 E)^2")
 
 
 @dataclass(frozen=True)
@@ -205,30 +216,26 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Draw a random scenario: users, clusters, VR centres and shadowing.
-
-    Users are uniform over the square cell minus the BS exclusion disk
-    (rejection sampling); clusters and VR centres are uniform over the
-    cell. Deterministic for a fixed config (including its seed).
-    """
+    """Draw a random scenario: users, clusters and VR centres uniform over
+    ``config.box``, users outside the BS exclusion disk (rejection sampling),
+    and shadowing. Deterministic for a fixed config (including its seed)."""
     config.validate()
-    rng = np.random.default_rng(config.rng_seed)
-    half = config.cell_half_side
+    rng, box = np.random.default_rng(config.rng_seed), config.box
 
-    # rounds of exactly the users still missing, so user k is the k-th
-    # accepted draw and nothing is drawn past the last one
-    r_min, placed = config.bs_exclusion_fraction * half, []
+    # rounds of exactly the users still missing, so user k is the k-th accepted draw and
+    # nothing is drawn past the last one; x and y mapped as rng.uniform maps them
+    lows, highs = np.array(box["users"])
+    r_min, placed = config.bs_exclusion_fraction * config.cell_half_side, []
     while len(placed) < config.num_users:
-        draws = rng.uniform(-half, half, size=(config.num_users - len(placed), 2)).tolist()
-        placed += [(x, y) for x, y in draws if math.hypot(x, y) >= r_min]
-    users = np.column_stack([placed, np.full(config.num_users, config.ms_height)])
+        draws = rng.random((config.num_users - len(placed), 2))
+        placed += [(x, y) for x, y in (lows[:2] + (highs - lows)[:2] * draws).tolist()
+                   if math.hypot(x, y) >= r_min]
+    users = np.column_stack([placed, np.full(config.num_users, lows[2])])
 
-    z_lo, z_hi = config.cluster_height_range
-    lows = np.array([-half, -half, z_lo, -half, -half])   # cluster x, y, z, VR centre x, y
-    highs = np.array([half, half, z_hi, half, half])
-    # per cluster: five doubles, then one normal; Python's power per gain, as its array
-    # form differs in the last bit. The doubles are mapped after the loop as rng.uniform
-    # maps them, low + (high - low) * next_double, so its bytes come from the same words
+    lows, highs = (np.array(c + v) for c, v in zip(box["cluster_positions"], box["vr_centers"]))
+    # per cluster: five doubles (cluster x, y, z, VR centre x, y), then one normal; Python's
+    # power per gain, as its array form differs in the last bit. The doubles are mapped after
+    # the loop as rng.uniform maps them, low + (high - low) * next_double, on the same words
     draws, shadow_gains = np.empty((config.num_clusters, 5)), []
     for draw in draws:
         rng.random(out=draw)
@@ -527,8 +534,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """The scenario ``data`` holds, with a valid config, the shapes it sets,
-    finite coordinates, positive shadow gains and users where
-    ``generate_scenario`` places them."""
+    every array inside its ``ScenarioConfig.box`` and the users outside the
+    BS exclusion disk, as ``generate_scenario`` places them."""
     derived = "bs_position and delays are gone: they follow from the config and the cluster arrays"
     scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION, {
         1: " (version 3 holds the clusters as the arrays cluster_positions, vr_centers"
@@ -537,21 +544,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         2: f" ({derived})"})
     cfg = scenario.config
     cfg.validate()
-    n_c = cfg.num_clusters
-    for name, wanted in [("users", (cfg.num_users, 3)), ("cluster_positions", (n_c, 3)),
-                         ("vr_centers", (n_c, 2)), ("shadow_gains", (n_c,))]:
-        value, positive = getattr(scenario, name), name == "shadow_gains"
+    for name, (lows, highs) in cfg.box.items():
+        value = getattr(scenario, name)
+        wanted = (cfg.num_users if name == "users" else cfg.num_clusters, *np.shape(lows))
         if value.shape != wanted:
             raise ConfigurationError(
                 f"scenario {name} must have shape {wanted}, got {value.shape}")
-        if not np.all(np.isfinite(value) & (value > 0 if positive else True)):
-            raise ConfigurationError(f"scenario {name} must be finite"
-                                     + (" and positive" if positive else ""))
-    users, r_min = scenario.users, cfg.bs_exclusion_fraction * cfg.cell_half_side
-    if np.any(np.abs(users[:, :2]) > cfg.cell_half_side) or np.any(users[:, 2] != cfg.ms_height):
-        raise ConfigurationError("scenario users must lie in the cell: |x|, |y| <= "
-                                 "cell_half_side and z = ms_height")
-    if not all(math.hypot(x, y) >= r_min for x, y, _ in users.tolist()):
+        if not np.all((lows <= value) & (value <= highs)):   # NaN fails both
+            raise ConfigurationError(
+                f"scenario {name} must lie in ScenarioConfig.box: {lows} to {highs}")
+    r_min = cfg.bs_exclusion_fraction * cfg.cell_half_side
+    if not all(math.hypot(x, y) >= r_min for x, y, _ in scenario.users.tolist()):
         raise ConfigurationError("scenario users must lie outside the BS exclusion disk: "
                                  "hypot(x, y) >= bs_exclusion_fraction * cell_half_side")
     return scenario

@@ -121,11 +121,11 @@ def _ellipse_distance(r, se, ce, ca, dh, d_bs_ms, direct, alternate_root=False):
     direct BS-MS length ``direct``. Returns the BS-to-cluster distances (NaN
     where unsolved) and the failure codes, 0 where solved, else 1 + the index
     in ``_ELLIPSE_FAILURES`` of the first check that fails."""
-    a = 1.0 - se * se - ce * ce * ca * ca
-    b = -2.0 * r - 2.0 * dh * se + 2.0 * d_bs_ms * ce * ca
-    c = r * r - dh * dh - d_bs_ms * d_bs_ms
-    linear = np.abs(a) < 1e-12
-    with np.errstate(all="ignore"):   # the branches not taken are masked below
+    with np.errstate(all="ignore"):   # an overflow or a branch not taken fails below
+        a = 1.0 - se * se - ce * ce * ca * ca
+        b = -2.0 * r - 2.0 * dh * se + 2.0 * d_bs_ms * ce * ca
+        c = r * r - dh * dh - d_bs_ms * d_bs_ms
+        linear = np.abs(a) < 1e-12
         disc = b * b - 4.0 * a * c
         sq = np.sqrt(disc)
         lo = np.where(linear, -c / b, (-b - sq) / (2.0 * a))

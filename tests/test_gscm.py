@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -246,8 +247,9 @@ class TestScenarioConfigBounds:
             ScenarioConfig(reference_delay=1e-6, **geometry).validate()
 
     def test_largest_accepted_cell_gives_finite_geometry(self):
-        # the largest cell_half_side validate accepts, by bisection on the
-        # float's bits: (2 h)^2 + (2 h)^2 + 28.5^2 is finite, so h ~ sqrt(max / 8)
+        # the largest cell_half_side validate accepts, by bisection on the float's
+        # bits: 49 ((2 h)^2 + (2 h)^2 + 28.5^2) is finite, so h ~ sqrt(max / 392); at
+        # sqrt(max / 8), the bound before the rebuild's margin, the rebuild overflowed
         def half(bits):
             return float(np.array(bits, np.int64).view(np.float64))
 
@@ -262,14 +264,17 @@ class TestScenarioConfigBounds:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-        assert half(lo) == pytest.approx(math.sqrt(sys.float_info.max / 8.0), rel=1e-15)
-        scen = generate_scenario(ScenarioConfig(cell_half_side=half(lo), reference_delay=1e-6,
-                                                rng_seed=3))
-        with np.errstate(over="raise", invalid="raise"):
-            arrays = [scen.delays, scen.observables, gscm.large_scale_gains(scen),
-                      channel_matrix(scen, range(scen.num_users)).entries]
-        assert all(np.all(np.isfinite(a)) for a in arrays)
-        assert np.abs(scen.cluster_positions[:, :2]).max() > 0.9 * half(lo)
+        assert half(lo) == pytest.approx(math.sqrt(sys.float_info.max / 392.0), rel=1e-15)
+        for seed in range(1, 6):
+            scen = generate_scenario(ScenarioConfig(cell_half_side=half(lo),
+                                                    reference_delay=1e-6, rng_seed=seed))
+            with np.errstate(over="raise", invalid="raise"):
+                rebuilt = perturb_and_rebuild_omegas(scen, range(6), CrlbParams())
+                arrays = [scen.delays, scen.observables, gscm.large_scale_gains(scen),
+                          channel_matrix(scen, range(scen.num_users)).entries,
+                          rebuilt.v_tilde, rebuilt.cluster_positions]
+            assert all(np.all(np.isfinite(a)) for a in arrays)
+            assert np.abs(scen.cluster_positions[:, :2]).max() > 0.9 * half(lo)
 
 
 class TestClusterAttenuation:
@@ -1057,17 +1062,24 @@ class TestScenarioSerialization:
             load_scenario(path)
 
     @pytest.mark.parametrize("path,value,message", [
-        (("shadow_gains", 0), -3.0, "shadow_gains must be finite and positive"),
-        (("shadow_gains", 1), math.inf, "shadow_gains must be finite and positive"),
-        (("users", 2, 0), math.inf, "users must be finite"),
-        (("cluster_positions", 1, 2), -math.inf, "cluster_positions must be finite"),
-        (("vr_centers", 0, 1), math.nan, "vr_centers must be finite"),
+        (("shadow_gains", 0), -3.0, "shadow_gains must lie in ScenarioConfig.box"),
+        (("shadow_gains", 1), math.inf, "shadow_gains must lie in ScenarioConfig.box"),
+        (("users", 2, 0), math.inf, "users must lie in ScenarioConfig.box"),
+        (("cluster_positions", 1, 2), -math.inf,
+         "cluster_positions must lie in ScenarioConfig.box"),
+        (("vr_centers", 0, 1), math.nan, "vr_centers must lie in ScenarioConfig.box"),
+        (("cluster_positions", 0, 0), 1e200, "cluster_positions must lie in ScenarioConfig.box"),
+        (("vr_centers", 1, 0), 5000.0, "vr_centers must lie in ScenarioConfig.box"),
+        (("cluster_positions", 1, 2), -40.0, "cluster_positions must lie in ScenarioConfig.box"),
     ], ids=["negative-shadow-gain", "infinite-shadow-gain", "infinite-user-coordinate",
-            "infinite-cluster-coordinate", "nan-vr-centre-coordinate"])
+            "infinite-cluster-coordinate", "nan-vr-centre-coordinate", "far-cluster-coordinate",
+            "vr-centre-outside-the-cell", "cluster-below-the-height-range"])
     def test_nonfinite_or_nonpositive_value_rejected(self, tmp_path, path, value, message):
         # a negative shadow gain used to load, and then gave non-finite
         # covariances; an infinite user coordinate failed later with a
-        # misleading attenuation error
+        # misleading attenuation error. The last three loaded too: a cluster
+        # at x = 1e200 then overflowed Scenario.delays, and the others gave a
+        # finite V from a geometry that generate_scenario never draws
         data = scenario_to_dict(generate_scenario(ScenarioConfig(num_users=6,
                                                                  num_clusters=2)))
         target = data
@@ -1088,7 +1100,7 @@ class TestScenarioSerialization:
         data["users"][path[1]][path[2]] = value
         file = tmp_path / "scenario.yaml"
         file.write_text(yaml.safe_dump(data), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="users must lie in the cell"):
+        with pytest.raises(ConfigurationError, match="users must lie in ScenarioConfig.box"):
             load_scenario(file)
         data["users"][path[1]][path[2]] = 1000.0 if path[2] < 2 else 1.5   # on the edge
         scenario_from_dict(data)
@@ -1104,9 +1116,13 @@ class TestScenarioSerialization:
         scenario_from_dict(data)
 
     def test_every_generated_scenario_loads(self):
-        # 0.9 puts many users near the disk's edge
-        for seed in range(1, 21):
-            scen = generate_scenario(ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9))
+        # 0.9 puts many users near the disk's edge; the second geometry moves
+        # every bound of ScenarioConfig.box off its default
+        small = dict(cell_half_side=250.0, cluster_height_range=(0.0, 80.0), bs_height=12.3,
+                     ms_height=1.7)
+        for geometry, seed in itertools.product([{}, small], range(1, 201)):
+            scen = generate_scenario(ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9,
+                                                    **geometry))
             assert scenario_from_dict(scenario_to_dict(scen)) == scen
 
     @pytest.mark.parametrize("key", ["bs_position", "delays"])

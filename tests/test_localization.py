@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -335,6 +336,19 @@ class TestPerturbAndRebuildOmegas:
                 assert_same(pg, i, per_cluster_perturb_and_rebuild(scen, omega, params))
             fallbacks += pg.fallbacks.sum()
         assert fallbacks > 0
+
+    def test_overflowing_ellipse_coefficients_fall_back(self):
+        # at an input SNR of 1e-300 the delay step of cluster 9 at omega = 5
+        # takes its path length c0 tau to about -3.6e154, whose square
+        # overflows: the cluster falls back instead of raising a warning
+        scen = generate_scenario(ScenarioConfig(rng_seed=15))
+        with np.errstate(over="raise", invalid="raise"):
+            pg = perturb_and_rebuild_omegas(scen, (0, 1, 5), CrlbParams(input_snr=1e-300))
+        r = SPEED_OF_LIGHT * (scen.delays[9] + pg.perturbations[2, 0, 9])
+        assert abs(r) > math.sqrt(sys.float_info.max) and pg.fallbacks[2, 9]
+        np.testing.assert_array_equal(pg.cluster_positions[2, 9], scen.cluster_positions[9])
+        np.testing.assert_array_equal(pg.v_tilde[2, :, 9], scen.v[:, 9])
+        assert np.all(np.isfinite(pg.v_tilde))
 
     def test_v_tilde_is_c_contiguous(self):
         # GUS takes row norms of each V; every array leads with the omega axis
