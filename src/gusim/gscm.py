@@ -121,6 +121,13 @@ class ScenarioConfig:
         if not math.isfinite(reach * reach):
             raise ConfigurationError(f"cell_half_side {self.cell_half_side}, heights {heights}, "
                                      "bs_height and ms_height overflow a squared distance (7 E)^2")
+        # at the farthest user-VR-centre distance, corner to corner, vr_gain's
+        # 0.5 - arctan(arg) / pi must not cancel to 0 (it does for arg above ~5.8e15)
+        far = 2.0 * math.sqrt(2.0) * self.cell_half_side
+        if not vr_gain(far, self.vr_radius, self.transition_size, self.wavelength) > 0:
+            raise ConfigurationError(f"cell_half_side {self.cell_half_side} puts users {far:.6g} "
+                                     "m from a VR centre, where vr_gain at this vr_radius, "
+                                     "transition_size and carrier_freq rounds to 0")
 
 
 @dataclass(frozen=True)
@@ -258,7 +265,7 @@ def vr_gain(d_ms_vr, vr_radius: float, transition_size: float,
     if wavelength <= 0:
         raise ConfigurationError("wavelength must be positive")
     d_ms_vr = np.asarray(d_ms_vr)
-    if np.any(d_ms_vr < 0):
+    if (d_ms_vr < 0).any():
         raise ConfigurationError("distance must be nonnegative")
     arg = 2.0 * math.sqrt(2.0) * (transition_size + d_ms_vr - vr_radius)
     arg /= math.sqrt(wavelength * transition_size)

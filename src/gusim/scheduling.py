@@ -29,6 +29,14 @@ class ScheduleResult:
     algorithm: str
 
 
+def _check_array(name: str, a: np.ndarray, shapes: str, ndims: tuple[int, ...]) -> None:
+    """Raise ``ConfigurationError`` unless ``a`` is finite with one of ``ndims`` axes."""
+    if a.ndim not in ndims or not np.isfinite(a).all():
+        bad = a.size - np.count_nonzero(np.isfinite(a))
+        raise ConfigurationError(f"{name} must be a finite {shapes} array, "
+                                 f"got shape {a.shape} with {bad} non-finite entries")
+
+
 def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
     """Geometry-based greedy selection on the user-cluster matrix.
 
@@ -38,9 +46,11 @@ def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
     (``set``). Ties go to the lowest index. Zero-norm rows are excluded
     with a warning since their correlation is undefined. An (n, K, N_C)
     stack gives one result per entry, cut at its count of usable rows,
-    where one V raises ``SelectionError``.
+    where one V raises ``SelectionError``. A V that is not a finite (K, N_C)
+    or (n, K, N_C) array raises ``ConfigurationError``.
     """
     v = np.asarray(v, dtype=float)
+    _check_array("v", v, "(K, N_C) or (n, K, N_C)", (2, 3))
     stack, k = v.reshape(-1, *v.shape[-2:]), v.shape[-2]
     check_count("num_selected", num_selected, k)
     if variant not in ("last", "set"):
@@ -76,15 +86,16 @@ def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
 
 def _gwc_node(h_all: np.ndarray, q: np.ndarray, r_inv: np.ndarray, remaining):
     """The power-free part of a greedy step from a prefix's QR factors."""
-    h_rem = h_all[:, remaining]
-    c = q.conj().T @ h_rem
+    h_rem, qh = h_all[:, remaining], q.conj().T
+    c = qh @ h_rem
     resid = h_rem - q @ c
-    rho2 = np.sum(resid.real ** 2 + resid.imag ** 2, axis=0)
+    rho2 = (resid.real ** 2 + resid.imag ** 2).sum(axis=0)
     scored = np.flatnonzero(rho2 > 0)
-    rho2 = rho2[scored]
-    x = r_inv @ c[:, scored]
-    gain = np.sum(np.abs(r_inv) ** 2, axis=1)[:, None] + np.abs(x) ** 2 / rho2
-    return c, resid, scored, rho2, x, gain
+    all_scored = scored.size == rho2.size   # then no gather is needed
+    x = r_inv @ (c if all_scored else c[:, scored])
+    rho2 = rho2 if all_scored else rho2[scored]
+    gain = (np.abs(r_inv) ** 2).sum(axis=1)[:, None] + np.abs(x) ** 2 / rho2
+    return qh, c, resid, scored, rho2, x, gain
 
 
 # a candidate whose Frobenius bound on cond(H') is at most this needs no SVD:
@@ -113,20 +124,24 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     added; a candidate in the span of the selected columns (rho^2 = 0) gets
     no score. The rule runs as an SVD only where the bound
     ||H'||_F ||R'^-1||_F >= cond(H') exceeds 1e10 or is not finite, at most
-    once per candidate of a prefix. A step that cannot improve the
-    objective still takes the best available candidate, and no pick depends
-    on how many picks follow. A power left with no acceptable candidate
-    gets a shorter result. C, E, X, the gains and the condition tests run
-    once per ordered prefix that some power reaches, and there one
-    (P, s, n) pass rates every power it serves.
+    once per candidate of a prefix, and the full visiting order is built
+    only when the top candidate needs the SVD rule or scores NaN. A step
+    that cannot improve the objective still takes the best available
+    candidate, and no pick depends on how many picks follow. A power left
+    with no acceptable candidate gets a shorter result. C, E, X, the gains
+    and the condition tests run once per ordered prefix that some power
+    reaches, and there one (P, s, n) pass rates every power it serves. An
+    ``h_all`` that is not a finite (M, K) array raises ``ConfigurationError``.
     """
     h_all = np.asarray(h_all)
+    _check_array("h_all", h_all, "(M, K)", (2,))
     m, k = h_all.shape
     check_count("num_selected", num_selected, k)
     if num_selected > m:
         raise SelectionError(f"zero-forcing needs num_selected <= M = {m}")
 
     norms = np.linalg.norm(h_all, axis=0)
+    norms2 = norms ** 2
     dtype = np.result_type(h_all, float)
     q_all = np.zeros((m, num_selected), dtype=dtype)
     r_inv_all = np.zeros((num_selected, num_selected), dtype=dtype)
@@ -138,44 +153,49 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     # siblings share them uncopied; fro2 is the prefix's ||H_S||_F^2
     def walk(s: int, remaining: np.ndarray, group: list[int], fro2: float) -> None:
         q, r_inv = q_all[:, :s], r_inv_all[:s, :s]
-        c, resid, scored, rho2, x, gain = _gwc_node(h_all, q, r_inv, remaining)
+        qh, c, resid, scored, rho2, x, gain = _gwc_node(h_all, q, r_inv, remaining)
+        if not scored.size:
+            return
         # cond(R') <= ||R'||_F ||R'^-1||_F with ||R'||_F = ||H'||_F; None marks
         # a candidate whose SVD rule has not run yet
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound2 = (fro2 + norms[remaining[scored]] ** 2) * (gain.sum(axis=0) + 1.0 / rho2)
+        bound2 = (fro2 + norms2[remaining[scored]]) * (gain.sum(axis=0) + 1.0 / rho2)
         accepted = [True if ok else None for ok in (bound2 <= _CERTIFIED_COND ** 2).tolist()]
 
-        # (P, s, n) rates of every power of the group, then one visiting order each
+        # (P, s, n) rates of every power of the group, each visiting its top first
         p, p_n = totals[group] / (s + 1), noises[group]
-        rates = (np.sum(np.log2(1.0 + p[:, :, None] / (p_n[:, :, None] * gain)), axis=1)
+        rates = (np.log2(1.0 + p[:, :, None] / (p_n[:, :, None] * gain)).sum(axis=1)
                  + np.log2(1.0 + p * rho2 / p_n))
-        key = rates if s else norms[remaining[scored]]
-        order = np.argsort(-key, axis=-1, kind="stable").tolist()
-        children: dict[int, list[int]] = {}
-        for i, row, visit in zip(group, rates.tolist(), order if s else [order] * len(group)):
-            for j in visit:
-                if accepted[j] is None:   # on R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
-                    rho = math.sqrt(rho2[j])
-                    r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
-                    sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
-                    accepted[j] = not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
-                if accepted[j]:
-                    found[i][0].append(int(remaining[scored[j]]))
-                    found[i][1].append(row[j])
-                    children.setdefault(scored[j], []).append(i)
-                    break
+        key = rates if s else np.broadcast_to(norms[remaining[scored]], rates.shape)
+        order, children = None, {}
+        for r, (i, j) in enumerate(zip(group, key.argmax(axis=-1).tolist())):
+            if accepted[j] is not True or math.isnan(key[r, j]):
+                order = order or np.argsort(-key, axis=-1, kind="stable").tolist()
+                for j in order[r]:
+                    if accepted[j] is None:   # on R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
+                        rho = math.sqrt(rho2[j])
+                        r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
+                        sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
+                        accepted[j] = not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
+                    if accepted[j]:
+                        break
+                else:
+                    continue
+            found[i][0].append(int(remaining[scored[j]]))
+            found[i][1].append(float(rates[r, j]))
+            children.setdefault(scored[j], []).append(i)
         for w, sub in children.items() if s + 1 < num_selected else ():
             # append the winner's column, re-orthogonalized once against Q
-            delta = q.conj().T @ resid[:, w]
+            delta = qh @ resid[:, w]
             e = resid[:, w] - q @ delta
-            rho = np.linalg.norm(e)
+            rho = math.sqrt(e.real.dot(e.real) + e.imag.dot(e.imag))   # np.linalg.norm's sum
             q_all[:, s] = e / rho
             r_inv_all[:s, s] = -(r_inv @ (c[:, w] + delta)) / rho
             r_inv_all[s, s] = 1.0 / rho
             walk(s + 1, np.concatenate((remaining[:w], remaining[w + 1:])), sub,
-                 fro2 + norms[remaining[w]] ** 2)
+                 fro2 + norms2[remaining[w]])
 
-    walk(0, np.arange(k), list(range(len(powers))), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk(0, np.arange(k), list(range(len(powers))), 0.0)
     return tuple(ScheduleResult(tuple(sel), tuple(sc), "GWC") for sel, sc in found)
 
 

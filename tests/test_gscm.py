@@ -246,10 +246,27 @@ class TestScenarioConfigBounds:
         with pytest.raises(ConfigurationError, match="overflow a squared distance"):
             ScenarioConfig(reference_delay=1e-6, **geometry).validate()
 
+    @pytest.mark.parametrize("half_side,accepted", [(1.25e15, True), (1.27e15, False)])
+    def test_vr_gain_at_the_farthest_user_must_not_round_to_zero(self, half_side, accepted):
+        # 0.5 - arctan(arg) / pi is exactly 0 once arctan(arg) rounds to fl(pi / 2),
+        # at arg ~ 5.8e15: a user 2 sqrt(2) h from a VR centre at h ~ 1.26e15 m
+        config = ScenarioConfig(cell_half_side=half_side, reference_delay=1e-6)
+        far = 2.0 * math.sqrt(2.0) * half_side
+        assert (vr_gain(far, config.vr_radius, config.transition_size,
+                        config.wavelength) > 0) == accepted
+        if accepted:
+            config.validate()
+        else:
+            with pytest.raises(ConfigurationError, match="vr_gain .* rounds to 0"):
+                config.validate()
+
     def test_largest_accepted_cell_gives_finite_geometry(self):
         # the largest cell_half_side validate accepts, by bisection on the float's
-        # bits: 49 ((2 h)^2 + (2 h)^2 + 28.5^2) is finite, so h ~ sqrt(max / 392); at
-        # sqrt(max / 8), the bound before the rebuild's margin, the rebuild overflowed
+        # bits. The vr_gain rule binds: at the farthest user-VR-centre distance
+        # 2 sqrt(2) h, arg = 2 sqrt(2) (t + d - r) / sqrt(lambda t) must stay below
+        # 1 / ((pi - fl(pi)) / 2 + ulp(pi / 2) / 2), where arctan rounds to fl(pi / 2).
+        # The squared-distance rule, sqrt(max / 392) ~ 6.77e152 m, no longer does:
+        # there every V entry was 0, and every cell read nan
         def half(bits):
             return float(np.array(bits, np.int64).view(np.float64))
 
@@ -264,7 +281,13 @@ class TestScenarioConfigBounds:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
-        assert half(lo) == pytest.approx(math.sqrt(sys.float_info.max / 392.0), rel=1e-15)
+        config = ScenarioConfig()
+        arg = 1.0 / (math.sin(math.pi) / 2.0 + math.ulp(math.pi / 2.0) / 2.0)
+        expected = (arg * math.sqrt(config.wavelength * config.transition_size)
+                    / (2.0 * math.sqrt(2.0)) + config.vr_radius - config.transition_size) \
+            / (2.0 * math.sqrt(2.0))
+        assert half(lo) == pytest.approx(expected, rel=1e-12)
+        assert half(lo) < math.sqrt(sys.float_info.max / 392.0)
         for seed in range(1, 6):
             scen = generate_scenario(ScenarioConfig(cell_half_side=half(lo),
                                                     reference_delay=1e-6, rng_seed=seed))
@@ -274,6 +297,7 @@ class TestScenarioConfigBounds:
                           channel_matrix(scen, range(scen.num_users)).entries,
                           rebuilt.v_tilde, rebuilt.cluster_positions]
             assert all(np.all(np.isfinite(a)) for a in arrays)
+            assert np.all(arrays[2] > 0)
             assert np.abs(scen.cluster_positions[:, :2]).max() > 0.9 * half(lo)
 
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gusim.gscm as gscm
 import gusim.scheduling as scheduling
@@ -499,6 +501,100 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def argsort_calls(monkeypatch):
+    """The key of each ``np.argsort`` call, in order."""
+    calls, argsort = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+@st.composite
+def scaled_channels(draw):
+    """(H, K_s, powers): complex Gaussian columns scaled by 1e-160..1e160, half
+    of them drawn above 1e150, so that norms, residuals and scores overflow
+    and some top scores are NaN."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    scale = st.floats(-160.0, 160.0) | st.floats(150.0, 160.0)
+    exponents = draw(st.lists(scale, min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    h *= 10.0 ** np.array(exponents)
+    num_selected = draw(st.integers(1, min(m, k)))
+    p_dbm = draw(st.lists(st.floats(-40.0, 90.0), min_size=1, max_size=6))
+    return h, num_selected, desk_powers(p_dbm, num_selected, noise_power=1e-3)
+
+
+def single_or_error(h, num_selected, power):
+    """The one-power search's result, or the type of the error it raises."""
+    try:
+        return gwc_select_single(h, num_selected, power)
+    except (SelectionError, np.linalg.LinAlgError) as error:
+        return type(error)
+
+
+class TestTopCandidateFastPath:
+    """Each power takes its top candidate from one argmax when that is
+    certified and scores a number; the full visiting order is built only
+    otherwise, and the picks and scores stay those of the one-power search."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_no_argsort_on_desk_channels(self, argsort_calls, seed):
+        gwc_select_powers(desk_channel(seed), 10, desk_powers(ExperimentConfig().powers_dbm))
+        assert len(argsort_calls) == 0
+
+    def test_rejected_top_candidate_builds_the_full_order(self, argsort_calls, svd_calls):
+        # column 1 tops the second step's scores but its certificate fails and
+        # the SVD rule rejects it, so the step visits the full order and takes
+        # column 2, which passes the rule
+        h, power = NEAR_COLLINEAR, NEAR_COLLINEAR_POWER
+        result, = gwc_select_powers(h, 2, [power])
+        assert len(argsort_calls) == 1 and argsort_calls[0].shape == (1, 2)
+        assert argsort_calls[0].argmin() == 0   # the negated key: column 1 on top
+        assert len(svd_calls) == 2   # column 1 rejected, then column 2 accepted
+        assert result.selected == (0, 2)
+        assert_matches_single(h, 2, [power])
+
+    def test_certified_top_scoring_nan_builds_the_full_order(self, argsort_calls):
+        # at zero power, column 1 (orthogonal to column 0) has a noise gain
+        # 2.5e-201 whose product with the noise power 1e-125 underflows to 0,
+        # so it scores 0 / 0 = NaN although its certificate holds; argmax
+        # takes the first NaN, the stable order puts it last and column 2 first
+        h = np.array([[2e100, 0.0, 1e100], [0.0, 1e100, 1e97]], dtype=complex)
+        power = PowerConfig(0.0, 2, 1e-125)
+        result, = gwc_select_powers(h, 2, [power])
+        assert len(argsort_calls) == 1 and result.selected == (0, 2)
+        with np.errstate(invalid="ignore"):
+            assert_matches_single(h, 2, [power])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scaled_channels())
+    def test_matches_single_at_extreme_column_scales(self, case):
+        h, num_selected, powers = case
+        with np.errstate(all="ignore"):
+            try:
+                results = gwc_select_powers(h, num_selected, powers)
+            except np.linalg.LinAlgError:
+                # an overflowed R'^-1 fails the SVD rule's SVD, in the oracle too
+                assert np.linalg.LinAlgError in [
+                    single_or_error(h, num_selected, power) for power in powers]
+                return
+            for power, result in zip(powers, results):
+                n = len(result.selected)
+                if n < num_selected:
+                    with pytest.raises(SelectionError):
+                        gwc_select_single(h, n + 1, power)
+                if n:
+                    expected = gwc_select_single(h, n, power)
+                    assert result.selected == expected.selected
+                    assert result.per_step_scores == expected.per_step_scores
+
+
 class TestConditionCertificate:
     """A candidate whose bound ||H'||_F ||R'^-1||_F on cond(H') is at most
     1e10 is accepted without an SVD; any other runs the condition rule."""
@@ -602,6 +698,45 @@ class TestEstimationLoad:
     def test_invalid_counts(self):
         with pytest.raises(ConfigurationError):
             estimation_load(0, 10)
+
+
+def nan_at(shape, index, value=np.nan):
+    """A positive (real) array of ``shape`` with ``value`` at ``index``."""
+    a = np.random.default_rng(1).uniform(0.1, 1.0, shape)
+    a[index] = value
+    return a
+
+
+GWC_POWER = [PowerConfig(1.0, 3, 1e-2)]
+
+
+class TestSchedulerInputs:
+    """Each scheduler takes only a finite array of its documented shape:
+    (K, N_C) or (n, K, N_C) for GUS, (M, K) for GWC."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: gus_select(nan_at((5, 4), (0, 1)), 3),   # gave (0, 0, 0), scores nan
+        lambda: gus_select(nan_at((2, 5, 4), (1, 3, 2), np.inf), 3),   # a RuntimeWarning
+        lambda: gus_select(np.ones(5), 2),   # an IndexError
+        lambda: gus_select(np.ones((2, 2, 5, 4)), 2),   # taken as a stack, one result
+        lambda: gwc_select_powers(nan_at((6, 5), (2, 1)) + 0j, 3, GWC_POWER),   # skipped
+        lambda: gwc_select_powers(np.full((6, 5), np.nan), 3, GWC_POWER),   # an empty result
+        lambda: gwc_select_powers(nan_at((6, 5), (0, 4), -np.inf), 3, GWC_POWER),
+        lambda: gwc_select_powers(np.ones(5), 1, GWC_POWER),   # a ValueError
+        lambda: gwc_select_powers(np.ones((2, 6, 5)), 1, GWC_POWER),
+    ], ids=["gus-nan", "gus-inf-stack", "gus-1d", "gus-4d", "gwc-nan-column", "gwc-all-nan",
+            "gwc-inf", "gwc-1d", "gwc-3d"])
+    def test_rejected(self, call):
+        with pytest.raises(ConfigurationError, match="must be a finite .* array, got shape"):
+            call()
+
+    def test_zero_rows_and_an_all_zero_channel_stay_accepted(self):
+        with pytest.warns(UserWarning, match="excluding 2 zero-norm"):
+            assert gus_select(np.zeros((2, 5, 4)) + np.eye(5, 4), 2)[0].selected == (0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, = gwc_select_powers(np.zeros((6, 5), dtype=complex), 3, GWC_POWER)
+        assert result.selected == result.per_step_scores == ()
 
 
 @pytest.mark.parametrize("call,name", [
