@@ -83,10 +83,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "GWC needs mode 'physical': its paper-literal objective is flat, so "
                 "it takes the strongest column and then the lowest indices")
-        ks, k, m = max(self.ks_values), self.scenario.num_users, self.scenario.antenna_count
-        if ks > min(k, m):
-            raise ConfigurationError(f"K_s={ks} exceeds num_users={k} or antenna_count={m}; "
-                                     "zero-forcing needs at least as many antennas as users")
+        # zero-forcing needs as many users, antennas and MPCs as K_s: H and each
+        # MMSE estimate lie in the span of the N_C * N_p MPC steering vectors
+        scen, ks = self.scenario, max(self.ks_values)
+        name, bound = min([("num_users", scen.num_users), ("antenna_count", scen.antenna_count),
+                           ("num_clusters * mpcs_per_cluster",
+                            scen.num_clusters * scen.mpcs_per_cluster)], key=lambda nb: nb[1])
+        if ks > bound:
+            raise ConfigurationError(f"K_s={ks} exceeds {name}={bound}; zero-forcing needs K_s "
+                                     "<= num_users, antenna_count and the number of MPCs")
         noise_power(self.bandwidth, self.temperature, self.noise_figure_db)   # checks itself
 
     @property

@@ -77,6 +77,18 @@ def crlb_delay(gamma_o, bandwidth: float):
     return 1.0 / (gamma_o * 8.0 * math.pi**2 * bandwidth)
 
 
+# crlb's elevation bound is singular where |cos theta| falls below this
+_SINGULAR_COS = 1e-12
+
+
+def _singular_elevation(params: CrlbParams, theta) -> np.ndarray:
+    """Where ``crlb``'s elevation bound is singular: |cos theta| below
+    ``_SINGULAR_COS`` with more than one sensor per axis (a single sensor
+    gives infinite angle bounds at any elevation)."""
+    delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
+    return (np.abs(np.cos(theta)) < _SINGULAR_COS) & (delta != 0.0)
+
+
 def crlb(params: CrlbParams, phi, theta) -> tuple:
     """(delay, elevation, azimuth) estimation variance bounds for paths
     arriving at azimuth ``phi`` and elevation ``theta``, which broadcast
@@ -95,9 +107,9 @@ def crlb(params: CrlbParams, phi, theta) -> tuple:
     delta = array_angle_factor(params.sensors_per_axis, params.d_over_lambda)
     if delta == 0.0:
         return bound_tau, *np.full((2, *phi.shape), math.inf)
-    cos_t = np.cos(theta)
-    if np.any(np.abs(cos_t) < 1e-12):
+    if np.any(_singular_elevation(params, theta)):
         raise GeometryError("elevation bound is singular at theta = pi/2")
+    cos_t = np.cos(theta)
     if np.any(cos_t < 0):
         raise GeometryError("elevation bound requires |theta| < pi/2")
     bound_phi = params.num_antennas / (gamma_o * 2.0 * delta)
@@ -167,8 +179,9 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     alone.
 
     ``omega == 0`` is an exact no-op: its ``v_tilde`` is ``scenario.v``. A
-    cluster with no admissible bounce distance keeps its true geometry and
-    V column and is marked in ``fallbacks``. The perturbations and the
+    cluster with no admissible bounce distance, or whose elevation bound is
+    singular (no perturbation, ``crlb`` not asked), keeps its true geometry
+    and V column and is marked in ``fallbacks``. The perturbations and the
     ellipse inversion run on (omega, cluster) arrays; the rest does not
     depend on omega.
     """
@@ -186,9 +199,11 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
         cfg, bs = scenario.config, scenario.bs_position
         rng = gscm._stream(cfg.rng_seed, gscm._STREAM_PERTURB)
         signs = rng.choice([-1.0, 1.0], size=(n_c, 3)).T
-        bounds = np.array(crlb(params, *scenario.observables[[2, 1]]))
+        _, el_true, az_true = scenario.observables
+        singular = _singular_elevation(params, el_true)
+        bounds = np.array(crlb(params, az_true, np.where(singular, 0.0, el_true)))
         # the angle bounds are infinite for a single sensor per axis
-        steps[live] = np.where(np.isfinite(bounds),
+        steps[live] = np.where(np.isfinite(bounds) & ~singular,
                                signs * scale[live, None, None] * np.sqrt(bounds), 0.0)
         tau, el, az = scenario.observables[:, None] + steps[live].transpose(1, 0, 2)
 
@@ -202,9 +217,9 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
         rebuilt = bs + d_bs_c[..., None] * np.stack(
             [ce * np.cos(az), ce * np.sin(az), se], axis=-1)
         # a nonpositive perturbed delay fails the first check; a cluster with
-        # no admissible bounce distance keeps its true geometry, and the
-        # robustness study continues with the remaining clusters perturbed
-        failed = failure > 0
+        # no admissible bounce distance or a singular elevation bound keeps its
+        # true geometry, and the study continues with the rest perturbed
+        failed = (failure > 0) | singular
         fallbacks[live] = failed
         new_positions[live] = np.where(failed[..., None], positions, rebuilt)
         new_vr_centers = np.where(

@@ -119,26 +119,42 @@ def _mmse_filter(covariances: np.ndarray, noise, z: np.ndarray):
     return covariances @ sol
 
 
+def zf_refused(factor: np.ndarray, compute_uv: bool = False):
+    """Zero-forcing's one acceptance test, for the receiver and for GWC: a
+    factor (a matrix, or an (n, a, b) stack of them) is refused where it is
+    not finite, where its smallest singular value is 0, or where its
+    condition number s_max / s_min exceeds ``ZF_COND_LIMIT``. Returns the
+    refused mask, the condition numbers (inf where refused for the first two
+    reasons) and the SVD: the singular values, or (U, s, V^H) with
+    ``compute_uv``, taken of zeros in place of a factor that is not finite."""
+    factor = np.asarray(factor)
+    finite = np.isfinite(factor).all(axis=(-2, -1))
+    if not finite.all():   # LAPACK's SVD does not converge on it
+        factor = np.where(finite[..., None, None], factor, 0.0)
+    svd = np.linalg.svd(factor, full_matrices=False, compute_uv=compute_uv)
+    s = svd[1] if compute_uv else svd
+    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], math.inf),
+                     where=s[..., -1] > 0)
+    return cond > ZF_COND_LIMIT, cond, svd
+
+
 def zf_weights(h: np.ndarray):
     """Pseudo-inverse weights W = (H^H H)^{-1} H^H, shape (K_s, M), a row
-    per user; requires M >= K_s and a condition number of at most
-    ``ZF_COND_LIMIT``. An (n, M, K_s) stack gives a tuple of weight arrays
-    from one stacked SVD, None where the entry is rank deficient; one H
-    raises ``RankDeficiencyError`` instead."""
+    per user; requires M >= K_s and a channel that ``zf_refused`` accepts.
+    An (n, M, K_s) stack gives a tuple of weight arrays from one stacked
+    SVD, None where the entry is refused; one H raises
+    ``RankDeficiencyError`` instead."""
     h = np.asarray(h)
     m, k_s = h.shape[-2:]
     if m < k_s:
         raise ConfigurationError(f"need at least as many antennas ({m}) as users ({k_s})")
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    cond = np.divide(s[..., 0], s[..., -1], out=np.full(s.shape[:-1], math.inf),
-                     where=s[..., -1] > 0)
-    if h.ndim == 2 and cond > ZF_COND_LIMIT:
+    refused, cond, (u, s, vh) = zf_refused(h, compute_uv=True)
+    if h.ndim == 2 and refused:
         raise RankDeficiencyError(f"channel matrix is numerically rank deficient "
                                   f"(condition number {cond:.3e})")
-    s[cond > ZF_COND_LIMIT] = 1.0   # their weights are dropped; no division by zero
+    s[refused] = 1.0   # their weights are dropped; no division by zero
     w = (vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return w if h.ndim == 2 else tuple(
-        None if c > ZF_COND_LIMIT else w_e for c, w_e in zip(cond, w))
+    return w if h.ndim == 2 else tuple(None if r else w_e for r, w_e in zip(refused, w))
 
 
 def sum_rate(h: np.ndarray, w: np.ndarray, power, mode: str = "physical"):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SelectionError
 from .plain import check_count
-from .rx import ZF_COND_LIMIT
+from .rx import ZF_COND_LIMIT, zf_refused
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _gwc_node(h_all: np.ndarray, q: np.ndarray, r_inv: np.ndarray, remaining):
 
 # a candidate whose Frobenius bound on cond(H') is at most this needs no SVD:
 # 100x inside ZF_COND_LIMIT, so rounding cannot accept what the rule rejects
-_CERTIFIED_COND = 1e10
+_CERTIFIED_COND = ZF_COND_LIMIT / 100
 
 
 def gwc_select_powers(h_all: np.ndarray, num_selected: int,
@@ -119,10 +119,11 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
     per-user SINR in closed form.
 
     Candidates are visited in descending score (ties to the lowest index)
-    and the first that ``zf_weights``' condition rule accepts, applied to
-    the tentative factor R'^-1 as cond(H') = cond(R') = cond(R'^-1), is
-    added; a candidate in the span of the selected columns (rho^2 = 0) gets
-    no score. The rule runs as an SVD only where the bound
+    and the first that ``rx.zf_refused`` accepts, applied to the tentative
+    factor R'^-1 as cond(H') = cond(R') = cond(R'^-1), is added; a
+    candidate in the span of the selected columns (rho^2 = 0) gets no
+    score, and one whose R'^-1 is not finite is refused. The rule runs as an
+    SVD only where the bound
     ||H'||_F ||R'^-1||_F >= cond(H') exceeds 1e10 or is not finite, at most
     once per candidate of a prefix, and the full visiting order is built
     only when the top candidate needs the SVD rule or scores NaN. A step
@@ -174,8 +175,7 @@ def gwc_select_powers(h_all: np.ndarray, num_selected: int,
                     if accepted[j] is None:   # on R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
                         rho = math.sqrt(rho2[j])
                         r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
-                        sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
-                        accepted[j] = not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT)
+                        accepted[j] = not zf_refused(r_inv_all[:s + 1, :s + 1])[0]
                     if accepted[j]:
                         break
                 else:

@@ -8,7 +8,7 @@ import pytest
 from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
-from gusim.rx import ZF_COND_LIMIT, mmse_estimate_per_user
+from gusim.rx import mmse_estimate_per_user, zf_refused
 from gusim.scheduling import ScheduleResult
 
 
@@ -473,8 +473,7 @@ def gwc_select_single(h_all, num_selected, power):
         for j in np.argsort(-key, kind="stable"):
             rho = math.sqrt(rho2[j])   # R'^-1 = [[R^-1, -X_j/rho], [0, 1/rho]]
             r_inv_all[:s, s], r_inv_all[s, s] = -x[:, j] / rho, 1.0 / rho
-            sv = np.linalg.svd(r_inv_all[:s + 1, :s + 1], compute_uv=False)
-            if not (sv[-1] == 0 or sv[0] / sv[-1] > ZF_COND_LIMIT):
+            if not zf_refused(r_inv_all[:s + 1, :s + 1])[0]:
                 break
         else:
             raise SelectionError(

@@ -165,9 +165,9 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "sum_rate", rating)
         cfg = tiny_config(powers_dbm=(0.0, 20.0, 40.0), ks_values=(2, 3),
                           omegas=(0, 1))
-        if rank_limited:   # every channel has rank 2: K_s = 3 is rank deficient
-            cfg = replace(cfg, scenario=replace(cfg.scenario, num_clusters=1,
-                                                mpcs_per_cluster=2))
+        if rank_limited:   # no angular spread: one steering vector per cluster, so
+            # every channel of the 2 clusters has rank 2 and K_s = 3 is rank deficient
+            cfg = replace(cfg, scenario=replace(cfg.scenario, angular_spread_deg=0.0))
         rows = run_experiment(cfg).trial_rows
         assert [size for size, _ in calls] == [2, 3] * cfg.trials
         entries = [entry for _, stack in calls for entry in stack]
@@ -299,6 +299,16 @@ class TestRunExperiment:
                                                   antenna_count=4), ks_values=(6,))
         with pytest.raises(ConfigurationError, match="antenna_count"):
             cfg.validate()
+
+    @pytest.mark.parametrize("overrides,ks,match", [
+        (dict(num_users=5), 6, "num_users=5"),
+        (dict(num_users=5, antenna_count=4), 6, "antenna_count=4"),   # the smaller bound
+        (dict(num_clusters=1, num_users=7), 8, r"num_clusters \* mpcs_per_cluster=6")])
+    def test_message_names_the_bound_that_binds(self, no_trials, overrides, ks, match):
+        cfg = ExperimentConfig(scenario=ScenarioConfig(**overrides), ks_values=(2, ks))
+        with pytest.raises(ConfigurationError, match=f"K_s={ks} exceeds {match};"):
+            run_experiment(cfg)
+        replace(cfg, ks_values=(2,)).validate()
 
     def test_paper_literal_needs_estimation(self, no_trials):
         # with perfect CSI every algorithm would read K_s*log2(1 + P/K_s)
@@ -446,6 +456,9 @@ class TestValidateHoles:
         ("scenario", dict(vr_radius=20.0), "vr_radius 20.0 must exceed transition_size 20.0"),
         ("scenario", dict(reference_delay=2e-5), "cutoff_delay must be >= reference_delay"),
         ("scenario", dict(rng_seed=5), "scenario.rng_seed must be 0: set base_seed"),
+        # rank(H) <= N_C * N_p = 1 < K_s = 2: every K_s = 2 cell would read nan
+        ("scenario", dict(num_clusters=1, mpcs_per_cluster=1),
+         r"K_s=2 exceeds num_clusters \* mpcs_per_cluster=1"),
     ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
     def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
         base = tiny_config()
@@ -471,11 +484,11 @@ def test_every_config_field_has_a_rule_or_is_exempt(cls):
 class TestAggregate:
     @pytest.mark.parametrize("overrides,counts", [
         ({}, {7}), ({"trials": 9}, {9}),   # nine rates reach numpy's unrolled summation
-        # rank 2 channels, and a shadowing that leaves one trial's K_s = 2
-        # sets rank deficient: K_s = 3 cells have no usable rate
+        # rank 2 channels (2 clusters, no angular spread), and a shadowing that
+        # leaves one trial's K_s = 2 sets rank deficient: K_s = 3 cells have no usable rate
         ({"scenario": ScenarioConfig(num_users=8, num_clusters=2, antenna_count=8,
-                                     mpcs_per_cluster=1, shadowing_sigma_db=100.0,
-                                     rng_seed=0)}, {0, 6})])
+                                     mpcs_per_cluster=2, angular_spread_deg=0.0,
+                                     shadowing_sigma_db=100.0, rng_seed=0)}, {0, 6})])
     def test_cells_match_per_cell_scan(self, overrides, counts):
         # Oracle: scan every row for every cell, in trial order
         cfg = tiny_config(**{"trials": 7, "ks_values": (2, 3), "omegas": (0, 1), **overrides})
@@ -577,11 +590,11 @@ class TestTrialRowsMatchNaiveOracle:
             assert len(rated) < 20 or "GWC" in algorithms
 
     def test_largest_ks_infeasible_for_gwc(self):
-        # one cluster of two paths: every channel has rank 2, so GWC fails
-        # at K_s = 3 and K_s = 2 still gets its rows
+        # two clusters with no angular spread: every channel has rank 2, so
+        # GWC fails at K_s = 3 and K_s = 2 still gets its rows
         cfg = tiny_config(scenario=ScenarioConfig(
-            num_users=8, num_clusters=1, antenna_count=8, mpcs_per_cluster=2,
-            rng_seed=0), ks_values=(2, 3), trials=3)
+            num_users=8, num_clusters=2, antenna_count=8, mpcs_per_cluster=2,
+            angular_spread_deg=0.0, rng_seed=0), ks_values=(2, 3), trials=3)
         rows = run_experiment(cfg).trial_rows
         assert rows == tuple(naive_trial_rows(cfg))
         gwc = [r for r in rows if r.algorithm == "GWC"]
@@ -907,9 +920,10 @@ class TestCli:
         assert captured.out == f"wrote {out} (+ manifest)\n"
 
     def test_only_cells_with_no_usable_trial_are_named(self, tmp_path, capsys):
-        # rank 2 channels: K_s = 3 cells have no usable trial, K_s = 2 cells do
-        cfg = tiny_config(scenario=replace(tiny_config().scenario, num_clusters=1,
-                                           mpcs_per_cluster=2), ks_values=(2, 3))
+        # rank 2 channels (2 clusters, no angular spread): K_s = 3 cells have
+        # no usable trial, K_s = 2 cells do
+        cfg = tiny_config(scenario=replace(tiny_config().scenario, angular_spread_deg=0.0),
+                          ks_values=(2, 3))
         cfg_path, out = tmp_path / "c.yaml", tmp_path / "o.csv"
         save_config(cfg, cfg_path)
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0

@@ -350,6 +350,30 @@ class TestPerturbAndRebuildOmegas:
         np.testing.assert_array_equal(pg.v_tilde[2, :, 9], scen.v[:, 9])
         assert np.all(np.isfinite(pg.v_tilde))
 
+    def test_cluster_above_the_bs_falls_back(self):
+        # straight above the BS the elevation bound is singular, so crlb
+        # raises for that cluster alone; the rebuild keeps its true geometry
+        # unperturbed at every omega >= 1 and rebuilds the others as it does
+        # in the scenario without it
+        users = [(300.0, 50.0), (-200.0, 400.0)]
+        specs = [(np.array([200.0, 100.0, 20.0]), np.array([320.0, 60.0])),
+                 (np.array([-150.0, 300.0, 15.0]), np.array([-210.0, 380.0]))]
+        scen = make_scenario(users, [*specs, (np.array([0.0, 0.0, 20.0]), np.array([250.0, 0.0]))])
+        with pytest.raises(GeometryError, match="singular"):
+            crlb(CrlbParams(), *scen.observables[[2, 1]])
+        omegas = (0, 1, 2, 5)
+        pg = perturb_and_rebuild_omegas(scen, omegas, CrlbParams())
+        alone = perturb_and_rebuild_omegas(make_scenario(users, specs), omegas, CrlbParams())
+        assert pg.fallbacks[:, 2].tolist() == [False, True, True, True]
+        assert np.all(pg.perturbations[..., 2] == 0.0)
+        np.testing.assert_array_equal(pg.cluster_positions[:, 2],
+                                      np.broadcast_to(scen.cluster_positions[2], (4, 3)))
+        np.testing.assert_array_equal(pg.v_tilde[..., 2], np.broadcast_to(scen.v[:, 2], (4, 2)))
+        np.testing.assert_array_equal(pg.v_tilde[..., :2], alone.v_tilde)
+        np.testing.assert_array_equal(pg.perturbations[..., :2], alone.perturbations)
+        np.testing.assert_array_equal(pg.cluster_positions[:, :2], alone.cluster_positions)
+        np.testing.assert_array_equal(pg.fallbacks[:, :2], alone.fallbacks)
+
     def test_v_tilde_is_c_contiguous(self):
         # GUS takes row norms of each V; every array leads with the omega axis
         scen = generate_scenario(ScenarioConfig(rng_seed=2))

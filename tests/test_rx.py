@@ -251,12 +251,14 @@ class TestZfWeights:
 
     @pytest.mark.parametrize("m,k_s", [(64, 10), (64, 5), (8, 3), (4, 1), (3, 3)])
     def test_stack_matches_per_matrix_calls(self, m, k_s):
-        # bitwise, with rank-deficient entries reported as None, not raised
+        # bitwise, with rank-deficient and non-finite entries reported as None,
+        # not raised; LAPACK's SVD raises on a NaN and may not return on an inf
         rng = np.random.default_rng(m + k_s)
-        h = np.stack([random_channel(rng, m, k_s) for _ in range(6)])
+        h = np.stack([random_channel(rng, m, k_s) for _ in range(8)])
         h[1] = np.ones((m, k_s))                       # rank 1
         h[4, :, -1] = 0.0                              # a zero column
         h[5, :, 0] = h[5, :, -1] * (1 + 1e-14)         # conditioned beyond the limit
+        h[6, 0, 0], h[7, -1, -1] = np.nan, np.inf      # not finite
         weights = zf_weights(h)
         assert len(weights) == len(h)
         for entry, w in zip(h, weights):
@@ -267,7 +269,7 @@ class TestZfWeights:
             else:
                 assert np.array_equal(w, alone)
         deficient = [w is None for w in weights]
-        assert deficient == [False, k_s > 1, False, False, True, k_s > 1]
+        assert deficient == [False, k_s > 1, False, False, True, k_s > 1, True, True]
 
 
 class TestSumRate:

@@ -530,12 +530,18 @@ def scaled_channels(draw):
     return h, num_selected, desk_powers(p_dbm, num_selected, noise_power=1e-3)
 
 
-def single_or_error(h, num_selected, power):
-    """The one-power search's result, or the type of the error it raises."""
-    try:
-        return gwc_select_single(h, num_selected, power)
-    except (SelectionError, np.linalg.LinAlgError) as error:
-        return type(error)
+def scaled_channel(seed):
+    """(H, K_s, powers) from one seed, in the manner of ``scaled_channels``:
+    M <= 8, K <= 10, about half the column scales 10^+-(150..160) and the
+    rest 10^-160..10^160."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    exponents = np.where(rng.random(k) < 0.5, rng.choice([-1, 1], k) * rng.uniform(150, 160, k),
+                         rng.uniform(-160, 160, k))
+    h = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 10.0 ** exponents
+    num_selected = int(rng.integers(1, min(m, k) + 1))
+    p_dbm = rng.uniform(-40, 90, int(rng.integers(1, 7)))
+    return h, num_selected, desk_powers(p_dbm, num_selected, noise_power=1e-3)
 
 
 class TestTopCandidateFastPath:
@@ -572,18 +578,22 @@ class TestTopCandidateFastPath:
         with np.errstate(invalid="ignore"):
             assert_matches_single(h, 2, [power])
 
+    @pytest.mark.parametrize("seed", [182, 483, 610])
+    def test_non_finite_factor_is_refused(self, seed):
+        # a column near 1e159 beside one near 1e-151 overflows X = R^-1 C, so
+        # the tentative R'^-1 is not finite: the condition rule refuses that
+        # candidate where its SVD would not converge, and the results stop short
+        h, num_selected, powers = scaled_channel(seed)
+        with np.errstate(all="ignore"):
+            results = assert_matches_single(h, num_selected, powers)
+        assert all(0 < len(r.selected) < num_selected for r in results)
+
     @settings(max_examples=300, deadline=None)
     @given(case=scaled_channels())
     def test_matches_single_at_extreme_column_scales(self, case):
         h, num_selected, powers = case
         with np.errstate(all="ignore"):
-            try:
-                results = gwc_select_powers(h, num_selected, powers)
-            except np.linalg.LinAlgError:
-                # an overflowed R'^-1 fails the SVD rule's SVD, in the oracle too
-                assert np.linalg.LinAlgError in [
-                    single_or_error(h, num_selected, power) for power in powers]
-                return
+            results = gwc_select_powers(h, num_selected, powers)
             for power, result in zip(powers, results):
                 n = len(result.selected)
                 if n < num_selected:
