@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness
 from .errors import ConfigurationError
@@ -17,6 +17,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo experiments for geometry-based user scheduling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    choices = {f.name: f.metadata["check"][1] for f in fields(harness.ExperimentConfig)
+               if "check" in f.metadata}   # plain.checked's (bound, choices) per field
     for name, help_text in (
         ("fig2", "sum-rate vs. total transmit power"),
         ("fig3", "channel-estimation load vs. antenna count"),
@@ -30,9 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
             continue
         p.add_argument("--seed", type=int, dest="base_seed", help="override the base seed")
         p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--mode", choices=["physical", "paper-literal"],
-                       help="sum-rate noise model")
-        p.add_argument("--gus-variant", choices=["last", "set"],
+        p.add_argument("--mode", choices=choices["mode"], help="sum-rate noise model")
+        p.add_argument("--gus-variant", choices=choices["gus_variant"],
                        help="reference row for the correlation step")
     return parser
 

@@ -129,6 +129,8 @@ class ScenarioConfig:
                                      "m from a VR centre, where vr_gain at this vr_radius, "
                                      "transition_size and carrier_freq rounds to 0")
 
+    __post_init__ = validate   # built, loaded or replaced: a config that exists is valid
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -226,7 +228,6 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     """Draw a random scenario: users, clusters and VR centres uniform over
     ``config.box``, users outside the BS exclusion disk (rejection sampling),
     and shadowing. Deterministic for a fixed config (including its seed)."""
-    config.validate()
     rng, box = np.random.default_rng(config.rng_seed), config.box
 
     # rounds of exactly the users still missing, so user k is the k-th accepted draw and
@@ -550,7 +551,6 @@ def scenario_from_dict(data: dict) -> Scenario:
            f" shadow_gain; {derived})",
         2: f" ({derived})"})
     cfg = scenario.config
-    cfg.validate()
     for name, (lows, highs) in cfg.box.items():
         value = getattr(scenario, name)
         wanted = (cfg.num_users if name == "users" else cfg.num_clusters, *np.shape(lows))

@@ -55,17 +55,17 @@ class ExperimentConfig:
     base_seed: int = checked(1, "nonnegative")
     mode: str = checked("physical", choices=("physical", "paper-literal"))
     gus_variant: str = checked("last", choices=("last", "set"))
-    bandwidth: float = 20e6
-    temperature: float = 290.0
-    noise_figure_db: float = 9.0
+    bandwidth: float = checked(20e6, "positive")
+    temperature: float = checked(290.0, "positive")
+    noise_figure_db: float = checked(9.0)
     crlb: CrlbParams = field(default_factory=CrlbParams)
     fig3_m_values: tuple[int, ...] = checked((50, 100, 150, 200, 250, 300, 350, 400),
                                              "positive")
     use_estimation: bool = checked(False)
 
     def validate(self) -> None:
-        self.scenario.validate()
-        self.crlb.validate()
+        # scenario and crlb checked themselves; a non-finite input names the noise power
+        noise_power(self.bandwidth, self.temperature, self.noise_figure_db)
         check_fields(self)
         if self.scenario.rng_seed != 0:   # trial t replaces it with base_seed + t
             raise ConfigurationError("scenario.rng_seed must be 0: set base_seed instead")
@@ -92,7 +92,8 @@ class ExperimentConfig:
         if ks > bound:
             raise ConfigurationError(f"K_s={ks} exceeds {name}={bound}; zero-forcing needs K_s "
                                      "<= num_users, antenna_count and the number of MPCs")
-        noise_power(self.bandwidth, self.temperature, self.noise_figure_db)   # checks itself
+
+    __post_init__ = validate   # built, loaded or replaced: a config that exists is valid
 
     @property
     def noise_power(self) -> float:
@@ -273,7 +274,6 @@ def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateSt
     flagged and excluded from the cell mean; exclusion counts are reported
     in the aggregate rows.
     """
-    config.validate()
     trials = [_run_trial(config, trial) for trial in range(config.trials)]
     return AggregateStats(_aggregate(trials, figure), tuple(r for rows in trials for r in rows))
 
@@ -307,7 +307,6 @@ def figure2_sweep(config: ExperimentConfig, out_path=None) -> AggregateStats:
 def figure3_load(config: ExperimentConfig, out_path=None) -> list[dict]:
     """Channel-estimation load versus antenna count: selected-set load
     2*M*K_s against full-pool load 2*M*K. Pure arithmetic, no trials."""
-    config.validate()
     _check_out_path(out_path)
     k = config.scenario.num_users
     rows = [{"figure": "fig3", "M": m, "K": k, "K_s": ks,
@@ -327,7 +326,7 @@ def figure4_robustness(config: ExperimentConfig, out_path=None) -> AggregateStat
     full-CSI scheduling is unaffected by localization error."""
     omegas = tuple(range(6)) if config.omegas == (0,) else config.omegas
     algorithms = tuple(a for a in config.algorithms if a != "GWC")
-    if "GWC" in config.algorithms and not algorithms:
+    if not algorithms:   # config.algorithms is nonempty, so it was GWC alone
         raise ConfigurationError("fig4 drops GWC, which localization error does not reach, so it "
                                  f"needs GUS or RANDOM too, got {config.algorithms!r}")
     return run_sweep(replace(config, omegas=omegas, algorithms=algorithms), out_path, "fig4")
@@ -369,7 +368,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    config.validate()   # a string outside the fixed choices could emit differently
     dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)   # libyaml: same bytes, faster
     blob = yaml.dump(config_to_dict(config), Dumper=dumper, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

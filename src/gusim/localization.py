@@ -35,7 +35,7 @@ class CrlbParams:
     bandwidth: float = checked(20e6, "positive")   # Hz
     d_over_lambda: float = checked(0.5, "positive")
 
-    validate = check_fields   # no rule spans two fields
+    validate = __post_init__ = check_fields   # no rule spans two fields
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,6 @@ def crlb(params: CrlbParams, phi, theta) -> tuple:
     bounds are infinite for a single sensor per axis, at any elevation;
     otherwise every elevation must have |theta| < pi/2.
     """
-    params.validate()
     phi, theta = np.broadcast_arrays(phi, theta)
     f = field_pattern(phi)
     gamma_o = params.num_antennas * params.signal_periods * params.pn_length \

@@ -74,7 +74,6 @@ def generate_scenario_loop(config):
     one per cluster coordinate, from the scenario seed's generator. Returns
     every array of the scenario by name, with the BS at the cell centre and
     each cluster's single-bounce delay computed here, not by ``Scenario``."""
-    config.validate()
     rng = np.random.default_rng(config.rng_seed)
     half = config.cell_half_side
     bs = np.array([0.0, 0.0, config.bs_height])
@@ -115,7 +114,6 @@ def generate_scenario_uniform(config):
     """Oracle for ``gscm.generate_scenario``: the users' rounds of uniform
     draws, then per cluster one broadcasting ``rng.uniform(lows, highs)`` for
     its x, y, z and VR centre x, y, followed by its shadowing normal."""
-    config.validate()
     rng = np.random.default_rng(config.rng_seed)
     half = config.cell_half_side
     r_min, placed = config.bs_exclusion_fraction * half, []

@@ -12,7 +12,7 @@ from gusim import cli, gscm, harness
 from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
-from gusim.localization import CrlbParams, perturb_and_rebuild_omegas
+from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -24,18 +24,18 @@ from gusim.scheduling import gus_select, gwc_select_powers
 from conftest import estimate_channel, naive_trial_rows
 
 
-def config_strategy(cls, **overrides):
-    """Configs of class ``cls`` with every numeric, bool and pair field drawn
-    from its annotation (any float, integers up to 2^70); ``overrides`` gives
-    the strategies of the other fields."""
+def plain_config_strategy(cls, **overrides):
+    """Plain mappings, as ``to_plain`` gives them, of the fields of config class
+    ``cls``, every numeric, bool and pair field drawn from its annotation (any
+    float, integers up to 2^70), valid or not; ``overrides`` gives the
+    strategies of the other fields."""
     kinds = {"float": st.floats(), "int": st.integers(0, 2**70), "bool": st.booleans(),
              "float | None": st.none() | st.floats(),
-             "tuple[float, float]": st.tuples(st.floats(), st.floats()),
-             "tuple[float, ...]": st.lists(st.floats(), min_size=1, max_size=6).map(tuple),
-             "tuple[int, ...]": st.lists(st.integers(0, 2**70), min_size=1,
-                                         max_size=6).map(tuple)}
-    return st.builds(cls, **{f.name: kinds[f.type] for f in fields(cls) if f.type in kinds},
-                     **overrides)
+             "tuple[float, float]": st.lists(st.floats(), min_size=2, max_size=2),
+             "tuple[float, ...]": st.lists(st.floats(), min_size=1, max_size=6),
+             "tuple[int, ...]": st.lists(st.integers(0, 2**70), min_size=1, max_size=6)}
+    return st.fixed_dictionaries({**{f.name: kinds[f.type] for f in fields(cls)
+                                     if f.type in kinds}, **overrides})
 
 
 def tiny_config(**overrides):
@@ -295,39 +295,34 @@ class TestRunExperiment:
                 assert (cell.trials_used, cell.excluded) == (2, 0)
 
     def test_ks_above_antenna_count_rejected_before_any_trial(self):
-        cfg = tiny_config(scenario=ScenarioConfig(num_users=8, num_clusters=2,
-                                                  antenna_count=4), ks_values=(6,))
         with pytest.raises(ConfigurationError, match="antenna_count"):
-            cfg.validate()
+            tiny_config(scenario=ScenarioConfig(num_users=8, num_clusters=2, antenna_count=4),
+                        ks_values=(6,))
 
     @pytest.mark.parametrize("overrides,ks,match", [
         (dict(num_users=5), 6, "num_users=5"),
         (dict(num_users=5, antenna_count=4), 6, "antenna_count=4"),   # the smaller bound
         (dict(num_clusters=1, num_users=7), 8, r"num_clusters \* mpcs_per_cluster=6")])
     def test_message_names_the_bound_that_binds(self, no_trials, overrides, ks, match):
-        cfg = ExperimentConfig(scenario=ScenarioConfig(**overrides), ks_values=(2, ks))
+        cfg = ExperimentConfig(scenario=ScenarioConfig(**overrides), ks_values=(2,))
         with pytest.raises(ConfigurationError, match=f"K_s={ks} exceeds {match};"):
-            run_experiment(cfg)
-        replace(cfg, ks_values=(2,)).validate()
+            replace(cfg, ks_values=(2, ks))
 
     def test_paper_literal_needs_estimation(self, no_trials):
         # with perfect CSI every algorithm would read K_s*log2(1 + P/K_s)
-        cfg = tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"))
         with pytest.raises(ConfigurationError, match="use_estimation"):
-            cfg.validate()
+            tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"))
+        cfg = tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"),
+                          use_estimation=True)
         with pytest.raises(ConfigurationError, match="use_estimation"):
-            run_experiment(cfg)
-        tiny_config(mode="paper-literal", algorithms=("GUS", "RANDOM"),
-                    use_estimation=True).validate()
+            replace(cfg, use_estimation=False)
 
     def test_paper_literal_gwc_rejected_before_any_trial(self, no_trials):
         # its flat objective picks the strongest column, then the lowest indices
-        cfg = tiny_config(mode="paper-literal", use_estimation=True)
         with pytest.raises(ConfigurationError, match="GWC.*lowest indices"):
-            cfg.validate()
+            tiny_config(mode="paper-literal", use_estimation=True)
         with pytest.raises(ConfigurationError, match="GWC"):
-            run_experiment(cfg)
-        tiny_config(use_estimation=True).validate()
+            replace(tiny_config(use_estimation=True), mode="paper-literal")
 
     @pytest.mark.parametrize("power", [math.nan, math.inf, 4000.0, -4000.0])
     def test_nonfinite_power_rejected_before_any_trial(self, no_trials, power):
@@ -372,12 +367,10 @@ class TestRunExperiment:
         assert not any((tmp_path / "folder").iterdir())
 
     def test_negative_base_seed_rejected_before_any_trial(self, no_trials):
-        cfg = tiny_config(base_seed=-2)
         with pytest.raises(ConfigurationError, match="base_seed"):
-            cfg.validate()
+            tiny_config(base_seed=-2)
         with pytest.raises(ConfigurationError, match="base_seed"):
-            run_experiment(cfg)
-        tiny_config(base_seed=0).validate()
+            replace(tiny_config(base_seed=0), base_seed=-2)
 
 
 class TestValidate:
@@ -390,6 +383,13 @@ class TestValidate:
     def test_noise_power_must_be_finite_and_positive(self, no_trials, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             run_experiment(tiny_config(**overrides))
+
+    @pytest.mark.parametrize("name,value", [
+        ("bandwidth", True), ("temperature", True), ("noise_figure_db", False)])
+    def test_noise_power_inputs_must_not_be_bools(self, name, value):
+        # noise_power would take a bool as the number 1 or 0 and give a finite power
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite, got {value}"):
+            tiny_config(**{name: value})
 
     @pytest.mark.parametrize("values", [(), (0,), (100, -50), (100.0,), (True,), (50, 50)])
     def test_fig3_m_values_must_be_positive_integers(self, no_trials, values):
@@ -426,7 +426,8 @@ class TestValidate:
 
 
 class TestValidateHoles:
-    """Every invalid value fails in ``validate()`` before any trial runs."""
+    """Every invalid value fails in ``validate()``, which runs when its
+    config is built or replaced, before any trial runs."""
 
     @pytest.mark.parametrize("part,overrides,match", [
         ("scenario", dict(num_users=40.5), "num_users must be integer"),
@@ -462,23 +463,43 @@ class TestValidateHoles:
     ], ids=lambda x: "-".join(map(str, x.items())) if isinstance(x, dict) else str(x))
     def test_rejected_before_any_trial(self, no_trials, part, overrides, match):
         base = tiny_config()
-        cfg = (replace(base, scenario=replace(base.scenario, **overrides)) if part == "scenario"
-               else replace(base, crlb=CrlbParams(**overrides)) if part == "crlb"
-               else replace(base, **overrides))
         with pytest.raises(ConfigurationError, match=match):
-            run_experiment(cfg)
+            (replace(base, scenario=replace(base.scenario, **overrides)) if part == "scenario"
+             else replace(base, crlb=CrlbParams(**overrides)) if part == "crlb"
+             else replace(base, **overrides))
 
 
-# fields checked by hand in validate(): nested configs, a (lo, hi) pair, and
-# the inputs of the derived noise power
-EXEMPT_FROM_FIELD_RULES = {"scenario", "crlb", "cluster_height_range", "bandwidth",
-                           "temperature", "noise_figure_db"}
+# fields checked by hand in validate(): nested configs, which check themselves
+# when built, and a (lo, hi) pair
+EXEMPT_FROM_FIELD_RULES = {"scenario", "crlb", "cluster_height_range"}
 
 
 @pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig])
 def test_every_config_field_has_a_rule_or_is_exempt(cls):
     unruled = {f.name for f in fields(cls) if "check" not in f.metadata}
     assert unruled <= EXEMPT_FROM_FIELD_RULES, f"{cls.__name__} fields without a rule"
+
+
+def test_configs_checked_when_built_not_when_used(monkeypatch):
+    # each config class's __post_init__ is its validate, so building, loading and
+    # dataclasses.replace check every config, and no function that takes one checks
+    # it again: the spies below see no call
+    cfg = tiny_config(trials=1, omegas=(0, 1), use_estimation=True)
+    scen = gscm.generate_scenario(replace(cfg.scenario, rng_seed=1))
+    calls = []
+    for cls in (ScenarioConfig, CrlbParams, ExperimentConfig):
+        monkeypatch.setattr(cls, "validate", lambda config: calls.append(config))
+    _, elevation, azimuth = scen.observables
+    crlb(cfg.crlb, azimuth, elevation)
+    assert gscm.generate_scenario(scen.config) == scen
+    assert gscm.scenario_from_dict(gscm.scenario_to_dict(scen)) == scen
+    run_experiment(cfg)
+    config_hash(cfg)
+    assert calls == []
+    monkeypatch.undo()
+    for valid, name in [(cfg.scenario, "num_users"), (cfg.crlb, "input_snr"), (cfg, "trials")]:
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
+            replace(valid, **{name: 0})
 
 
 class TestAggregate:
@@ -745,7 +766,8 @@ class TestFigureSweeps:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = tiny_config(mode="paper-literal", gus_variant="set")
+        cfg = tiny_config(mode="paper-literal", gus_variant="set", use_estimation=True,
+                          algorithms=("GUS", "RANDOM"))
         path = tmp_path / "config.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -767,16 +789,17 @@ class TestConfigFile:
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML without libyaml")
     @settings(max_examples=100, deadline=None)
-    @given(cfg=config_strategy(
-        ExperimentConfig, scenario=config_strategy(ScenarioConfig),
-        crlb=config_strategy(CrlbParams),
-        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True).map(tuple),
+    @given(plain=plain_config_strategy(
+        ExperimentConfig, scenario=plain_config_strategy(ScenarioConfig),
+        crlb=plain_config_strategy(CrlbParams),
+        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True),
         mode=st.sampled_from(("physical", "paper-literal")),
         gus_variant=st.sampled_from(("last", "set"))))
-    def test_hash_emitters_agree(self, cfg):
+    def test_hash_emitters_agree(self, plain):
         # config_hash uses libyaml's emitter where PyYAML has it; manifests
-        # written with either must carry the same config_sha256
-        data = config_to_dict(cfg)
+        # written with either must carry the same config_sha256. The values
+        # range past what a config accepts, as config_to_dict would give them
+        data = {"schema_version": harness.CONFIG_SCHEMA_VERSION, **plain}
         assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
             yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
 
@@ -862,22 +885,22 @@ class TestConfigFile:
     def test_round_trip_property(self, tmp_path_factory, trials, base_seed, powers,
                                  omegas, algorithms, reference_delay,
                                  use_estimation, input_snr):
-        cfg = tiny_config(
-            trials=trials, base_seed=base_seed, powers_dbm=tuple(powers),
-            omegas=tuple(omegas), algorithms=tuple(algorithms),
-            use_estimation=use_estimation,
+        grids = dict(powers_dbm=tuple(powers), omegas=tuple(omegas),
+                     algorithms=tuple(algorithms))
+        kwargs = dict(
+            trials=trials, base_seed=base_seed, use_estimation=use_estimation,
             scenario=ScenarioConfig(num_users=8, reference_delay=reference_delay),
-            crlb=CrlbParams(input_snr=input_snr))
+            crlb=CrlbParams(input_snr=input_snr), **grids)
+        if any(len(set(grid)) < len(grid) for grid in grids.values()):
+            # e.g. a duplicated omega: the one rule these draws can break
+            with pytest.raises(ConfigurationError, match="must be nonempty and distinct"):
+                tiny_config(**kwargs)
+            return
+        cfg = tiny_config(**kwargs)
         path = tmp_path_factory.mktemp("rt") / "config.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
-        try:
-            cfg.validate()
-        except ConfigurationError:   # e.g. a duplicated omega: no hash to compare
-            with pytest.raises(ConfigurationError):
-                config_hash(load_config(path))
-        else:
-            assert config_hash(load_config(path)) == config_hash(cfg)
+        assert config_hash(load_config(path)) == config_hash(cfg)
 
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config()
@@ -980,7 +1003,8 @@ class TestCli:
 
     def test_overflowing_noise_figure_is_a_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.yaml"
-        save_config(tiny_config(noise_figure_db=10000.0), cfg_path)
+        cfg_path.write_text(yaml.safe_dump({**config_to_dict(tiny_config()),
+                                            "noise_figure_db": 10000.0}))
         out = tmp_path / "f3.csv"
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
@@ -1004,7 +1028,8 @@ class TestCli:
 
     def test_overflowing_power_is_a_usage_error(self, tmp_path, no_trials, capsys):
         cfg_path = tmp_path / "c.yaml"
-        save_config(tiny_config(powers_dbm=(4000.0,)), cfg_path)
+        cfg_path.write_text(yaml.safe_dump({**config_to_dict(tiny_config()),
+                                            "powers_dbm": [4000.0]}))
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
@@ -1014,9 +1039,10 @@ class TestCli:
         assert not out.exists()
 
     def test_overflowing_power_decay_is_a_usage_error(self, tmp_path, no_trials, capsys):
-        cfg = tiny_config()
+        data = config_to_dict(tiny_config())
         cfg_path = tmp_path / "c.yaml"
-        save_config(replace(cfg, scenario=replace(cfg.scenario, power_decay=1e9)), cfg_path)
+        cfg_path.write_text(yaml.safe_dump({**data, "scenario": {**data["scenario"],
+                                                                 "power_decay": 1e9}}))
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
@@ -1048,6 +1074,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"gusim: error: unrecognized arguments: {' '.join(flag)}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig2", "fig4", "run"])
+    def test_choices_are_the_config_fields_choices(self, command):
+        # --mode and --gus-variant offer the very tuples of ExperimentConfig's field rules
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        offered = {a.dest: a.choices for a in sub.choices[command]._actions if a.choices}
+        assert offered == {f.name: f.metadata["check"][1] for f in fields(ExperimentConfig)
+                           if f.name in ("mode", "gus_variant")}
 
     def test_fig3_without_config_uses_the_defaults(self, tmp_path):
         out, expected = tmp_path / "f3.csv", tmp_path / "expected.csv"

@@ -11,7 +11,6 @@ from gusim.gscm import SPEED_OF_LIGHT, ScenarioConfig, generate_scenario, large_
 from gusim.localization import (CrlbParams, array_angle_factor, crlb, crlb_delay,
                                 field_pattern, perturb_and_rebuild_omegas,
                                 solve_cluster_distance)
-from gusim.plain import check_fields
 
 from conftest import (make_scenario, observe_cluster, pathloss_amplitude, rebuild_cluster,
                       rebuild_cluster_column, reference_delay)
@@ -382,19 +381,6 @@ class TestPerturbAndRebuildOmegas:
         assert pg.perturbations.shape == (3, 3, 12)
         assert pg.cluster_positions.shape == (3, 12, 3)
         assert pg.fallbacks.shape == (3, 12) and pg.fallbacks.dtype == bool
-
-    def test_params_validated_once_per_call(self, monkeypatch):
-        calls = []
-
-        def spy(params):
-            calls.append(params)
-            check_fields(params)
-
-        monkeypatch.setattr(CrlbParams, "validate", spy)
-        scen = generate_scenario(ScenarioConfig(rng_seed=1))
-        assert scen.num_clusters == 12
-        perturb_and_rebuild_omegas(scen, (0, 1, 3), CrlbParams())
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("omegas", [
         (math.nan,), (1.5,), (True,), (math.inf,), (), ("2",), (2, 2.0)],
