@@ -25,8 +25,9 @@ from .gscm import (ScenarioConfig, _stream, _STREAM_PILOT_NOISE, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
-from .rx import PowerConfig, _mmse_filter, noise_power, sum_rate, unitary_pilots, zf_weights
-from .scheduling import estimation_load, gus_select, gwc_select_powers, random_select
+from .rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
+                 unitary_pilots, zf_weights)
+from .scheduling import GUS_VARIANTS, estimation_load, gus_select, gwc_select_powers, random_select
 
 CONFIG_SCHEMA_VERSION = 2
 
@@ -53,8 +54,8 @@ class ExperimentConfig:
     omegas: tuple[int, ...] = checked((0,), "nonnegative")
     trials: int = checked(50, "positive")
     base_seed: int = checked(1, "nonnegative")
-    mode: str = checked("physical", choices=("physical", "paper-literal"))
-    gus_variant: str = checked("last", choices=("last", "set"))
+    mode: str = checked("physical", choices=SUM_RATE_MODES)
+    gus_variant: str = checked("last", choices=GUS_VARIANTS)
     bandwidth: float = checked(20e6, "positive")
     temperature: float = checked(290.0, "positive")
     noise_figure_db: float = checked(9.0)

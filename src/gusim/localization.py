@@ -4,10 +4,10 @@ of the single-bounce ellipse geometry, and injection of bound-scaled
 localization errors to rebuild the user-cluster matrix the scheduler sees.
 
 Angle conventions: the ellipse inversion takes the elevation of the
-BS-to-cluster ray (the angle whose sine lifts the ray out of the
-horizontal plane) and the azimuth of that ray measured from the BS-to-user
-horizontal direction. The variance-bound formulas label azimuth phi and
-elevation theta.
+BS-to-cluster ray (its sine lifts the ray out of the horizontal plane) and
+its azimuth from the horizontal direction to the path's far end, which lies
+``d_bs_ms`` away: in ``perturb_and_rebuild_omegas`` the cluster's VR centre,
+as in ``Scenario.delays``. The variance bounds label azimuth phi, elevation theta.
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ def read_yaml(path, what: str):
 
 
 def to_plain(value):
-    """Dataclasses as nested dicts, tuples and arrays as lists."""
+    """Dataclasses as nested dicts, tuples and arrays as lists, numpy scalars as numbers."""
     if is_dataclass(value):
         return {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [to_plain(x) for x in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     return value
 

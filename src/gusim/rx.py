@@ -16,6 +16,7 @@ BOLTZMANN = 1.381e-23
 
 # zero-forcing refuses a channel whose condition number exceeds this
 ZF_COND_LIMIT = 1e12
+SUM_RATE_MODES = ("physical", "paper-literal")   # the SINR conventions of sum_rate
 
 
 def unitary_pilots(num_users: int, pilot_length: int | None = None) -> np.ndarray:
@@ -175,7 +176,7 @@ def sum_rate(h: np.ndarray, w: np.ndarray, power, mode: str = "physical"):
         raise ConfigurationError("receiver shape does not match channel")
     if not powers or any(p.num_users != k_s for p in powers):
         raise ConfigurationError(f"need powers, each split over the channel's {k_s} users")
-    if mode not in ("physical", "paper-literal"):
+    if mode not in SUM_RATE_MODES:
         raise ConfigurationError(f"unknown sum-rate mode {mode!r}")
     p_k = np.array([p.per_user for p in powers])[:, None]
     g2 = np.abs(w @ h) ** 2  # (..., K_s, K_s); entry [k, i] = |w_k h_i|^2

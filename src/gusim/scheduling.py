@@ -14,6 +14,8 @@ from .errors import ConfigurationError, SelectionError
 from .plain import check_count
 from .rx import ZF_COND_LIMIT, zf_refused
 
+GUS_VARIANTS = ("last", "set")   # gus_select's reference rows for the correlation step
+
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -53,7 +55,7 @@ def gus_select(v: np.ndarray, num_selected: int, variant: str = "last"):
     _check_array("v", v, "(K, N_C) or (n, K, N_C)", (2, 3))
     stack, k = v.reshape(-1, *v.shape[-2:]), v.shape[-2]
     check_count("num_selected", num_selected, k)
-    if variant not in ("last", "set"):
+    if variant not in GUS_VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
 
     norms = np.linalg.norm(stack, axis=2)

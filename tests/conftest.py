@@ -4,12 +4,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
 from gusim.rx import mmse_estimate_per_user, zf_refused
 from gusim.scheduling import ScheduleResult
+
+# the property tests draw the same examples in every run, here and in CI
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def make_scenario(users_xy, cluster_specs, **config_overrides):

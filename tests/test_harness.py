@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gusim import cli, gscm, harness
+from gusim import cli, gscm, harness, rx, scheduling
 from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
@@ -772,6 +772,24 @@ class TestConfigFile:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_numpy_numbers_write_as_python_numbers(self, tmp_path):
+        # the field rules accept numpy scalars, so a config holding them runs;
+        # its CSV, manifest, hash and config file are those of the Python numbers
+        typed = tiny_config(omegas=(0, 1))
+        numpy_typed = replace(
+            typed, ks_values=(np.int64(2),), trials=np.int64(2), bandwidth=np.float64(20e6),
+            powers_dbm=(np.float64(0.0), np.float64(20.0)),
+            scenario=replace(typed.scenario, num_users=np.int64(8)),
+            crlb=CrlbParams(input_snr=np.float64(100.0), num_antennas=np.int64(64)))
+        assert config_hash(numpy_typed) == config_hash(typed)
+        run_sweep(typed, tmp_path / "typed.csv")
+        run_sweep(numpy_typed, tmp_path / "numpy.csv")
+        for suffix in (".csv", ".csv.manifest.txt"):
+            assert (tmp_path / f"numpy{suffix}").read_bytes() == \
+                (tmp_path / f"typed{suffix}").read_bytes()
+        save_config(numpy_typed, tmp_path / "numpy.yaml")
+        assert load_config(tmp_path / "numpy.yaml") == numpy_typed
+
     def test_hash_stable(self):
         cfg = tiny_config()
         assert config_hash(cfg) == config_hash(tiny_config())
@@ -793,8 +811,8 @@ class TestConfigFile:
         ExperimentConfig, scenario=plain_config_strategy(ScenarioConfig),
         crlb=plain_config_strategy(CrlbParams),
         algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True),
-        mode=st.sampled_from(("physical", "paper-literal")),
-        gus_variant=st.sampled_from(("last", "set"))))
+        mode=st.sampled_from(rx.SUM_RATE_MODES),
+        gus_variant=st.sampled_from(scheduling.GUS_VARIANTS)))
     def test_hash_emitters_agree(self, plain):
         # config_hash uses libyaml's emitter where PyYAML has it; manifests
         # written with either must carry the same config_sha256. The values
@@ -1077,11 +1095,21 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["fig2", "fig4", "run"])
     def test_choices_are_the_config_fields_choices(self, command):
-        # --mode and --gus-variant offer the very tuples of ExperimentConfig's field rules
+        # --mode, --gus-variant and ExperimentConfig's field rules offer the very
+        # tuples that sum_rate and gus_select test against
+        owners = {"mode": rx.SUM_RATE_MODES, "gus_variant": scheduling.GUS_VARIANTS}
         sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
         offered = {a.dest: a.choices for a in sub.choices[command]._actions if a.choices}
-        assert offered == {f.name: f.metadata["check"][1] for f in fields(ExperimentConfig)
-                           if f.name in ("mode", "gus_variant")}
+        rules = {f.name: f.metadata["check"][1] for f in fields(ExperimentConfig)
+                 if f.name in owners}
+        assert offered.keys() == rules.keys() == owners.keys()
+        assert all(offered[k] is rules[k] is owners[k] for k in owners)
+
+    def test_commands_table_is_the_parser(self):
+        # each subcommand, in order and with its help, comes from cli.COMMANDS
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == list(cli.COMMANDS)
+        assert [a.help for a in sub._choices_actions] == [h for _, h in cli.COMMANDS.values()]
 
     def test_fig3_without_config_uses_the_defaults(self, tmp_path):
         out, expected = tmp_path / "f3.csv", tmp_path / "expected.csv"

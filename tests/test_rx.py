@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
-                      unitary_pilots, zf_weights)
+from gusim.rx import (SUM_RATE_MODES, PowerConfig, mmse_estimate_per_user, noise_power,
+                      sum_rate, unitary_pilots, zf_weights)
 
 from conftest import channel_covariance, ergodic_capacity, mmse_estimate, sum_rate_loop
 
@@ -292,7 +292,7 @@ class TestSumRate:
         assert sum_rate(h, zf_weights(h), power, mode="physical") == pytest.approx(4.0,
                                                                                   rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("mode", SUM_RATE_MODES)
     def test_nondecreasing_in_power(self, mode):
         rng = np.random.default_rng(8)
         h = random_channel(rng, 8, 4)
@@ -301,7 +301,7 @@ class TestSumRate:
                  for p in [0.1, 0.5, 1.0, 5.0, 20.0]]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
 
-    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("mode", SUM_RATE_MODES)
     def test_matches_per_user_loop(self, mode):
         rng = np.random.default_rng(9)
         for k_s in (1, 2, 5, 10):
@@ -314,7 +314,7 @@ class TestSumRate:
                         sum_rate_loop(h, w, power, mode), rel=1e-12, abs=0)
 
 
-    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("mode", SUM_RATE_MODES)
     def test_several_powers_match_one_power_calls(self, mode):
         # bitwise: one receiver rated at mixed total and noise powers
         rng = np.random.default_rng(10)
@@ -328,7 +328,7 @@ class TestSumRate:
             assert rates.tolist() == [sum_rate(h, w, p, mode) for p in powers]
             assert sum_rate(h, w, powers[:1], mode)[0] == sum_rate(h, w, powers[0], mode)
 
-    @pytest.mark.parametrize("mode", ["physical", "paper-literal"])
+    @pytest.mark.parametrize("mode", SUM_RATE_MODES)
     @pytest.mark.parametrize("estimated", [False, True])
     def test_stack_matches_one_set_calls(self, mode, estimated):
         # bitwise, as the harness rates one set size: the ZF receiver of

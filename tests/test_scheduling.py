@@ -14,8 +14,8 @@ from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.harness import ExperimentConfig, dbm_to_watts
 from gusim.localization import perturb_and_rebuild_omegas
 from gusim.rx import PowerConfig, sum_rate, unitary_pilots, zf_weights
-from gusim.scheduling import (estimation_load, gus_select, gwc_select_powers,
-                              random_select)
+from gusim.scheduling import (GUS_VARIANTS, estimation_load, gus_select,
+                              gwc_select_powers, random_select)
 
 from conftest import correlation_metric, gwc_select_single
 
@@ -154,7 +154,7 @@ class TestGusMatchesPairwiseOracle:
         np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-12,
                                    atol=1e-15)
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_random_matrices(self, variant):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -162,14 +162,14 @@ class TestGusMatchesPairwiseOracle:
             v = rng.uniform(0.0, 1.0, size=(k, int(rng.integers(1, 13))))
             self._check(v, int(rng.integers(1, k + 1)), variant)
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_desk_scale_v_matrices(self, variant):
         for seed in (1, 2, 3):
             v = gscm.large_scale_gains(gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=seed)))
             for ks in (5, 10, 20):
                 self._check(v, ks, variant)
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_tied_correlations(self, variant):
         # duplicated rows, a row scaled by a power of two (equal metric to
         # the bit), orthogonal rows (metric 0) and a collinear pair
@@ -199,7 +199,7 @@ class TestGusMatchesPairwiseOracle:
                 np.testing.assert_allclose(result.per_step_scores, scores, rtol=1e-12,
                                            atol=1e-15)
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_stacks(self, variant):
         # some entries with zero-norm rows, some too short for num_selected
         rng = np.random.default_rng(12)
@@ -215,7 +215,7 @@ class TestGusMatchesPairwiseOracle:
         with pytest.warns(UserWarning, match="zero-norm"):
             assert gus_select(stack, 1, variant)[0].selected == ()
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_desk_scale_omega_stacks(self, variant):
         # the stack the harness selects on: V and its rebuilds for omega 1..5
         scen = gscm.generate_scenario(gscm.ScenarioConfig(rng_seed=4))
@@ -224,7 +224,7 @@ class TestGusMatchesPairwiseOracle:
         for ks in (1, 5, 10, 40):
             self._check_stack(stack, ks, variant)
 
-    @pytest.mark.parametrize("variant", ["last", "set"])
+    @pytest.mark.parametrize("variant", GUS_VARIANTS)
     def test_zero_norm_row_warns_in_both(self, variant):
         v = np.array([[1.0, 0.2], [0.0, 0.0], [0.1, 1.0], [0.5, 0.5]])
         with pytest.warns(UserWarning, match="zero-norm"):
@@ -657,7 +657,7 @@ class TestGreedyPrefixes:
         for omega in range(6):
             v_omega = v if omega == 0 else perturb_and_rebuild_omegas(
                 scen, (omega,), ExperimentConfig().crlb).v_tilde[0]
-            for variant in ("last", "set"):
+            for variant in GUS_VARIANTS:
                 full = gus_select(v_omega, 10, variant)
                 for ks in range(1, 10):
                     short = gus_select(v_omega, ks, variant)
