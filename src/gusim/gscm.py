@@ -15,11 +15,10 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
-import yaml
 
 from .errors import ConfigurationError, GeometryError
-from .plain import (_is_finite, _is_integer, check_fields, checked, from_versioned,
-                    read_yaml, to_plain)
+from .plain import (_is_finite, _is_integer, check_fields, checked, dump_yaml,
+                    from_versioned, read_yaml, to_plain)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -568,8 +567,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
+    text = dump_yaml(scenario_to_dict(scenario), sort_keys=False)
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
+        fh.write(text)
 
 
 def load_scenario(path) -> Scenario:

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .errors import ConfigurationError
 from .gscm import (ScenarioConfig, _stream, _STREAM_PILOT_NOISE, _STREAM_SELECT,
                    channel_covariances, channel_matrix, generate_scenario)
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import check_fields, checked, from_versioned, read_yaml, to_plain
+from .plain import check_fields, checked, dump_yaml, from_versioned, read_yaml, to_plain
 from .rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
 from .scheduling import GUS_VARIANTS, estimation_load, gus_select, gwc_select_powers, random_select
@@ -360,8 +359,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
+    text = dump_yaml(config_to_dict(config), sort_keys=False)
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
+        fh.write(text)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -369,8 +369,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)   # libyaml: same bytes, faster
-    blob = yaml.dump(config_to_dict(config), Dumper=dumper, sort_keys=True).encode()
+    blob = dump_yaml(config_to_dict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -1,5 +1,5 @@
 """Conversion between the package's frozen dataclasses and plain data
-(dicts, lists, numbers, strings) ready for YAML, and the checks on their
+(dicts, lists, numbers, strings) and its YAML, and the checks on their
 values, both driven by the dataclass fields and their type annotations."""
 
 from __future__ import annotations
@@ -10,18 +10,66 @@ from dataclasses import MISSING, field, fields, is_dataclass
 from functools import cache
 
 import numpy as np
-import yaml
 
 from .errors import ConfigurationError
 
 
 def read_yaml(path, what: str):
     """The YAML document (a ``what``) at ``path``, or ``ConfigurationError``."""
+    import yaml   # the one use of PyYAML: a sweep, which only writes, never imports it
     try:
         with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)
     except (OSError, ValueError, yaml.YAMLError) as exc:   # ValueError: bad UTF-8, huge int
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def dump_yaml(data, sort_keys: bool) -> str:
+    """``data`` from ``to_plain`` as block YAML, byte for byte PyYAML's ``safe_dump``:
+    nonempty dicts and lists, None, bools, ints, floats and plain ASCII words.
+    Anything else, which could read back as other data, raises ``ValueError``."""
+    return "".join(f"{line}\n" for line in _block(data, "", sort_keys))
+
+
+def _block(data, pad: str, sort_keys: bool):
+    """The lines of the nonempty dict or list ``data`` at indent ``pad``."""
+    if type(data) is dict and data:
+        for key, value in sorted(data.items()) if sort_keys else data.items():
+            if type(value) in (dict, list):   # a list under a key takes the key's indent
+                yield f"{pad}{_scalar(key)}:"
+                yield from _block(value, pad + "  " * (type(value) is dict), sort_keys)
+            else:
+                yield f"{pad}{_scalar(key)}: {_scalar(value)}"
+    elif type(data) is list and data:
+        for item in data:
+            if type(item) in (dict, list):   # starts on its dash's line
+                lines = _block(item, pad + "  ", sort_keys)
+                yield f"{pad}- {next(lines).lstrip()}"
+                yield from lines
+            else:
+                yield f"{pad}- {_scalar(item)}"
+    else:
+        raise ValueError(f"cannot write {data!r} as YAML: not a nonempty dict or list")
+
+
+def _scalar(value) -> str:
+    """``value`` as PyYAML's safe representer writes it. A string must be a
+    word that PyYAML writes plain, as a simple key too (under 128 characters),
+    and reads back as that string, not as None or a bool."""
+    kind = type(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is float and not math.isfinite(value):
+        return ".nan" if value != value else ".inf" if value > 0 else "-.inf"
+    if kind is int or (kind is float and "." in repr(value)):
+        return repr(value)
+    if kind is float:   # "1e+16" reads back as a string, "1.0e+16" as a float
+        return repr(value).replace("e", ".0e", 1)
+    word = kind is str and value.isascii() and value.replace("_", "").replace("-", "").isalnum()
+    if word and value[0].isalpha() and len(value) < 128 and value.lower() not in (
+            "null", "true", "false", "yes", "no", "on", "off"):
+        return value
+    raise ValueError(f"cannot write {value!r} as plain YAML")
 
 
 def to_plain(value):

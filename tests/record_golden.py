@@ -11,8 +11,9 @@ It prints each entry and hash kind that moved against the table it
 replaces, and each entry added or removed.
 
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
-on Python, numpy, its BLAS, the CPU features numpy dispatches on and, for
-the scenario file, PyYAML, so the test skips on any other environment.
+on Python, numpy, its BLAS and the CPU features numpy dispatches on; the
+environment also records PyYAML, which reads the CLI entry's config file,
+and the test skips on any other environment.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
+from gusim.plain import dump_yaml
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -805,7 +810,6 @@ class TestConfigFile:
             crlb=CrlbParams(input_snr=1e300))) == \
             "89ce79196492ada9bcb1dccad27a02e8f039102dc55e54674d2fc95e67266ffe"
 
-    @pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML without libyaml")
     @settings(max_examples=100, deadline=None)
     @given(plain=plain_config_strategy(
         ExperimentConfig, scenario=plain_config_strategy(ScenarioConfig),
@@ -814,18 +818,67 @@ class TestConfigFile:
         mode=st.sampled_from(rx.SUM_RATE_MODES),
         gus_variant=st.sampled_from(scheduling.GUS_VARIANTS)))
     def test_hash_emitters_agree(self, plain):
-        # config_hash uses libyaml's emitter where PyYAML has it; manifests
-        # written with either must carry the same config_sha256. The values
-        # range past what a config accepts, as config_to_dict would give them
+        # config_hash and save_config write plain.dump_yaml's bytes, which must
+        # equal PyYAML's safe_dump, as libyaml's emitter does where PyYAML has
+        # it. The values range past what a config accepts, as config_to_dict
+        # would give them
         data = {"schema_version": harness.CONFIG_SCHEMA_VERSION, **plain}
-        assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
-            yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
+        for sort_keys in (True, False):
+            assert dump_yaml(data, sort_keys) == \
+                yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=sort_keys)
+        if hasattr(yaml, "CSafeDumper"):
+            assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
+                yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plain=st.fixed_dictionaries({
+        "schema_version": st.integers(0, 9),
+        "config": plain_config_strategy(ScenarioConfig, reference_delay=st.none()),
+        "users": st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1),
+        "shadow_gains": st.lists(st.floats(), min_size=1)}))
+    def test_scenario_emitter_agrees(self, plain):
+        # save_scenario's bytes: a nested mapping holding None, and 1-D and 2-D
+        # float arrays, st.floats() reaching nan, +-inf, -0.0, subnormals and
+        # reprs without a "." such as 1e+16
+        assert dump_yaml(plain, sort_keys=False) == yaml.safe_dump(plain, sort_keys=False)
+
+    @pytest.mark.parametrize("value", ["", "yes", "null", "1.5", "a b", "Zürich", {"GUS"},
+                                       np.zeros(2)], ids=repr)
+    def test_emitter_refuses_what_could_read_back_differently(self, value):
+        with pytest.raises(ValueError, match="cannot write"):
+            dump_yaml({"mode": value}, sort_keys=True)
+
+    def test_sweep_path_does_not_import_yaml(self, tmp_path):
+        # a sweep only writes YAML, so PyYAML's import stays off its start-up;
+        # reading a config back is the first thing that imports it
+        script = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+            from gusim import gscm, harness
+            out = Path(sys.argv[1])
+            cfg = harness.ExperimentConfig(
+                scenario=gscm.ScenarioConfig(num_users=8, num_clusters=2, antenna_count=8,
+                                             mpcs_per_cluster=3),
+                powers_dbm=(0.0,), ks_values=(2,), trials=2)
+            harness.run_sweep(cfg, out / "o.csv")
+            harness.config_hash(cfg)
+            harness.save_config(cfg, out / "c.yaml")
+            gscm.save_scenario(gscm.generate_scenario(cfg.scenario), out / "s.yaml")
+            assert "yaml" not in sys.modules, "the sweep path imported yaml"
+            assert harness.load_config(out / "c.yaml") == cfg
+            assert "yaml" in sys.modules
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o.csv.manifest.txt").exists()
 
     @pytest.mark.parametrize("overrides", [dict(mode=""), dict(gus_variant="x"),
                                            dict(algorithms=("GUS", ""))])
     def test_hash_of_an_invalid_config_raises(self, overrides):
-        # a string outside the fixed choices could hash differently with and
-        # without libyaml, so such a config has no hash
+        # a string outside the fixed choices may not be a word that
+        # plain.dump_yaml writes, so such a config has no hash
         with pytest.raises(ConfigurationError):
             config_hash(tiny_config(**overrides))
 
