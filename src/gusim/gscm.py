@@ -31,12 +31,8 @@ _MAX_EXP_ARG = math.log(sys.float_info.max)   # exp of more overflows
 
 _SCENARIO_SCHEMA_VERSION = 3
 
-# salts for the per-purpose random streams derived from the scenario seed
-_STREAM_ANGLES = 101
-_STREAM_GAINS = 202
-_STREAM_PERTURB = 303
-_STREAM_SELECT = 404
-_STREAM_PILOT_NOISE = 505
+# the salt of each purpose's random stream, keyed by the scenario seed in ``Scenario.stream``
+_STREAMS = {"angles": 101, "gains": 202, "perturb": 303, "select": 404, "pilot_noise": 505}
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,12 @@ class Scenario:
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
                    for a, b in values)
 
+    def stream(self, purpose: str, *index: int) -> np.random.Generator:
+        """The generator keyed (rng_seed, ``_STREAMS[purpose]``, *index): every draw after
+        the scenario's own, ``default_rng(rng_seed)``, comes from one of these."""
+        return np.random.default_rng(np.random.SeedSequence(
+            [self.config.rng_seed, _STREAMS[purpose], *index]))
+
     @property
     def num_users(self) -> int:
         return self.users.shape[0]
@@ -216,11 +218,6 @@ class ChannelMatrix:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, purpose, indices) key."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
@@ -336,7 +333,7 @@ def _steering_tensor(scenario: Scenario) -> np.ndarray:
     # Laplace with std sigma has scale sigma/sqrt(2)
     scale = math.radians(cfg.angular_spread_deg) / math.sqrt(2.0)
     azimuths = scenario.observables[2][:, None] + np.array([
-        _stream(cfg.rng_seed, _STREAM_ANGLES, j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
+        scenario.stream("angles", j).laplace(0.0, scale, size=cfg.mpcs_per_cluster)
         for j in range(scenario.num_clusters)])
     alpha = -2.0 * math.pi * cfg.antenna_spacing_fraction
     return np.exp(1j * alpha * np.arange(cfg.antenna_count) * np.sin(azimuths)[..., None])
@@ -358,10 +355,10 @@ def _seed_hash(words: np.ndarray, steps, init: int, mult: int) -> np.ndarray:
 
 def _seed_words(seed: int, clusters, users) -> np.ndarray:
     """(n, 4) uint64 PCG64 seed words (s_hi, s_lo, q_hi, q_lo) that
-    ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])`` gets from its
+    ``Scenario.stream("gains", clusters[i], users[i])`` at ``seed`` gets from its
     SeedSequence, for key words below 2^32 (a larger word adds entropy words)."""
     key = np.empty((4, len(users)), np.uint32)
-    key[0], key[1], key[2], key[3] = seed, _STREAM_GAINS, clusters, users
+    key[0], key[1], key[2], key[3] = seed, _STREAMS["gains"], clusters, users
     with np.errstate(over="ignore"):   # uint32 products wrap, as in seed_seq
         pool = _seed_hash(key, np.arange(4)[:, None], _INIT_A, _MULT_A)
         for src in range(4):   # pool[src] into the other words, steps 4 + 3 src .. 6 + 3 src
@@ -437,15 +434,15 @@ def _pcg64_generator() -> np.random.Generator:
 
 def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
-    row i is bitwise ``_stream(seed, _STREAM_GAINS, clusters[i], users[i])
+    row i is bitwise ``scenario.stream("gains", clusters[i], users[i])
     .standard_normal(2 N_p)``: PCG64 jumps from each pair's seed words on uint64
     halves, then numpy's ziggurat fast path, whose -x flips bit 63 alone, so the
     sign bit 8 XOR-ed into bit 63 gives its bytes, -0.0 included. A draw off the
     fast path (more words consumed) sets ``_pcg64_generator`` to its pair's state,
-    and a key word of 2^32 or more takes _stream."""
+    and a key word of 2^32 or more takes ``Scenario.stream``."""
     seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
     if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
-        return np.array([_stream(seed, _STREAM_GAINS, j, k).standard_normal(n_draws)
+        return np.array([scenario.stream("gains", j, k).standard_normal(n_draws)
                          for k, j in zip(users, clusters)]).reshape(-1, n_draws)
     words = _seed_words(seed, clusters, users)
     s_hi, s_lo, q_hi, q_lo = words[:, :, None].transpose(1, 0, 2)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError
-from .gscm import (ScenarioConfig, _stream, _STREAM_PILOT_NOISE, _STREAM_SELECT,
-                   channel_covariances, channel_matrix, generate_scenario)
+from .gscm import ScenarioConfig, channel_covariances, channel_matrix, generate_scenario
 from .localization import CrlbParams, perturb_and_rebuild_omegas
 from .plain import check_fields, checked, dump_yaml, from_versioned, read_yaml, to_plain
 from .rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
@@ -147,8 +146,8 @@ def _prefix(result, ks: int) -> tuple[int, ...] | None:
 def _select(config: ExperimentConfig, scen) -> list[tuple]:
     """Select: each row's (K_s, omega, algorithm, power, set) in grid order,
     GWC's set None until its stage; one GUS run at the largest K_s on one rebuild's V."""
-    seed, k_total = scen.config.rng_seed, config.scenario.num_users
-    random = {ks: random_select(k_total, ks, _stream(seed, _STREAM_SELECT, ks))
+    k_total = config.scenario.num_users
+    random = {ks: random_select(k_total, ks, scen.stream("select", ks))
               for ks in config.ks_values} if "RANDOM" in config.algorithms else {}
     gus = {} if "GUS" not in config.algorithms else dict(zip(config.omegas, gus_select(
         perturb_and_rebuild_omegas(scen, config.omegas, config.crlb).v_tilde,
@@ -194,7 +193,7 @@ def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
     rows = {sel: np.searchsorted(distinct, sel) for sel in rated}   # its users' stack rows
     covariances, noise = channel_covariances(scen, distinct), {}
     for ks in {len(sel) for sel in rated}:   # the same for each set of a K_s
-        z = _stream(scen.config.rng_seed, _STREAM_PILOT_NOISE, ks).standard_normal((2, m, ks))
+        z = scen.stream("pilot_noise", ks).standard_normal((2, m, ks))
         noise[ks] = math.sqrt(p_n / 2.0) * (z[0] + 1j * z[1])
     for j, p_dbm in enumerate(config.powers_dbm):
         sets = list(dict.fromkeys(sel for *_, p, sel in grid if p == p_dbm and sel is not None))

@@ -196,8 +196,7 @@ def perturb_and_rebuild_omegas(scenario: Scenario, omegas,
     live = scale > 0
     if live.any():
         cfg, bs = scenario.config, scenario.bs_position
-        rng = gscm._stream(cfg.rng_seed, gscm._STREAM_PERTURB)
-        signs = rng.choice([-1.0, 1.0], size=(n_c, 3)).T
+        signs = scenario.stream("perturb").choice([-1.0, 1.0], size=(n_c, 3)).T
         _, el_true, az_true = scenario.observables
         singular = _singular_elevation(params, el_true)
         bounds = np.array(crlb(params, az_true, np.where(singular, 0.0, el_true)))

@@ -17,6 +17,13 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 
+def stream(seed, salt, *index):
+    """The generator of the stream keyed (seed, salt, *index), as ``Scenario.stream``
+    keys it; the oracles give each purpose's salt as a literal: angles 101, fading
+    gains 202, perturbation signs 303, random selection 404, pilot noise 505."""
+    return np.random.default_rng(np.random.SeedSequence([seed, salt, *index]))
+
+
 def make_scenario(users_xy, cluster_specs, **config_overrides):
     """Hand-built scenario: explicit user xy positions and cluster
     (position, vr_center) pairs, with unit shadow gains."""
@@ -60,7 +67,7 @@ def laplace_offsets(scenario, cluster):
     angular_spread_deg, drawn from its own ``SeedSequence([seed, 101,
     cluster])`` stream."""
     cfg = scenario.config
-    rng = gscm._stream(cfg.rng_seed, gscm._STREAM_ANGLES, cluster)
+    rng = stream(cfg.rng_seed, 101, cluster)
     sigma = math.radians(cfg.angular_spread_deg)
     # Laplace with std sigma has scale sigma/sqrt(2)
     return rng.laplace(0.0, sigma / math.sqrt(2.0), size=cfg.mpcs_per_cluster)
@@ -402,7 +409,7 @@ def naive_trial_rows(config):
                             elif alg == "GWC":
                                 sel = gwc_select_single(h_all, ks, power).selected
                             else:
-                                rng = h._stream(seed, h._STREAM_SELECT, ks)
+                                rng = stream(seed, 404, ks)
                                 sel = h.random_select(k_total, ks, rng).selected
                             h_s = h_all[:, list(sel)]
                             h_est = h_s
@@ -430,7 +437,7 @@ def estimate_channel(scen, selected, h_true, power):
     about 1e-9 relative rather than bitwise."""
     h = harness
     k_s, m = len(selected), h_true.shape[0]
-    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PILOT_NOISE, k_s)
+    rng = stream(scen.config.rng_seed, 505, k_s)
     pilots = math.sqrt(power.per_user) * h.unitary_pilots(k_s)
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, k_s)) + 1j * rng.standard_normal((m, k_s)))

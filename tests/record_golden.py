@@ -7,13 +7,14 @@ Record the table (after a change that is meant to move an output):
 
     PYTHONPATH=src python tests/record_golden.py
 
-It prints each entry and hash kind that moved against the table it
-replaces, and each entry added or removed.
+It prints each environment key, entry and hash kind that moved against
+the table it replaces, and each one added or removed.
 
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
-on Python, numpy, its BLAS and the CPU features numpy dispatches on; the
-environment also records PyYAML, which reads the CLI entry's config file,
-and the test skips on any other environment.
+on Python, numpy, its BLAS and the CPU features numpy dispatches on, and
+the test skips on any other environment. No hashed byte comes from PyYAML:
+gusim writes its YAML with its own emitter, and PyYAML only reads the CLI
+entry's config file back.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from gusim import cli, harness
 from gusim.gscm import generate_scenario, save_scenario
@@ -67,7 +67,7 @@ def environment() -> dict:
     blas = info["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine(), "pyyaml": yaml.__version__,
+            "machine": platform.machine(),
             "cpu_features": sorted(info["SIMD Extensions"]["found"])}
 
 
@@ -105,11 +105,14 @@ def entry_hashes(name: str, seed: int) -> dict:
 
 
 def table_changes(old: dict, new: dict) -> list[str]:
-    """One line per entry added or removed and per (entry, hash kind) whose
-    hash moved from table ``old`` to table ``new``, in ``new``'s order."""
+    """One line per environment key whose value moved, was added or was
+    removed, per entry added or removed and per (entry, hash kind) whose hash
+    moved from table ``old`` to table ``new``: each group in ``new``'s order,
+    what it removed last."""
     before, after, env = old.get("entries", {}), new["entries"], old.get("environment", {})
-    lines = [f"environment {key}: {env.get(key)!r} -> {value!r}"
-             for key, value in new["environment"].items() if env.get(key) != value]
+    now = new["environment"]
+    lines = [f"environment {key}: {env.get(key)!r} -> {now.get(key)!r}"
+             for key in {**now, **env} if env.get(key) != now.get(key)]
     for entry, hashes in after.items():
         if entry not in before:
             lines.append(f"added {entry}")

@@ -32,10 +32,12 @@ def test_outputs_match_golden_hashes(same_environment, name, seed):
 
 
 def test_recorder_names_every_moved_hash():
-    old = {"environment": {"numpy": "1"},
+    old = {"environment": {"numpy": "1", "pyyaml": "6"},
            "entries": {"a@1": {"csv": "x", "manifest": "y"}, "gone@1": {"yaml": "z"}}}
-    new = {"environment": {"numpy": "2"},
+    new = {"environment": {"numpy": "2", "blas": "b"},
            "entries": {"a@1": {"csv": "x", "manifest": "w"}, "new@7": {"yaml": "z"}}}
-    assert table_changes(old, new) == ["environment numpy: '1' -> '2'",
-                                       "changed a@1 manifest", "added new@7", "removed gone@1"]
+    assert table_changes(old, new) == [
+        "environment numpy: '1' -> '2'", "environment blas: None -> 'b'",
+        "environment pyyaml: '6' -> None", "changed a@1 manifest", "added new@7",
+        "removed gone@1"]
     assert table_changes(GOLDEN, GOLDEN) == []

@@ -22,7 +22,7 @@ from conftest import (channel_covariance, cluster_azimuths, einsum_channel,
                       einsum_covariances, generate_scenario_loop, generate_scenario_uniform,
                       laplace_offsets, make_scenario, norm_delays, norm_large_scale_gains,
                       pathloss_amplitude, reference_delay, scalar_gain, set_next_word,
-                      steering_vector)
+                      steering_vector, stream)
 
 WAVELENGTH_2GHZ = 0.1499
 
@@ -30,7 +30,7 @@ WAVELENGTH_2GHZ = 0.1499
 def fading_normals(scen, user, cluster):
     """Oracle for one row of ``gscm._fading_normals_batch``: the 2 N_p
     normals of the pair's own SeedSequence-seeded stream."""
-    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_GAINS, cluster, user)
+    rng = stream(scen.config.rng_seed, 202, cluster, user)
     return rng.standard_normal(2 * scen.config.mpcs_per_cluster)
 
 
@@ -179,12 +179,23 @@ class TestVrGain:
 
 
 def test_gscm_owns_every_stream_salt():
-    # one table of distinct salts; a salt defined elsewhere could repeat one
-    found = {path.name: re.findall(r"^(_STREAM_\w+) = (\d+)$", path.read_text(), re.M)
-             for path in Path(gscm.__file__).parent.glob("*.py")}
-    salts = found.pop("gscm.py")
+    # one table of distinct salts; no other module keys a stream or names a salt
+    assert len(set(gscm._STREAMS.values())) == len(gscm._STREAMS) == 5
+    salts = "|".join(map(str, gscm._STREAMS.values()))
+    key = re.compile(rf"SeedSequence|_stream\(|_STREAM|\b(?:{salts})\b")
+    found = {path.name: key.findall(path.read_text(encoding="utf-8"))
+             for path in Path(gscm.__file__).parent.glob("*.py") if path.name != "gscm.py"}
     assert not any(found.values()), found
-    assert len(salts) == 5 and len({value for _, value in salts}) == 5
+
+
+@pytest.mark.parametrize("seed", [1, 2**32 + 5])
+@pytest.mark.parametrize("purpose,salt,index", [
+    ("angles", 101, (3,)), ("gains", 202, (2, 5)), ("perturb", 303, ()),
+    ("select", 404, (10,)), ("pilot_noise", 505, (5,))])
+def test_scenario_stream_keys(seed, purpose, salt, index):
+    scen = make_scenario([(200.0, 0.0)], [((150.0, 50.0, 20.0), (210.0, 0.0))], rng_seed=seed)
+    np.testing.assert_array_equal(scen.stream(purpose, *index).random(4),
+                                  stream(seed, salt, *index).random(4))
 
 
 class TestScenarioConfigBounds:

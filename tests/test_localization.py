@@ -13,7 +13,7 @@ from gusim.localization import (CrlbParams, array_angle_factor, crlb, crlb_delay
                                 solve_cluster_distance)
 
 from conftest import (make_scenario, observe_cluster, pathloss_amplitude, rebuild_cluster,
-                      rebuild_cluster_column, reference_delay)
+                      rebuild_cluster_column, reference_delay, stream)
 
 
 class TestFieldPattern:
@@ -419,7 +419,7 @@ def per_cluster_perturb_and_rebuild(scen, omega, params):
     sign draw per cluster, the scalar observables and bounds of each cluster
     and one scalar rebuild per cluster, in ``math`` sines and cosines;
     omega = 0 rebuilds nothing."""
-    rng = gscm._stream(scen.config.rng_seed, gscm._STREAM_PERTURB)
+    rng = stream(scen.config.rng_seed, 303)
     positions = scen.cluster_positions.copy()
     vr_centers = scen.vr_centers.copy()
     delays = scen.delays.copy()
