@@ -8,8 +8,7 @@ from .gscm import (ChannelMatrix, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
                    cluster_attenuation, generate_scenario, large_scale_gains,
                    load_scenario, path_loss_nlos, save_scenario, vr_gain)
-from .rx import (PowerConfig, mmse_estimate_per_user, noise_power, sum_rate,
-                 unitary_pilots, zf_weights)
+from .rx import PowerConfig, noise_power, sum_rate, unitary_pilots, zf_weights
 from .scheduling import (ScheduleResult, estimation_load, gus_select,
                          gwc_select_powers, random_select)
 from .localization import (CrlbParams, PerturbedGeometry, crlb, field_pattern,

@@ -426,20 +426,15 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     return _read_only(wi), _read_only(thresholds)
 
 
-@cache
-def _pcg64_generator() -> np.random.Generator:
-    """The process's one fallback generator; each use sets its full state first."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
 def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     """(n, 2 N_p) fading normals of the int-array pairs (users[i], clusters[i]);
     row i is bitwise ``scenario.stream("gains", clusters[i], users[i])
     .standard_normal(2 N_p)``: PCG64 jumps from each pair's seed words on uint64
     halves, then numpy's ziggurat fast path, whose -x flips bit 63 alone, so the
     sign bit 8 XOR-ed into bit 63 gives its bytes, -0.0 included. A draw off the
-    fast path (more words consumed) sets ``_pcg64_generator`` to its pair's state,
-    and a key word of 2^32 or more takes ``Scenario.stream``."""
+    fast path (more words consumed) sets the call's own generator, which no other
+    thread shares, to its pair's state; a key word of 2^32 or more takes
+    ``Scenario.stream``."""
     seed, n_draws = scenario.config.rng_seed, 2 * scenario.config.mpcs_per_cluster
     if max(seed, users.max(initial=0), clusters.max(initial=0)) > _MASK32:
         return np.array([scenario.stream("gains", j, k).standard_normal(n_draws)
@@ -458,11 +453,12 @@ def _fading_normals_batch(scenario: Scenario, users, clusters) -> np.ndarray:
     layer, rabs = w & 0xFF, w >> 9 & 2**52 - 1
     out = ((rabs * wi[layer]).view(np.uint64) ^ (w & 0x100) << 55).view(float)
     slow = np.flatnonzero(~np.all(rabs < thresholds[layer], axis=1))
+    gen = np.random.Generator(np.random.PCG64(0)) if len(slow) else None
     for row, (s_hi, s_lo, q_hi, q_lo) in zip(slow, words[slow].tolist()):
         # PCG64 setseq_128_srandom: inc = 2 initseq + 1, two LCG steps from 0
         inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        _set_pcg64(_pcg64_generator(), state, inc).standard_normal(out=out[row])
+        _set_pcg64(gen, state, inc).standard_normal(out=out[row])
     return out
 
 

@@ -66,44 +66,10 @@ def noise_power(bandwidth: float, temperature: float = 290.0,
         f"temperature={temperature!r}, noise_figure_db={noise_figure_db!r}")
 
 
-def mmse_estimate_per_user(received: np.ndarray, pilots: np.ndarray,
-                           noise_variance: float, covariances: np.ndarray) -> np.ndarray:
-    """MMSE estimate (M x K_s) of the channel of users with mutually
-    orthogonal pilots (K_s x tau_p), receiver noise variance sigma_n^2 >= 0
-    in watts and independent channels of covariances R_k (K_s x M x M).
-
-    Projecting the received block onto pilot phi_k gives
-    z_k = Y phi_k^H / ||phi_k||^2 = h_k + n_k with n_k ~ CN(0, s_k I),
-    s_k = sigma_n^2 / ||phi_k||^2, so h_hat_k = R_k (R_k + s_k I)^{-1} z_k.
-    This equals the dense Kronecker-form MMSE estimate with the
-    block-diagonal covariance.
-    """
-    received = np.asarray(received)
-    if not (isinstance(pilots, np.ndarray) and isinstance(covariances, np.ndarray)
-            and received.ndim == pilots.ndim == 2 and received.shape[1] == pilots.shape[1]
-            and covariances.shape == (len(pilots), len(received), len(received))):
-        raise ConfigurationError("need arrays: a received block M x tau_p, pilots "
-                                 "K_s x tau_p and covariances K_s x M x M")
-    if not (_is_finite(noise_variance) and noise_variance >= 0):
-        raise ConfigurationError(f"need a finite noise_variance >= 0, got {noise_variance!r}")
-    gram = pilots @ pilots.conj().T
-    energy = gram.diagonal().real
-    if not np.all(energy > 0):
-        raise ConfigurationError("every pilot must have positive energy")
-    if not np.allclose(gram, np.diag(energy), rtol=0.0, atol=1e-9 * energy.max()):
-        raise ConfigurationError("per-user MMSE needs mutually orthogonal pilots")
-    z = (received @ pilots.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
-    inner = covariances.astype(np.result_type(covariances, float))   # the caller's stay
-    estimate = _mmse_filter(inner, noise_variance / energy, z)[:, :, 0].T
-    if not np.isfinite(estimate).all():
-        raise RankDeficiencyError(f"MMSE inner matrix is singular or an input is not finite "
-                                  f"(sigma_n^2={noise_variance})")
-    return estimate
-
-
 def _mmse_filter(covariances: np.ndarray, noise, z: np.ndarray):
-    """R_k (R_k + s_k I)^{-1} z_k for covariances R_k (K x M x M), noise terms s_k
-    and right-hand sides z_k (K x M x r), from one stacked solve on R_k + s_k I built
+    """R_k (R_k + s_k I)^{-1} z_k, the MMSE estimate of h_k ~ CN(0, R_k) from
+    z_k = h_k + CN(0, s_k I), for covariances R_k (K x M x M), noise terms s_k and
+    right-hand sides z_k (K x M x r), from one stacked solve on R_k + s_k I built
     in place and then restored; NaN for each k whose R_k + s_k I is singular."""
     diagonal = np.einsum("kii->ki", covariances)   # a view
     saved = diagonal.copy()

@@ -9,7 +9,7 @@ from hypothesis import settings
 from gusim import gscm, harness, localization
 from gusim.errors import ConfigurationError, RankDeficiencyError, SelectionError
 from gusim.gscm import Scenario, ScenarioConfig, SPEED_OF_LIGHT
-from gusim.rx import mmse_estimate_per_user, zf_refused
+from gusim.rx import zf_refused
 from gusim.scheduling import ScheduleResult
 
 # the property tests draw the same examples in every run, here and in CI
@@ -191,7 +191,7 @@ def ergodic_capacity(h_samples, power):
 
 def mmse_estimate(received: np.ndarray, pilots: np.ndarray, noise_variance: float,
                   covariance: np.ndarray) -> np.ndarray:
-    """Oracle for ``rx.mmse_estimate_per_user``: the dense Bayesian MMSE
+    """Oracle for ``rx._mmse_filter`` on pilot projections: the dense Bayesian MMSE
     estimate of the vectorized channel from received pilots ``received``
     (M x tau_p), for any pilots (K_s x tau_p), receiver noise variance and
     joint covariance.
@@ -430,19 +430,32 @@ def estimate_channel(scen, selected, h_true, power):
     estimate of the selected users' channel ``h_true`` from one block of
     their orthogonal pilots at ``power``, received under thermal noise from
     the stream ``SeedSequence([seed, 505, K_s])``, given the exact
-    covariances, from the one-set kernel ``rx.mmse_estimate_per_user``.
-    ``unitary_pilots`` and ``channel_covariances`` are looked up on
-    ``gusim.harness``. The kernel's s_k = sigma^2 / ||phi_k||^2 differs from
-    the harness's shared sigma^2 / P in the last bit, so the rates agree to
-    about 1e-9 relative rather than bitwise."""
+    covariances, one user at a time: the projection z_k = Y phi_k^H / ||phi_k||^2
+    and h_k = R_k (R_k + s_k I)^{-1} z_k with s_k = sigma^2 / ||phi_k||^2, from
+    ``np.linalg.solve``. Raises ``RankDeficiencyError`` where an estimate is not
+    finite. ``unitary_pilots`` and ``channel_covariances`` are looked up on
+    ``gusim.harness``. The harness shares s = sigma^2 / P, which differs from
+    s_k in the last bit, so the rates agree to about 1e-9 relative rather than
+    bitwise."""
     h = harness
     k_s, m = len(selected), h_true.shape[0]
     rng = stream(scen.config.rng_seed, 505, k_s)
     pilots = math.sqrt(power.per_user) * h.unitary_pilots(k_s)
     noise = math.sqrt(power.noise_power / 2.0) * (
         rng.standard_normal((m, k_s)) + 1j * rng.standard_normal((m, k_s)))
-    return mmse_estimate_per_user(h_true @ pilots + noise, pilots, power.noise_power,
-                                  h.channel_covariances(scen, selected))
+    received = h_true @ pilots + noise
+    estimate = np.empty((m, k_s), dtype=complex)
+    for k, r_k in enumerate(h.channel_covariances(scen, selected)):
+        energy = np.vdot(pilots[k], pilots[k]).real
+        z_k = received @ pilots[k].conj() / energy
+        try:
+            estimate[:, k] = r_k @ np.linalg.solve(r_k + power.noise_power / energy * np.eye(m),
+                                                   z_k)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(f"user {k}'s MMSE inner matrix is singular") from exc
+    if not np.isfinite(estimate).all():
+        raise RankDeficiencyError("an MMSE estimate is not finite")
+    return estimate
 
 
 def gwc_select_single(h_all, num_selected, power):

@@ -1,7 +1,9 @@
 import itertools
 import math
+import os
 import re
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -821,8 +823,8 @@ class TestZigguratKernel:
     def test_the_shared_fallback_generator_carries_nothing_over(self, monkeypatch):
         # scenario A, then B with another seed, N_p and pairs, then A again: A's
         # rows are the same bytes both times, first with every row through the
-        # process's one fallback generator, then with numpy's tables, where a
-        # few rows of each call take it
+        # call's one fallback generator, then with numpy's tables, where a few
+        # rows of each call take it
         set_pcg64, fallback_rows = gscm._set_pcg64, []
         monkeypatch.setattr(gscm, "_set_pcg64",
                             lambda *state: fallback_rows.append(state) or set_pcg64(*state))
@@ -842,7 +844,35 @@ class TestZigguratKernel:
             assert_same_bits(gscm._fading_normals_batch(scen_a, *pairs_a), first)
             assert_same_bits(first, per_pair_batch(scen_a, *pairs_a))
         assert taken[0] == (60, 90) and 0 < min(taken[1]) and max(taken[1]) < 60, taken
-        assert gscm._pcg64_generator() is gscm._pcg64_generator()
+
+    def test_threads_draw_the_channels_of_a_single_thread(self):
+        # calls in threads, switched every microsecond: each H is bitwise its
+        # single-threaded call, so no fallback row reads another call's state.
+        # N_p = 60 sends 216 of the 256 rows off the fast path
+        scens = [generate_scenario(ScenarioConfig(num_users=8, num_clusters=4,
+                                                  mpcs_per_cluster=60, antenna_count=2,
+                                                  rng_seed=seed)) for seed in range(1, 9)]
+        want = [channel_matrix(scen, range(8)).entries.tobytes() for scen in scens]
+        got = {}
+
+        def calls(t):
+            for i in range(10):
+                got[t, i] = channel_matrix(scens[(t + i) % 8], range(8)).entries.tobytes()
+
+        threads = [threading.Thread(target=calls, args=(t,), daemon=True)
+                   for t in range(min((os.cpu_count() or 1) + 2, 16))]   # more than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 10 * len(threads)
+        assert [key for key, h in got.items() if h != want[sum(key) % 8]] == []
 
 
 class TestChannelCovariances:

@@ -572,7 +572,7 @@ class TestTrialRowsMatchNaiveOracle:
             "paper-literal", "fig2-grid", "fig4-grid", "estimated-csi-grid"])
     def test_rows_equal(self, overrides):
         # estimated rates agree to 1e-9 relative: the harness shares sigma^2 / P
-        # where the oracle's one-set kernel takes sigma^2 / ||phi_k||^2
+        # where the oracle takes sigma^2 / ||phi_k||^2
         cfg = tiny_config(**overrides)
         rows, naive = run_experiment(cfg).trial_rows, tuple(naive_trial_rows(cfg))
         if not cfg.use_estimation:
@@ -649,7 +649,7 @@ class TestTrialRowsMatchNaiveOracle:
 
 class TestEstimatedReceive:
     """The receive stage's one solve per power over a trial's rated users,
-    against the one-set kernel ``rx.mmse_estimate_per_user``."""
+    against the one-set oracle ``conftest.estimate_channel``."""
 
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_each_estimate_matches_its_one_set_kernel(self, seed):
@@ -712,6 +712,29 @@ class TestEstimatedReceive:
             else:
                 assert row.selected == before.selected and row.sum_rate is not None
         assert 0 < sum(holds) < len(holds)
+
+
+class TestOperatingPoint:
+    """The regime the desk defaults run in (README, "Visibility and operating
+    point") over a default run's first 40 seeds: a change that moves it fails."""
+
+    def test_defaults_sit_deep_in_the_noise(self):
+        # 37 of 1,600 users lie within vr_radius of a VR centre, and GUS's
+        # K_s = 10 picks see a median matched-filter SNR ||h_k||^2 P_k / P_n of
+        # -25.2 dB at the top power, 50 dBm
+        cfg = ExperimentConfig()
+        ks, watts = max(cfg.ks_values), dbm_to_watts(max(cfg.powers_dbm))
+        inside, snr_db = 0, []
+        for seed in range(cfg.base_seed, cfg.base_seed + 40):
+            scen = gscm.generate_scenario(replace(cfg.scenario, rng_seed=seed))
+            offsets = np.linalg.norm(scen.users[:, None, :2] - scen.vr_centers, axis=-1)
+            inside += int(np.any(offsets <= scen.config.vr_radius, axis=1).sum())
+            picks = gus_select(scen.v, ks, cfg.gus_variant).selected
+            h = gscm.channel_matrix(scen, picks).entries
+            snr_db += (10 * np.log10(np.sum(np.abs(h) ** 2, axis=0) * watts / ks
+                                     / cfg.noise_power)).tolist()
+        assert (inside, len(snr_db)) == (37, 400)
+        assert np.median(snr_db) == pytest.approx(-25.2, abs=0.05)
 
 
 class TestFigureSweeps:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gusim.errors import ConfigurationError, RankDeficiencyError
-from gusim.rx import (SUM_RATE_MODES, PowerConfig, mmse_estimate_per_user, noise_power,
-                      sum_rate, unitary_pilots, zf_weights)
+from gusim.rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
+                      unitary_pilots, zf_weights)
 
 from conftest import channel_covariance, ergodic_capacity, mmse_estimate, sum_rate_loop
 
@@ -137,7 +137,19 @@ def block_diagonal(blocks):
     return out
 
 
+def filter_per_user(received, pilots, noise_variance, covariances):
+    """``rx._mmse_filter`` on the projections z_k = Y phi_k^H / ||phi_k||^2 of
+    the received block onto mutually orthogonal pilots, with noise terms
+    s_k = sigma_n^2 / ||phi_k||^2: the M x K_s estimate, NaN where singular."""
+    energy = np.sum(np.abs(pilots) ** 2, axis=1)
+    z = (received @ pilots.conj().T / energy).T[:, :, None]   # (K_s, M, 1)
+    return _mmse_filter(covariances, noise_variance / energy, z)[:, :, 0].T
+
+
 class TestMmseEstimatePerUser:
+    """The receive stage's per-user filter ``rx._mmse_filter`` against the dense
+    Kronecker-form oracle with block-diagonal covariance."""
+
     @pytest.mark.parametrize("m,k,tau_p,rank", [(4, 3, 3, 4), (5, 2, 4, 2), (1, 1, 1, 1)])
     def test_matches_dense_mmse_with_block_diagonal_covariance(self, m, k, tau_p, rank):
         rng = np.random.default_rng(m * 100 + tau_p)
@@ -147,7 +159,7 @@ class TestMmseEstimatePerUser:
             s2 = float(rng.uniform(0.01, 2.0))
             y = random_channel(rng, m, tau_p)
             dense = mmse_estimate(y, pilots, s2, block_diagonal(r)).reshape(m, k, order="F")
-            fast = mmse_estimate_per_user(y, pilots, s2, r)
+            fast = filter_per_user(y, pilots, s2, r)
             assert fast.shape == (m, k)
             assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -158,64 +170,48 @@ class TestMmseEstimatePerUser:
         pilots = np.diag([0.5, 1.0, 3.0]) @ unitary_pilots(k)
         y = random_channel(rng, m, k)
         dense = mmse_estimate(y, pilots, 0.7, block_diagonal(r)).reshape(m, k, order="F")
-        np.testing.assert_allclose(mmse_estimate_per_user(y, pilots, 0.7, r), dense,
+        np.testing.assert_allclose(filter_per_user(y, pilots, 0.7, r), dense,
                                    rtol=1e-10, atol=1e-12)
 
     def test_scalar_case(self):
-        est = mmse_estimate_per_user(np.array([[0.8 - 0.4j]]), np.array([[1.0 + 0j]]), 1.0,
-                                     np.array([[[1.0 + 0j]]]))
+        est = filter_per_user(np.array([[0.8 - 0.4j]]), np.array([[1.0 + 0j]]), 1.0,
+                              np.array([[[1.0 + 0j]]]))
         assert est[0, 0] == pytest.approx((0.8 - 0.4j) / 2.0, abs=1e-14)
 
-    def test_non_orthogonal_pilots_rejected(self):
-        pilots = np.array([[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((2, 2)), pilots, 1.0,
-                                   np.stack([np.eye(2)] * 2).astype(complex))
-
-    def test_zero_pilot_row_rejected(self):
-        pilots = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ConfigurationError, match="every pilot must have positive energy"):
-            mmse_estimate_per_user(np.zeros((2, 2)), pilots, 1.0,
-                                   np.stack([np.eye(2)] * 2).astype(complex))
-
-    def test_shape_mismatch_rejected(self):
-        pilots = unitary_pilots(2)
-        with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((3, 2)), pilots, 1.0,
-                                   np.stack([np.eye(2)] * 2).astype(complex))
-        with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(np.zeros((2, 3)), pilots, 1.0,
-                                   np.stack([np.eye(2)] * 2).astype(complex))
-
-    @pytest.mark.parametrize("received,pilots,noise,covariances", [
-        (np.zeros(2), unitary_pilots(2), 1.0, np.stack([np.eye(2)] * 2)),
-        (np.zeros((1, 2, 2)), unitary_pilots(2), 1.0, np.stack([np.eye(2)] * 2)),
-        (np.zeros((2, 2)), unitary_pilots(2)[0], 1.0, np.stack([np.eye(2)] * 2)),
-        (np.zeros((2, 2)), unitary_pilots(2), 1.0, [np.eye(2)] * 2),
-        (np.zeros((2, 2)), unitary_pilots(2), math.nan, np.stack([np.eye(2)] * 2)),
-        (np.zeros((2, 2)), unitary_pilots(2), -1.0, np.stack([np.eye(2)] * 2)),
-    ], ids=["1-D received", "3-D received", "1-D pilots", "list covariances",
-            "nan noise", "negative noise"])
-    def test_malformed_input_rejected(self, received, pilots, noise, covariances):
-        with pytest.raises(ConfigurationError):
-            mmse_estimate_per_user(received, pilots, noise, covariances)
-
     def test_covariances_left_unmodified(self):
-        # R_k + s_k I is built in a copy, so the caller's R_k keep their bits
+        # R_k + s_k I is built in place and restored, after the stacked solve and
+        # after the one-by-one solves a singular user takes, so R_k keep their bits
         rng = np.random.default_rng(11)
         m, k = 5, 3
         r = random_covariances(rng, k, m, m)
-        before = r.copy()
         y = random_channel(rng, m, k)
-        est = mmse_estimate_per_user(y, unitary_pilots(k), 0.3, r)
-        assert r.tobytes() == before.tobytes()
-        r.setflags(write=False)
-        np.testing.assert_array_equal(mmse_estimate_per_user(y, unitary_pilots(k), 0.3, r), est)
+        singular = r.copy()
+        singular[1] = -(0.3 / np.sum(np.abs(unitary_pilots(k)[1]) ** 2)) * np.eye(m)
+        for covariances, finite in ((r, True), (singular, False)):
+            before = covariances.copy()
+            est = filter_per_user(y, unitary_pilots(k), 0.3, covariances)
+            assert np.isfinite(est).all() == finite
+            assert covariances.tobytes() == before.tobytes()
 
     def test_singular_inner_matrix_reported(self):
-        with pytest.raises(RankDeficiencyError):
-            mmse_estimate_per_user(np.zeros((1, 1)), np.ones((1, 1), dtype=complex), 0.0,
-                                   np.zeros((1, 1, 1), dtype=complex))
+        # NaN for exactly the user whose R_k + s_k I is singular; the others
+        # are the dense estimate of the users without it
+        rng = np.random.default_rng(12)
+        m, k, s2 = 4, 3, 0.6
+        r = random_covariances(rng, k, m, m)
+        pilots = np.diag([0.5, 1.0, 3.0]) @ unitary_pilots(k)
+        energy = np.sum(np.abs(pilots) ** 2, axis=1)
+        r[1] = -(s2 / energy[1]) * np.eye(m)
+        y = random_channel(rng, m, k)
+        est = filter_per_user(y, pilots, s2, r)
+        assert np.isnan(est[:, 1]).all()
+        others = [0, 2]
+        dense = mmse_estimate(y, pilots[others], s2, block_diagonal(r[others]))
+        np.testing.assert_allclose(est[:, others], dense.reshape(m, 2, order="F"),
+                                   rtol=1e-10, atol=1e-12)
+        zero = filter_per_user(np.zeros((1, 1)), np.ones((1, 1), dtype=complex), 0.0,
+                               np.zeros((1, 1, 1), dtype=complex))
+        assert np.isnan(zero).all()
 
 
 class TestZfWeights:
