@@ -106,7 +106,7 @@ class TrialResult:
     ks: int
     p_dbm: float
     omega: int
-    sum_rate: float | None   # None when the trial is flagged
+    sum_rate: float | None   # None: selected is () (a short search), or zf_refused refused it
     load: int
     selected: tuple[int, ...]
 
@@ -179,7 +179,7 @@ def _gwc(config: ExperimentConfig, h, grid: list) -> list[tuple]:
 
 def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
     """Receive: {K_s: [(set, its powers' columns, true channel, ZF input)]}: a set's
-    true channel for all powers, or per power its MMSE estimate if that is finite.
+    true channel for all powers, or per power its MMSE estimate, NaN where singular.
     Unitary pilots carry energy P, so R_u + (sigma^2/P) I is the same in every set:
     one covariance stack of the rated users, and one solve per power."""
     receivers, m, p_n = defaultdict(list), config.scenario.antenna_count, config.noise_power
@@ -204,9 +204,9 @@ def _receive(config: ExperimentConfig, scen, users, h, grid: list) -> dict:
             rhs[rows[sel], :, i] = ((rated[sel] @ pilots + noise[len(sel)])
                                     @ pilots.conj().T / energy).T
         estimates = _mmse_filter(covariances, p_n / watts, rhs)
-        for i, sel in enumerate(sets):   # NaN where one of its users' systems is singular
-            if np.isfinite(estimate := estimates[rows[sel], :, i].T).all():
-                receivers[len(sel)].append((sel, slice(j, j + 1), rated[sel], estimate))
+        for i, sel in enumerate(sets):   # zf_refused refuses a set holding a singular user
+            receivers[len(sel)].append((sel, slice(j, j + 1), rated[sel],
+                                        estimates[rows[sel], :, i].T))
     return receivers
 
 
@@ -227,12 +227,13 @@ def _zero_force_and_rate(config: ExperimentConfig, receivers: dict) -> dict:
 
 
 def _rows(config: ExperimentConfig, trial: int, grid: list, rates: dict) -> list[TrialResult]:
-    """Rows: one per grid cell, excluded (rate None) where its set has no rate."""
+    """Rows: one per grid cell with its set, () past a short search, and the
+    set's rate, None where zero-forcing refused it."""
     k_total, m = config.scenario.num_users, config.scenario.antenna_count
     load = {ks: estimation_load(m, ks) for ks in {*config.ks_values, k_total}}
-    return [TrialResult(trial, alg, ks, p_dbm, omega, (r := rates.get(sel, {}).get(p_dbm)),
-                        load[k_total if alg == "GWC" else ks],
-                        () if r is None else sel) for ks, omega, alg, p_dbm, sel in grid]
+    return [TrialResult(trial, alg, ks, p_dbm, omega, rates.get(sel, {}).get(p_dbm),
+                        load[k_total if alg == "GWC" else ks], sel or ())
+            for ks, omega, alg, p_dbm, sel in grid]
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> list[TrialResult]:
@@ -267,24 +268,23 @@ def _aggregate(trials, figure: str) -> tuple[CellStats, ...]:
 
 
 def run_experiment(config: ExperimentConfig, figure: str = "run") -> AggregateStats:
-    """Execute the configured Monte-Carlo sweep and aggregate per cell.
-
-    Per-trial algorithm failures (rank collapse, infeasible selection) are
-    flagged and excluded from the cell mean; exclusion counts are reported
-    in the aggregate rows.
-    """
+    """Execute the configured Monte-Carlo sweep and aggregate per cell: a
+    cell's mean leaves out, and its ``excluded`` counts, the rows with no rate."""
     trials = [_run_trial(config, trial) for trial in range(config.trials)]
     return AggregateStats(_aggregate(trials, figure), tuple(r for rows in trials for r in rows))
 
 
+def _manifest_path(csv_path) -> str:
+    return f"{csv_path}.manifest.txt"
+
+
 def _check_out_path(out_path) -> None:
-    """Raise ``ConfigurationError`` unless ``out_path`` is None or names a
-    file, existing or not, in a directory that exists and is writable."""
-    if out_path is None:
-        return
-    folder = os.path.dirname(os.path.abspath(out_path))
-    if os.path.isdir(out_path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigurationError(f"cannot write {out_path}: not a file in a writable directory")
+    """Raise ``ConfigurationError`` unless ``out_path`` is None or it and its
+    manifest each name a file, existing or not, in a writable directory."""
+    for path in () if out_path is None else (out_path, _manifest_path(out_path)):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigurationError(f"cannot write {path}: not a file in a writable directory")
 
 
 def run_sweep(config: ExperimentConfig, out_path=None, figure: str = "run") -> AggregateStats:
@@ -373,7 +373,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def write_manifest(config: ExperimentConfig, csv_path) -> None:
-    path = str(csv_path) + ".manifest.txt"
+    path = _manifest_path(csv_path)
     lines = [
         f"schema_version: {CONFIG_SCHEMA_VERSION}",
         f"config_sha256: {config_hash(config)}",

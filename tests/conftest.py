@@ -419,9 +419,12 @@ def naive_trial_rows(config):
                                               mode=config.mode)
                             rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
                                                       rate, load, tuple(sel)))
-                        except (RankDeficiencyError, SelectionError):
+                        except SelectionError:   # a short search keeps no set
                             rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
                                                       None, load, ()))
+                        except RankDeficiencyError:   # a refused set keeps its set
+                            rows.append(h.TrialResult(trial, alg, ks, p_dbm, omega,
+                                                      None, load, tuple(sel)))
     return rows
 
 

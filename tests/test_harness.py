@@ -338,9 +338,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("powers_dbm", [(0.0, 20.0), (20.0,)])
     def test_singular_mmse_excludes_only_its_power(self, monkeypatch, powers_dbm):
-        # every user singular at 20 dBm drops each set's 20 dBm row; the
-        # same sets are still rated at 0 dBm, with the same rates. With 20 dBm
-        # alone no set size has a usable receiver, and every row is excluded
+        # every user singular at 20 dBm: zf_refused refuses each set's 20 dBm
+        # estimate, and the row keeps its set with no rate; the same sets are
+        # still rated at 0 dBm, with the same rates. With 20 dBm alone no set
+        # size has a usable receiver, and every row is excluded
         mmse_filter = harness._mmse_filter
         cfg = tiny_config(use_estimation=True, algorithms=("GUS", "RANDOM"),
                           powers_dbm=powers_dbm)
@@ -353,23 +354,25 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_mmse_filter", singular_at_20_dbm)
         stats = run_experiment(cfg)
         for row, before in zip(stats.trial_rows, plain.trial_rows, strict=True):
-            assert row == (replace(before, sum_rate=None, selected=())
-                           if row.p_dbm == 20.0 else before)
+            assert row == (replace(before, sum_rate=None) if row.p_dbm == 20.0 else before)
         assert [(c.p_dbm, c.trials_used, c.excluded) for c in stats.cells] == \
             [(0.0, 2, 0), (20.0, 0, 2)][-len(powers_dbm):] * 2
 
     @pytest.mark.parametrize("sweep", [run_sweep, figure2_sweep, figure3_load,
                                        figure4_robustness])
-    @pytest.mark.parametrize("name", ["missing/o.csv", "folder"])
+    @pytest.mark.parametrize("name", ["missing/o.csv", "folder", "o.csv"])
     def test_unwritable_output_path_rejected_before_any_trial(self, tmp_path, no_trials,
                                                               sweep, name):
-        # a missing directory, or a path that is a directory itself
-        (tmp_path / "folder").mkdir()
+        # a missing directory, a path that is a directory itself, or a
+        # directory where the manifest of o.csv goes
+        folders = ["folder", "o.csv.manifest.txt"]
+        for folder in folders:
+            (tmp_path / folder).mkdir()
         out = tmp_path / name
         with pytest.raises(ConfigurationError, match="cannot write .* writable directory"):
             sweep(tiny_config(), out)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
-        assert not any((tmp_path / "folder").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == folders
+        assert not any(any((tmp_path / folder).iterdir()) for folder in folders)
 
     def test_negative_base_seed_rejected_before_any_trial(self, no_trials):
         with pytest.raises(ConfigurationError, match="base_seed"):
@@ -627,6 +630,23 @@ class TestTrialRowsMatchNaiveOracle:
         assert all(r.sum_rate is None for r in gwc if r.ks == 3)
         assert all(r.sum_rate is not None for r in gwc if r.ks == 2)
 
+    @pytest.mark.parametrize("use_estimation", [False, True])
+    def test_rank_limited_rows_keep_their_sets(self, use_estimation):
+        # two clusters with no angular spread: every channel, and so every MMSE
+        # estimate, has rank 2. A K_s = 3 row of GUS or RANDOM keeps its set,
+        # whose columns zf_refused refuses; GWC's search comes up short at K_s = 3
+        cfg = tiny_config(scenario=replace(tiny_config().scenario, angular_spread_deg=0.0),
+                          ks_values=(2, 3), trials=3, use_estimation=use_estimation)
+        rows = [r for r in run_experiment(cfg).trial_rows if r.ks == 3]
+        assert all(r.sum_rate is None for r in rows)
+        assert {r.selected for r in rows if r.algorithm == "GWC"} == {()}
+        for r in rows:
+            if r.algorithm != "GWC":
+                scen = gscm.generate_scenario(replace(cfg.scenario,
+                                                      rng_seed=cfg.base_seed + r.trial))
+                assert len(set(r.selected)) == 3
+                assert rx.zf_refused(gscm.channel_matrix(scen, r.selected).entries)[0]
+
     def test_largest_ks_infeasible_for_gus(self, monkeypatch):
         # a V with two nonzero rows: the stacked selection stops after two
         # picks, where one V raises for K_s = 3; the harness and the oracle
@@ -687,7 +707,8 @@ class TestEstimatedReceive:
 
     def test_singular_user_excludes_exactly_its_receivers(self, monkeypatch):
         # R_u = -(sigma^2 / P) I makes user u's inner matrix zero at 20 dBm alone:
-        # every (set, 20 dBm) receiver holding u is dropped, every other one rated
+        # every (set, 20 dBm) receiver holding u is refused and its row keeps its
+        # set with no rate, every other one rated
         cfg = tiny_config(use_estimation=True, powers_dbm=(0.0, 20.0, 40.0),
                           ks_values=(2, 3), omegas=(0, 1))
         plain = run_experiment(cfg).trial_rows
@@ -708,10 +729,56 @@ class TestEstimatedReceive:
             if not held:
                 assert row == before
             elif row.p_dbm == 20.0:
-                assert row == replace(before, sum_rate=None, selected=())
+                assert row == replace(before, sum_rate=None)
             else:
                 assert row.selected == before.selected and row.sum_rate is not None
         assert 0 < sum(holds) < len(holds)
+
+
+@st.composite
+def small_configs(draw):
+    """Valid configs of 4-12 users, 1-4 clusters, 4-12 antennas and 1-4 MPCs,
+    an angular spread of 0 or 5 degrees, K_s up to the bound ``validate()``
+    sets, powers from -50 to 80 dBm and estimated CSI or not, at 2 trials."""
+    k, n_c, m, n_p = (draw(st.integers(lo, hi)) for lo, hi in [(4, 12), (1, 4), (4, 12), (1, 4)])
+    scenario = ScenarioConfig(num_users=k, num_clusters=n_c, antenna_count=m,
+                              mpcs_per_cluster=n_p, rng_seed=0,
+                              angular_spread_deg=draw(st.sampled_from([0.0, 5.0])))
+    bound = min(k, m, n_c * n_p)
+    return ExperimentConfig(
+        scenario=scenario, trials=2, base_seed=draw(st.integers(0, 2**32)),
+        ks_values=tuple(draw(st.lists(st.integers(1, bound), min_size=1, max_size=3,
+                                      unique=True))),
+        powers_dbm=tuple(draw(st.lists(st.floats(-50.0, 80.0), min_size=1, max_size=3,
+                                       unique=True))),
+        use_estimation=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=small_configs())
+def test_drawn_configs_run_and_each_row_says_why_it_has_no_rate(cfg):
+    # every cell is finite or has no usable trial, and a row's set is () or
+    # K_s distinct users. A row with no rate reads as one of two reasons: ()
+    # is a search that came up short (RANDOM's never does, GUS's only on a V
+    # with fewer than K_s nonzero rows); a set is one zero-forcing refused,
+    # which zf_refused shows on its channel with perfect CSI
+    stats = run_experiment(cfg)
+    assert all(math.isfinite(c.mean) and math.isfinite(c.std_err) or c.trials_used == 0
+               for c in stats.cells)
+    scens = [gscm.generate_scenario(replace(cfg.scenario, rng_seed=cfg.base_seed + t))
+             for t in range(cfg.trials)]
+    h = [gscm.channel_matrix(scen, range(scen.num_users)).entries for scen in scens]
+    for r in stats.trial_rows:
+        assert r.selected == () or len(set(r.selected)) == len(r.selected) == r.ks
+        if r.sum_rate is None and r.selected == ():
+            assert r.algorithm != "RANDOM"
+            if r.algorithm == "GUS":
+                assert np.count_nonzero(np.linalg.norm(scens[r.trial].v, axis=1)) < r.ks
+            else:
+                power = PowerConfig(dbm_to_watts(r.p_dbm), r.ks, cfg.noise_power)
+                assert len(gwc_select_powers(h[r.trial], r.ks, [power])[0].selected) < r.ks
+        elif r.sum_rate is None and not cfg.use_estimation:   # a column is the same in any set
+            assert rx.zf_refused(h[r.trial][:, list(r.selected)])[0]
 
 
 class TestOperatingPoint:

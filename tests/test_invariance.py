@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gusim.gscm import ScenarioConfig, generate_scenario, large_scale_gains
 from gusim.rx import PowerConfig, sum_rate, zf_weights
+from gusim.scheduling import GUS_VARIANTS, gus_select
 
 SEEDS = st.integers(1, 2**32 - 1)
 
@@ -76,3 +77,23 @@ def test_sum_rate_ignores_the_order_of_the_users(seed, shape, power, data):
     permuted = h[:, order]
     assert math.isclose(sum_rate(permuted, zf_weights(permuted), PowerConfig(power, k_s, 1e-2)),
                         rate, rel_tol=1e-12, abs_tol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, data=st.data())
+def test_gus_picks_follow_a_permutation_of_the_users(seed, data):
+    # V's rows belong to the users, so they permute with them, bitwise; GUS's
+    # K_s = 10 picks then map through the inverse permutation, up to an exact
+    # tie, which each order breaks by its own lowest index: from the first
+    # pick that differs, only the scores up to it must agree
+    scen = generate_scenario(ScenarioConfig(rng_seed=seed))
+    perm = np.array(data.draw(st.permutations(range(scen.num_users))))
+    permuted = replace(scen, users=scen.users[perm])
+    assert np.array_equal(permuted.v, scen.v[perm])
+    inverse = np.argsort(perm)
+    for variant in GUS_VARIANTS:
+        before, after = gus_select(scen.v, 10, variant), gus_select(permuted.v, 10, variant)
+        mapped = inverse[list(before.selected)].tolist()
+        tie = next((i for i, (a, b) in enumerate(zip(mapped, after.selected)) if a != b), 10)
+        assert len(before.selected) == len(after.selected) == 10
+        assert after.per_step_scores[:tie + 1] == before.per_step_scores[:tie + 1]
