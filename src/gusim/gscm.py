@@ -17,8 +17,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .plain import (_is_finite, _is_integer, check_fields, checked, dump_yaml,
-                    from_versioned, read_yaml, to_plain)
+from .plain import (_is_finite, _is_integer, check_fields, checked, from_versioned,
+                    read_yaml, to_plain, write_yaml)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -109,6 +109,7 @@ class ScenarioConfig:
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
             raise ConfigurationError("cluster_height_range must be two finite numbers "
                                      f"with 0 <= lo <= hi, got {heights!r}")
+        object.__setattr__(self, "cluster_height_range", tuple(map(float, heights)))
         # E, the diagonal of the box and the BS (VR centres lie at ms_height), bounds each
         # distance and the rebuild's r = c0 tau <= 2 E: b^2 - 4ac <= 40 E^2, |d_vr|^2 <= 19 E^2
         corners = [*self.box["users"], *self.box["cluster_positions"], (0.0, 0.0, self.bs_height)]
@@ -560,9 +561,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    text = dump_yaml(scenario_to_dict(scenario), sort_keys=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_yaml(scenario_to_dict(scenario), path)
 
 
 def load_scenario(path) -> Scenario:

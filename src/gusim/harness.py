@@ -22,7 +22,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .gscm import ScenarioConfig, channel_covariances, channel_matrix, generate_scenario
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import check_fields, checked, dump_yaml, from_versioned, read_yaml, to_plain
+from .plain import check_fields, checked, from_versioned, read_yaml, to_plain, write_yaml
 from .rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
 from .scheduling import GUS_VARIANTS, estimation_load, gus_select, gwc_select_powers, random_select
@@ -358,9 +358,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    text = dump_yaml(config_to_dict(config), sort_keys=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_yaml(config_to_dict(config), path)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -368,8 +366,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    blob = dump_yaml(config_to_dict(config), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(repr(config_to_dict(config)).encode()).hexdigest()
 
 
 def write_manifest(config: ExperimentConfig, csv_path) -> None:

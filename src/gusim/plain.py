@@ -16,7 +16,7 @@ from .errors import ConfigurationError
 
 def read_yaml(path, what: str):
     """The YAML document (a ``what``) at ``path``, or ``ConfigurationError``."""
-    import yaml   # the one use of PyYAML: a sweep, which only writes, never imports it
+    import yaml   # here and in write_yaml only: a sweep, which writes no YAML, never imports it
     try:
         with open(path, encoding="utf-8") as fh:
             return yaml.safe_load(fh)
@@ -24,52 +24,12 @@ def read_yaml(path, what: str):
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def dump_yaml(data, sort_keys: bool) -> str:
-    """``data`` from ``to_plain`` as block YAML, byte for byte PyYAML's ``safe_dump``:
-    nonempty dicts and lists, None, bools, ints, floats and plain ASCII words.
-    Anything else, which could read back as other data, raises ``ValueError``."""
-    return "".join(f"{line}\n" for line in _block(data, "", sort_keys))
-
-
-def _block(data, pad: str, sort_keys: bool):
-    """The lines of the nonempty dict or list ``data`` at indent ``pad``."""
-    if type(data) is dict and data:
-        for key, value in sorted(data.items()) if sort_keys else data.items():
-            if type(value) in (dict, list):   # a list under a key takes the key's indent
-                yield f"{pad}{_scalar(key)}:"
-                yield from _block(value, pad + "  " * (type(value) is dict), sort_keys)
-            else:
-                yield f"{pad}{_scalar(key)}: {_scalar(value)}"
-    elif type(data) is list and data:
-        for item in data:
-            if type(item) in (dict, list):   # starts on its dash's line
-                lines = _block(item, pad + "  ", sort_keys)
-                yield f"{pad}- {next(lines).lstrip()}"
-                yield from lines
-            else:
-                yield f"{pad}- {_scalar(item)}"
-    else:
-        raise ValueError(f"cannot write {data!r} as YAML: not a nonempty dict or list")
-
-
-def _scalar(value) -> str:
-    """``value`` as PyYAML's safe representer writes it. A string must be a
-    word that PyYAML writes plain, as a simple key too (under 128 characters),
-    and reads back as that string, not as None or a bool."""
-    kind = type(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    if kind is float and not math.isfinite(value):
-        return ".nan" if value != value else ".inf" if value > 0 else "-.inf"
-    if kind is int or (kind is float and "." in repr(value)):
-        return repr(value)
-    if kind is float:   # "1e+16" reads back as a string, "1.0e+16" as a float
-        return repr(value).replace("e", ".0e", 1)
-    word = kind is str and value.isascii() and value.replace("_", "").replace("-", "").isalnum()
-    if word and value[0].isalpha() and len(value) < 128 and value.lower() not in (
-            "null", "true", "false", "yes", "no", "on", "off"):
-        return value
-    raise ValueError(f"cannot write {value!r} as plain YAML")
+def write_yaml(data, path) -> None:
+    """``data`` from ``to_plain`` as block YAML at ``path``; a refused value opens no file."""
+    import yaml
+    text = yaml.safe_dump(data, sort_keys=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def to_plain(value):
@@ -193,8 +153,8 @@ def checked(default, bound: str | None = None, choices: tuple = ()):
 
 @cache
 def _rules(cls) -> tuple:
-    """(name, checks, allowed) for each checked field of ``cls``, where
-    ``checks`` pairs what the value must be with its test, in order."""
+    """(name, checks, allowed, floats) for each checked field of ``cls``, where ``checks``
+    pairs what the value must be with its test, in order, and ``floats`` is a float kind."""
     hints = typing.get_type_hints(cls)
     rules = []
     for f in fields(cls):
@@ -203,7 +163,8 @@ def _rules(cls) -> tuple:
         bound, choices = f.metadata["check"]
         args = typing.get_args(hints[f.name])   # of tuple[X, ...] or X | None
         grid = typing.get_origin(hints[f.name]) is tuple
-        test, one, many, under_bound = _KINDS[args[0] if args else hints[f.name]]
+        kind = args[0] if args else hints[f.name]
+        test, one, many, under_bound = _KINDS[kind]
         checks = [(many if grid else one, test)]
         allowed = many
         if bound:
@@ -222,16 +183,19 @@ def _rules(cls) -> tuple:
         if type(None) in args:
             checks = [(what, lambda value, t=t: value is None or t(value)) for what, t in checks]
             allowed += " or None"
-        rules.append((f.name, tuple(checks), allowed))
+        rules.append((f.name, tuple(checks), allowed, kind is float))
     return tuple(rules)
 
 
 def check_fields(obj) -> None:
     """Raise ``ConfigurationError`` unless every field of dataclass ``obj``
-    declared with ``checked`` keeps its rule."""
-    for name, checks, allowed in _rules(type(obj)):
+    declared with ``checked`` keeps its rule; a float field's numbers become floats."""
+    for name, checks, allowed, floats in _rules(type(obj)):
         value = getattr(obj, name)
         for what, test in checks:
             if not test(value):
                 raise ConfigurationError(
                     f"{name} must be {what}, got {value!r}; allowed: {allowed}")
+        if floats:   # held as from_plain reads them back, so equal configs write equal bytes
+            object.__setattr__(obj, name, value if value is None else tuple(map(float, value))
+                               if isinstance(value, tuple) else float(value))

@@ -12,9 +12,9 @@ the table it replaces, and each one added or removed.
 
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
 on Python, numpy, its BLAS and the CPU features numpy dispatches on, and
-the test skips on any other environment. No hashed byte comes from PyYAML:
-gusim writes its YAML with its own emitter, and PyYAML only reads the CLI
-entry's config file back.
+the test skips on any other environment. The scenario file's bytes are
+PyYAML's ``safe_dump`` output, pinned in CI; PyYAML is not an environment
+key, which would skip every entry, not only that file, on another version.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -17,7 +18,6 @@ from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
-from gusim.plain import dump_yaml
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -27,20 +27,6 @@ from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEA
 from gusim.scheduling import gus_select, gwc_select_powers
 
 from conftest import estimate_channel, naive_trial_rows
-
-
-def plain_config_strategy(cls, **overrides):
-    """Plain mappings, as ``to_plain`` gives them, of the fields of config class
-    ``cls``, every numeric, bool and pair field drawn from its annotation (any
-    float, integers up to 2^70), valid or not; ``overrides`` gives the
-    strategies of the other fields."""
-    kinds = {"float": st.floats(), "int": st.integers(0, 2**70), "bool": st.booleans(),
-             "float | None": st.none() | st.floats(),
-             "tuple[float, float]": st.lists(st.floats(), min_size=2, max_size=2),
-             "tuple[float, ...]": st.lists(st.floats(), min_size=1, max_size=6),
-             "tuple[int, ...]": st.lists(st.integers(0, 2**70), min_size=1, max_size=6)}
-    return st.fixed_dictionaries({**{f.name: kinds[f.type] for f in fields(cls)
-                                     if f.type in kinds}, **overrides})
 
 
 def tiny_config(**overrides):
@@ -885,62 +871,44 @@ class TestConfigFile:
         save_config(numpy_typed, tmp_path / "numpy.yaml")
         assert load_config(tmp_path / "numpy.yaml") == numpy_typed
 
+    def test_int_and_float_configs_write_equal_bytes(self, tmp_path):
+        # equal configs, one given ints where the fields hold floats, run the
+        # same sweep, so their CSV, manifest and config file are the same bytes
+        floats = tiny_config(powers_dbm=(0.0, 20.0), bandwidth=20e6)
+        ints = tiny_config(powers_dbm=(0, 20), bandwidth=20_000_000, scenario=replace(
+            floats.scenario, cluster_height_range=(5, 30), cell_half_side=1000))
+        assert ints == floats and config_hash(ints) == config_hash(floats)
+        for name, cfg in (("ints", ints), ("floats", floats)):
+            run_sweep(cfg, tmp_path / f"{name}.csv")
+            save_config(cfg, tmp_path / f"{name}.yaml")
+        for suffix in (".csv", ".csv.manifest.txt", ".yaml"):
+            assert (tmp_path / f"ints{suffix}").read_bytes() == \
+                (tmp_path / f"floats{suffix}").read_bytes()
+
     def test_hash_stable(self):
         cfg = tiny_config()
         assert config_hash(cfg) == config_hash(tiny_config())
         assert config_hash(cfg) != config_hash(tiny_config(base_seed=99))
 
-    def test_hash_pinned(self):
-        # the config_sha256 that manifests carry, as PyYAML's pure-Python
-        # emitter wrote them; a change here changes every manifest
-        assert config_hash(ExperimentConfig()) == \
-            "ab2386472f8d74df475546ddfeae3dff0a5654bd625d7641bb399437694c3aec"
-        assert config_hash(ExperimentConfig(
-            use_estimation=True, powers_dbm=(30.0, -2.5e-7), omegas=(0, 3),
-            crlb=CrlbParams(input_snr=1e300))) == \
-            "89ce79196492ada9bcb1dccad27a02e8f039102dc55e54674d2fc95e67266ffe"
-
-    @settings(max_examples=100, deadline=None)
-    @given(plain=plain_config_strategy(
-        ExperimentConfig, scenario=plain_config_strategy(ScenarioConfig),
-        crlb=plain_config_strategy(CrlbParams),
-        algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True),
-        mode=st.sampled_from(rx.SUM_RATE_MODES),
-        gus_variant=st.sampled_from(scheduling.GUS_VARIANTS)))
-    def test_hash_emitters_agree(self, plain):
-        # config_hash and save_config write plain.dump_yaml's bytes, which must
-        # equal PyYAML's safe_dump, as libyaml's emitter does where PyYAML has
-        # it. The values range past what a config accepts, as config_to_dict
-        # would give them
-        data = {"schema_version": harness.CONFIG_SCHEMA_VERSION, **plain}
-        for sort_keys in (True, False):
-            assert dump_yaml(data, sort_keys) == \
-                yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=sort_keys)
-        if hasattr(yaml, "CSafeDumper"):
-            assert yaml.dump(data, Dumper=yaml.CSafeDumper, sort_keys=True) == \
-                yaml.dump(data, Dumper=yaml.SafeDumper, sort_keys=True)
-
-    @settings(max_examples=100, deadline=None)
-    @given(plain=st.fixed_dictionaries({
-        "schema_version": st.integers(0, 9),
-        "config": plain_config_strategy(ScenarioConfig, reference_delay=st.none()),
-        "users": st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=1),
-        "shadow_gains": st.lists(st.floats(), min_size=1)}))
-    def test_scenario_emitter_agrees(self, plain):
-        # save_scenario's bytes: a nested mapping holding None, and 1-D and 2-D
-        # float arrays, st.floats() reaching nan, +-inf, -0.0, subnormals and
-        # reprs without a "." such as 1e+16
-        assert dump_yaml(plain, sort_keys=False) == yaml.safe_dump(plain, sort_keys=False)
-
-    @pytest.mark.parametrize("value", ["", "yes", "null", "1.5", "a b", "Zürich", {"GUS"},
-                                       np.zeros(2)], ids=repr)
-    def test_emitter_refuses_what_could_read_back_differently(self, value):
-        with pytest.raises(ValueError, match="cannot write"):
-            dump_yaml({"mode": value}, sort_keys=True)
+    def test_hash_pinned(self, tmp_path):
+        # the config_sha256 that manifests carry, the SHA-256 of the repr of
+        # config_to_dict, and the bytes save_config writes; a change to the
+        # first changes every manifest, to the second every config file
+        pinned = [(ExperimentConfig(),
+                   "e66e7ce88277576733ef6fac3c8915755315c3885adb61b8849021bd4c00d0ef",
+                   "b5fd8f2820a360110a32afc88263ec1a6f560f1bce247baecc03e3ab93f7c96e"),
+                  (ExperimentConfig(use_estimation=True, powers_dbm=(30.0, -2.5e-7),
+                                    omegas=(0, 3), crlb=CrlbParams(input_snr=1e300)),
+                   "c2f3d3a1b9bdad81bf72e8efb937f8728c6b6fcc1bd3018954268479a455524d",
+                   "93523e07f036e8852b8a93297fd0f4b1d7718ecc1354c6bfc590ec9128888803")]
+        for cfg, config_sha256, file_sha256 in pinned:
+            assert config_hash(cfg) == config_sha256
+            save_config(cfg, tmp_path / "c.yaml")
+            assert hashlib.sha256((tmp_path / "c.yaml").read_bytes()).hexdigest() == file_sha256
 
     def test_sweep_path_does_not_import_yaml(self, tmp_path):
-        # a sweep only writes YAML, so PyYAML's import stays off its start-up;
-        # reading a config back is the first thing that imports it
+        # a sweep writes no YAML, so PyYAML's import stays off its start-up;
+        # writing or reading a config or scenario file is what imports it
         script = textwrap.dedent("""
             import sys
             from pathlib import Path
@@ -952,11 +920,12 @@ class TestConfigFile:
                 powers_dbm=(0.0,), ks_values=(2,), trials=2)
             harness.run_sweep(cfg, out / "o.csv")
             harness.config_hash(cfg)
+            assert "yaml" not in sys.modules, "the sweep path imported yaml"
             harness.save_config(cfg, out / "c.yaml")
             gscm.save_scenario(gscm.generate_scenario(cfg.scenario), out / "s.yaml")
-            assert "yaml" not in sys.modules, "the sweep path imported yaml"
-            assert harness.load_config(out / "c.yaml") == cfg
             assert "yaml" in sys.modules
+            loaded = harness.load_config(out / "c.yaml")
+            assert loaded == cfg and harness.config_hash(loaded) == harness.config_hash(cfg)
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
@@ -967,8 +936,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("overrides", [dict(mode=""), dict(gus_variant="x"),
                                            dict(algorithms=("GUS", ""))])
     def test_hash_of_an_invalid_config_raises(self, overrides):
-        # a string outside the fixed choices may not be a word that
-        # plain.dump_yaml writes, so such a config has no hash
+        # a string outside the fixed choices fails the field rules, so such a
+        # config cannot be built and has no hash
         with pytest.raises(ConfigurationError):
             config_hash(tiny_config(**overrides))
 
@@ -1036,12 +1005,12 @@ class TestConfigFile:
     @given(
         trials=st.integers(1, 10 ** 6),
         base_seed=st.integers(0, 2 ** 63),
-        powers=st.lists(st.floats(-50, 80, allow_nan=False), min_size=1, max_size=4),
+        powers=st.lists(st.integers(-50, 80) | st.floats(-50, 80), min_size=1, max_size=4),
         omegas=st.lists(st.integers(0, 9), min_size=1, max_size=3),
         algorithms=st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3),
-        reference_delay=st.none() | st.floats(0.0, 1e-6),
+        reference_delay=st.none() | st.just(0) | st.floats(0.0, 1e-6),
         use_estimation=st.booleans(),
-        input_snr=st.floats(1e-3, 1e6),
+        input_snr=st.integers(1, 10 ** 6) | st.floats(1e-3, 1e6),
     )
     def test_round_trip_property(self, tmp_path_factory, trials, base_seed, powers,
                                  omegas, algorithms, reference_delay,
@@ -1060,6 +1029,7 @@ class TestConfigFile:
         cfg = tiny_config(**kwargs)
         path = tmp_path_factory.mktemp("rt") / "config.yaml"
         save_config(cfg, path)
+        # an int given for a float field reads back as a float, with the same hash
         assert load_config(path) == cfg
         assert config_hash(load_config(path)) == config_hash(cfg)
 
