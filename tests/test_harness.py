@@ -18,6 +18,7 @@ from gusim.errors import ConfigurationError
 from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
+from gusim.plain import read_yaml, write_yaml
 from gusim.harness import (ALGORITHMS, ExperimentConfig, LOAD_HEADER, RESULT_HEADER,
                            config_from_dict, config_hash, config_to_dict,
                            dbm_to_watts, figure2_sweep, figure3_load,
@@ -884,6 +885,26 @@ class TestConfigFile:
         for suffix in (".csv", ".csv.manifest.txt", ".yaml"):
             assert (tmp_path / f"ints{suffix}").read_bytes() == \
                 (tmp_path / f"floats{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("value", ["", "yes", "null", "1.5", "a b", "Zürich", {"GUS"},
+                                       math.nan, -math.inf, -0.0, 5e-324, 1e16], ids=repr)
+    def test_written_yaml_reads_back_as_written(self, tmp_path, value):
+        # words YAML would read as another type, non-ASCII text, a set, and the
+        # floats a scenario file holds (nan, inf, -0.0, a subnormal, a repr
+        # without a ".") come back as the same type and value; repr tells nan
+        # and -0.0 apart where == does not
+        write_yaml({"mode": value}, tmp_path / "v.yaml")
+        assert repr(read_yaml(tmp_path / "v.yaml", "test file")) == repr({"mode": value})
+
+    @pytest.mark.parametrize("value", [np.zeros(2), np.float64(0.5), 1 + 2j], ids=repr)
+    def test_write_yaml_refuses_before_opening_the_file(self, tmp_path, value):
+        # a value safe_dump has no tag for (to_plain turns numpy values into
+        # lists and numbers first) raises and leaves an existing file as it was
+        path = tmp_path / "v.yaml"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(yaml.YAMLError):
+            write_yaml({"mode": value}, path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
     def test_hash_stable(self):
         cfg = tiny_config()
