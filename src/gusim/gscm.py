@@ -109,7 +109,7 @@ class ScenarioConfig:
                 and all(map(_is_finite, heights)) and 0 <= heights[0] <= heights[1]):
             raise ConfigurationError("cluster_height_range must be two finite numbers "
                                      f"with 0 <= lo <= hi, got {heights!r}")
-        object.__setattr__(self, "cluster_height_range", tuple(map(float, heights)))
+        object.__setattr__(self, "cluster_height_range", tuple(float(z) + 0.0 for z in heights))
         # E, the diagonal of the box and the BS (VR centres lie at ms_height), bounds each
         # distance and the rebuild's r = c0 tau <= 2 E: b^2 - 4ac <= 40 E^2, |d_vr|^2 <= 19 E^2
         corners = [*self.box["users"], *self.box["cluster_positions"], (0.0, 0.0, self.bs_height)]

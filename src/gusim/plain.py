@@ -44,8 +44,8 @@ def to_plain(value):
 
 
 def from_plain(cls, data, where: str):
-    """Build dataclass ``cls`` from a plain mapping, rejecting unknown and
-    missing keys and values that do not match the field types."""
+    """Build dataclass ``cls`` from a plain mapping, rejecting unknown and missing
+    keys; its own ``validate()`` judges each value, in an error naming ``where``."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
     hints = typing.get_type_hints(cls)
@@ -56,8 +56,11 @@ def from_plain(cls, data, where: str):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"missing key(s) in {where}: {', '.join(missing)}")
-    return cls(**{name: _typed(hints[name], value, f"{where}.{name}")
-                  for name, value in data.items()})
+    values = {name: _typed(hints[name], value, f"{where}.{name}") for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:   # a nested block's error left above, prefixed once
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def from_versioned(cls, data, where: str, version: int, retired: dict | None = None):
@@ -73,9 +76,9 @@ def from_versioned(cls, data, where: str, version: int, retired: dict | None = N
 
 
 def _typed(hint, value, where: str):
-    """``value`` checked against the field type ``hint``; ints are accepted
-    for floats, lists for tuples, and nested lists of numbers for float
-    arrays, which come back read-only."""
+    """``value`` shaped for the field type ``hint``: a mapping becomes a nested
+    dataclass, nested lists of numbers a read-only float array, other lists
+    tuples; any other value is left for the class's ``validate()`` to judge."""
     if is_dataclass(hint):
         return from_plain(hint, value, where)
     if hint is np.ndarray:
@@ -89,30 +92,7 @@ def _typed(hint, value, where: str):
         array = array.astype(float)
         array.setflags(write=False)
         return array
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(hint, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"{where} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigurationError(f"{where} must have {len(args)} entries, got {value!r}")
-        return tuple(_typed(t, x, f"{where}[{i}]")
-                     for i, (t, x) in enumerate(zip(args, value)))
-    is_bool = isinstance(value, bool)
-    if hint is float and isinstance(value, int) and not is_bool:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigurationError(f"{where} is an integer too large for a float") from None
-    if not isinstance(value, hint) or (is_bool and hint is not bool):
-        raise ConfigurationError(f"{where} must be {hint.__name__}, got {value!r}")
-    return value
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _is_integer(value) -> bool:
@@ -127,9 +107,12 @@ def check_count(name: str, value, high=math.inf) -> None:
 
 
 def _is_finite(value) -> bool:
-    """A finite real number, not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number, not a bool; an int too large for a float is not."""
+    try:
+        return isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # annotation: (test, what a value must be, what grid entries must be, allowed under a bound)
@@ -196,6 +179,6 @@ def check_fields(obj) -> None:
             if not test(value):
                 raise ConfigurationError(
                     f"{name} must be {what}, got {value!r}; allowed: {allowed}")
-        if floats:   # held as from_plain reads them back, so equal configs write equal bytes
-            object.__setattr__(obj, name, value if value is None else tuple(map(float, value))
-                               if isinstance(value, tuple) else float(value))
+        if floats:   # as floats, -0.0 as 0.0, so equal configs write equal bytes
+            object.__setattr__(obj, name, value if value is None else tuple(
+                float(x) + 0.0 for x in value) if isinstance(value, tuple) else float(value) + 0.0)

@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields, replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from gusim import cli, gscm, harness, rx, scheduling
 from gusim.errors import ConfigurationError
-from gusim.gscm import ScenarioConfig, channel_covariances
+from gusim.gscm import Scenario, ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
 from gusim.plain import read_yaml, write_yaml
@@ -447,6 +448,15 @@ class TestValidateHoles:
         ("scenario", dict(cluster_height_range=(5.0,)), "cluster_height_range"),
         ("scenario", dict(cluster_height_range=5.0), "cluster_height_range"),
         ("config", dict(algorithms=(["GUS"],)), "algorithms"),
+        # an int too large for a float is not finite, built directly or loaded
+        pytest.param("scenario", dict(cell_half_side=10**400), "cell_half_side must be finite",
+                     id="scenario-cell_half_side-10**400"),
+        pytest.param("scenario", dict(cluster_height_range=(0, 10**400)),
+                     "cluster_height_range", id="scenario-cluster_height_range-(0, 10**400)"),
+        pytest.param("crlb", dict(input_snr=10**400), "input_snr must be finite",
+                     id="crlb-input_snr-10**400"),
+        pytest.param("config", dict(powers_dbm=(10**400,)), "powers_dbm must be finite",
+                     id="config-powers_dbm-(10**400,)"),
         ("scenario", dict(cell_half_side=2500.0), "cutoff_delay .* cell_half_side 2500"),
         ("scenario", dict(shadowing_sigma_db=3000.0), "shadowing_sigma_db must be <="),
         ("scenario", dict(vr_radius=20.0), "vr_radius 20.0 must exceed transition_size 20.0"),
@@ -464,14 +474,16 @@ class TestValidateHoles:
              else replace(base, **overrides))
 
 
-# fields checked by hand in validate(): nested configs, which check themselves
-# when built, and a (lo, hi) pair
-EXEMPT_FROM_FIELD_RULES = {"scenario", "crlb", "cluster_height_range"}
+# a (lo, hi) pair, checked by hand in validate(); fields exempt by type are nested
+# configs, which check themselves when built, and arrays, which the loader checks
+EXEMPT_FROM_FIELD_RULES = {"cluster_height_range"}
 
 
-@pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig])
+@pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig, Scenario])
 def test_every_config_field_has_a_rule_or_is_exempt(cls):
-    unruled = {f.name for f in fields(cls) if "check" not in f.metadata}
+    hints = typing.get_type_hints(cls)
+    unruled = {f.name for f in fields(cls) if "check" not in f.metadata
+               and not is_dataclass(hints[f.name]) and hints[f.name] is not np.ndarray}
     assert unruled <= EXEMPT_FROM_FIELD_RULES, f"{cls.__name__} fields without a rule"
 
 
@@ -873,18 +885,25 @@ class TestConfigFile:
         assert load_config(tmp_path / "numpy.yaml") == numpy_typed
 
     def test_int_and_float_configs_write_equal_bytes(self, tmp_path):
-        # equal configs, one given ints where the fields hold floats, run the
-        # same sweep, so their CSV, manifest and config file are the same bytes
-        floats = tiny_config(powers_dbm=(0.0, 20.0), bandwidth=20e6)
+        # equal configs, one given ints where the fields hold floats and one given
+        # -0.0, which equals 0.0 but writes as "-0.0", run the same sweep, so
+        # their CSV, manifest and config file are the same bytes
+        base = tiny_config()
+        floats = tiny_config(powers_dbm=(0.0, 20.0), bandwidth=20e6, scenario=replace(
+            base.scenario, cluster_height_range=(0.0, 30.0)))
         ints = tiny_config(powers_dbm=(0, 20), bandwidth=20_000_000, scenario=replace(
-            floats.scenario, cluster_height_range=(5, 30), cell_half_side=1000))
-        assert ints == floats and config_hash(ints) == config_hash(floats)
-        for name, cfg in (("ints", ints), ("floats", floats)):
+            base.scenario, cluster_height_range=(0, 30), cell_half_side=1000))
+        zeros = tiny_config(powers_dbm=(-0.0, 20.0), scenario=replace(
+            base.scenario, cluster_height_range=(-0.0, 30.0)))
+        for other in (ints, zeros):
+            assert other == floats and config_hash(other) == config_hash(floats)
+        for name, cfg in (("ints", ints), ("zeros", zeros), ("floats", floats)):
             run_sweep(cfg, tmp_path / f"{name}.csv")
             save_config(cfg, tmp_path / f"{name}.yaml")
-        for suffix in (".csv", ".csv.manifest.txt", ".yaml"):
-            assert (tmp_path / f"ints{suffix}").read_bytes() == \
-                (tmp_path / f"floats{suffix}").read_bytes()
+        for name in ("ints", "zeros"):
+            for suffix in (".csv", ".csv.manifest.txt", ".yaml"):
+                assert (tmp_path / f"{name}{suffix}").read_bytes() == \
+                    (tmp_path / f"floats{suffix}").read_bytes()
 
     @pytest.mark.parametrize("value", ["", "yes", "null", "1.5", "a b", "Zürich", {"GUS"},
                                        math.nan, -math.inf, -0.0, 5e-324, 1e16], ids=repr)
@@ -990,9 +1009,31 @@ class TestConfigFile:
         pytest.param("bandwidth", 10**400, id="bandwidth-int-too-large-for-a-float"),
     ])
     def test_wrongly_typed_values_rejected(self, key, value):
+        # a block that is not a mapping fails as the block; a value fails its
+        # config's validate(), whose message the block prefixes
         data = dict(config_to_dict(tiny_config()), **{key: value})
-        with pytest.raises(ConfigurationError, match=f"config.{key}"):
+        match = rf"^config(: (.*; )?{key}\b|\.{key} must be a mapping)"
+        with pytest.raises(ConfigurationError, match=match):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("cls,name", [
+        (cls, f.name) for cls in (ExperimentConfig, ScenarioConfig, CrlbParams)
+        for f in fields(cls) if "check" in f.metadata], ids=lambda x: getattr(x, "__name__", x))
+    def test_every_field_rule_judges_a_loaded_value(self, cls, name):
+        # the loader only shapes plain data: a value of the wrong kind reaches its
+        # class's validate(), and the error names the block and the field
+        block = {ScenarioConfig: "scenario", CrlbParams: "crlb"}.get(cls)
+        wrong = 3 if typing.get_type_hints(cls)[name] is str else "x"
+        data = config_to_dict(tiny_config())
+        if block:
+            data[block] = dict(data[block], **{name: wrong})
+        else:
+            data[name] = wrong
+        with pytest.raises(ConfigurationError) as raised:
+            config_from_dict(data)
+        message = str(raised.value)
+        assert message.startswith(f"config.{block}: " if block else "config: ")
+        assert name in message, message
 
     def test_wrongly_typed_nested_values_rejected(self):
         data = config_to_dict(tiny_config())
@@ -1002,7 +1043,7 @@ class TestConfigFile:
                                   ("crlb", "input_snr", None),
                                   ("scenario", "cell_half_side", -10**400)):
             bad = dict(data, **{block: dict(data[block], **{key: value})})
-            with pytest.raises(ConfigurationError, match=f"config.{block}.{key}"):
+            with pytest.raises(ConfigurationError, match=rf"^config\.{block}: {key} must"):
                 config_from_dict(bad)
 
     def test_ints_accepted_for_floats(self):
@@ -1162,7 +1203,7 @@ class TestCli:
             cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("gusim: error: noise power") and "Traceback" not in err
+        assert err.startswith("gusim: error: config: noise power") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "run"])
@@ -1187,7 +1228,7 @@ class TestCli:
             cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("gusim: error: powers_dbm") and "Traceback" not in err
+        assert err.startswith("gusim: error: config: powers_dbm") and "Traceback" not in err
         assert not out.exists()
 
     def test_overflowing_power_decay_is_a_usage_error(self, tmp_path, no_trials, capsys):
@@ -1200,7 +1241,8 @@ class TestCli:
             cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("gusim: error: power_decay must be <=") and "Traceback" not in err
+        assert err.startswith("gusim: error: config.scenario: power_decay must be <=")
+        assert "Traceback" not in err
         assert not out.exists() and not (tmp_path / "o.csv.manifest.txt").exists()
 
     def test_integer_too_large_for_a_float_is_a_usage_error(self, tmp_path, capsys):
@@ -1212,7 +1254,8 @@ class TestCli:
             cli.main(["fig3", "--config", str(cfg_path), "--out", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("gusim: error: config.bandwidth is an integer too large")
+        assert err.startswith("gusim: error: config: noise power must be finite and positive; "
+                              "bandwidth=") and "bandwidth=" + str(10**400) in err
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("flag", [["--seed", "9"], ["--trials", "3"],

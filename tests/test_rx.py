@@ -376,7 +376,10 @@ class TestPowerConfig:
     @pytest.mark.parametrize("args", [
         (math.nan, 3, 1e-3), (math.inf, 3, 1e-3), ("1", 3, 1e-3), (True, 3, 1e-3),
         (1.0, 2.5, 1e-3), (1.0, True, 1e-3), (1.0, 3.0, 1e-3),
-        (1.0, 3, math.nan), (1.0, 3, math.inf)])
+        (1.0, 3, math.nan), (1.0, 3, math.inf),
+        # an int too large for a float is not finite
+        pytest.param((10**400, 3, 1e-3), id="total_power-10**400"),
+        pytest.param((1.0, 3, 10**400), id="noise_power-10**400")])
     def test_rejects_values_outside_the_contract(self, args):
         with pytest.raises(ConfigurationError):
             PowerConfig(*args)
