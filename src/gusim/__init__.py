@@ -7,7 +7,7 @@ from .errors import ConfigurationError, GeometryError, RankDeficiencyError, Sele
 from .gscm import (ChannelMatrix, Scenario, ScenarioConfig,
                    SPEED_OF_LIGHT, channel_covariances, channel_matrix,
                    cluster_attenuation, generate_scenario, large_scale_gains,
-                   load_scenario, path_loss_nlos, save_scenario, vr_gain)
+                   path_loss_nlos, vr_gain)
 from .rx import PowerConfig, noise_power, sum_rate, unitary_pilots, zf_weights
 from .scheduling import (ScheduleResult, estimation_load, gus_select,
                          gwc_select_powers, random_select)

@@ -17,8 +17,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigurationError, GeometryError
-from .plain import (_is_finite, _is_integer, check_fields, checked, from_versioned,
-                    read_yaml, to_plain, write_yaml)
+from .plain import _is_finite, _is_integer, check_fields, checked
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -28,8 +27,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 _MAX_SHADOWING_SIGMA_DB = 10.0 * math.log10(sys.float_info.max) / (
     3.6541528853610088 + math.sqrt(106.0 * math.log(2.0)))
 _MAX_EXP_ARG = math.log(sys.float_info.max)   # exp of more overflows
-
-_SCENARIO_SCHEMA_VERSION = 3
 
 # the salt of each purpose's random stream, keyed by the scenario seed in ``Scenario.stream``
 _STREAMS = {"angles": 101, "gains": 202, "perturb": 303, "select": 404, "pilot_noise": 505}
@@ -70,12 +67,11 @@ class ScenarioConfig:
 
     @property
     def box(self) -> dict[str, tuple]:
-        """Inclusive (lows, highs), per column, of each array ``generate_scenario`` draws."""
+        """Inclusive (lows, highs), per column, of each position ``generate_scenario`` draws."""
         h, (z_lo, z_hi), ms = self.cell_half_side, self.cluster_height_range, self.ms_height
         return {"users": ((-h, -h, ms), (h, h, ms)),
                 "cluster_positions": ((-h, -h, z_lo), (h, h, z_hi)),
-                "vr_centers": ((-h, -h), (h, h)),
-                "shadow_gains": (math.ulp(0.0), sys.float_info.max)}   # the positive doubles
+                "vr_centers": ((-h, -h), (h, h))}
 
     def validate(self) -> None:
         check_fields(self)
@@ -135,8 +131,8 @@ class Scenario:
     power factor applied to the fading channel, not to the V the scheduler
     uses. The BS position, the cluster delays and observables and the
     channel geometry follow from these fields, each built on first use and
-    cached, read-only; equality and serialization ignore them, and
-    ``dataclasses.replace`` starts with an empty cache."""
+    cached, read-only; equality ignores them, and ``dataclasses.replace``
+    starts with an empty cache."""
 
     config: ScenarioConfig
     users: np.ndarray               # (K, 3)
@@ -523,46 +519,3 @@ def channel_covariances(scenario: Scenario, selected) -> np.ndarray:
     # R_k[a, b] is entry M - 1 + a - b of [conj(r_k[M-1..1]), r_k[0..M-1]]
     both = np.concatenate([lags[:, :0:-1].conj(), lags], axis=1)
     return np.take(both, m - 1 + np.arange(m)[:, None] - np.arange(m), axis=1)   # C order
-
-
-# ---------------------------------------------------------------------------
-# Scenario serialization (YAML: config block, user coordinates, cluster arrays)
-# ---------------------------------------------------------------------------
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {"schema_version": _SCENARIO_SCHEMA_VERSION, **to_plain(scenario)}
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    """The scenario ``data`` holds, with a valid config, the shapes it sets,
-    every array inside its ``ScenarioConfig.box`` and the users outside the
-    BS exclusion disk, as ``generate_scenario`` places them."""
-    derived = "bs_position and delays are gone: they follow from the config and the cluster arrays"
-    scenario = from_versioned(Scenario, data, "scenario", _SCENARIO_SCHEMA_VERSION, {
-        1: " (version 3 holds the clusters as the arrays cluster_positions, vr_centers"
-           " and shadow_gains, row j being cluster j's position, vr_center and"
-           f" shadow_gain; {derived})",
-        2: f" ({derived})"})
-    cfg = scenario.config
-    for name, (lows, highs) in cfg.box.items():
-        value = getattr(scenario, name)
-        wanted = (cfg.num_users if name == "users" else cfg.num_clusters, *np.shape(lows))
-        if value.shape != wanted:
-            raise ConfigurationError(
-                f"scenario {name} must have shape {wanted}, got {value.shape}")
-        if not np.all((lows <= value) & (value <= highs)):   # NaN fails both
-            raise ConfigurationError(
-                f"scenario {name} must lie in ScenarioConfig.box: {lows} to {highs}")
-    r_min = cfg.bs_exclusion_fraction * cfg.cell_half_side
-    if not all(math.hypot(x, y) >= r_min for x, y, _ in scenario.users.tolist()):
-        raise ConfigurationError("scenario users must lie outside the BS exclusion disk: "
-                                 "hypot(x, y) >= bs_exclusion_fraction * cell_half_side")
-    return scenario
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    write_yaml(scenario_to_dict(scenario), path)
-
-
-def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_yaml(path, "scenario"))

@@ -22,7 +22,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .gscm import ScenarioConfig, channel_covariances, channel_matrix, generate_scenario
 from .localization import CrlbParams, perturb_and_rebuild_omegas
-from .plain import check_fields, checked, from_versioned, read_yaml, to_plain, write_yaml
+from .plain import check_fields, checked, from_plain, read_yaml, to_plain, write_yaml
 from .rx import (SUM_RATE_MODES, PowerConfig, _mmse_filter, noise_power, sum_rate,
                  unitary_pilots, zf_weights)
 from .scheduling import GUS_VARIANTS, estimation_load, gus_select, gwc_select_powers, random_select
@@ -352,9 +352,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return from_versioned(ExperimentConfig, data, "config", CONFIG_SCHEMA_VERSION, {
-        1: " (version 2 removed covariance_draws: estimated CSI now uses the"
-           " exact channel covariance)"})
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config must be a mapping, got {data!r}")
+    found = data.get("schema_version")
+    if found != CONFIG_SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"unsupported config schema_version {found!r}, expected {CONFIG_SCHEMA_VERSION}"
+            + (" (version 2 removed covariance_draws: estimated CSI now uses the"
+               " exact channel covariance)" if found == 1 else ""))
+    return from_plain(ExperimentConfig,
+                      {k: v for k, v in data.items() if k != "schema_version"}, "config")
 
 
 def save_config(config: ExperimentConfig, path) -> None:

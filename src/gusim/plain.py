@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import MISSING, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from functools import cache
 
 import numpy as np
@@ -33,29 +33,26 @@ def write_yaml(data, path) -> None:
 
 
 def to_plain(value):
-    """Dataclasses as nested dicts, tuples and arrays as lists, numpy scalars as numbers."""
+    """Dataclasses as nested dicts, tuples as lists, numpy scalars as numbers."""
     if is_dataclass(value):
         return {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [to_plain(x) for x in value]
-    if isinstance(value, (np.ndarray, np.generic)):
+    if isinstance(value, np.generic):
         return value.tolist()
     return value
 
 
 def from_plain(cls, data, where: str):
-    """Build dataclass ``cls`` from a plain mapping, rejecting unknown and missing
-    keys; its own ``validate()`` judges each value, in an error naming ``where``."""
+    """Build dataclass ``cls`` from a plain mapping, rejecting unknown keys (a
+    missing one takes its field's default); its own ``validate()`` judges each
+    value, in an error naming ``where``."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
     hints = typing.get_type_hints(cls)
     unknown = [str(k) for k in data if k not in hints]
     if unknown:
         raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    missing = [f.name for f in fields(cls) if f.name not in data
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigurationError(f"missing key(s) in {where}: {', '.join(missing)}")
     values = {name: _typed(hints[name], value, f"{where}.{name}") for name, value in data.items()}
     try:
         return cls(**values)
@@ -63,35 +60,12 @@ def from_plain(cls, data, where: str):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def from_versioned(cls, data, where: str, version: int, retired: dict | None = None):
-    """``from_plain`` of a mapping that also carries ``schema_version``, which
-    must be ``version``; ``retired`` says why an older version is not read."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{where} must be a mapping, got {data!r}")
-    found = data.get("schema_version")
-    if found != version:
-        raise ConfigurationError(f"unsupported {where} schema_version {found!r}, "
-                                 f"expected {version}{(retired or {}).get(found, '')}")
-    return from_plain(cls, {k: v for k, v in data.items() if k != "schema_version"}, where)
-
-
 def _typed(hint, value, where: str):
     """``value`` shaped for the field type ``hint``: a mapping becomes a nested
-    dataclass, nested lists of numbers a read-only float array, other lists
-    tuples; any other value is left for the class's ``validate()`` to judge."""
+    dataclass and a list a tuple; any other value is left for the class's
+    ``validate()`` to judge."""
     if is_dataclass(hint):
         return from_plain(hint, value, where)
-    if hint is np.ndarray:
-        try:
-            array = np.array(value) if isinstance(value, list) else None
-        except ValueError:  # ragged nesting
-            array = None
-        if array is None or array.dtype.kind not in "iuf":
-            raise ConfigurationError(
-                f"{where} must be a nested list of numbers, got {value!r}")
-        array = array.astype(float)
-        array.setflags(write=False)
-        return array
     return tuple(value) if isinstance(value, list) else value
 
 

@@ -1,7 +1,6 @@
 """Golden output hashes: the SHA-256 of each reference config's CSV, its
-manifest and a canonical text form of its per-trial rows, and of the
-``save_scenario`` file of the default scenario, at base seeds 1 and 7,
-stored with the environment that produced them.
+manifest and a canonical text form of its per-trial rows, at base seeds 1
+and 7, stored with the environment that produced them.
 
 Record the table (after a change that is meant to move an output):
 
@@ -12,9 +11,9 @@ the table it replaces, and each one added or removed.
 
 ``tests/test_golden.py`` reruns every entry and compares. The bytes depend
 on Python, numpy, its BLAS and the CPU features numpy dispatches on, and
-the test skips on any other environment. The scenario file's bytes are
-PyYAML's ``safe_dump`` output, pinned in CI; PyYAML is not an environment
-key, which would skip every entry, not only that file, on another version.
+the test skips on any other environment. No hashed byte is PyYAML's output:
+the CLI entry writes and reads its config file through it, but hashes only
+the CSV and manifest of the run, so PyYAML is not an environment key.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from gusim import cli, harness
-from gusim.gscm import generate_scenario, save_scenario
 from gusim.harness import ExperimentConfig
 
 TABLE = Path(__file__).resolve().parent / "golden_hashes.json"
@@ -40,9 +38,8 @@ TRIALS = 3
 
 _ESTIMATED = dict(use_estimation=True, powers_dbm=(10.0, 30.0))
 
-# name: (sweep, config); the sweep is a harness function, "cli" for the
-# CLI's run subcommand on the config saved as YAML, or "scenario" for the
-# scenario file of the config's scenario at the seed
+# name: (sweep, config); the sweep is a harness function or "cli" for the
+# CLI's run subcommand on the config saved as YAML
 CONFIGS = {
     "fig2": (harness.figure2_sweep, ExperimentConfig()),
     "fig3": (harness.figure3_load, ExperimentConfig()),
@@ -55,7 +52,6 @@ CONFIGS = {
     "paper_literal_estimated": (harness.run_sweep, ExperimentConfig(
         mode="paper-literal", algorithms=("GUS", "RANDOM"), **_ESTIMATED)),
     "cli_run": ("cli", ExperimentConfig(omegas=(0, 2), ks_values=(5,))),
-    "scenario_file": ("scenario", ExperimentConfig()),
 }
 
 ENTRIES = [(name, seed) for name in CONFIGS for seed in SEEDS]
@@ -83,16 +79,11 @@ def _sha256(data: bytes) -> str:
 
 def entry_hashes(name: str, seed: int) -> dict:
     """The hashes of config ``name`` at ``seed``; ``trial_rows`` is None for
-    the outputs that have no trial rows (fig3 and the CLI), and a scenario
-    file has only its own hash."""
+    the outputs that have no trial rows (fig3 and the CLI)."""
     sweep, config = CONFIGS[name]
     config = replace(config, trials=TRIALS, base_seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        if sweep == "scenario":
-            path = Path(tmp) / "scenario.yaml"
-            save_scenario(generate_scenario(replace(config.scenario, rng_seed=seed)), path)
-            return {"yaml": _sha256(path.read_bytes())}
         if sweep == "cli":
             harness.save_config(config, Path(tmp) / "config.yaml")
             cli.main(["run", "--config", str(Path(tmp) / "config.yaml"), "--out", str(out)])

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 import typing
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gusim import cli, gscm, harness, rx, scheduling
 from gusim.errors import ConfigurationError
-from gusim.gscm import Scenario, ScenarioConfig, channel_covariances
+from gusim.gscm import ScenarioConfig, channel_covariances
 from gusim.rx import PowerConfig, sum_rate, zf_weights
 from gusim.localization import CrlbParams, crlb, perturb_and_rebuild_omegas
 from gusim.plain import read_yaml, write_yaml
@@ -475,16 +475,19 @@ class TestValidateHoles:
 
 
 # a (lo, hi) pair, checked by hand in validate(); fields exempt by type are nested
-# configs, which check themselves when built, and arrays, which the loader checks
+# configs, which check themselves when built
 EXEMPT_FROM_FIELD_RULES = {"cluster_height_range"}
 
 
-@pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig, Scenario])
+@pytest.mark.parametrize("cls", [ScenarioConfig, CrlbParams, ExperimentConfig])
 def test_every_config_field_has_a_rule_or_is_exempt(cls):
     hints = typing.get_type_hints(cls)
     unruled = {f.name for f in fields(cls) if "check" not in f.metadata
-               and not is_dataclass(hints[f.name]) and hints[f.name] is not np.ndarray}
+               and not is_dataclass(hints[f.name])}
     assert unruled <= EXEMPT_FROM_FIELD_RULES, f"{cls.__name__} fields without a rule"
+    # a config file may leave out any key, so plain.from_plain needs a default for each
+    assert all(f.default is not MISSING or f.default_factory is not MISSING
+               for f in fields(cls)), f"{cls.__name__} fields without a default"
 
 
 def test_configs_checked_when_built_not_when_used(monkeypatch):
@@ -499,7 +502,6 @@ def test_configs_checked_when_built_not_when_used(monkeypatch):
     _, elevation, azimuth = scen.observables
     crlb(cfg.crlb, azimuth, elevation)
     assert gscm.generate_scenario(scen.config) == scen
-    assert gscm.scenario_from_dict(gscm.scenario_to_dict(scen)) == scen
     run_experiment(cfg)
     config_hash(cfg)
     assert calls == []
@@ -948,7 +950,7 @@ class TestConfigFile:
 
     def test_sweep_path_does_not_import_yaml(self, tmp_path):
         # a sweep writes no YAML, so PyYAML's import stays off its start-up;
-        # writing or reading a config or scenario file is what imports it
+        # writing or reading a config file is what imports it
         script = textwrap.dedent("""
             import sys
             from pathlib import Path
@@ -962,7 +964,6 @@ class TestConfigFile:
             harness.config_hash(cfg)
             assert "yaml" not in sys.modules, "the sweep path imported yaml"
             harness.save_config(cfg, out / "c.yaml")
-            gscm.save_scenario(gscm.generate_scenario(cfg.scenario), out / "s.yaml")
             assert "yaml" in sys.modules
             loaded = harness.load_config(out / "c.yaml")
             assert loaded == cfg and harness.config_hash(loaded) == harness.config_hash(cfg)
@@ -991,6 +992,18 @@ class TestConfigFile:
         data = config_to_dict(tiny_config())
         data["schema_version"] = 42
         with pytest.raises(ConfigurationError):
+            config_from_dict(data)
+
+    def test_missing_keys_take_their_defaults(self):
+        data = {"schema_version": 2, "trials": 3, "scenario": {"num_users": 30}}
+        assert config_from_dict(data) == ExperimentConfig(
+            trials=3, scenario=ScenarioConfig(num_users=30))
+
+    def test_unhashable_schema_version_rejected(self):
+        # an unhashable version is refused like any other, not a TypeError from a lookup
+        data = dict(config_to_dict(tiny_config()), schema_version=[1])
+        with pytest.raises(ConfigurationError,
+                           match=r"unsupported config schema_version \[1\], expected 2$"):
             config_from_dict(data)
 
     def test_unknown_keys_rejected(self):
