@@ -1,4 +1,4 @@
-import itertools
+import functools
 import math
 import os
 import re
@@ -122,23 +122,6 @@ class TestGenerateScenario:
         vr_centers[2] += 1e-6
         assert replace(a, vr_centers=vr_centers) != a
 
-    def test_every_draw_lies_in_the_box(self):
-        # validate()'s (7 E)^2 overflow rule bounds ScenarioConfig.box, so it holds
-        # only while every draw lies in the box. 0.9 puts many users near the disk's
-        # edge; the second geometry moves every bound of the box off its default
-        small = dict(cell_half_side=250.0, cluster_height_range=(0.0, 80.0), bs_height=12.3,
-                     ms_height=1.7)
-        for geometry, seed in itertools.product([{}, small], range(1, 201)):
-            cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=0.9, **geometry)
-            scen = generate_scenario(cfg)
-            for name in ("users", "cluster_positions", "vr_centers"):
-                lows, highs = cfg.box[name]
-                values = getattr(scen, name)
-                assert np.all((lows <= values) & (values <= highs)), (name, geometry, seed)
-            r_min = cfg.bs_exclusion_fraction * cfg.cell_half_side
-            assert all(math.hypot(x, y) >= r_min for x, y, _ in scen.users.tolist())
-            assert np.all(np.isfinite(scen.shadow_gains) & (scen.shadow_gains > 0))
-
     def test_invalid_exclusion_fraction(self):
         with pytest.raises(ConfigurationError):
             generate_scenario(ScenarioConfig(bs_exclusion_fraction=1.5))
@@ -156,6 +139,89 @@ class TestGenerateScenario:
         for seed in [*range(1, 301), 2**32 - 1, 2**32, 2**40 + 3]:
             cfg = ScenarioConfig(rng_seed=seed, bs_exclusion_fraction=fraction)
             assert_matches_the_loop(generate_scenario(cfg), generate_scenario_loop(cfg))
+
+
+BOX_NAMES = ("users", "cluster_positions", "vr_centers")
+BOX_GEOMETRIES = {"default": {}, "small": dict(cell_half_side=250.0, bs_height=12.3,
+                                               cluster_height_range=(0.0, 80.0), ms_height=1.7)}
+
+
+@functools.cache
+def box_draws(geometry):
+    """The config of ``BOX_GEOMETRIES[geometry]`` at bs_exclusion_fraction 0.9, which
+    puts many users near the disk's edge, and its scenarios for seeds 1 to 200. The
+    small geometry moves every bound of ScenarioConfig.box off its default."""
+    cfg = ScenarioConfig(bs_exclusion_fraction=0.9, **BOX_GEOMETRIES[geometry])
+    return cfg, tuple(generate_scenario(replace(cfg, rng_seed=seed)) for seed in range(1, 201))
+
+
+def assert_in_the_box(scen):
+    """Every position ``scen`` holds lies in its config's box, inclusive, each user
+    outside the BS exclusion disk, and every shadow gain is finite and positive."""
+    cfg = scen.config
+    for name in BOX_NAMES:
+        lows, highs = cfg.box[name]
+        values = getattr(scen, name)
+        assert np.all((lows <= values) & (values <= highs)), f"{name} outside the box"
+    r_min = cfg.bs_exclusion_fraction * cfg.cell_half_side
+    assert all(math.hypot(x, y) >= r_min for x, y, _ in scen.users.tolist()), \
+        "user inside the exclusion disk"
+    assert np.all(np.isfinite(scen.shadow_gains) & (scen.shadow_gains > 0)), \
+        "shadow gain not finite and positive"
+
+
+class TestScenarioBox:
+    """validate()'s (7 E)^2 overflow rule bounds ScenarioConfig.box, so it holds
+    only while every draw lies in the box; and a box the draws do not fill would
+    make the rule refuse cells whose geometry is finite."""
+
+    def test_box_of_the_small_geometry(self):
+        cfg, (scen, *_) = box_draws("small")
+        assert cfg.box == {"users": ((-250.0, -250.0, 1.7), (250.0, 250.0, 1.7)),
+                           "cluster_positions": ((-250.0, -250.0, 0.0), (250.0, 250.0, 80.0)),
+                           "vr_centers": ((-250.0, -250.0), (250.0, 250.0))}
+        assert all(len(cfg.box[name][0]) == getattr(scen, name).shape[1] for name in BOX_NAMES)
+
+    @pytest.mark.parametrize("geometry", BOX_GEOMETRIES)
+    def test_every_draw_lies_in_the_box(self, geometry):
+        for scen in box_draws(geometry)[1]:
+            assert_in_the_box(scen)
+
+    @pytest.mark.parametrize("geometry", BOX_GEOMETRIES)
+    @pytest.mark.parametrize("name,column", [
+        ("users", 0), ("users", 1), ("users", 2), ("cluster_positions", 0),
+        ("cluster_positions", 1), ("cluster_positions", 2), ("vr_centers", 0), ("vr_centers", 1)])
+    def test_draws_fill_the_box(self, geometry, name, column):
+        # each column's draws come within 1 % of the box's span of both of its
+        # bounds, and their median lies near the box's middle (users' z is ms_height)
+        cfg, scenarios = box_draws(geometry)
+        low, high = (bound[column] for bound in cfg.box[name])
+        values = np.concatenate([getattr(scen, name)[:, column] for scen in scenarios])
+        span = high - low
+        assert values.min() - low <= 0.01 * span and high - values.max() <= 0.01 * span
+        assert abs(np.median(values) - (low + high) / 2) <= 0.03 * span
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("name,column", [
+        ("users", 0), ("users", 1), ("users", 2), ("cluster_positions", 0),
+        ("cluster_positions", 1), ("cluster_positions", 2), ("vr_centers", 0), ("vr_centers", 1)])
+    def test_box_check_sees_a_draw_one_metre_outside(self, name, column, side):
+        cfg, (scen, *_) = box_draws("small")
+        values = getattr(scen, name).copy()
+        values[-1, column] = cfg.box[name][side][column] + (1.0 if side else -1.0)
+        with pytest.raises(AssertionError, match=f"{name} outside the box"):
+            assert_in_the_box(replace(scen, **{name: values}))
+
+    @pytest.mark.parametrize("name,row,message", [
+        ("users", [0.0, -224.9, 1.7], "exclusion disk"),
+        ("shadow_gains", 0.0, "shadow gain"), ("shadow_gains", math.inf, "shadow gain")])
+    def test_box_check_sees_a_user_or_gain_it_must_refuse(self, name, row, message):
+        # 224.9 m lies just inside the 0.9 * 250 m disk
+        cfg, (scen, *_) = box_draws("small")
+        values = getattr(scen, name).copy()
+        values[0] = row
+        with pytest.raises(AssertionError, match=message):
+            assert_in_the_box(replace(scen, **{name: values}))
 
 
 class TestVrGain:
@@ -215,7 +281,7 @@ def test_scenario_stream_keys(seed, purpose, salt, index):
 
 
 class TestScenarioConfigBounds:
-    """Every config that ``validate`` accepts generates and loads."""
+    """Every config that ``validate`` accepts generates."""
 
     @pytest.mark.parametrize("half,ok", [(2119.8, True), (2119.9, False)])
     def test_cutoff_delay_covers_the_cell(self, half, ok):

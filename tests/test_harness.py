@@ -868,6 +868,26 @@ class TestConfigFile:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("overrides", [{}, dict(base_seed=2**40, scenario=ScenarioConfig(
+        num_users=8, num_clusters=2, antenna_count=8, mpcs_per_cluster=3, cell_half_side=250,
+        cluster_height_range=(0, 80), bs_exclusion_fraction=0.9))], ids=["tiny", "small-cell"])
+    def test_config_file_states_each_trial_scenario(self, tmp_path, monkeypatch, overrides):
+        # a scenario has no file of its own: trial t draws it from the config at
+        # rng_seed base_seed + t, so a loaded config file gives each one bit for bit
+        cfg = tiny_config(trials=3, **overrides)
+        save_config(cfg, tmp_path / "c.yaml")
+        drawn = []
+        monkeypatch.setattr(harness, "generate_scenario",
+                            lambda config: drawn.append(gscm.generate_scenario(config))
+                            or drawn[-1])
+        run_experiment(cfg)
+        run_experiment(load_config(tmp_path / "c.yaml"))
+        assert [s.config for s in drawn] == 2 * [
+            replace(cfg.scenario, rng_seed=cfg.base_seed + t) for t in range(3)]
+        arrays = [b"".join(a.tobytes() for a in (s.users, s.cluster_positions, s.vr_centers,
+                                                 s.shadow_gains)) for s in drawn]
+        assert arrays[:3] == arrays[3:] and len(set(arrays)) == 3
+
     def test_numpy_numbers_write_as_python_numbers(self, tmp_path):
         # the field rules accept numpy scalars, so a config holding them runs;
         # its CSV, manifest, hash and config file are those of the Python numbers
@@ -911,7 +931,7 @@ class TestConfigFile:
                                        math.nan, -math.inf, -0.0, 5e-324, 1e16], ids=repr)
     def test_written_yaml_reads_back_as_written(self, tmp_path, value):
         # words YAML would read as another type, non-ASCII text, a set, and the
-        # floats a scenario file holds (nan, inf, -0.0, a subnormal, a repr
+        # floats a config file can hold (nan, inf, -0.0, a subnormal, a repr
         # without a ".") come back as the same type and value; repr tells nan
         # and -0.0 apart where == does not
         write_yaml({"mode": value}, tmp_path / "v.yaml")
